@@ -4,8 +4,9 @@ A :class:`Graph` is a single-use tape: while one is active (``with Graph():``),
 every differentiable primitive appends a node holding the backward closure for
 that operation.  ``Tensor.backward()`` walks the tape once in reverse insertion
 order, accumulating gradients additively into every ``requires_grad`` tensor
-reachable from the scalar loss.  With no graph active the same primitives run
-as plain array code, which is how eval-mode inference avoids recording.
+reachable from the scalar loss and releasing each node as it goes.  With no
+graph active the same primitives run as plain array code, which is how
+eval-mode inference avoids recording.
 
 Element type is a build-wide choice: float64 for verification (finite
 differences are unreliable in float32), float32 permitted for training speed.
@@ -56,7 +57,8 @@ class Tensor:
 
     ``data`` is a row-major numpy array; ``grad`` (same shape) is populated by
     ``backward`` and accumulates additively across multiple uses within one
-    graph and across graphs until cleared.
+    graph and across graphs until cleared.  Only leaves keep it: a recorded
+    op's output drops its gradient once backward has pushed it to the inputs.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node")
@@ -94,15 +96,21 @@ class Tensor:
         graph = self.node.graph
         if graph.completed:
             raise GraphError("graph already backpropagated; graphs are single-use")
-        self.grad = np.ones_like(self.data)
-        for node in reversed(graph.nodes):
-            out_grad = node.out.grad
-            if out_grad is None:
-                continue  # not reachable from the loss
-            if _fault_op is not None and node.op == _fault_op:
-                out_grad = out_grad * 2.0  # debug fault: corrupt analytic path
-            node.backward_fn(out_grad)
         graph.completed = True
+        self.grad = np.ones_like(self.data)
+        nodes = graph.nodes
+        while nodes:
+            node = nodes.pop()
+            out_grad = node.out.grad
+            # the tape is single-use: release the node's saved buffers and its
+            # output's gradient as soon as they have been consumed
+            node.out.grad = None
+            if out_grad is not None:  # else not reachable from the loss
+                if _fault_op is not None and node.op == _fault_op:
+                    out_grad = out_grad * 2.0  # debug fault: corrupt analytic path
+                node.backward_fn(out_grad)
+            node.out = node.backward_fn = None
+            node.inputs = ()
 
     def dump(self) -> str:
         """Debug text form: `shape: d0 d1 ...` then row-major values,
@@ -132,7 +140,10 @@ class GraphNode:
 class Graph:
     """Append-only tape of operation records; insertion order is topological.
 
-    Single-use: build one graph per forward pass, backpropagate once.
+    Single-use: build one graph per forward pass, backpropagate once.  The
+    tape is released during backward: each node is dropped, with its saved
+    inputs, closure and output gradient, once its gradient has been pushed
+    to its inputs, so a completed graph holds no nodes.
     """
 
     def __init__(self):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -73,6 +74,11 @@ def _little_endian(arr: np.ndarray) -> tuple[np.ndarray, str]:
     return np.ascontiguousarray(arr, dtype=np.dtype(code)), code
 
 
+def _bytes_of(arr: np.ndarray) -> memoryview:
+    """The raw bytes of a C-contiguous array, without a copy."""
+    return memoryview(arr.reshape(-1)).cast("B")
+
+
 @dataclass
 class LoadedCheckpoint:
     """Everything a checkpoint restores.  `optimizer`, `scheduler`, and
@@ -100,22 +106,24 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
             (f"velocity.{name}", arr) for name, arr in sorted(optimizer.velocity.items())
         )
 
+    # each buffer is the tensor's own memory (copied only when it is not
+    # contiguous little-endian), checksummed and written through a memoryview
     directory = []
-    chunks = []
+    buffers = []
     offset = 0
     for name, arr in tensors:
         buf, code = _little_endian(arr)
-        raw = buf.tobytes()
+        view = _bytes_of(buf)
         directory.append({
             "name": name,
             "dtype": code,
             "shape": list(arr.shape),
             "offset": offset,
-            "length": len(raw),
-            "crc32": zlib.crc32(raw) & 0xFFFFFFFF,
+            "length": view.nbytes,
+            "crc32": zlib.crc32(view) & 0xFFFFFFFF,
         })
-        chunks.append(raw)
-        offset += len(raw)
+        buffers.append(view)
+        offset += view.nbytes
 
     header: dict[str, Any] = {
         "config": _config_to_dict(model.config),
@@ -148,8 +156,8 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
                 fh.write(struct.pack("<I", FORMAT_VERSION))
                 fh.write(struct.pack("<Q", len(header_bytes)))
                 fh.write(header_bytes)
-                for raw in chunks:
-                    fh.write(raw)
+                for view in buffers:
+                    fh.write(view)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -161,25 +169,125 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
         raise CheckpointError(f"cannot write checkpoint {path}: {err}") from None
 
 
-def _validate_directory(directory: list[dict], payload_size: int) -> None:
+# JSON types a header field may take; true/false never count as integers
+_INT, _STR, _LIST, _NUMBER = (int,), (str,), (list,), (int, float)
+_OBJECT_OR_NULL, _NUMBER_OR_NULL = (dict, type(None)), (int, float, type(None))
+_JSON_NAMES = {dict: "an object", list: "an array", int: "an integer",
+               float: "a number", str: "a string", bool: "a boolean",
+               type(None): "null"}
+_HEADER_FIELDS = {"config": (dict,), "epoch": _INT, "best_metric": _NUMBER_OR_NULL,
+                  "optimizer": _OBJECT_OR_NULL, "scheduler": _OBJECT_OR_NULL,
+                  "rng_state": _OBJECT_OR_NULL, "tensors": _LIST}
+_OPTIMIZER_FIELDS = {"lr": _NUMBER, "momentum": _NUMBER, "weight_decay": _NUMBER}
+_SCHEDULER_FIELDS = {"factor": _NUMBER, "patience": _INT, "min_lr": _NUMBER,
+                     "mode": _STR, "best_metric": _NUMBER_OR_NULL,
+                     "epochs_since_improve": _INT}
+_TENSOR_FIELDS = {"name": _STR, "dtype": _STR, "shape": _LIST, "offset": _INT,
+                  "length": _INT, "crc32": _INT}
+
+
+def _is(value, kinds: tuple) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _like(value, default) -> bool:
+    """Whether a JSON value has the form of a config default: an integer, or
+    an array of values like the default's first item."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_like(v, default[0]) for v in value)
+    return _is(value, _INT)
+
+
+def _check_header(header, path: Path) -> None:
+    """Reject a header of the wrong form before any of its fields is used;
+    each error names the offending field."""
+    def fail(field: str, problem: str):
+        raise CheckpointError(f"{path}: header field '{field}' {problem}")
+
+    def check_fields(obj, fields: dict, where: str) -> None:
+        if not isinstance(obj, dict):
+            what = f"header field '{where[:-1]}'" if where else "header"
+            raise CheckpointError(
+                f"{path}: {what} must be a JSON object, got {_JSON_NAMES[type(obj)]}")
+        for key, kinds in fields.items():
+            if key not in obj:
+                fail(where + key, "is missing")
+            if not _is(obj[key], kinds):
+                fail(where + key, f"must be {' or '.join(_JSON_NAMES[k] for k in kinds)}, "
+                     f"got {_JSON_NAMES[type(obj[key])]}")
+
+    check_fields(header, _HEADER_FIELDS, "")
+    config = header["config"]
+    for f in dataclasses.fields(ModelConfig):
+        if f.name not in config:
+            fail(f"config.{f.name}", "is missing")
+        if not _like(config[f.name], f.default):
+            form = (f"an array like {json.dumps(f.default)}"
+                    if isinstance(f.default, tuple) else "an integer")
+            fail(f"config.{f.name}", f"must be {form}, got {json.dumps(config[f.name])}")
+    for section, fields in (("optimizer", _OPTIMIZER_FIELDS),
+                            ("scheduler", _SCHEDULER_FIELDS)):
+        if header[section] is not None:
+            check_fields(header[section], fields, f"{section}.")
+    for i, entry in enumerate(header["tensors"]):
+        check_fields(entry, _TENSOR_FIELDS, f"tensors[{i}].")
+        if not all(_is(d, _INT) and d >= 0 for d in entry["shape"]):
+            fail(f"tensors[{i}].shape", "must list non-negative integers, got "
+                 f"{json.dumps(entry['shape'])}")
+
+
+def _validate_directory(directory: list[dict], payload_size: int, path: Path) -> None:
     seen = set()
     spans = []
     for entry in directory:
         name = entry["name"]
         if name in seen:
-            raise CheckpointError(f"tensor {name!r} appears twice in the directory")
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice in the directory")
         seen.add(name)
-        off, length = entry["offset"], entry["length"]
-        if off < 0 or length < 0 or off + length > payload_size:
+        dtype = _DTYPE_CODES.get(entry["dtype"])
+        if dtype is None:
             raise CheckpointError(
-                f"tensor {name!r} spans [{off}, {off + length}) outside the "
+                f"{path}: tensor {name!r} has unsupported dtype {entry['dtype']!r}")
+        shape = tuple(entry["shape"])
+        if math.prod(shape) * dtype.itemsize != entry["length"]:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} length {entry['length']} does not "
+                f"match shape {shape}")
+        off, length = entry["offset"], entry["length"]
+        if off < 0 or off + length > payload_size:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} spans [{off}, {off + length}) outside the "
                 f"{payload_size}-byte payload")
         spans.append((off, off + length, name))
     spans.sort()
     for (_, end_a, name_a), (start_b, _, name_b) in zip(spans, spans[1:]):
         if start_b < end_a:
             raise CheckpointError(
-                f"tensors {name_a!r} and {name_b!r} overlap in the payload")
+                f"{path}: tensors {name_a!r} and {name_b!r} overlap in the payload")
+
+
+def _read_tensor(fh, payload_start: int, entry: dict, dest: np.ndarray,
+                 path: Path) -> None:
+    """Stream one tensor from the file into `dest`, checking its CRC.
+
+    The bytes land in `dest` itself when it is contiguous in the file's
+    dtype, else in a fresh array of that dtype which is then converted into
+    `dest`."""
+    name = entry["name"]
+    dtype = _DTYPE_CODES[entry["dtype"]]
+    in_place = dest.dtype == dtype and dest.flags.c_contiguous
+    buf = dest if in_place else np.empty(dest.shape, dtype=dtype)
+    view = _bytes_of(buf)
+    fh.seek(payload_start + entry["offset"])
+    got = fh.readinto(view)
+    if got != entry["length"]:
+        raise CheckpointError(
+            f"{path}: tensor {name!r} is truncated: read {got} of "
+            f"{entry['length']} bytes")
+    if (zlib.crc32(view) & 0xFFFFFFFF) != entry["crc32"]:
+        raise CheckpointError(f"{path}: checksum mismatch for tensor {name!r}")
+    if not in_place:
+        dest[...] = buf
 
 
 def load(path, expected_config: ModelConfig | None = None,
@@ -191,27 +299,44 @@ def load(path, expected_config: ModelConfig | None = None,
     `allow_config_mismatch=True` downgrades that to acceptance of the file's
     own config (the tensors belong to it).  Files written without optimizer
     state load fine for inference; their `optimizer`/`scheduler` are None.
+
+    Only the preamble and header are read before validation: the header's
+    form, the tensor directory, and every tensor's name and shape against the
+    model built from the embedded config.  Tensors then stream straight into
+    the model's own arrays (velocity into fresh ones, in the parameter's
+    dtype), each CRC-checked as it lands; no model is returned unless every
+    check passes.
     """
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as fh:
+            return _load_from(fh, path, expected_config, allow_config_mismatch)
     except OSError as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from None
-    if len(blob) < 16 or blob[:4] != MAGIC:
+
+
+def _load_from(fh, path: Path, expected_config: ModelConfig | None,
+               allow_config_mismatch: bool) -> LoadedCheckpoint:
+    preamble = fh.read(16)
+    if len(preamble) < 16 or preamble[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (magic mismatch)")
-    (version,) = struct.unpack("<I", blob[4:8])
+    (version,) = struct.unpack("<I", preamble[4:8])
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {version} unsupported (expected "
             f"{FORMAT_VERSION})")
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    if 16 + header_len > len(blob):
+    (header_len,) = struct.unpack("<Q", preamble[8:16])
+    payload_start = 16 + header_len
+    file_size = os.fstat(fh.fileno()).st_size
+    if payload_start > file_size:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+        header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: corrupt header: {err}") from None
-    payload = blob[16 + header_len:]
+    _check_header(header, path)
+    directory = header["tensors"]
+    _validate_directory(directory, file_size - payload_start, path)
 
     file_config = _config_from_dict(header["config"])
     if expected_config is not None and file_config != expected_config:
@@ -225,54 +350,9 @@ def load(path, expected_config: ModelConfig | None = None,
                         f"file but {b!r} was expected")
                 break
 
-    directory = header["tensors"]
-    _validate_directory(directory, len(payload))
-
-    arrays: dict[str, np.ndarray] = {}
-    for entry in directory:
-        name = entry["name"]
-        raw = payload[entry["offset"]:entry["offset"] + entry["length"]]
-        if (zlib.crc32(raw) & 0xFFFFFFFF) != entry["crc32"]:
-            raise CheckpointError(f"{path}: checksum mismatch for tensor {name!r}")
-        dtype = _DTYPE_CODES.get(entry["dtype"])
-        if dtype is None:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has unsupported dtype {entry['dtype']!r}")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        if count * dtype.itemsize != entry["length"]:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} length {entry['length']} does not "
-                f"match shape {shape}")
-        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-
-    model = build_model(file_config)
-    expected_names = {f"model.{n}" for n in model.state_tensors()}
-    stored_names = {n for n in arrays if n.startswith("model.")}
-    missing = expected_names - stored_names
-    if missing:
-        raise CheckpointError(
-            f"{path}: missing model tensors: {sorted(missing)[:3]}"
-            + ("..." if len(missing) > 3 else ""))
-    for name, current in model.state_tensors().items():
-        stored = arrays[f"model.{name}"]
-        if stored.shape != current.shape:
-            raise CheckpointError(
-                f"{path}: tensor 'model.{name}' has shape {stored.shape} but the "
-                f"model expects {current.shape}")
-    model.load_state({name[len("model."):]: arr for name, arr in arrays.items()
-                      if name.startswith("model.")})
-
-    optimizer = None
+    optimizer = scheduler = None
     if header["optimizer"] is not None:
-        optimizer = SgdState(lr=header["optimizer"]["lr"],
-                             momentum=header["optimizer"]["momentum"],
-                             weight_decay=header["optimizer"]["weight_decay"])
-        optimizer.velocity = {
-            name[len("velocity."):]: arr for name, arr in arrays.items()
-            if name.startswith("velocity.")
-        }
-    scheduler = None
+        optimizer = SgdState(**{k: header["optimizer"][k] for k in _OPTIMIZER_FIELDS})
     if header["scheduler"] is not None:
         s = header["scheduler"]
         scheduler = PlateauScheduler(
@@ -281,12 +361,40 @@ def load(path, expected_config: ModelConfig | None = None,
             best_metric=-np.inf if s["best_metric"] is None else s["best_metric"],
             epochs_since_improve=s["epochs_since_improve"])
 
-    best = header.get("best_metric")
+    model = build_model(file_config)
+    # where each stored tensor goes; velocity only when there is an optimizer
+    slots = {f"model.{name}": arr for name, arr in model.state_tensors().items()}
+    expected_names = set(slots)
+    if optimizer is not None:
+        slots.update((f"velocity.{name}", p.data) for name, p in model.named_parameters())
+    for entry in directory:
+        name = entry["name"]
+        if name not in slots:
+            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+        shape = tuple(entry["shape"])
+        if shape != slots[name].shape:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {shape} but the "
+                f"model expects {slots[name].shape}")
+    missing = expected_names - {entry["name"] for entry in directory}
+    if missing:
+        raise CheckpointError(
+            f"{path}: missing model tensors: {sorted(missing)[:3]}"
+            + ("..." if len(missing) > 3 else ""))
+
+    for entry in directory:
+        name = entry["name"]
+        dest = slots[name]
+        if name.startswith("velocity."):
+            dest = optimizer.velocity[name[len("velocity."):]] = np.empty_like(dest)
+        _read_tensor(fh, payload_start, entry, dest, path)
+
+    best = header["best_metric"]
     return LoadedCheckpoint(
         model=model,
         optimizer=optimizer,
         scheduler=scheduler,
-        epoch=int(header["epoch"]),
+        epoch=header["epoch"],
         best_metric=-np.inf if best is None else float(best),
-        rng_state=header.get("rng_state"),
+        rng_state=header["rng_state"],
     )

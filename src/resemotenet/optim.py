@@ -90,24 +90,26 @@ class SgdState:
 
 def sgd_step(state: SgdState, params: list[tuple[str, Tensor]]) -> None:
     """One momentum update over every named parameter:
-    v <- momentum * v + grad; p <- p - lr * v.  Gradients are consumed
-    (cleared) so the next accumulation starts fresh."""
+    v <- momentum * v + grad; p <- p - lr * v.  Velocity buffers (zeros before
+    the first step) and parameters are updated in place.  Gradients are
+    consumed (cleared) so the next accumulation starts fresh."""
     for name, p in params:
         if p.grad is None:
             raise OptimizerError(
                 f"parameter '{name}' has no gradient; run backward() before "
                 f"sgd_step")
     for name, p in params:
-        grad = p.grad
-        if state.weight_decay:
-            grad = grad + state.weight_decay * p.data
         v = state.velocity.get(name)
         if v is None:
-            v = np.zeros_like(p.data)
-        v = state.momentum * v + grad
-        state.velocity[name] = v
-        p.data -= state.lr * v
+            v = state.velocity[name] = np.zeros_like(p.data)
+        v *= state.momentum
+        if state.weight_decay:
+            v += p.grad + state.weight_decay * p.data
+        else:
+            v += p.grad
+        # free the consumed gradient before the lr * v temporary is made
         p.zero_grad()
+        p.data -= state.lr * v
 
 
 @dataclass

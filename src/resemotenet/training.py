@@ -30,29 +30,6 @@ from .optim import (PlateauScheduler, SgdState, cross_entropy, scheduler_step,
 BEST_CHECKPOINT = "best.ckpt"
 LAST_CHECKPOINT = "last.ckpt"
 
-_libc = None
-
-
-def _release_heap() -> None:
-    """Hand freed allocator pages back to the OS between epochs.
-
-    Large-model epochs churn through multi-hundred-MB scratch tensors;
-    glibc keeps those pages resident otherwise, which reads as a leak and
-    can OOM small machines.  No-op where malloc_trim is unavailable.
-    """
-    global _libc
-    if _libc is None:
-        try:
-            import ctypes
-            _libc = ctypes.CDLL("libc.so.6")
-        except OSError:
-            _libc = False
-    if _libc:
-        try:
-            _libc.malloc_trim(0)
-        except AttributeError:
-            pass
-
 
 @dataclass
 class EpochRecord:
@@ -114,7 +91,6 @@ def train_one_epoch(model: ResEmoteNetModel, optimizer: SgdState,
         n = labels.shape[0]
         total_loss += float(value.loss.item()) * n
         total_seen += n
-        _release_heap()
     return total_loss / total_seen
 
 
@@ -190,7 +166,6 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
                                 out_path / LAST_CHECKPOINT,
                                 rng_state=rng.bit_generator.state,
                                 best_metric=result.best_accuracy)
-            _release_heap()
             if stop_when is not None and stop_when(record):
                 break
     return result

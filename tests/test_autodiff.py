@@ -282,6 +282,71 @@ class TestGraphSemantics:
         assert c.grad is None
 
 
+def _small_net(x, w, b, v):
+    """conv -> relu -> pool -> linear -> sum: every saved-buffer kind."""
+    h = ad.relu(ad.conv2d(x, w, b, stride=1, padding=1))
+    h = ad.max_pool2d(h, 2, 2)
+    return ad.tensor_sum(ad.linear(ad.reshape(h, (h.shape[0], -1)), v)), h
+
+
+def _small_leaves():
+    r = np.random.default_rng(7)
+    return (t(r.standard_normal((2, 2, 4, 4))), t(r.standard_normal((3, 2, 3, 3))),
+            t(r.standard_normal(3)), t(r.standard_normal((5, 12))))
+
+
+class TestTapeRelease:
+    def test_graph_is_empty_and_non_leaf_grads_dropped(self):
+        leaves = _small_leaves()
+        with Graph() as graph:
+            loss, h = _small_net(*leaves)
+            recorded = [node.out for node in graph.nodes]
+            loss.backward()
+        assert graph.nodes == []
+        assert all(out.grad is None for out in recorded)
+        assert h.grad is None and loss.grad is None
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    def test_leaf_gradients_match_a_retaining_walk(self):
+        released = _small_leaves()
+        with Graph():
+            _small_net(*released)[0].backward()
+        retained = _small_leaves()
+        with Graph() as graph:
+            loss = _small_net(*retained)[0]
+            # the walk without release: every node kept, nothing dropped
+            loss.grad = np.ones_like(loss.data)
+            for node in reversed(graph.nodes):
+                if node.out.grad is not None:
+                    node.backward_fn(node.out.grad)
+        for a, b in zip(released, retained):
+            npt.assert_array_equal(a.grad, b.grad)
+
+    def test_second_backward_still_raises(self):
+        with Graph():
+            loss = _small_net(*_small_leaves())[0]
+            loss.backward()
+            with pytest.raises(GraphError, match="single-use"):
+                loss.backward()
+
+    def test_activations_freed_while_loss_is_alive(self):
+        import gc
+        import weakref
+        leaves = _small_leaves()
+        gc.disable()  # freed by reference counting alone, not by a cycle sweep
+        try:
+            with Graph():
+                loss, h = _small_net(*leaves)
+                activation = weakref.ref(h.data)
+                del h
+                assert activation() is not None  # the tape holds it until backward
+                loss.backward()
+            assert activation() is None
+            assert np.isfinite(loss.item())
+        finally:
+            gc.enable()
+
+
 class TestShapeErrors:
     def test_conv_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channels"):

@@ -1,13 +1,18 @@
 """Checkpoint serialization: roundtrips, integrity, and validation."""
 
+import dataclasses
+import json
+import os
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from resemotenet import checkpoint as ckpt
-from resemotenet.autodiff import Tensor
+from resemotenet.autodiff import Tensor, using_dtype
 from resemotenet.errors import CheckpointError
 from resemotenet.layers import TRAIN
 from resemotenet.model import ModelConfig, build_model
@@ -32,6 +37,16 @@ def trained_state(config=TINY):
     scheduler = PlateauScheduler(factor=0.1, patience=4, best_metric=61.25,
                                  epochs_since_improve=2)
     return model, optimizer, scheduler
+
+
+def rewrite_header(path, transform):
+    """Replace a saved file's JSON header by `transform(header)`."""
+    blob = path.read_bytes()
+    header_len = struct.unpack("<Q", blob[8:16])[0]
+    header = transform(json.loads(blob[16:16 + header_len].decode()))
+    new_header = json.dumps(header, separators=(",", ":")).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(new_header)) + new_header
+                     + blob[16 + header_len:])
 
 
 class TestRoundTrip:
@@ -164,15 +179,10 @@ class TestConfigValidation:
 
 class TestDirectoryValidation:
     def _tamper_header(self, path, mutate):
-        import json
-        blob = bytearray(path.read_bytes())
-        header_len = struct.unpack("<Q", bytes(blob[8:16]))[0]
-        header = json.loads(bytes(blob[16:16 + header_len]).decode())
-        mutate(header)
-        new_header = json.dumps(header, separators=(",", ":")).encode()
-        out = bytes(blob[:8]) + struct.pack("<Q", len(new_header)) + \
-            new_header + bytes(blob[16 + header_len:])
-        path.write_bytes(out)
+        def transform(header):
+            mutate(header)
+            return header
+        rewrite_header(path, transform)
 
     def test_out_of_bounds_offset(self, tmp_path):
         model, _, _ = trained_state()
@@ -231,3 +241,154 @@ class TestDirectoryValidation:
         leftovers = [p for p in tmp_path.iterdir() if p.name != "run.ckpt"]
         assert leftovers == []
         assert ckpt.load(path).epoch == 1
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _first_tensor(header, **changes):
+    header["tensors"][0].update(changes)
+    return header
+
+
+MALFORMED_HEADERS = {
+    "json list": (lambda h: [h], r"header must be a JSON object, got an array"),
+    "no config": (lambda h: _without(h, "config"), r"'config' is missing"),
+    "no tensors": (lambda h: _without(h, "tensors"), r"'tensors' is missing"),
+    "no config.seed": (lambda h: {**h, "config": _without(h["config"], "seed")},
+                       r"'config\.seed' is missing"),
+    "scalar shape": (lambda h: _first_tensor(h, shape=27),
+                     r"'tensors\[0\]\.shape' must be an array"),
+    "float offset": (lambda h: _first_tensor(h, offset=0.5),
+                     r"'tensors\[0\]\.offset' must be an integer"),
+    "string length": (lambda h: _first_tensor(h, length="216"),
+                      r"'tensors\[0\]\.length' must be an integer"),
+}
+
+
+class TestHeaderSchema:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_malformed_header_names_the_field(self, tmp_path, case):
+        transform, message = MALFORMED_HEADERS[case]
+        model, optimizer, scheduler = trained_state()
+        path = tmp_path / "run.ckpt"
+        ckpt.save(model, optimizer, scheduler, 1, path)
+        rewrite_header(path, transform)
+        with pytest.raises(CheckpointError, match=message):
+            ckpt.load(path)
+
+    def test_short_read_names_the_tensor(self, tmp_path, monkeypatch):
+        model, optimizer, scheduler = trained_state()
+        path = tmp_path / "run.ckpt"
+        ckpt.save(model, optimizer, scheduler, 1, path)
+        validate = ckpt._validate_directory
+
+        def validate_then_shrink(directory, payload_size, where):
+            validate(directory, payload_size, where)
+            # the file loses its tail after its size was checked
+            os.truncate(path, path.stat().st_size - 8)
+
+        monkeypatch.setattr(ckpt, "_validate_directory", validate_then_shrink)
+        last = sorted(optimizer.velocity)[-1]
+        with pytest.raises(CheckpointError, match=f"'velocity.{last}' is truncated"):
+            ckpt.load(path)
+
+
+def reference_v1_bytes(model, optimizer, scheduler, epoch, rng_state=None,
+                       best_metric=None) -> bytes:
+    """A v1 writer built from docs/checkpoint-format.md with tobytes()."""
+    tensors = [(f"model.{n}", a) for n, a in model.state_tensors().items()]
+    if optimizer is not None:
+        tensors += [(f"velocity.{n}", a) for n, a in sorted(optimizer.velocity.items())]
+    directory, chunks, offset = [], [], 0
+    for name, arr in tensors:
+        raw = arr.tobytes()
+        directory.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
+                          "offset": offset, "length": len(raw),
+                          "crc32": zlib.crc32(raw)})
+        chunks.append(raw)
+        offset += len(raw)
+    header = {
+        "config": json.loads(json.dumps(dataclasses.asdict(model.config))),
+        "epoch": epoch,
+        "best_metric": best_metric,
+        "optimizer": None if optimizer is None else {
+            "lr": optimizer.lr, "momentum": optimizer.momentum,
+            "weight_decay": optimizer.weight_decay},
+        "scheduler": None if scheduler is None else {
+            "factor": scheduler.factor, "patience": scheduler.patience,
+            "min_lr": scheduler.min_lr, "mode": scheduler.mode,
+            "best_metric": None if scheduler.best_metric == -np.inf
+            else scheduler.best_metric,
+            "epochs_since_improve": scheduler.epochs_since_improve},
+        "rng_state": rng_state,
+        "tensors": directory,
+    }
+    head = json.dumps(header, separators=(",", ":")).encode()
+    return b"REMN" + struct.pack("<IQ", 1, len(head)) + head + b"".join(chunks)
+
+
+class TestByteFormat:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_checkpoint_matches_reference_writer(self, tmp_path, dtype):
+        with using_dtype(dtype):
+            model, optimizer, scheduler = trained_state()
+        optimizer.velocity = {n: v.astype(dtype) for n, v in optimizer.velocity.items()}
+        rng_state = np.random.default_rng(8).bit_generator.state
+        path = tmp_path / "run.ckpt"
+        ckpt.save(model, optimizer, scheduler, 4, path, rng_state=rng_state,
+                  best_metric=61.25)
+        assert path.read_bytes() == reference_v1_bytes(
+            model, optimizer, scheduler, 4, rng_state=rng_state, best_metric=61.25)
+
+    def test_inference_checkpoint_matches_reference_writer(self, tmp_path):
+        model, _, _ = trained_state()
+        path = tmp_path / "weights.ckpt"
+        ckpt.save(model, None, None, 0, path)
+        assert path.read_bytes() == reference_v1_bytes(model, None, None, 0)
+
+
+# the 48x48 grayscale geometry with 1.2 M parameters
+FER48 = ModelConfig(input_channels=1, input_size=48, stem_channels=(8, 16, 32),
+                    se_reduction=8,
+                    residual_channels=((32, 64, 2), (64, 128, 2), (128, 256, 2)))
+
+
+def _traced_alloc(fn):
+    """fn's result and the peak bytes allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingMemory:
+    @pytest.fixture(scope="class")
+    def fer48_state(self, tmp_path_factory):
+        with using_dtype(np.float32):
+            model = build_model(FER48)
+        r = np.random.default_rng(2)
+        optimizer = SgdState(lr=0.01, momentum=0.9)
+        optimizer.velocity = {name: r.standard_normal(p.shape).astype(np.float32)
+                              for name, p in model.named_parameters()}
+        return model, optimizer, tmp_path_factory.mktemp("fer48") / "run.ckpt"
+
+    def test_save_allocates_no_copy_of_the_tensors(self, fer48_state):
+        model, optimizer, path = fer48_state
+        _, alloc = _traced_alloc(
+            lambda: ckpt.save(model, optimizer, PlateauScheduler(), 1, path))
+        assert alloc <= 0.1 * path.stat().st_size
+
+    def test_load_allocates_about_the_file_size(self, fer48_state):
+        model, optimizer, path = fer48_state
+        ckpt.save(model, optimizer, PlateauScheduler(), 1, path)
+        with using_dtype(np.float32):
+            loaded, alloc = _traced_alloc(lambda: ckpt.load(path, FER48))
+        assert alloc <= 1.25 * path.stat().st_size
+        for name, arr in model.state_tensors().items():
+            npt.assert_array_equal(loaded.model.state_tensors()[name], arr)
+        for name, v in optimizer.velocity.items():
+            npt.assert_array_equal(loaded.optimizer.velocity[name], v)

@@ -338,6 +338,21 @@ def test_predict_prints_normalized_distribution(memorize_run):
     assert predicted == max(probs, key=probs.get)
 
 
+def test_predict_on_malformed_header_exits_2(memorize_run, tmp_path):
+    blob = (memorize_run["out"] / "best.ckpt").read_bytes()
+    header_len = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + header_len])
+    del header["tensors"]
+    new_header = json.dumps(header).encode()
+    bad = tmp_path / "no_tensors.ckpt"
+    bad.write_bytes(blob[:8] + len(new_header).to_bytes(8, "little") + new_header
+                    + blob[16 + header_len:])
+    code, _, stderr = run_cli("predict", str(_one_image(memorize_run)),
+                              "--checkpoint", str(bad))
+    assert code == 2, stderr
+    assert "'tensors' is missing" in stderr
+
+
 def test_predict_argmax_survives_logit_shift(memorize_run):
     image = str(_one_image(memorize_run))
     ckpt = str(memorize_run["out"] / "best.ckpt")

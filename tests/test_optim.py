@@ -171,6 +171,91 @@ class TestSgd:
             SgdState(weight_decay=-0.1)
 
 
+def _out_of_place_sgd_step(state, params):
+    """The update as first written: fresh arrays for the velocity each step."""
+    for name, p in params:
+        grad = p.grad
+        if state.weight_decay:
+            grad = grad + state.weight_decay * p.data
+        v = state.velocity.get(name)
+        if v is None:
+            v = np.zeros_like(p.data)
+        v = state.momentum * v + grad
+        state.velocity[name] = v
+        p.data -= state.lr * v
+        p.zero_grad()
+
+
+def _bits(arr):
+    # byte comparison: unlike ==, it tells -0.0 from +0.0
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+def _signed_zero_grads(r, shape, dtype):
+    g = r.standard_normal(shape).astype(dtype)
+    g.reshape(-1)[::3] = -0.0
+    g.reshape(-1)[1::5] = 0.0
+    return g
+
+
+class TestSgdInPlace:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bitwise_equal_to_out_of_place_formula(self, dtype, weight_decay):
+        r = np.random.default_rng(17)
+        start = {name: _signed_zero_grads(r, shape, dtype)
+                 for name, shape in (("w", (4, 3)), ("b", (3,)))}
+        grads = [{name: _signed_zero_grads(r, a.shape, dtype) for name, a in start.items()}
+                 for _ in range(3)]
+        runs = []
+        for step_fn in (sgd_step, _out_of_place_sgd_step):
+            params = [(name, Tensor(a.copy(), requires_grad=True, dtype=dtype))
+                      for name, a in start.items()]
+            state = SgdState(lr=0.05, momentum=0.9, weight_decay=weight_decay)
+            for g in grads:  # the first step starts with no velocity
+                for name, p in params:
+                    p.grad = g[name].copy()
+                step_fn(state, params)
+            runs.append(([_bits(p.data) for _, p in params],
+                         [_bits(state.velocity[name]) for name, _ in params]))
+        assert runs[0] == runs[1]
+
+    def test_velocity_buffers_keep_their_identity(self):
+        w = Tensor(rng.standard_normal(6), requires_grad=True)
+        state = SgdState(lr=0.1, momentum=0.9)
+        w.grad = rng.standard_normal(6)
+        sgd_step(state, [("w", w)])
+        buffer, data = state.velocity["w"], w.data
+        for _ in range(2):
+            w.grad = rng.standard_normal(6)
+            sgd_step(state, [("w", w)])
+        assert state.velocity["w"] is buffer and w.data is data
+
+    def test_optimizer_restored_from_checkpoint_can_step(self, tmp_path):
+        from resemotenet import checkpoint
+        from resemotenet.model import ModelConfig, build_model
+        config = ModelConfig(input_channels=1, input_size=8, stem_channels=(2, 4, 4),
+                             se_reduction=2, residual_channels=((4, 4, 1),),
+                             num_classes=3, seed=5)
+        model = build_model(config)
+        state = SgdState(lr=0.01, momentum=0.9)
+        state.velocity = {name: rng.standard_normal(p.shape)
+                          for name, p in model.named_parameters()}
+        checkpoint.save(model, state, PlateauScheduler(), 1, tmp_path / "run.ckpt")
+        loaded = checkpoint.load(tmp_path / "run.ckpt")
+        params = loaded.model.named_parameters()
+        grads = {name: rng.standard_normal(p.shape) for name, p in params}
+        for name, p in params:
+            p.grad = grads[name].copy()
+        sgd_step(loaded.optimizer, params)
+        for name, p in model.named_parameters():
+            p.grad = grads[name].copy()
+        _out_of_place_sgd_step(state, model.named_parameters())
+        for name, p in params:
+            assert _bits(loaded.optimizer.velocity[name]) == _bits(state.velocity[name])
+            assert _bits(p.data) == _bits(dict(model.named_parameters())[name].data)
+
+
 class TestPlateauScheduler:
     def test_monotone_improvement_never_reduces(self):
         s = PlateauScheduler(patience=2)
