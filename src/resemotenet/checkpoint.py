@@ -43,27 +43,6 @@ FORMAT_VERSION = 1
 _DTYPE_CODES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
 
 
-def _config_to_dict(config: ModelConfig) -> dict:
-    raw = dataclasses.asdict(config)
-    raw["stem_channels"] = list(raw["stem_channels"])
-    raw["residual_channels"] = [list(t) for t in raw["residual_channels"]]
-    raw["aap_output"] = list(raw["aap_output"])
-    return raw
-
-
-def _config_from_dict(raw: dict) -> ModelConfig:
-    return ModelConfig(
-        input_channels=raw["input_channels"],
-        input_size=raw["input_size"],
-        stem_channels=tuple(raw["stem_channels"]),
-        se_reduction=raw["se_reduction"],
-        residual_channels=tuple(tuple(t) for t in raw["residual_channels"]),
-        num_classes=raw["num_classes"],
-        aap_output=tuple(raw["aap_output"]),
-        seed=raw["seed"],
-    )
-
-
 def _little_endian(arr: np.ndarray) -> tuple[np.ndarray, str]:
     if arr.dtype == np.float64:
         code = "<f8"
@@ -126,23 +105,11 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
         offset += view.nbytes
 
     header: dict[str, Any] = {
-        "config": _config_to_dict(model.config),
+        "config": dataclasses.asdict(model.config),
         "epoch": int(epoch),
         "best_metric": float(best_metric) if best_metric is not None else None,
-        "optimizer": None if optimizer is None else {
-            "lr": optimizer.lr,
-            "momentum": optimizer.momentum,
-            "weight_decay": optimizer.weight_decay,
-        },
-        "scheduler": None if scheduler is None else {
-            "factor": scheduler.factor,
-            "patience": scheduler.patience,
-            "min_lr": scheduler.min_lr,
-            "mode": scheduler.mode,
-            "best_metric": None if scheduler.best_metric == -np.inf
-            else scheduler.best_metric,
-            "epochs_since_improve": scheduler.epochs_since_improve,
-        },
+        "optimizer": _section(optimizer, _OPTIMIZER_FIELDS),
+        "scheduler": _section(scheduler, _SCHEDULER_FIELDS),
         "rng_state": rng_state,
         "tensors": directory,
     }
@@ -186,15 +153,35 @@ _TENSOR_FIELDS = {"name": _STR, "dtype": _STR, "shape": _LIST, "offset": _INT,
                   "length": _INT, "crc32": _INT}
 
 
+def _section(state, field_names) -> dict | None:
+    """An optimizer or scheduler as its header object (None stays null);
+    an unset scheduler best metric (-inf) is written as null."""
+    if state is None:
+        return None
+    return {key: None if getattr(state, key) == -np.inf else getattr(state, key)
+            for key in field_names}
+
+
+def _from_section(section: dict | None, cls, field_names):
+    """The inverse of `_section`: null reads back as -inf."""
+    if section is None:
+        return None
+    return cls(**{key: -np.inf if section[key] is None else section[key]
+                  for key in field_names})
+
+
 def _is(value, kinds: tuple) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _like(value, default) -> bool:
+def _like(value, default, nested: bool = False) -> bool:
     """Whether a JSON value has the form of a config default: an integer, or
-    an array of values like the default's first item."""
+    an array of values like the default's first item.  An array inside an
+    array (a residual triple) must also have that item's length."""
     if isinstance(default, tuple):
-        return isinstance(value, list) and all(_like(v, default[0]) for v in value)
+        return (isinstance(value, list)
+                and (not nested or len(value) == len(default))
+                and all(_like(v, default[0], nested=True) for v in value))
     return _is(value, _INT)
 
 
@@ -338,7 +325,8 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
     directory = header["tensors"]
     _validate_directory(directory, file_size - payload_start, path)
 
-    file_config = _config_from_dict(header["config"])
+    file_config = ModelConfig(**{f.name: header["config"][f.name]
+                                 for f in dataclasses.fields(ModelConfig)})
     if expected_config is not None and file_config != expected_config:
         for field in dataclasses.fields(ModelConfig):
             a = getattr(file_config, field.name)
@@ -350,16 +338,9 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
                         f"file but {b!r} was expected")
                 break
 
-    optimizer = scheduler = None
-    if header["optimizer"] is not None:
-        optimizer = SgdState(**{k: header["optimizer"][k] for k in _OPTIMIZER_FIELDS})
-    if header["scheduler"] is not None:
-        s = header["scheduler"]
-        scheduler = PlateauScheduler(
-            factor=s["factor"], patience=s["patience"], min_lr=s["min_lr"],
-            mode=s["mode"],
-            best_metric=-np.inf if s["best_metric"] is None else s["best_metric"],
-            epochs_since_improve=s["epochs_since_improve"])
+    optimizer = _from_section(header["optimizer"], SgdState, _OPTIMIZER_FIELDS)
+    scheduler = _from_section(header["scheduler"], PlateauScheduler,
+                              _SCHEDULER_FIELDS)
 
     model = build_model(file_config)
     # where each stored tensor goes; velocity only when there is an optimizer

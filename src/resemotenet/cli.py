@@ -96,8 +96,7 @@ def cmd_train(args) -> int:
                          resume_from=args.checkpoint, log=print)
 
     # final report comes from the best checkpoint, not the last epoch
-    dtype = np.float32 if cfg.dtype == "float32" else np.float64
-    with using_dtype(dtype):
+    with using_dtype(cfg.dtype):
         best_path = out_dir / BEST_CHECKPOINT
         model = result.model
         if best_path.exists():

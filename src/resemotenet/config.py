@@ -1,18 +1,20 @@
 """Run configuration: one flat dataclass covering architecture, optimizer,
-schedule, and data settings, parseable from `key = value` files.
+schedule, and data settings, parseable from `key = value` files.  The
+architecture keys are `ModelConfig`'s fields; each key's parser follows the
+form of its default.
 
 File syntax: one assignment per line, ``#`` starts a comment (full-line or
-trailing), blank lines ignored.  Lists are comma-separated
-(``stem_channels = 64,128,256``); the residual plan uses colon-separated
-triples (``residual_channels = 256:512:2,512:1024:2``).  Command-line flags
-override file values, which override the defaults below.  The defaults are
-the full training recipe: batch 16, 80 epochs, lr 1e-3 with plateau factor
-0.1, momentum 0.9, horizontal-flip augmentation on.
+trailing), blank lines ignored.  Lists are comma-separated (``64,128,256``);
+a list of triples separates each triple's items by colons
+(``256:512:2,512:1024:2``).  Command-line flags override file values, which
+override the defaults below.  The defaults are the full training recipe:
+batch 16, 80 epochs, lr 1e-3 with plateau factor 0.1, momentum 0.9,
+horizontal-flip augmentation on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -23,7 +25,10 @@ DATASET_KINDS = ("fer2013", "rafdb", "affectnet", "dir")
 
 
 @dataclass
-class RunConfig:
+class _Recipe:
+    """The run settings that are not architecture: data, optimizer, schedule,
+    element type, and the seed shared with `ModelConfig`."""
+
     # data
     dataset: str = "fer2013"
     data_root: str = ""
@@ -40,15 +45,6 @@ class RunConfig:
     augment: bool = True
     dtype: str = "float32"
     seed: int = 0
-    # architecture
-    input_channels: int = 3
-    input_size: int = 64
-    stem_channels: tuple[int, ...] = (64, 128, 256)
-    se_reduction: int = 16
-    residual_channels: tuple[tuple[int, int, int], ...] = (
-        (256, 512, 2), (512, 1024, 2), (1024, 2048, 2))
-    num_classes: int = 7
-    aap_output: tuple[int, int] = (1, 1)
 
     def validate(self) -> "RunConfig":
         if self.dataset not in DATASET_KINDS:
@@ -67,16 +63,8 @@ class RunConfig:
         return self
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            input_channels=self.input_channels,
-            input_size=self.input_size,
-            stem_channels=tuple(self.stem_channels),
-            se_reduction=self.se_reduction,
-            residual_channels=tuple(tuple(t) for t in self.residual_channels),
-            num_classes=self.num_classes,
-            aap_output=tuple(self.aap_output),
-            seed=self.seed,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name)
+                              for f in fields(ModelConfig)})
 
     def sgd_state(self) -> SgdState:
         return SgdState(lr=self.lr, momentum=self.momentum,
@@ -93,6 +81,15 @@ class RunConfig:
         for f in fields(self):
             items.append((f.name, _format_value(getattr(self, f.name))))
         return items
+
+
+#: The recipe fields, then every architecture field of `ModelConfig` under
+#: its own name and default; `seed` is the recipe's.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, field(default=f.default))
+     for f in fields(ModelConfig) if f.name != "seed"],
+    bases=(_Recipe,), namespace={"__module__": __name__})
 
 
 def _format_value(value) -> str:
@@ -131,29 +128,17 @@ def _parse_triples(text: str) -> tuple[tuple[int, int, int], ...]:
     return tuple(triples)
 
 
-_PARSERS = {
-    "dataset": str,
-    "data_root": str,
-    "out_dir": str,
-    "batch_size": int,
-    "epochs": int,
-    "lr": float,
-    "momentum": float,
-    "weight_decay": float,
-    "factor": float,
-    "patience": int,
-    "min_lr": float,
-    "augment": _parse_bool,
-    "dtype": str,
-    "seed": int,
-    "input_channels": int,
-    "input_size": int,
-    "stem_channels": _parse_int_list,
-    "se_reduction": int,
-    "residual_channels": _parse_triples,
-    "num_classes": int,
-    "aap_output": _parse_int_list,
-}
+def _parser_for(default):
+    """A key's parser, chosen by the form of its default (the rule
+    `_format_value` writes by)."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _parse_triples if isinstance(default[0], tuple) else _parse_int_list
+    return type(default)
+
+
+_PARSERS = {f.name: _parser_for(f.default) for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:

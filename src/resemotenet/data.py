@@ -248,23 +248,30 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - fy) + bottom * fy
 
 
+def _fit_planes(planes: np.ndarray, target_size: int, channels: int,
+                source: str, dtype) -> np.ndarray:
+    """(C, H, W) planes -> (channels, target, target) in `dtype`.  Each plane
+    is resized once, in float64; grayscale is then replicated when color is
+    asked."""
+    if planes.shape[0] == 3 and channels == 1:
+        raise DataError(f"{source}: color image cannot feed a single-channel model")
+    if planes.shape[1:] != (target_size, target_size):
+        planes = np.stack([
+            bilinear_resize(plane.astype(np.float64), target_size, target_size)
+            for plane in planes
+        ])
+    pixels = planes.astype(dtype, order="C")
+    if len(pixels) < channels:
+        pixels = np.repeat(pixels, channels, axis=0)
+    return pixels
+
+
 def _prepare_image(raw: np.ndarray, target_size: int, channels: int,
                    source: str, dtype) -> np.ndarray:
     """uint8 pixmap array -> (channels, target, target) float in [0, 1]."""
     scaled = raw.astype(np.float64) / 255.0
-    if scaled.ndim == 2:
-        planes = [scaled] * channels  # grayscale replicated when color is asked
-    else:
-        if channels == 1:
-            raise DataError(
-                f"{source}: color image cannot feed a single-channel model")
-        planes = [scaled[:, :, c] for c in range(3)]
-    resized = [
-        plane if plane.shape == (target_size, target_size)
-        else bilinear_resize(plane, target_size, target_size)
-        for plane in planes
-    ]
-    return np.stack(resized).astype(dtype)
+    planes = scaled[None] if scaled.ndim == 2 else scaled.transpose(2, 0, 1)
+    return _fit_planes(planes, target_size, channels, source, dtype)
 
 
 def load_image_dir(root, manifest_file, split: str = "train",
@@ -346,19 +353,9 @@ def adapt_manifest(manifest: DatasetManifest, target_size: int,
     dtype = ad.default_dtype()
 
     def refit(sample: Sample) -> Sample:
-        pixels = sample.pixels
-        c, h, w = pixels.shape
-        if c == 1 and channels == 3:
-            pixels = np.repeat(pixels, 3, axis=0)
-        elif c == 3 and channels == 1:
-            raise DataError(
-                f"{sample.source_id}: color image cannot feed a single-channel model")
-        if (h, w) != (target_size, target_size):
-            pixels = np.stack([
-                bilinear_resize(plane.astype(np.float64), target_size, target_size)
-                for plane in pixels
-            ])
-        return Sample(pixels=pixels.astype(dtype), label=sample.label,
+        pixels = _fit_planes(sample.pixels, target_size, channels,
+                             sample.source_id, dtype)
+        return Sample(pixels=pixels, label=sample.label,
                       source_id=sample.source_id)
 
     if manifest.samples:

@@ -3,7 +3,7 @@ gate -> residual stack -> adaptive pooling -> linear head."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # sequence fields arrive as lists from JSON and config overrides
+        for f in fields(self):
+            object.__setattr__(self, f.name, _tupled(getattr(self, f.name)))
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.input_channels < 1:
@@ -61,7 +64,12 @@ class ModelConfig:
                 f"stem output channels {self.stem_channels[-1]} must divide by "
                 f"se_reduction {self.se_reduction}")
         chain = self.stem_channels[-1]
-        for i, (cin, cout, stride) in enumerate(self.residual_channels):
+        for i, triple in enumerate(self.residual_channels):
+            if not isinstance(triple, tuple) or len(triple) != 3:
+                raise ConfigError(
+                    f"residual block {i} needs an in:out:stride triple, got "
+                    f"{triple}")
+            cin, cout, stride = triple
             if cin != chain:
                 raise ConfigError(
                     f"channel chain breaks at residual block {i}: expects input "
@@ -98,6 +106,12 @@ class ModelConfig:
     @property
     def classifier_inputs(self) -> int:
         return self.final_channels * self.aap_output[0] * self.aap_output[1]
+
+
+def _tupled(value):
+    if isinstance(value, (list, tuple)):
+        return tuple(_tupled(v) for v in value)
+    return value
 
 
 @dataclass

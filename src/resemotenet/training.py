@@ -55,10 +55,6 @@ class TrainResult:
     final_confusion: ConfusionMatrix | None = None
 
 
-def _np_dtype(name: str):
-    return np.float32 if name == "float32" else np.float64
-
-
 def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest,
                    batch_size: int = 32) -> ConfusionMatrix:
     """Tally a confusion matrix over a manifest in eval mode: fixed order,
@@ -110,7 +106,7 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
     callers end early once a target is met; otherwise all epochs run.
     """
     emit = log if log is not None else lambda line: None
-    with using_dtype(_np_dtype(cfg.dtype)):
+    with using_dtype(cfg.dtype):
         rng = np.random.default_rng(cfg.seed)
         if resume_from is not None:
             loaded = checkpoint.load(resume_from, expected_config=cfg.model_config())
@@ -124,8 +120,7 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
             if loaded.rng_state is not None:
                 rng.bit_generator.state = loaded.rng_state
             start_epoch = loaded.epoch + 1
-            best_accuracy = (loaded.best_metric if loaded.best_metric is not None
-                             else float("-inf"))
+            best_accuracy = loaded.best_metric
         else:
             model = build_model(cfg.model_config())
             optimizer = cfg.sgd_state()

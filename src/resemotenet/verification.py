@@ -39,13 +39,20 @@ def _signed_uniform(rng, shape, low=0.2, high=1.0):
     return magnitude * sign
 
 
-def _projection(rng, shape) -> Tensor:
-    """Fixed random readout weights, bounded away from zero so every output
-    element contributes to the checked scalar."""
-    return Tensor(_signed_uniform(rng, shape, 0.5, 1.5))
+def _read_out(f: Callable, inputs, rng):
+    """Reduce a sampler's f to the scalar grad_check needs: ``sum(f * c)``
+    through a fixed random projection ``c``, drawn after the sampler's own
+    draws and bounded away from zero so every output element contributes.
+    A scalar f (a loss, a sum) is checked as it is."""
+    out = f(*(t for _, t in inputs))
+    if out.data.ndim == 0:
+        return f
+    c = Tensor(_signed_uniform(rng, out.shape, 0.5, 1.5))
+    return lambda *args: ad.tensor_sum(ad.mul(f(*args), c))
 
 
 # --- samplers: name -> rng -> (f, named inputs) ----------------------------
+# f returns the op's raw output; `_read_out` reduces it to the checked scalar.
 
 def _sample_conv2d(rng):
     n, ci, co = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
@@ -56,13 +63,8 @@ def _sample_conv2d(rng):
     x = Tensor(rng.standard_normal((n, ci, size, size)), requires_grad=True)
     w = Tensor(rng.standard_normal((co, ci, k, k)), requires_grad=True)
     b = Tensor(rng.standard_normal(co), requires_grad=True)
-    out_size = (size + 2 * padding - k) // stride + 1
-    c = _projection(rng, (n, co, out_size, out_size))
-
-    def f(x, w, b):
-        return ad.tensor_sum(ad.mul(ad.conv2d(x, w, b, stride, padding), c))
-
-    return f, [("x", x), ("weight", w), ("bias", b)]
+    return (lambda x, w, b: ad.conv2d(x, w, b, stride, padding),
+            [("x", x), ("weight", w), ("bias", b)])
 
 
 def _sample_max_pool2d(rng):
@@ -74,24 +76,13 @@ def _sample_max_pool2d(rng):
     base = rng.permutation(n * ch * size * size).astype(np.float64)
     values = 0.1 * base + rng.uniform(-0.01, 0.01, size=base.shape)
     x = Tensor(values.reshape(n, ch, size, size), requires_grad=True)
-    out_size = (size - k) // k + 1
-    c = _projection(rng, (n, ch, out_size, out_size))
-
-    def f(x):
-        return ad.tensor_sum(ad.mul(ad.max_pool2d(x, k, k), c))
-
-    return f, [("x", x)]
+    return lambda x: ad.max_pool2d(x, k, k), [("x", x)]
 
 
 def _sample_global_avg_pool(rng):
     n, ch, size = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
     x = Tensor(rng.standard_normal((n, ch, size, size)), requires_grad=True)
-    c = _projection(rng, (n, ch))
-
-    def f(x):
-        return ad.tensor_sum(ad.mul(ad.global_avg_pool(x), c))
-
-    return f, [("x", x)]
+    return ad.global_avg_pool, [("x", x)]
 
 
 def _sample_adaptive_avg_pool(rng):
@@ -100,12 +91,7 @@ def _sample_adaptive_avg_pool(rng):
     out_h = int(rng.integers(1, size + 1))
     out_w = int(rng.integers(1, size + 1))
     x = Tensor(rng.standard_normal((n, ch, size, size)), requires_grad=True)
-    c = _projection(rng, (n, ch, out_h, out_w))
-
-    def f(x):
-        return ad.tensor_sum(ad.mul(ad.adaptive_avg_pool(x, out_h, out_w), c))
-
-    return f, [("x", x)]
+    return lambda x: ad.adaptive_avg_pool(x, out_h, out_w), [("x", x)]
 
 
 def _sample_linear(rng):
@@ -114,91 +100,45 @@ def _sample_linear(rng):
     x = Tensor(rng.standard_normal((n, din)), requires_grad=True)
     w = Tensor(rng.standard_normal((dout, din)), requires_grad=True)
     b = Tensor(rng.standard_normal(dout), requires_grad=True)
-    c = _projection(rng, (n, dout))
-
-    def f(x, w, b):
-        return ad.tensor_sum(ad.mul(ad.linear(x, w, b), c))
-
-    return f, [("x", x), ("weight", w), ("bias", b)]
+    return ad.linear, [("x", x), ("weight", w), ("bias", b)]
 
 
 def _sample_relu(rng):
     shape = tuple(int(rng.integers(1, 5)) for _ in range(2))
-    x = Tensor(_signed_uniform(rng, shape), requires_grad=True)
-    c = _projection(rng, shape)
-
-    def f(x):
-        return ad.tensor_sum(ad.mul(ad.relu(x), c))
-
-    return f, [("x", x)]
+    return ad.relu, [("x", Tensor(_signed_uniform(rng, shape), requires_grad=True))]
 
 
 def _sample_sigmoid(rng):
     shape = tuple(int(rng.integers(1, 5)) for _ in range(2))
-    x = Tensor(rng.standard_normal(shape) * 2.0, requires_grad=True)
-    c = _projection(rng, shape)
-
-    def f(x):
-        return ad.tensor_sum(ad.mul(ad.sigmoid(x), c))
-
-    return f, [("x", x)]
+    return ad.sigmoid, [("x", Tensor(rng.standard_normal(shape) * 2.0,
+                                     requires_grad=True))]
 
 
-def _sample_add(rng):
-    shape = tuple(int(rng.integers(1, 5)) for _ in range(3))
-    a = Tensor(rng.standard_normal(shape), requires_grad=True)
-    b = Tensor(rng.standard_normal(shape), requires_grad=True)
-    c = _projection(rng, shape)
-
-    def f(a, b):
-        return ad.tensor_sum(ad.mul(ad.add(a, b), c))
-
-    return f, [("a", a), ("b", b)]
-
-
-def _sample_mul(rng):
-    shape = tuple(int(rng.integers(1, 5)) for _ in range(2))
-    a = Tensor(rng.standard_normal(shape), requires_grad=True)
-    b = Tensor(rng.standard_normal(shape), requires_grad=True)
-    c = _projection(rng, shape)
-
-    def f(a, b):
-        return ad.tensor_sum(ad.mul(ad.mul(a, b), c))
-
-    return f, [("a", a), ("b", b)]
+def _sample_binary(op, ndim):
+    def sample(rng):
+        shape = tuple(int(rng.integers(1, 5)) for _ in range(ndim))
+        a = Tensor(rng.standard_normal(shape), requires_grad=True)
+        b = Tensor(rng.standard_normal(shape), requires_grad=True)
+        return op, [("a", a), ("b", b)]
+    return sample
 
 
 def _sample_mul_broadcast_channel(rng):
     n, ch, size = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
     x = Tensor(rng.standard_normal((n, ch, size, size)), requires_grad=True)
     s = Tensor(rng.standard_normal((n, ch)), requires_grad=True)
-    c = _projection(rng, (n, ch, size, size))
-
-    def f(x, s):
-        return ad.tensor_sum(ad.mul(ad.mul_broadcast_channel(x, s), c))
-
-    return f, [("x", x), ("gate", s)]
+    return ad.mul_broadcast_channel, [("x", x), ("gate", s)]
 
 
 def _sample_reshape(rng):
     n, ch, size = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
     x = Tensor(rng.standard_normal((n, ch, size, size)), requires_grad=True)
-    c = _projection(rng, (n, ch * size * size))
-
-    def f(x):
-        return ad.tensor_sum(ad.mul(ad.reshape(x, (x.shape[0], -1)), c))
-
-    return f, [("x", x)]
+    return lambda x: ad.reshape(x, (x.shape[0], -1)), [("x", x)]
 
 
 def _sample_sum(rng):
     shape = tuple(int(rng.integers(1, 5)) for _ in range(2))
-    x = Tensor(rng.standard_normal(shape), requires_grad=True)
-
-    def f(x):
-        return ad.tensor_sum(x)
-
-    return f, [("x", x)]
+    return ad.tensor_sum, [("x", Tensor(rng.standard_normal(shape), requires_grad=True))]
 
 
 def _sample_batch_norm_train(rng):
@@ -206,13 +146,8 @@ def _sample_batch_norm_train(rng):
     x = Tensor(rng.standard_normal((n, ch, size, size)), requires_grad=True)
     gamma = Tensor(rng.uniform(0.5, 1.5, size=ch), requires_grad=True)
     beta = Tensor(rng.standard_normal(ch), requires_grad=True)
-    c = _projection(rng, (n, ch, size, size))
-
-    def f(x, gamma, beta):
-        y, _, _ = ad.batch_norm2d_train(x, gamma, beta, 1e-5)
-        return ad.tensor_sum(ad.mul(y, c))
-
-    return f, [("x", x), ("gamma", gamma), ("beta", beta)]
+    return (lambda x, gamma, beta: ad.batch_norm2d_train(x, gamma, beta, 1e-5)[0],
+            [("x", x), ("gamma", gamma), ("beta", beta)])
 
 
 def _sample_batch_norm_eval(rng):
@@ -222,24 +157,16 @@ def _sample_batch_norm_eval(rng):
     beta = Tensor(rng.standard_normal(ch), requires_grad=True)
     running_mean = rng.standard_normal(ch)
     running_var = rng.uniform(0.5, 2.0, size=ch)
-    c = _projection(rng, (n, ch, size, size))
-
-    def f(x, gamma, beta):
-        y = ad.batch_norm2d_eval(x, gamma, beta, running_mean, running_var, 1e-5)
-        return ad.tensor_sum(ad.mul(y, c))
-
-    return f, [("x", x), ("gamma", gamma), ("beta", beta)]
+    return (lambda x, gamma, beta: ad.batch_norm2d_eval(
+                x, gamma, beta, running_mean, running_var, 1e-5),
+            [("x", x), ("gamma", gamma), ("beta", beta)])
 
 
 def _sample_cross_entropy(rng):
     n, k = int(rng.integers(2, 5)), int(rng.integers(2, 6))
     logits = Tensor(rng.standard_normal((n, k)) * 2.0, requires_grad=True)
     labels = rng.integers(0, k, size=n)
-
-    def f(logits):
-        return cross_entropy(logits, labels).loss
-
-    return f, [("logits", logits)]
+    return lambda logits: cross_entropy(logits, labels).loss, [("logits", logits)]
 
 
 def _randomize_batch_norm(bn: BatchNorm2d, rng, mode: str) -> None:
@@ -259,16 +186,11 @@ def _sample_conv_bn_block(rng, mode=EVAL, include_bias=True):
     conv.bias.data[...] = rng.standard_normal(conv.bias.shape) * 0.1
     _randomize_batch_norm(bn, rng, mode)
     x = Tensor(rng.standard_normal((n, ci, size, size)), requires_grad=True)
-    c = _projection(rng, (n, co, size, size))
-
-    def f(*_):
-        return ad.tensor_sum(ad.mul(conv_block_forward(conv, bn, x), c))
-
     inputs = [("x", x), ("conv.weight", conv.weight)]
     if include_bias:
         inputs.append(("conv.bias", conv.bias))
     inputs += [("bn.gamma", bn.gamma), ("bn.beta", bn.beta)]
-    return f, inputs
+    return lambda *_: conv_block_forward(conv, bn, x), inputs
 
 
 def _sample_conv_bn_block_train(rng):
@@ -281,12 +203,7 @@ def _sample_se_block(rng):
     se.w1.data[...] = rng.standard_normal(se.w1.shape)
     se.w2.data[...] = rng.standard_normal(se.w2.shape)
     x = Tensor(rng.standard_normal((n, ch, size, size)), requires_grad=True)
-    c = _projection(rng, (n, ch, size, size))
-
-    def f(*_):
-        return ad.tensor_sum(ad.mul(se_forward(se, x), c))
-
-    return f, [("x", x), ("w1", se.w1), ("w2", se.w2)]
+    return lambda *_: se_forward(se, x), [("x", x), ("w1", se.w1), ("w2", se.w2)]
 
 
 def _residual_inputs(block: ResidualBlock, x: Tensor, include_bias=True):
@@ -307,12 +224,8 @@ def _sample_residual_identity(rng, mode=EVAL, include_bias=True):
     _randomize_batch_norm(block.bn_a, rng, mode)
     _randomize_batch_norm(block.bn_b, rng, mode)
     x = Tensor(_signed_uniform(rng, (n, ch, size, size)), requires_grad=True)
-    c = _projection(rng, (n, ch, size, size))
-
-    def f(*_):
-        return ad.tensor_sum(ad.mul(residual_forward(block, x), c))
-
-    return f, _residual_inputs(block, x, include_bias)
+    return (lambda *_: residual_forward(block, x),
+            _residual_inputs(block, x, include_bias))
 
 
 def _sample_residual_identity_train(rng):
@@ -329,12 +242,7 @@ def _sample_residual_projection(rng):
     for bn in (block.bn_a, block.bn_b, block.shortcut_bn):
         _randomize_batch_norm(bn, rng, EVAL)
     x = Tensor(rng.standard_normal((n, cin, size, size)), requires_grad=True)
-    c = _projection(rng, (n, cout, size // 2, size // 2))
-
-    def f(*_):
-        return ad.tensor_sum(ad.mul(residual_forward(block, x), c))
-
-    return f, _residual_inputs(block, x)
+    return lambda *_: residual_forward(block, x), _residual_inputs(block, x)
 
 
 def _sample_classifier(rng):
@@ -344,11 +252,8 @@ def _sample_classifier(rng):
     head.bias.data[...] = rng.standard_normal(head.bias.shape)
     x = Tensor(rng.standard_normal((n, din)), requires_grad=True)
     labels = rng.integers(0, k, size=n)
-
-    def f(*_):
-        return cross_entropy(head.forward(x), labels).loss
-
-    return f, [("x", x), ("weight", head.weight), ("bias", head.bias)]
+    return (lambda *_: cross_entropy(head.forward(x), labels).loss,
+            [("x", x), ("weight", head.weight), ("bias", head.bias)])
 
 
 COMPONENTS: dict[str, Callable] = {
@@ -359,8 +264,8 @@ COMPONENTS: dict[str, Callable] = {
     "linear": _sample_linear,
     "relu": _sample_relu,
     "sigmoid": _sample_sigmoid,
-    "add": _sample_add,
-    "mul": _sample_mul,
+    "add": _sample_binary(ad.add, 3),
+    "mul": _sample_binary(ad.mul, 2),
     "mul_broadcast_channel": _sample_mul_broadcast_channel,
     "reshape": _sample_reshape,
     "sum": _sample_sum,
@@ -432,7 +337,7 @@ def run_gradient_checks(seed: int = 0, trials_per_component: int = 50,
             failures = []
             for trial in range(trials_per_component):
                 f, inputs = sampler(rng)
-                report = grad_check(f, inputs, tol=tol)
+                report = grad_check(_read_out(f, inputs, rng), inputs, tol=tol)
                 worst = max(worst, report.max_rel_err)
                 for entry in report.failures:
                     failures.append(

@@ -264,6 +264,12 @@ MALFORMED_HEADERS = {
                      r"'tensors\[0\]\.offset' must be an integer"),
     "string length": (lambda h: _first_tensor(h, length="216"),
                       r"'tensors\[0\]\.length' must be an integer"),
+    "residual pair": (lambda h: {**h, "config": {**h["config"],
+                                                 "residual_channels": [[4, 8]]}},
+                      r"'config\.residual_channels' must be an array like"),
+    "residual quad": (lambda h: {**h, "config": {**h["config"],
+                                                 "residual_channels": [[4, 8, 2, 1]]}},
+                      r"'config\.residual_channels' must be an array like"),
 }
 
 

@@ -1,0 +1,59 @@
+"""Run-config keys, parsers and echo: the architecture keys come from
+`ModelConfig`, and every key's echo parses back to the same value."""
+
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from resemotenet.config import RunConfig, load_run_config, parse_config_text
+from resemotenet.errors import ConfigError
+from resemotenet.model import ModelConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+#: every field away from its default, still a valid run
+ALL_CHANGED = RunConfig(
+    dataset="dir", data_root="/data/faces", out_dir="runs/other", batch_size=5,
+    epochs=3, lr=0.05, momentum=0.5, weight_decay=1e-4, factor=0.5, patience=2,
+    min_lr=1e-8, augment=False, dtype="float64", seed=7, input_channels=1,
+    input_size=32, stem_channels=(4, 8, 8), se_reduction=4,
+    residual_channels=((8, 8, 1), (8, 16, 2)), num_classes=5, aap_output=(2, 2))
+
+
+def test_every_field_of_the_round_trip_config_is_changed():
+    for f in fields(RunConfig):
+        assert getattr(ALL_CHANGED, f.name) != f.default, f.name
+
+
+def test_echo_parses_back_to_the_same_config(tmp_path):
+    text = "\n".join(f"{key} = {value}" for key, value in ALL_CHANGED.effective_items())
+    assert RunConfig(**parse_config_text(text)) == ALL_CHANGED
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    assert load_run_config(path) == ALL_CHANGED
+
+
+def readme_config_example() -> str:
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    return section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_example_names_every_key():
+    values = parse_config_text(readme_config_example(), source=str(README))
+    assert set(values) == {f.name for f in fields(RunConfig)}
+    RunConfig(**values).validate()
+
+
+@pytest.mark.parametrize("entry", [(256, 512), (256, 512, 2, 1)])
+def test_model_config_rejects_a_residual_entry_that_is_not_a_triple(entry):
+    with pytest.raises(ConfigError, match="residual block 0 needs an in:out:stride"):
+        ModelConfig(residual_channels=(entry,))
+
+
+def test_model_config_turns_json_arrays_into_tuples():
+    cfg = ModelConfig(stem_channels=[64, 128, 256], aap_output=[1, 1],
+                      residual_channels=[[256, 512, 2], [512, 1024, 2],
+                                         [1024, 2048, 2]])
+    assert cfg == ModelConfig()
+    assert hash(cfg) == hash(ModelConfig())
