@@ -8,6 +8,12 @@ reachable from the scalar loss and releasing each node as it goes.  With no
 graph active the same primitives run as plain array code, which is how
 eval-mode inference avoids recording.
 
+A graph built as ``Graph(on_grad=fn)`` reports each leaf (a ``requires_grad``
+tensor no recorded op produced) to ``fn`` as soon as its gradient is
+final: right after the last node that takes it as an input has run its
+backward.  Training passes the optimizer step here, so each parameter is
+updated, and its gradient freed, while backward is still running.
+
 Element type is a build-wide choice: float64 for verification (finite
 differences are unreliable in float32), float32 permitted for training speed.
 """
@@ -99,6 +105,7 @@ class Tensor:
         graph.completed = True
         self.grad = np.ones_like(self.data)
         nodes = graph.nodes
+        uses = _leaf_uses(graph) if graph.on_grad is not None else None
         while nodes:
             node = nodes.pop()
             out_grad = node.out.grad
@@ -109,8 +116,16 @@ class Tensor:
                 if _fault_op is not None and node.op == _fault_op:
                     out_grad = out_grad * 2.0  # debug fault: corrupt analytic path
                 node.backward_fn(out_grad)
+            inputs = node.inputs
             node.out = node.backward_fn = None
             node.inputs = ()
+            if uses is not None:
+                for t in inputs:
+                    if id(t) in uses:
+                        uses[id(t)] -= 1
+                        # after its last consumer a leaf's gradient is final
+                        if uses[id(t)] == 0 and t.grad is not None:
+                            graph.on_grad(t)
 
     def dump(self) -> str:
         """Debug text form: `shape: d0 d1 ...` then row-major values,
@@ -144,11 +159,20 @@ class Graph:
     tape is released during backward: each node is dropped, with its saved
     inputs, closure and output gradient, once its gradient has been pushed
     to its inputs, so a completed graph holds no nodes.
+
+    ``on_grad``, when given, is called once per leaf that backward reaches
+    (a ``requires_grad`` tensor no recorded op produced), with that leaf,
+    right after the last node listing it as an input has run its backward:
+    its ``.grad`` then holds the sum over every use.  No node reads the leaf
+    after that, so the callback may update ``leaf.data`` in place and
+    consume ``leaf.grad``.  A leaf the loss does not reach has no gradient
+    and is not reported.
     """
 
-    def __init__(self):
+    def __init__(self, on_grad: Callable[[Tensor], None] | None = None):
         self.nodes: list[GraphNode] = []
         self.completed = False
+        self.on_grad = on_grad
 
     def __enter__(self) -> "Graph":
         _graph_stack.append(self)
@@ -180,11 +204,33 @@ def inject_gradient_fault(op: str):
         _fault_op = None
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
+def _leaf_uses(graph: Graph) -> dict[int, int]:
+    """For each leaf on the tape, by id: how many nodes list it as an input."""
+    uses: dict[int, int] = {}
+    for node in graph.nodes:
+        for t in node.inputs:
+            if t.requires_grad and t.node is None:
+                uses[id(t)] = uses.get(id(t), 0) + 1
+    return uses
+
+
+def _accumulate(tensor: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
+    """Add `grad` into ``tensor.grad``.
+
+    `fresh` says the caller has just computed `grad` and keeps no other
+    reference to it: a first gradient then adopts the array instead of
+    copying it into a new zero buffer.  Never pass it for ``gout`` itself,
+    a view of another array, or an array handed to two inputs.
+    """
     if not tensor.requires_grad:
         return
     if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
+        if fresh and grad.dtype == tensor.data.dtype:
+            # adopt the array; adding 0.0 below does what the zero buffer
+            # would (-0.0 becomes +0.0), so the bits stay the same
+            tensor.grad, grad = grad, 0.0
+        else:
+            tensor.grad = np.zeros_like(tensor.data)
     tensor.grad += grad
 
 
@@ -289,7 +335,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
             # materialize one full weight-grad matrix per sample
             gw = np.tensordot(go, cols, axes=([0, 2], [0, 2]))
             del cols
-            _accumulate(weight, gw.reshape(weight.shape))
+            _accumulate(weight, gw.reshape(weight.shape), fresh=True)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, gout.sum(axis=(0, 2, 3)))
         if x.requires_grad:
@@ -414,7 +460,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if x.requires_grad:
             _accumulate(x, gout @ weight.data)
         if weight.requires_grad:
-            _accumulate(weight, gout.T @ x.data)
+            _accumulate(weight, gout.T @ x.data, fresh=True)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, gout.sum(axis=0))
 

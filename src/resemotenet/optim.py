@@ -70,6 +70,12 @@ def cross_entropy(logits, labels) -> LossValue:
     return LossValue(loss=out, probabilities=probs)
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass
 class SgdState:
     """Momentum-SGD hyperparameters and per-parameter velocity buffers."""
@@ -80,6 +86,7 @@ class SgdState:
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        _require_finite(lr=self.lr, weight_decay=self.weight_decay)
         if self.lr <= 0:
             raise ConfigError(f"learning rate must be > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
@@ -88,28 +95,51 @@ class SgdState:
             raise ConfigError(f"weight decay must be >= 0, got {self.weight_decay}")
 
 
+#: elements per block of `sgd_step`: the block's slices of parameter,
+#: velocity, gradient and work buffer (1 MiB in float32) stay in a core's L2
+#: cache across its passes; measured best of 2^12..2^18 on a 2 MiB-L2 x86 core
+SGD_BLOCK = 1 << 16
+
+
 def sgd_step(state: SgdState, params: list[tuple[str, Tensor]]) -> None:
     """One momentum update over every named parameter:
     v <- momentum * v + grad; p <- p - lr * v.  Velocity buffers (zeros before
-    the first step) and parameters are updated in place.  Gradients are
-    consumed (cleared) so the next accumulation starts fresh."""
+    the first step) and parameters are updated in place, one cache-sized
+    block at a time, through one small work buffer; each element sees the
+    same operations in the same order as the whole-array formula.  Gradients
+    are consumed (cleared) so the next accumulation starts fresh."""
     for name, p in params:
         if p.grad is None:
             raise OptimizerError(
                 f"parameter '{name}' has no gradient; run backward() before "
                 f"sgd_step")
+    momentum, lr, decay = state.momentum, state.lr, state.weight_decay
     for name, p in params:
+        grad, p.grad = p.grad, None
+        # the flat views below must alias the buffers they update
+        if not p.data.flags.c_contiguous:
+            p.data = p.data.copy()
         v = state.velocity.get(name)
         if v is None:
             v = state.velocity[name] = np.zeros_like(p.data)
-        v *= state.momentum
-        if state.weight_decay:
-            v += p.grad + state.weight_decay * p.data
-        else:
-            v += p.grad
-        # free the consumed gradient before the lr * v temporary is made
-        p.zero_grad()
-        p.data -= state.lr * v
+        elif not v.flags.c_contiguous:
+            v = state.velocity[name] = v.copy()
+        flat_p, flat_v, flat_g = p.data.reshape(-1), v.reshape(-1), grad.reshape(-1)
+        work = np.empty(min(SGD_BLOCK, flat_p.size), dtype=v.dtype)
+        for start in range(0, flat_p.size, SGD_BLOCK):
+            pb = flat_p[start:start + SGD_BLOCK]
+            vb = flat_v[start:start + SGD_BLOCK]
+            gb = flat_g[start:start + SGD_BLOCK]
+            tmp = work[:pb.size]
+            vb *= momentum
+            if decay:
+                np.multiply(pb, decay, out=tmp)
+                np.add(gb, tmp, out=tmp)
+                vb += tmp
+            else:
+                vb += gb
+            np.multiply(vb, lr, out=tmp)
+            pb -= tmp
 
 
 @dataclass
@@ -129,6 +159,7 @@ class PlateauScheduler:
     epochs_since_improve: int = 0
 
     def __post_init__(self):
+        _require_finite(min_lr=self.min_lr)
         if not 0.0 < self.factor < 1.0:
             raise ConfigError(f"plateau factor must be in (0, 1), got {self.factor}")
         if self.patience < 1:

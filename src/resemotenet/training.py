@@ -21,6 +21,7 @@ from . import checkpoint
 from .autodiff import Graph, Tensor, using_dtype
 from .config import RunConfig
 from .data import DatasetManifest, make_batches, random_horizontal_flip
+from .errors import OptimizerError
 from .layers import EVAL, TRAIN
 from .metrics import ConfusionMatrix, predict_labels
 from .model import ResEmoteNetModel, build_model
@@ -70,22 +71,42 @@ def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest,
 def train_one_epoch(model: ResEmoteNetModel, optimizer: SgdState,
                     manifest: DatasetManifest, batch_size: int,
                     rng: np.random.Generator, augment: bool) -> float:
-    """One shuffled pass; returns the sample-weighted mean batch loss."""
+    """One shuffled pass; returns the sample-weighted mean batch loss.
+
+    The optimizer step runs inside backward: each parameter is updated as
+    soon as its gradient is final, so at most a layer's gradients are alive
+    at once.  A non-finite loss stops the pass before backward, naming the
+    batch, so no update is made from it."""
     transform = None
     if augment:
         transform = lambda sample: random_horizontal_flip(sample, rng)
-    params = model.named_parameters()
+    params = {id(p): (name, p) for name, p in model.named_parameters()}
+    pending = {}
+
+    def step(leaf: Tensor) -> None:
+        # sgd_step is looked up at each call, so a wrapper installed on
+        # training.sgd_step still sees every step
+        sgd_step(optimizer, [pending.pop(id(leaf))])
+
     total_loss = 0.0
     total_seen = 0
-    for pixels, labels in make_batches(manifest, batch_size, rng,
-                                       shuffle=True, transform=transform):
-        with Graph():
+    for batch, (pixels, labels) in enumerate(
+            make_batches(manifest, batch_size, rng, shuffle=True,
+                         transform=transform), start=1):
+        pending = dict(params)
+        with Graph(on_grad=step):
             logits = model.forward(pixels, mode=TRAIN)
             value = cross_entropy(logits, labels)
+            loss = float(value.loss.item())
+            if not np.isfinite(loss):
+                raise OptimizerError(
+                    f"batch {batch}: non-finite training loss {loss}; no update "
+                    f"was made from it (lower the learning rate)")
             value.loss.backward()
-        sgd_step(optimizer, params)
+        if pending:  # parameters backward never reached: sgd_step names one
+            sgd_step(optimizer, list(pending.values()))
         n = labels.shape[0]
-        total_loss += float(value.loss.item()) * n
+        total_loss += loss * n
         total_seen += n
     return total_loss / total_seen
 
@@ -135,8 +156,11 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
             out_path.mkdir(parents=True, exist_ok=True)
 
         for epoch in range(start_epoch, cfg.epochs + 1):
-            mean_loss = train_one_epoch(model, optimizer, train_manifest,
-                                        cfg.batch_size, rng, cfg.augment)
+            try:
+                mean_loss = train_one_epoch(model, optimizer, train_manifest,
+                                            cfg.batch_size, rng, cfg.augment)
+            except OptimizerError as err:
+                raise OptimizerError(f"epoch {epoch}, {err}") from err
             confusion = evaluate_model(model, eval_manifest)
             accuracy = confusion.accuracy()
             reduced = scheduler_step(scheduler, accuracy, optimizer)

@@ -347,6 +347,100 @@ class TestTapeRelease:
             gc.enable()
 
 
+class TestOnGrad:
+    """``Graph(on_grad=...)``: each leaf is reported once, when its gradient
+    is final, with the same gradient a plain backward leaves."""
+
+    def _record(self, graph_box, calls):
+        def on_grad(leaf):
+            still_used = any(leaf is t for node in graph_box[0].nodes
+                             for t in node.inputs)
+            calls.append((leaf, leaf.grad.copy(), still_used))
+        return on_grad
+
+    def test_fires_once_per_leaf_after_its_last_consumer(self):
+        plain = _small_leaves()
+        with Graph():
+            _small_net(*plain)[0].backward()
+        leaves = _small_leaves()
+        calls, box = [], []
+        with Graph(on_grad=self._record(box, calls)) as graph:
+            box.append(graph)
+            _small_net(*leaves)[0].backward()
+        assert sorted(map(id, (c[0] for c in calls))) == sorted(map(id, leaves))
+        assert not any(still_used for _, _, still_used in calls)
+        for leaf, grad, _ in calls:
+            want = plain[[id(x) for x in leaves].index(id(leaf))].grad
+            npt.assert_array_equal(grad, want)
+
+    def test_leaf_used_by_two_ops_gets_one_call_with_the_summed_gradient(self):
+        x = t([3.0, -2.0])
+        calls, box = [], []
+        with Graph(on_grad=self._record(box, calls)) as graph:
+            box.append(graph)
+            ad.tensor_sum(ad.add(ad.mul(x, x), ad.relu(x))).backward()
+        assert len(calls) == 1 and calls[0][0] is x
+        npt.assert_array_equal(calls[0][1], [7.0, -4.0])  # 2x + (x > 0)
+
+    def test_leaves_without_requires_grad_or_unreached_are_not_reported(self):
+        x, c, unused = t([2.0]), t([5.0], req=False), t([1.0])
+        calls, box = [], []
+        with Graph(on_grad=self._record(box, calls)) as graph:
+            box.append(graph)
+            ad.relu(unused)  # recorded, but the loss does not depend on it
+            ad.tensor_sum(ad.mul(x, c)).backward()
+        assert [leaf for leaf, _, _ in calls] == [x]
+        assert c.grad is None and unused.grad is None
+
+    def test_callback_may_update_the_leaf_in_place(self):
+        # what training does: step each parameter as soon as it is final
+        leaves = _small_leaves()
+        before = [leaf.data.copy() for leaf in leaves]
+        plain = _small_leaves()
+        with Graph():
+            _small_net(*plain)[0].backward()
+
+        def step(leaf):
+            leaf.data -= 0.1 * leaf.grad
+            leaf.grad = None
+
+        with Graph(on_grad=step):
+            _small_net(*leaves)[0].backward()
+        for leaf, start, ref in zip(leaves, before, plain):
+            npt.assert_array_equal(leaf.data, start - 0.1 * ref.grad)
+            assert leaf.grad is None
+
+
+class TestAdoptedGradients:
+    def test_no_gradient_shares_memory_with_another(self):
+        leaves = _small_leaves()
+        x = t(rng.standard_normal(3))
+        with Graph():
+            loss = ad.add(_small_net(*leaves)[0], ad.tensor_sum(ad.add(x, x)))
+            loss.backward()
+        tensors = [*leaves, x]
+        for i, a in enumerate(tensors):
+            for b in tensors[i + 1:]:
+                assert not np.shares_memory(a.grad, b.grad)
+            assert not np.shares_memory(a.grad, a.data)
+        npt.assert_array_equal(x.grad, np.full(3, 2.0))
+
+    def test_adopting_matches_a_zero_buffer_bitwise(self):
+        grad = np.array([-0.0, 0.0, -1.5, np.inf])
+        adopted, copied = t(np.zeros(4)), t(np.zeros(4))
+        ad._accumulate(adopted, grad.copy(), fresh=True)
+        ad._accumulate(copied, grad.copy())
+        assert adopted.grad.tobytes() == copied.grad.tobytes()
+        assert not np.signbit(adopted.grad[0])
+
+    def test_other_dtype_is_copied_not_adopted(self):
+        target = Tensor(np.zeros(3), requires_grad=True, dtype=np.float32)
+        grad = np.ones(3)  # float64
+        ad._accumulate(target, grad, fresh=True)
+        assert target.grad.dtype == np.float32
+        assert not np.shares_memory(target.grad, grad)
+
+
 class TestShapeErrors:
     def test_conv_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channels"):

@@ -268,6 +268,24 @@ def test_config_parse_error_names_the_line(tmp_path):
     assert "epochs" in stderr
 
 
+def test_non_finite_rate_in_config_exits_2(tmp_path):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text("lr = nan\n", encoding="utf-8")
+    code, _, stderr = run_cli("train", "--config", str(bad))
+    assert code == 2
+    assert "lr must be finite" in stderr
+
+
+def test_divergent_training_exits_1_naming_epoch_and_batch(dir_fixture, tmp_path):
+    code, stdout, stderr = run_cli("train", "--config", str(dir_fixture["cfg"]),
+                                   "--epochs", "4", "--lr", "1e30",
+                                   "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert re.search(r"epoch 1, batch \d+: non-finite training loss", stderr), stderr
+    assert epoch_lines(stdout) == []
+    assert not list((tmp_path / "run").glob("*.ckpt"))
+
+
 def test_unknown_flag_is_usage_error():
     code, _, stderr = run_cli("train", "--bogus-flag", "1")
     assert code == 2

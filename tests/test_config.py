@@ -57,3 +57,12 @@ def test_model_config_turns_json_arrays_into_tuples():
                                          [1024, 2048, 2]])
     assert cfg == ModelConfig()
     assert hash(cfg) == hash(ModelConfig())
+
+
+@pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "weight_decay = nan",
+                                  "min_lr = nan"])
+def test_non_finite_hyperparameter_line_is_rejected_naming_its_key(line):
+    key = line.split(" = ")[0]
+    values = parse_config_text(line + "\n")
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        RunConfig(**values).validate()

@@ -169,6 +169,11 @@ class TestSgd:
             SgdState(momentum=1.0)
         with pytest.raises(ConfigError):
             SgdState(weight_decay=-0.1)
+        # NaN fails every comparison, so range checks alone let it through
+        for bad in (dict(lr=np.nan), dict(lr=np.inf), dict(weight_decay=np.nan),
+                    dict(weight_decay=np.inf)):
+            with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be finite"):
+                SgdState(**bad)
 
 
 def _out_of_place_sgd_step(state, params):
@@ -230,6 +235,20 @@ class TestSgdInPlace:
             w.grad = rng.standard_normal(6)
             sgd_step(state, [("w", w)])
         assert state.velocity["w"] is buffer and w.data is data
+
+    def test_non_contiguous_parameter_and_velocity_still_update(self):
+        r = np.random.default_rng(4)
+        start, grad, velocity = (r.standard_normal((3, 5)) for _ in range(3))
+        runs = []
+        for step_fn in (sgd_step, _out_of_place_sgd_step):
+            w = Tensor(start.copy().T, requires_grad=True)  # a transposed view
+            state = SgdState(lr=0.1, momentum=0.9, weight_decay=0.01)
+            state.velocity["w"] = velocity.copy().T
+            w.grad = grad.T.copy()
+            step_fn(state, [("w", w)])
+            runs.append((w.data.tolist(), state.velocity["w"].tolist()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] != start.T.tolist()
 
     def test_optimizer_restored_from_checkpoint_can_step(self, tmp_path):
         from resemotenet import checkpoint
@@ -316,6 +335,9 @@ class TestPlateauScheduler:
             PlateauScheduler(patience=0)
         with pytest.raises(ConfigError):
             PlateauScheduler(mode="minimize")
+        for min_lr in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="min_lr must be finite"):
+                PlateauScheduler(min_lr=min_lr)
 
 
 @settings(max_examples=25, deadline=None)

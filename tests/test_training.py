@@ -1,0 +1,162 @@
+"""The training step: optimizer inside backward, its memory, divergence stops
+and the names the benchmark's tracer patches."""
+
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from resemotenet import training
+from resemotenet.autodiff import Graph, Tensor, using_dtype
+from resemotenet.config import RunConfig
+from resemotenet.data import DatasetManifest
+from resemotenet.errors import OptimizerError
+from resemotenet.layers import TRAIN
+from resemotenet.model import ModelConfig, build_model
+from resemotenet.optim import SgdState, cross_entropy, sgd_step
+from resemotenet.synthetic import make_synthetic_manifest
+
+# the acceptance tests' small architecture
+TINY = dict(dataset="dir", batch_size=8, lr=0.01, momentum=0.9, augment=True,
+            seed=13, input_channels=3, input_size=16, stem_channels=(4, 8, 8),
+            se_reduction=4, residual_channels=((8, 8, 1),), aap_output=(1, 1))
+TINY_MODEL = RunConfig(**TINY).model_config()
+
+
+def _manifest(config, per_class, seed=3):
+    return make_synthetic_manifest(per_class=per_class, size=config.input_size,
+                                   channels=config.input_channels, seed=seed)
+
+
+def _backward_then_step(model, optimizer, manifest, batch_size, rng):
+    """The step as written before the update moved into backward."""
+    params = model.named_parameters()
+    losses = []
+    for pixels, labels in training.make_batches(manifest, batch_size, rng, shuffle=True):
+        with Graph():
+            value = cross_entropy(model.forward(pixels, mode=TRAIN), labels)
+            value.loss.backward()
+        sgd_step(optimizer, params)
+        losses.append(value.loss.item())
+    return losses
+
+
+def _record_losses(monkeypatch):
+    """The list every later training loss is appended to."""
+    losses = []
+    probe = training.cross_entropy
+
+    def recorded(*args):
+        value = probe(*args)
+        losses.append(value.loss.item())
+        return value
+
+    monkeypatch.setattr(training, "cross_entropy", recorded)
+    return losses
+
+
+def _bits(model, optimizer):
+    return [(name, p.data.tobytes(), optimizer.velocity[name].tobytes())
+            for name, p in model.named_parameters()]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_fused_step_is_bitwise_equal_to_backward_then_sgd_step(dtype, weight_decay,
+                                                               monkeypatch):
+    manifest = _manifest(TINY_MODEL, per_class=2)  # 14 samples: 4 steps of 4
+    fused_losses = _record_losses(monkeypatch)
+    runs = []
+    for fused in (True, False):
+        with using_dtype(dtype):
+            model = build_model(TINY_MODEL)
+            optimizer = SgdState(lr=0.05, momentum=0.9, weight_decay=weight_decay)
+            rng = np.random.default_rng(5)
+            if fused:
+                training.train_one_epoch(model, optimizer, manifest, 4, rng, False)
+                losses = fused_losses
+            else:
+                losses = _backward_then_step(model, optimizer, manifest, 4, rng)
+        runs.append((losses, _bits(model, optimizer)))
+    assert len(runs[0][0]) == 4
+    assert runs[0] == runs[1]
+
+
+def test_unreached_parameter_raises_the_named_optimizer_error():
+    model = build_model(TINY_MODEL)
+    orphan = Tensor(np.zeros(3), requires_grad=True)
+    reached = model.named_parameters()
+    model.named_parameters = lambda: reached + [("orphan", orphan)]
+    with pytest.raises(OptimizerError, match="parameter 'orphan' has no gradient"):
+        training.train_one_epoch(model, SgdState(lr=0.01), _manifest(TINY_MODEL, 1),
+                                 8, np.random.default_rng(0), False)
+
+
+def test_divergent_rate_stops_at_the_first_non_finite_loss(monkeypatch):
+    # lr=1e30 on TINY once trained four epochs of nan loss and then wrote
+    # checkpoints of non-finite weights
+    cfg = RunConfig(**{**TINY, "lr": 1e30, "epochs": 4}).validate()
+    train = _manifest(TINY_MODEL, per_class=8, seed=1)
+    test = make_synthetic_manifest(per_class=2, size=16, channels=3, seed=2,
+                                   split="test")
+    losses = _record_losses(monkeypatch)
+    with np.errstate(all="ignore"), pytest.raises(
+            OptimizerError, match=r"^epoch 1, batch 2: non-finite training loss"):
+        training.train_model(cfg, train, test)
+    assert len(losses) == 2
+    assert np.isfinite(losses[0]) and not np.isfinite(losses[1])
+
+
+# parameter-heavy: the 256x256x3x3 residual conv weight (2.36 MB in float32)
+# dwarfs the activations of a 4-image 8x8 batch
+HEAVY = ModelConfig(input_channels=1, input_size=8, stem_channels=(8, 16, 32),
+                    residual_channels=((32, 256, 1), (256, 256, 1)))
+
+
+def test_steady_step_peak_stays_below_two_largest_parameters():
+    with using_dtype("float32"):
+        model = build_model(HEAVY)
+        made = _manifest(HEAVY, per_class=1)
+        batch = DatasetManifest.from_samples("fixture", "train", made.samples[:4])
+        optimizer = SgdState(lr=0.01, momentum=0.9)
+        rng = np.random.default_rng(0)
+        # the first step allocates the velocity buffers
+        training.train_one_epoch(model, optimizer, batch, 4, rng, False)
+        tracemalloc.start()
+        try:
+            training.train_one_epoch(model, optimizer, batch, 4, rng, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    largest = max(p.data.nbytes for _, p in model.named_parameters())
+    assert largest == 256 * 256 * 9 * 4
+    assert peak < 2 * largest, f"peak {peak / 1e6:.2f} MB vs largest {largest / 1e6:.2f} MB"
+
+
+def test_benchmark_tracer_still_sees_the_optimizer_and_backward(monkeypatch):
+    """perfbench's tracer patches names of this package; a signature change
+    to one of them must fail here, not only in the benchmark."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with using_dtype("float32"):
+            model = build_model(TINY_MODEL)
+            training.train_one_epoch(model, SgdState(lr=0.01), _manifest(TINY_MODEL, 1),
+                                     8, np.random.default_rng(0), True)
+    finally:
+        tracer.uninstall()
+    by_name = {}
+    for index, span in enumerate(tracer.spans):
+        by_name.setdefault(span.name, []).append(index)
+    assert by_name.get("autodiff.backward") and by_name.get("training.step")
+    steps = by_name.get("optim.sgd_step", [])
+    # one span per parameter and step, each nested in that step's backward
+    assert len(steps) == len(model.named_parameters()) * len(by_name["autodiff.backward"])
+    for index in steps:
+        assert tracer.spans[tracer.spans[index].parent].name == "autodiff.backward"
+    metrics = spans.per_layer_metrics(tracer)
+    assert metrics["optim.sgd_step_ms"] > 0 and metrics["autodiff.backward_ms"] > 0
