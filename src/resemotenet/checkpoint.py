@@ -216,6 +216,12 @@ def _check_header(header, path: Path) -> None:
                             ("scheduler", _SCHEDULER_FIELDS)):
         if header[section] is not None:
             check_fields(header[section], fields, f"{section}.")
+    if header["rng_state"] is not None:
+        try:  # training restores it into a PCG64 generator
+            np.random.PCG64().state = header["rng_state"]
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            fail("rng_state", f"is not a PCG64 generator state "
+                 f"({type(err).__name__}: {err})")
     for i, entry in enumerate(header["tensors"]):
         check_fields(entry, _TENSOR_FIELDS, f"tensors[{i}].")
         if not all(_is(d, _INT) and d >= 0 for d in entry["shape"]):

@@ -23,7 +23,7 @@ import numpy as np
 from . import checkpoint as checkpoint_io
 from .autodiff import Tensor, inject_gradient_fault, using_dtype
 from .config import DATASET_KINDS, RunConfig, load_run_config
-from .data import (CLASS_NAMES, DatasetManifest, adapt_manifest, count_report,
+from .data import (DatasetManifest, adapt_manifest, class_names_for, count_report,
                    load_fer_csv, load_image_dir, load_single_image)
 from .errors import CheckpointError, ConfigError, DataError
 from .layers import EVAL
@@ -151,10 +151,7 @@ def cmd_predict(args) -> int:
     # softmax is shift-invariant; the flag exists so that invariance is
     # checkable from the outside
     probabilities = softmax((logits + args.logit_shift)[None, :])[0]
-    if geometry.num_classes <= len(CLASS_NAMES):
-        names = CLASS_NAMES[:geometry.num_classes]
-    else:
-        names = tuple(f"class{i}" for i in range(geometry.num_classes))
+    names = class_names_for(geometry.num_classes)
     # 8 decimals: the printed row must still sum to 1 within 1e-6
     for name, p in zip(names, probabilities):
         print(f"{name:<9} {p:.8f}")

@@ -29,6 +29,15 @@ from .errors import ConfigError, DataError
 CLASS_NAMES = ("Angry", "Disgust", "Fear", "Happy", "Neutral", "Sad", "Surprise")
 CLASS_INDEX = {name: i for i, name in enumerate(CLASS_NAMES)}
 
+
+def class_names_for(num_classes: int) -> tuple[str, ...]:
+    """Names of a k-class model's outputs: the first k of `CLASS_NAMES`, or
+    ``class0`` ... ``class{k-1}`` when k exceeds them."""
+    if num_classes <= len(CLASS_NAMES):
+        return CLASS_NAMES[:num_classes]
+    return tuple(f"class{i}" for i in range(num_classes))
+
+
 #: The CSV corpus encodes labels in its own order (0 Angry, 1 Disgust, 2 Fear,
 #: 3 Happy, 4 Sad, 5 Surprise, 6 Neutral); this table translates each native
 #: label to the canonical index above.
@@ -253,6 +262,8 @@ def _fit_planes(planes: np.ndarray, target_size: int, channels: int,
     """(C, H, W) planes -> (channels, target, target) in `dtype`.  Each plane
     is resized once, in float64; grayscale is then replicated when color is
     asked."""
+    if channels not in (1, 3):
+        raise ConfigError(f"channels must be 1 or 3, got {channels}")
     if planes.shape[0] == 3 and channels == 1:
         raise DataError(f"{source}: color image cannot feed a single-channel model")
     if planes.shape[1:] != (target_size, target_size):
@@ -266,12 +277,15 @@ def _fit_planes(planes: np.ndarray, target_size: int, channels: int,
     return pixels
 
 
-def _prepare_image(raw: np.ndarray, target_size: int, channels: int,
-                   source: str, dtype) -> np.ndarray:
-    """uint8 pixmap array -> (channels, target, target) float in [0, 1]."""
-    scaled = raw.astype(np.float64) / 255.0
+def _read_image(path: Path, target_size: int, channels: int, dtype) -> np.ndarray:
+    """One pixmap file -> (channels, target, target) pixels in [0, 1]."""
+    try:
+        blob = path.read_bytes()
+    except OSError as err:
+        raise DataError(f"cannot read image {path}: {err}") from None
+    scaled = decode_pixmap(blob, source=str(path)).astype(np.float64) / 255.0
     planes = scaled[None] if scaled.ndim == 2 else scaled.transpose(2, 0, 1)
-    return _fit_planes(planes, target_size, channels, source, dtype)
+    return _fit_planes(planes, target_size, channels, str(path), dtype)
 
 
 def load_image_dir(root, manifest_file, split: str = "train",
@@ -285,8 +299,6 @@ def load_image_dir(root, manifest_file, split: str = "train",
     Sample order always follows the manifest regardless of decode timing.
     """
     _check_split(split)
-    if channels not in (1, 3):
-        raise ConfigError(f"channels must be 1 or 3, got {channels}")
     root = Path(root)
     manifest_file = Path(manifest_file)
     try:
@@ -312,35 +324,18 @@ def load_image_dir(root, manifest_file, split: str = "train",
 
     def decode(entry: tuple[str, int]) -> Sample:
         rel, label = entry
-        file_path = root / rel
-        try:
-            blob = file_path.read_bytes()
-        except OSError as err:
-            raise DataError(f"cannot read image {file_path}: {err}") from None
-        raw = decode_pixmap(blob, source=str(file_path))
-        pixels = _prepare_image(raw, target_size, channels, str(file_path), dtype)
+        pixels = _read_image(root / rel, target_size, channels, dtype)
         return Sample(pixels=pixels, label=label, source_id=rel)
 
-    if entries:
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            samples = list(pool.map(decode, entries))
-    else:
-        samples = []
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        samples = list(pool.map(decode, entries))
     return DatasetManifest.from_samples(root.name, split, samples)
 
 
 def load_single_image(path, target_size: int, channels: int) -> Sample:
     """Decode one pixmap file into a model-ready sample (label -1: unknown)."""
-    if channels not in (1, 3):
-        raise ConfigError(f"channels must be 1 or 3, got {channels}")
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as err:
-        raise DataError(f"cannot read image {path}: {err}") from None
-    raw = decode_pixmap(blob, source=str(path))
-    pixels = _prepare_image(raw, target_size, channels, str(path),
-                            ad.default_dtype())
+    pixels = _read_image(path, target_size, channels, ad.default_dtype())
     return Sample(pixels=pixels, label=-1, source_id=str(path))
 
 
@@ -348,8 +343,6 @@ def adapt_manifest(manifest: DatasetManifest, target_size: int,
                    channels: int) -> DatasetManifest:
     """Re-fit loaded samples to a model's input geometry (resize + channel
     replication), leaving labels and provenance untouched."""
-    if channels not in (1, 3):
-        raise ConfigError(f"channels must be 1 or 3, got {channels}")
     dtype = ad.default_dtype()
 
     def refit(sample: Sample) -> Sample:
@@ -358,11 +351,8 @@ def adapt_manifest(manifest: DatasetManifest, target_size: int,
         return Sample(pixels=pixels, label=sample.label,
                       source_id=sample.source_id)
 
-    if manifest.samples:
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            samples = list(pool.map(refit, manifest.samples))
-    else:
-        samples = []
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        samples = list(pool.map(refit, manifest.samples))
     return DatasetManifest(name=manifest.name, split=manifest.split,
                            samples=samples,
                            class_counts=manifest.class_counts.copy())

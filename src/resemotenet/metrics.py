@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLASS_NAMES
+from .data import class_names_for
 from .errors import DataError
 
 
@@ -26,9 +26,7 @@ class ConfusionMatrix:
             raise DataError(f"confusion matrix needs >= 2 classes, got {num_classes}")
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
         if class_names is None:
-            class_names = tuple(CLASS_NAMES[:num_classes]) \
-                if num_classes <= len(CLASS_NAMES) else \
-                tuple(f"class{i}" for i in range(num_classes))
+            class_names = class_names_for(num_classes)
         if len(class_names) != num_classes:
             raise DataError(
                 f"{len(class_names)} names for {num_classes} classes")

@@ -48,6 +48,8 @@ class ModelConfig:
         # sequence fields arrive as lists from JSON and config overrides
         for f in fields(self):
             object.__setattr__(self, f.name, _tupled(getattr(self, f.name)))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.input_channels < 1:

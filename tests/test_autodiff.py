@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from resemotenet import autodiff as ad
 from resemotenet.autodiff import Graph, Tensor
 from resemotenet.errors import GraphError, ShapeError
+from resemotenet.optim import cross_entropy
 
 import oracles
 
@@ -411,34 +412,78 @@ class TestOnGrad:
             assert leaf.grad is None
 
 
+def _leaf_fed_net():
+    """Leaves fed straight into each op that hands gradients to its inputs;
+    returns the scalar loss and every leaf."""
+    r = np.random.default_rng(11)
+
+    def leaf(*shape):
+        return t(r.standard_normal(shape))
+
+    a, b, m1, m2, s = (leaf(2, 3) for _ in range(5))
+    scaled, pooled, adaptive, conv_in = (leaf(2, 3, 4, 4) for _ in range(4))
+    flat, squashed, logits = leaf(2, 3), leaf(2, 3), leaf(2, 7)
+    norm_train, norm_eval = leaf(2, 3, 4, 4), leaf(2, 3, 4, 4)
+    gamma_t, beta_t, gamma_e, beta_e = (leaf(3) for _ in range(4))
+    weight, bias = leaf(4, 3, 3, 3), leaf(4)
+    parts = [
+        ad.add(a, b),
+        ad.mul(m1, m2),
+        ad.mul_broadcast_channel(scaled, s),
+        ad.reshape(flat, (6,)),
+        ad.sigmoid(squashed),
+        ad.global_avg_pool(pooled),
+        ad.adaptive_avg_pool(adaptive, 2, 2),
+        ad.batch_norm2d_train(norm_train, gamma_t, beta_t, 1e-5)[0],
+        ad.batch_norm2d_eval(norm_eval, gamma_e, beta_e, np.zeros(3), np.ones(3), 1e-5),
+        ad.conv2d(conv_in, weight, bias, stride=2, padding=1),
+    ]
+    loss = cross_entropy(logits, np.array([1, 5])).loss
+    for part in parts:
+        loss = ad.add(loss, ad.tensor_sum(ad.mul(part, t(r.standard_normal(part.shape),
+                                                           req=False))))
+    leaves = [a, b, m1, m2, s, scaled, flat, squashed, pooled, adaptive,
+              norm_train, gamma_t, beta_t, norm_eval, gamma_e, beta_e,
+              conv_in, weight, bias, logits]
+    return loss, leaves
+
+
 class TestAdoptedGradients:
     def test_no_gradient_shares_memory_with_another(self):
-        leaves = _small_leaves()
+        small = _small_leaves()
         x = t(rng.standard_normal(3))
         with Graph():
-            loss = ad.add(_small_net(*leaves)[0], ad.tensor_sum(ad.add(x, x)))
+            loss = ad.add(_small_net(*small)[0], ad.tensor_sum(ad.add(x, x)))
             loss.backward()
-        tensors = [*leaves, x]
-        for i, a in enumerate(tensors):
-            for b in tensors[i + 1:]:
-                assert not np.shares_memory(a.grad, b.grad)
-            assert not np.shares_memory(a.grad, a.data)
         npt.assert_array_equal(x.grad, np.full(3, 2.0))
+        with Graph():
+            loss, fed = _leaf_fed_net()
+            loss.backward()
+        for tensors in ([*small, x], fed):
+            for i, a in enumerate(tensors):
+                assert a.grad is not None and a.grad.flags.writeable
+                assert not np.shares_memory(a.grad, a.data)
+                for b in tensors[i + 1:]:
+                    assert not np.shares_memory(a.grad, b.grad)
 
     def test_adopting_matches_a_zero_buffer_bitwise(self):
-        grad = np.array([-0.0, 0.0, -1.5, np.inf])
-        adopted, copied = t(np.zeros(4)), t(np.zeros(4))
-        ad._accumulate(adopted, grad.copy(), fresh=True)
-        ad._accumulate(copied, grad.copy())
-        assert adopted.grad.tobytes() == copied.grad.tobytes()
-        assert not np.signbit(adopted.grad[0])
+        grad = np.array([-0.0, 0.0, -1.5, np.inf, -np.inf, 2.0 ** -1074])
+        target = t(np.ones(6))
+        expected = np.zeros_like(target.data) + grad
+        ad._accumulate(target, grad)
+        assert target.grad is grad  # adopted, not copied
+        assert target.grad.tobytes() == expected.tobytes()
+        assert not np.signbit(target.grad[0])
 
     def test_other_dtype_is_copied_not_adopted(self):
         target = Tensor(np.zeros(3), requires_grad=True, dtype=np.float32)
-        grad = np.ones(3)  # float64
-        ad._accumulate(target, grad, fresh=True)
+        grad = np.array([1.0 / 3.0, -0.0, 1e-40])  # float64
+        expected = np.zeros_like(target.data)
+        expected += grad
+        ad._accumulate(target, grad)
         assert target.grad.dtype == np.float32
         assert not np.shares_memory(target.grad, grad)
+        assert target.grad.tobytes() == expected.tobytes()
 
 
 class TestShapeErrors:

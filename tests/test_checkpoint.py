@@ -10,10 +10,12 @@ import zlib
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resemotenet import checkpoint as ckpt
 from resemotenet.autodiff import Tensor, using_dtype
-from resemotenet.errors import CheckpointError
+from resemotenet.errors import CheckpointError, ConfigError
 from resemotenet.layers import TRAIN
 from resemotenet.model import ModelConfig, build_model
 from resemotenet.optim import PlateauScheduler, SgdState
@@ -252,6 +254,8 @@ def _first_tensor(header, **changes):
     return header
 
 
+RNG_STATE = np.random.default_rng(0).bit_generator.state
+
 MALFORMED_HEADERS = {
     "json list": (lambda h: [h], r"header must be a JSON object, got an array"),
     "no config": (lambda h: _without(h, "config"), r"'config' is missing"),
@@ -270,6 +274,11 @@ MALFORMED_HEADERS = {
     "residual quad": (lambda h: {**h, "config": {**h["config"],
                                                  "residual_channels": [[4, 8, 2, 1]]}},
                       r"'config\.residual_channels' must be an array like"),
+    "rng wrong generator": (lambda h: {**h, "rng_state": {**RNG_STATE,
+                                                         "bit_generator": "PCG65"}},
+                            r"'rng_state' is not a PCG64 generator state \(ValueError"),
+    "rng no state": (lambda h: {**h, "rng_state": _without(RNG_STATE, "state")},
+                     r"'rng_state' is not a PCG64 generator state \(KeyError"),
 }
 
 
@@ -299,6 +308,47 @@ class TestHeaderSchema:
         last = sorted(optimizer.velocity)[-1]
         with pytest.raises(CheckpointError, match=f"'velocity.{last}' is truncated"):
             ckpt.load(path)
+
+
+@pytest.fixture(scope="module")
+def training_file(tmp_path_factory):
+    """A small training checkpoint that holds a data-order state."""
+    model, optimizer, scheduler = trained_state()
+    path = tmp_path_factory.mktemp("fuzz") / "run.ckpt"
+    ckpt.save(model, optimizer, scheduler, 3, path,
+              rng_state=np.random.default_rng(4).bit_generator.state, best_metric=50.0)
+    return path
+
+
+def _loads_or_fails_cleanly(blob, source):
+    """Load `blob`: it fails only with an error the CLI exits 2 on, or its
+    data-order state is one a fresh generator accepts."""
+    path = source.with_name("mutant.ckpt")
+    path.write_bytes(blob)
+    try:
+        loaded = ckpt.load(path)
+    except (CheckpointError, ConfigError):
+        return
+    if loaded.rng_state is not None:
+        np.random.default_rng().bit_generator.state = loaded.rng_state
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_byte_flip(self, training_file, data):
+        blob = training_file.read_bytes()
+        i = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        _loads_or_fails_cleanly(blob[:i] + bytes([blob[i] ^ flip]) + blob[i + 1:],
+                                training_file)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncation(self, training_file, data):
+        blob = training_file.read_bytes()
+        _loads_or_fails_cleanly(blob[:data.draw(st.integers(0, len(blob) - 1))],
+                                training_file)
 
 
 def reference_v1_bytes(model, optimizer, scheduler, epoch, rng_state=None,

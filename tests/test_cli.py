@@ -286,6 +286,16 @@ def test_divergent_training_exits_1_naming_epoch_and_batch(dir_fixture, tmp_path
     assert not list((tmp_path / "run").glob("*.ckpt"))
 
 
+def test_resume_from_malformed_rng_state_exits_2(trained_run, tmp_path):
+    bad = _tampered(trained_run["out"] / "last.ckpt", tmp_path / "bad_rng.ckpt",
+                    lambda header: header["rng_state"]["state"].update(state="0"))
+    code, _, stderr = run_cli("train", "--config", str(trained_run["cfg"]),
+                              "--epochs", "3", "--checkpoint", str(bad),
+                              "--out", str(tmp_path / "resumed"))
+    assert code == 2, stderr
+    assert "header field 'rng_state' is not a PCG64 generator state" in stderr
+
+
 def test_unknown_flag_is_usage_error():
     code, _, stderr = run_cli("train", "--bogus-flag", "1")
     assert code == 2
@@ -356,15 +366,22 @@ def test_predict_prints_normalized_distribution(memorize_run):
     assert predicted == max(probs, key=probs.get)
 
 
-def test_predict_on_malformed_header_exits_2(memorize_run, tmp_path):
-    blob = (memorize_run["out"] / "best.ckpt").read_bytes()
+def _tampered(source: Path, target: Path, mutate) -> Path:
+    """A copy of checkpoint `source` at `target` with `mutate` applied to
+    its JSON header."""
+    blob = source.read_bytes()
     header_len = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16:16 + header_len])
-    del header["tensors"]
+    mutate(header)
     new_header = json.dumps(header).encode()
-    bad = tmp_path / "no_tensors.ckpt"
-    bad.write_bytes(blob[:8] + len(new_header).to_bytes(8, "little") + new_header
-                    + blob[16 + header_len:])
+    target.write_bytes(blob[:8] + len(new_header).to_bytes(8, "little") + new_header
+                       + blob[16 + header_len:])
+    return target
+
+
+def test_predict_on_malformed_header_exits_2(memorize_run, tmp_path):
+    bad = _tampered(memorize_run["out"] / "best.ckpt", tmp_path / "no_tensors.ckpt",
+                    lambda header: header.pop("tensors"))
     code, _, stderr = run_cli("predict", str(_one_image(memorize_run)),
                               "--checkpoint", str(bad))
     assert code == 2, stderr

@@ -66,3 +66,9 @@ def test_non_finite_hyperparameter_line_is_rejected_naming_its_key(line):
     values = parse_config_text(line + "\n")
     with pytest.raises(ConfigError, match=f"^{key} must be finite"):
         RunConfig(**values).validate()
+
+
+def test_negative_seed_is_rejected():
+    # numpy's generators take no negative seed; build_model would fail later
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -21"):
+        RunConfig(**parse_config_text("seed = -21\n")).validate()

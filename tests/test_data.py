@@ -261,6 +261,15 @@ class TestImageDir:
         with pytest.raises(DataError, match="line 1"):
             load_image_dir(tmp_path, index)
 
+    def test_channel_count_other_than_one_or_three_rejected(self, tmp_path):
+        made, index = self._write_fixture(tmp_path)
+        first = tmp_path / "imgs" / index.read_text().split("\t")[0]
+        for load in (lambda: load_image_dir(tmp_path / "imgs", index, channels=2),
+                     lambda: D.load_single_image(first, 10, 2),
+                     lambda: adapt_manifest(made, 10, 2)):
+            with pytest.raises(ConfigError, match="channels must be 1 or 3, got 2"):
+                load()
+
     def test_round_trip_pixel_fidelity(self, tmp_path):
         made, index = self._write_fixture(tmp_path)
         loaded = load_image_dir(tmp_path / "imgs", index, target_size=10)
@@ -451,3 +460,9 @@ class TestSyntheticFixture:
         for label in range(7):
             pattern = class_pattern(label, 16)
             npt.assert_allclose(pattern, pattern[:, ::-1], atol=1e-12)
+
+
+def test_class_names_are_canonical_then_numbered():
+    assert D.class_names_for(3) == CLASS_NAMES[:3]
+    assert D.class_names_for(7) == CLASS_NAMES
+    assert D.class_names_for(9) == tuple(f"class{i}" for i in range(9))
