@@ -36,7 +36,6 @@ _default_dtype = np.float64
 
 GRADCHECK_EPSILON = 1e-5
 GRADCHECK_TOL = 1e-4
-ORACLE_TOL = 1e-12
 
 
 def set_default_dtype(dtype) -> None:
@@ -657,9 +656,8 @@ class GradCheckEntry:
 
 
 class GradCheckReport:
-    def __init__(self, entries: list[GradCheckEntry], tol: float):
+    def __init__(self, entries: list[GradCheckEntry]):
         self.entries = entries
-        self.tol = tol
 
     @property
     def passed(self) -> bool:
@@ -681,14 +679,13 @@ def _relative_error(a: float, n: float) -> float:
     return abs(a - n) / max(1e-8, abs(a) + abs(n))
 
 
-def grad_check(f: Callable[..., Tensor], inputs, epsilon: float = GRADCHECK_EPSILON,
-               tol: float = GRADCHECK_TOL) -> GradCheckReport:
+def grad_check(f: Callable[..., Tensor], inputs) -> GradCheckReport:
     """Compare analytic gradients of scalar f(*tensors) with central differences.
 
     `inputs` is a sequence of tensors or (name, tensor) pairs; every tensor is
-    perturbed elementwise with +-epsilon in float64.  Relative error per element
-    is |a - n| / max(1e-8, |a| + |n|); an input fails when its maximum exceeds
-    tol.  f must be deterministic.
+    perturbed elementwise by +-`GRADCHECK_EPSILON` in float64.  Relative error
+    per element is |a - n| / max(1e-8, |a| + |n|); an input fails when its
+    maximum exceeds `GRADCHECK_TOL`.  f must be deterministic.
     """
     named: list[tuple[str, Tensor]] = []
     for i, item in enumerate(inputs):
@@ -731,12 +728,12 @@ def grad_check(f: Callable[..., Tensor], inputs, epsilon: float = GRADCHECK_EPSI
         worst = 0.0
         for i in range(flat.size):
             original = flat[i]
-            flat[i] = original + epsilon
+            flat[i] = original + GRADCHECK_EPSILON
             f_plus = evaluate()
-            flat[i] = original - epsilon
+            flat[i] = original - GRADCHECK_EPSILON
             f_minus = evaluate()
             flat[i] = original
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
+            numeric = (f_plus - f_minus) / (2.0 * GRADCHECK_EPSILON)
             worst = max(worst, _relative_error(float(a_flat[i]), numeric))
-        entries.append(GradCheckEntry(name, worst, worst <= tol))
-    return GradCheckReport(entries, tol)
+        entries.append(GradCheckEntry(name, worst, worst <= GRADCHECK_TOL))
+    return GradCheckReport(entries)

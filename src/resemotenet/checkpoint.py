@@ -15,7 +15,8 @@ relative to the payload start.  Every buffer is CRC-checked on load, so any
 flipped byte surfaces as an integrity error naming the tensor.
 
 Saving is atomic: the bytes land in a temporary sibling file which is then
-renamed over the target.
+renamed over the target.  A tensor holding NaN or infinity is refused before
+any file is created.
 """
 
 from __future__ import annotations
@@ -75,7 +76,9 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
          scheduler: PlateauScheduler | None, epoch: int, path,
          rng_state: dict | None = None, best_metric: float | None = None) -> None:
     """Write the full training state (or just the model, for inference
-    checkpoints) to `path` atomically."""
+    checkpoints) to `path` atomically.  A non-finite tensor (model or
+    velocity) raises `CheckpointError` naming it and its first bad flat index;
+    nothing is written then."""
     path = Path(path)
     tensors: list[tuple[str, np.ndarray]] = [
         (f"model.{name}", arr) for name, arr in model.state_tensors().items()
@@ -86,12 +89,19 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
         )
 
     # each buffer is the tensor's own memory (copied only when it is not
-    # contiguous little-endian), checksummed and written through a memoryview
+    # contiguous little-endian), checked finite, checksummed and written
+    # through a memoryview
     directory = []
     buffers = []
     offset = 0
     for name, arr in tensors:
         buf, code = _little_endian(arr)
+        if not (np.isfinite(buf.min()) and np.isfinite(buf.max())):
+            flat = buf.reshape(-1)
+            bad = int(np.flatnonzero(~np.isfinite(flat))[0])
+            raise CheckpointError(
+                f"refusing to write checkpoint {path}: tensor {name!r} is "
+                f"non-finite (flat index {bad} is {flat[bad]})")
         view = _bytes_of(buf)
         directory.append({
             "name": name,
@@ -283,15 +293,13 @@ def _read_tensor(fh, payload_start: int, entry: dict, dest: np.ndarray,
         dest[...] = buf
 
 
-def load(path, expected_config: ModelConfig | None = None,
-         allow_config_mismatch: bool = False) -> LoadedCheckpoint:
+def load(path, expected_config: ModelConfig | None = None) -> LoadedCheckpoint:
     """Read a checkpoint back into a freshly built model plus training state.
 
     When `expected_config` is given, every architecture field must match the
-    file's snapshot; the first differing field is named in the error.
-    `allow_config_mismatch=True` downgrades that to acceptance of the file's
-    own config (the tensors belong to it).  Files written without optimizer
-    state load fine for inference; their `optimizer`/`scheduler` are None.
+    file's snapshot; the first differing field is named in the error.  Without
+    it the file's own config is used.  Files written without optimizer state
+    load fine for inference; their `optimizer`/`scheduler` are None.
 
     Only the preamble and header are read before validation: the header's
     form, the tensor directory, and every tensor's name and shape against the
@@ -303,13 +311,13 @@ def load(path, expected_config: ModelConfig | None = None,
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            return _load_from(fh, path, expected_config, allow_config_mismatch)
+            return _load_from(fh, path, expected_config)
     except OSError as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from None
 
 
-def _load_from(fh, path: Path, expected_config: ModelConfig | None,
-               allow_config_mismatch: bool) -> LoadedCheckpoint:
+def _load_from(fh, path: Path,
+               expected_config: ModelConfig | None) -> LoadedCheckpoint:
     preamble = fh.read(16)
     if len(preamble) < 16 or preamble[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (magic mismatch)")
@@ -333,16 +341,14 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
 
     file_config = ModelConfig(**{f.name: header["config"][f.name]
                                  for f in dataclasses.fields(ModelConfig)})
-    if expected_config is not None and file_config != expected_config:
+    if expected_config is not None:
         for field in dataclasses.fields(ModelConfig):
             a = getattr(file_config, field.name)
             b = getattr(expected_config, field.name)
             if a != b:
-                if not allow_config_mismatch:
-                    raise CheckpointError(
-                        f"{path}: config field '{field.name}' is {a!r} in the "
-                        f"file but {b!r} was expected")
-                break
+                raise CheckpointError(
+                    f"{path}: config field '{field.name}' is {a!r} in the "
+                    f"file but {b!r} was expected")
 
     optimizer = _from_section(header["optimizer"], SgdState, _OPTIMIZER_FIELDS)
     scheduler = _from_section(header["scheduler"], PlateauScheduler,

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as checkpoint_io
-from .autodiff import Tensor, inject_gradient_fault, using_dtype
+from .autodiff import GRADCHECK_TOL, Tensor, inject_gradient_fault, using_dtype
 from .config import DATASET_KINDS, RunConfig, load_run_config
 from .data import (DatasetManifest, adapt_manifest, class_names_for, count_report,
                    load_fer_csv, load_image_dir, load_single_image)
@@ -36,16 +36,10 @@ GRADCHECK_TRIALS = {"tiny": 50, "small": 150}
 
 
 def _overrides_from(args) -> dict:
-    """Flag values that were actually given, keyed by config-file names."""
-    mapping = {"dataset": "dataset", "data_root": "data_root",
-               "epochs": "epochs", "batch_size": "batch_size", "lr": "lr",
-               "seed": "seed", "out": "out_dir"}
-    overrides = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    return overrides
+    """Flag values that were actually given; a flag whose `dest` is a
+    `RunConfig` key overrides that key."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+            if getattr(args, f.name, None) is not None}
 
 
 def _echo_config(cfg: RunConfig) -> None:
@@ -167,7 +161,7 @@ def cmd_gradcheck(args) -> int:
         report = run_gradient_checks(seed=args.seed if args.seed is not None else 0,
                                      trials_per_component=trials, log=print)
     print(f"elapsed: {report.elapsed_seconds:.1f}s  "
-          f"max_rel_err: {report.max_rel_err:.3e}  tol: {report.tol:g}")
+          f"max_rel_err: {report.max_rel_err:.3e}  tol: {GRADCHECK_TOL:g}")
     if not report.passed:
         for result in report.results:
             for failure in result.failures[:5]:
@@ -196,8 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--epochs", type=int, metavar="N")
     t.add_argument("--batch-size", dest="batch_size", type=int, metavar="N")
     t.add_argument("--lr", type=float, metavar="F")
-    t.add_argument("--out", metavar="DIR", help="run directory for "
-                   "metrics.json, confusion.txt, best.ckpt, last.ckpt")
+    t.add_argument("--out", dest="out_dir", metavar="DIR",
+                   help="run directory for metrics.json, confusion.txt, "
+                   "best.ckpt, last.ckpt")
     t.add_argument("--checkpoint", metavar="PATH",
                    help="resume training from this checkpoint")
     t.set_defaults(func=cmd_train)

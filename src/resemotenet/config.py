@@ -171,7 +171,7 @@ def load_run_config(config_path=None, overrides: dict[str, object] | None = None
         path = Path(config_path)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}") from None
         merged.update(parse_config_text(text, source=str(path)))
     if overrides:

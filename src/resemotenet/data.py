@@ -14,8 +14,6 @@ seven-class label order; batching is deterministic given an RNG seed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,11 +75,10 @@ class DatasetManifest:
     class_counts: np.ndarray
 
     @classmethod
-    def from_samples(cls, name: str, split: str, samples: list[Sample],
-                     num_classes: int = len(CLASS_NAMES)) -> "DatasetManifest":
-        labels = [s.label for s in samples]
-        counts = np.bincount(labels, minlength=num_classes) if labels else \
-            np.zeros(num_classes, dtype=np.int64)
+    def from_samples(cls, name: str, split: str,
+                     samples: list[Sample]) -> "DatasetManifest":
+        counts = np.bincount([s.label for s in samples],
+                             minlength=len(CLASS_NAMES))
         return cls(name=name, split=split, samples=samples,
                    class_counts=counts.astype(np.int64))
 
@@ -93,20 +90,6 @@ def _check_split(split: str) -> str:
     if split not in ("train", "test"):
         raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
     return split
-
-
-def _worker_count() -> int:
-    """Decoder thread count; the RESEMOTE_THREADS variable caps it."""
-    limit = os.environ.get("RESEMOTE_THREADS")
-    if limit is not None:
-        try:
-            n = int(limit)
-        except ValueError:
-            raise ConfigError(f"RESEMOTE_THREADS must be an integer, got {limit!r}")
-        if n < 1:
-            raise ConfigError(f"RESEMOTE_THREADS must be >= 1, got {n}")
-        return n
-    return min(4, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +108,7 @@ def load_fer_csv(path, split_filter: str = "train") -> DatasetManifest:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read dataset file {path}: {err}") from None
     lines = text.splitlines()
     if not lines or lines[0].strip() != FER_HEADER:
@@ -293,17 +276,16 @@ def load_image_dir(root, manifest_file, split: str = "train",
     """Load pixmap samples listed in a tab-separated manifest.
 
     Each manifest line is ``relative-path<TAB>class-name`` (UTF-8, LF).
-    Images are decoded on a small thread pool (capped by RESEMOTE_THREADS),
-    rescaled to [0, 1], bilinearly resized to ``target_size``, and grayscale
-    images are replicated across channels when a color model is configured.
-    Sample order always follows the manifest regardless of decode timing.
+    Images are decoded in manifest order, rescaled to [0, 1], bilinearly
+    resized to ``target_size``, and grayscale images are replicated across
+    channels when a color model is configured.
     """
     _check_split(split)
     root = Path(root)
     manifest_file = Path(manifest_file)
     try:
         lines = manifest_file.read_text(encoding="utf-8").splitlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read manifest {manifest_file}: {err}") from None
 
     entries: list[tuple[str, int]] = []
@@ -321,14 +303,9 @@ def load_image_dir(root, manifest_file, split: str = "train",
         entries.append((rel, CLASS_INDEX[class_name]))
 
     dtype = ad.default_dtype()
-
-    def decode(entry: tuple[str, int]) -> Sample:
-        rel, label = entry
-        pixels = _read_image(root / rel, target_size, channels, dtype)
-        return Sample(pixels=pixels, label=label, source_id=rel)
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        samples = list(pool.map(decode, entries))
+    samples = [Sample(pixels=_read_image(root / rel, target_size, channels, dtype),
+                      label=label, source_id=rel)
+               for rel, label in entries]
     return DatasetManifest.from_samples(root.name, split, samples)
 
 
@@ -344,15 +321,10 @@ def adapt_manifest(manifest: DatasetManifest, target_size: int,
     """Re-fit loaded samples to a model's input geometry (resize + channel
     replication), leaving labels and provenance untouched."""
     dtype = ad.default_dtype()
-
-    def refit(sample: Sample) -> Sample:
-        pixels = _fit_planes(sample.pixels, target_size, channels,
-                             sample.source_id, dtype)
-        return Sample(pixels=pixels, label=sample.label,
-                      source_id=sample.source_id)
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        samples = list(pool.map(refit, manifest.samples))
+    samples = [Sample(pixels=_fit_planes(s.pixels, target_size, channels,
+                                         s.source_id, dtype),
+                      label=s.label, source_id=s.source_id)
+               for s in manifest.samples]
     return DatasetManifest(name=manifest.name, split=manifest.split,
                            samples=samples,
                            class_counts=manifest.class_counts.copy())
@@ -382,13 +354,14 @@ def fisher_yates_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def make_batches(manifest: DatasetManifest, batch_size: int,
-                 rng: np.random.Generator, shuffle: bool, transform=None):
+                 rng: np.random.Generator | None, shuffle: bool, transform=None):
     """Yield (pixels Tensor[B,C,H,W], labels int array) covering the manifest
     exactly once.
 
-    Shuffling applies a seeded Fisher-Yates permutation; the final short
-    batch is kept.  `transform`, when given, maps each Sample just before
-    stacking (the hook the flip augmentation uses).
+    Shuffling applies a Fisher-Yates permutation drawn from `rng`, which is
+    not read (and may be None) without shuffling; the final short batch is
+    kept.  `transform`, when given, maps each Sample just before stacking
+    (the hook the flip augmentation uses).
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")

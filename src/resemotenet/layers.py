@@ -18,6 +18,10 @@ from .errors import ConfigError
 TRAIN = "train"
 EVAL = "eval"
 
+#: Batch-norm running-statistics momentum and variance epsilon.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 
 def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
     """Fan-in-scaled normal init (std = sqrt(2 / fan_in))."""
@@ -40,14 +44,6 @@ class Conv2dLayer:
         self.stride = stride
         self.padding = padding
 
-    @property
-    def out_channels(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weight.shape[1]
-
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
@@ -60,36 +56,29 @@ class BatchNorm2d:
 
     `mode` selects the statistics source: "train" normalizes with the current
     batch and folds those statistics into the running estimates
-    (running <- (1 - momentum) * running + momentum * batch, biased variance);
-    "eval" normalizes with the running estimates and never mutates them.
+    (running <- (1 - m) * running + m * batch with m = `BN_MOMENTUM`, biased
+    variance); "eval" normalizes with the running estimates and never mutates
+    them.  Both add `BN_EPS` to the variance.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         if channels < 1:
             raise ConfigError(f"batch norm needs positive channel count, got {channels}")
-        if eps <= 0:
-            raise ConfigError(f"batch norm eps must be > 0, got {eps}")
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=ad.default_dtype())
         self.running_var = np.ones(channels, dtype=ad.default_dtype())
-        self.momentum = momentum
-        self.eps = eps
         self.mode = TRAIN
-
-    @property
-    def channels(self) -> int:
-        return self.gamma.shape[0]
 
     def forward(self, x: Tensor) -> Tensor:
         if self.mode == TRAIN:
-            out, mean, var = ad.batch_norm2d_train(x, self.gamma, self.beta, self.eps)
-            m = self.momentum
+            out, mean, var = ad.batch_norm2d_train(x, self.gamma, self.beta, BN_EPS)
+            m = BN_MOMENTUM
             self.running_mean = (1.0 - m) * self.running_mean + m * mean
             self.running_var = (1.0 - m) * self.running_var + m * var
             return out
         return ad.batch_norm2d_eval(x, self.gamma, self.beta,
-                                    self.running_mean, self.running_var, self.eps)
+                                    self.running_mean, self.running_var, BN_EPS)
 
     def named_parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -111,11 +100,6 @@ class SEBlock:
         reduced = channels // reduction_ratio
         self.w1 = he_normal(rng, (reduced, channels), channels)
         self.w2 = he_normal(rng, (channels, reduced), reduced)
-        self.reduction_ratio = reduction_ratio
-
-    @property
-    def channels(self) -> int:
-        return self.w1.shape[1]
 
     def named_parameters(self):
         return [("w1", self.w1), ("w2", self.w2)]
@@ -126,29 +110,20 @@ class ResidualBlock:
     passed through a final ReLU.
 
     The shortcut is the identity when the block preserves shape; otherwise a
-    1x1 strided convolution plus BN projects the input.  Requesting an
-    identity shortcut for a shape-changing block is a configuration error.
+    1x1 strided convolution plus BN projects the input.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, stride: int = 1,
-                 shortcut: str = "auto", *, rng: np.random.Generator):
+    def __init__(self, in_channels: int, out_channels: int, stride: int = 1, *,
+                 rng: np.random.Generator):
         if in_channels < 1 or out_channels < 1 or stride < 1:
             raise ConfigError(
                 f"residual block needs positive channels/stride, got "
                 f"{in_channels}->{out_channels} stride {stride}")
-        shape_preserving = in_channels == out_channels and stride == 1
-        if shortcut == "identity" and not shape_preserving:
-            raise ConfigError(
-                f"identity shortcut impossible for {in_channels}->{out_channels} "
-                f"stride {stride}; needs a projection")
-        if shortcut not in ("auto", "identity", "projection"):
-            raise ConfigError(f"unknown shortcut kind {shortcut!r}")
         self.conv_a = Conv2dLayer(in_channels, out_channels, 3, stride, 1, rng=rng)
         self.bn_a = BatchNorm2d(out_channels)
         self.conv_b = Conv2dLayer(out_channels, out_channels, 3, 1, 1, rng=rng)
         self.bn_b = BatchNorm2d(out_channels)
-        self.stride = stride
-        if shortcut == "projection" or (shortcut == "auto" and not shape_preserving):
+        if in_channels != out_channels or stride != 1:
             self.shortcut_conv = Conv2dLayer(in_channels, out_channels, 1, stride, 0, rng=rng)
             self.shortcut_bn = BatchNorm2d(out_channels)
         else:

@@ -53,7 +53,6 @@ class TrainResult:
     history: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
     best_accuracy: float = float("-inf")
-    final_confusion: ConfusionMatrix | None = None
 
 
 def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest,
@@ -61,8 +60,7 @@ def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest,
     """Tally a confusion matrix over a manifest in eval mode: fixed order,
     no augmentation, running statistics untouched."""
     cm = ConfusionMatrix(model.config.num_classes)
-    rng = np.random.default_rng(0)  # never consumed: shuffle is off
-    for pixels, labels in make_batches(manifest, batch_size, rng, shuffle=False):
+    for pixels, labels in make_batches(manifest, batch_size, None, shuffle=False):
         logits = model.forward(pixels, mode=EVAL)
         cm.update(labels, predict_labels(logits.values.data))
     return cm
@@ -161,14 +159,12 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
                                             cfg.batch_size, rng, cfg.augment)
             except OptimizerError as err:
                 raise OptimizerError(f"epoch {epoch}, {err}") from err
-            confusion = evaluate_model(model, eval_manifest)
-            accuracy = confusion.accuracy()
+            accuracy = evaluate_model(model, eval_manifest).accuracy()
             reduced = scheduler_step(scheduler, accuracy, optimizer)
             record = EpochRecord(epoch=epoch, train_loss=mean_loss,
                                  eval_accuracy=accuracy, lr=optimizer.lr,
                                  lr_reduced=reduced)
             result.history.append(record)
-            result.final_confusion = confusion
             emit(record.line())
 
             improved = accuracy > result.best_accuracy + 1e-12

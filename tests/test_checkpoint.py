@@ -163,15 +163,6 @@ class TestConfigValidation:
         with pytest.raises(CheckpointError, match="num_classes"):
             ckpt.load(path, expected_config=wrong)
 
-    def test_mismatch_override_uses_file_config(self, tmp_path):
-        model, _, _ = trained_state()
-        path = tmp_path / "run.ckpt"
-        ckpt.save(model, None, None, 0, path)
-        wrong = ModelConfig(**{**TINY.__dict__, "num_classes": 5})
-        loaded = ckpt.load(path, expected_config=wrong,
-                           allow_config_mismatch=True)
-        assert loaded.model.config.num_classes == 3
-
     def test_no_expected_config_accepts_file(self, tmp_path):
         model, _, _ = trained_state()
         path = tmp_path / "run.ckpt"
@@ -243,6 +234,25 @@ class TestDirectoryValidation:
         leftovers = [p for p in tmp_path.iterdir() if p.name != "run.ckpt"]
         assert leftovers == []
         assert ckpt.load(path).epoch == 1
+
+
+class TestNonFiniteSave:
+    @pytest.mark.parametrize("where, value", [("model", np.nan), ("velocity", -np.inf)])
+    def test_non_finite_tensor_is_refused_and_the_target_kept(self, tmp_path,
+                                                              where, value):
+        model, optimizer, scheduler = trained_state()
+        path = tmp_path / "run.ckpt"
+        ckpt.save(model, optimizer, scheduler, 1, path)
+        before = path.read_bytes()
+        name, param = model.named_parameters()[0]
+        arr = param.data if where == "model" else optimizer.velocity[name]
+        arr.reshape(-1)[5] = value
+        with pytest.raises(CheckpointError, match=(
+                rf"^refusing to write checkpoint {path}: tensor '{where}\.{name}' "
+                rf"is non-finite \(flat index 5 is {value}\)$")):
+            ckpt.save(model, optimizer, scheduler, 2, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
 
 
 def _without(d, key):

@@ -5,6 +5,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resemotenet.config import RunConfig, load_run_config, parse_config_text
 from resemotenet.errors import ConfigError
@@ -72,3 +74,28 @@ def test_negative_seed_is_rejected():
     # numpy's generators take no negative seed; build_model would fail later
     with pytest.raises(ConfigError, match="^seed must be >= 0, got -21"):
         RunConfig(**parse_config_text("seed = -21\n")).validate()
+
+
+def test_config_file_that_is_not_utf8_is_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"data_root = /faces/\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config.*utf-8"):
+        load_run_config(path)
+
+
+#: value-shaped fragments: numbers at and past the limits, separators, words
+CONFIG_FRAGMENT = st.sampled_from(
+    ["0", "1", "2", "7", "16", "64", "-1", "1e400", "nan", "inf", ".", ",", ":",
+     "e", "true", "off", " ", "#", "_", "x", "\u0663", "4:8:2", "8:8:1", "9" * 30])
+CONFIG_VALUE = st.lists(CONFIG_FRAGMENT, max_size=6).map("".join) | st.text(max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([f.name for f in fields(RunConfig)]),
+                          CONFIG_VALUE), min_size=1, max_size=3))
+def test_any_text_for_any_key_raises_only_config_error(lines):
+    text = "".join(f"{key} = {value}\n" for key, value in lines)
+    try:
+        RunConfig(**parse_config_text(text)).validate()
+    except ConfigError:
+        pass

@@ -235,24 +235,16 @@ class TestImageDir:
                   index.read_text().strip().splitlines()]
         assert [s.source_id for s in loaded.samples] == listed
 
-    def test_single_worker_env_gives_same_result(self, tmp_path, monkeypatch):
-        made, index = self._write_fixture(tmp_path)
-        multi = load_image_dir(tmp_path / "imgs", index, target_size=12)
-        monkeypatch.setenv("RESEMOTE_THREADS", "1")
-        single = load_image_dir(tmp_path / "imgs", index, target_size=12)
-        for a, b in zip(multi.samples, single.samples):
-            npt.assert_array_equal(a.pixels, b.pixels)
-
-    def test_bad_thread_env_rejected(self, tmp_path, monkeypatch):
-        _, index = self._write_fixture(tmp_path)
-        monkeypatch.setenv("RESEMOTE_THREADS", "zero")
-        with pytest.raises(ConfigError, match="RESEMOTE_THREADS"):
-            load_image_dir(tmp_path / "imgs", index)
-
     def test_unknown_class_names_line(self, tmp_path):
         index = tmp_path / "m.tsv"
         index.write_text("a.pgm\tHappiness\n")
         with pytest.raises(DataError, match="line 1.*Happiness"):
+            load_image_dir(tmp_path, index)
+
+    def test_manifest_that_is_not_utf8_rejected(self, tmp_path):
+        index = tmp_path / "m.tsv"
+        index.write_bytes(b"a\xff.pgm\tHappy\n")
+        with pytest.raises(DataError, match="cannot read manifest.*utf-8"):
             load_image_dir(tmp_path, index)
 
     def test_missing_tab_names_line(self, tmp_path):
@@ -466,3 +458,88 @@ def test_class_names_are_canonical_then_numbered():
     assert D.class_names_for(3) == CLASS_NAMES[:3]
     assert D.class_names_for(7) == CLASS_NAMES
     assert D.class_names_for(9) == tuple(f"class{i}" for i in range(9))
+
+
+# --- guard fuzzers: malformed input may only end in DataError ---------------
+
+def _pixmap(color: bool) -> bytes:
+    raster = bytes(range(3 * 2 * (3 if color else 1)))
+    return (b"P6" if color else b"P5") + b"\n# fixture\n3 2\n255\n" + raster
+
+
+#: header-shaped junk: separators, comment starts, signs, oversized numbers
+PIXMAP_JUNK = st.sampled_from([b" ", b"\n", b"#", b"-1", b"0", b"255", b"P5",
+                               b"99999999999999999999", b"\x00", b"\xff"]) | \
+    st.binary(min_size=1, max_size=6)
+
+#: field-shaped junk for a CSV row
+FER_JUNK = st.sampled_from(["", " ", "3", "7", "-1", "3.0", "1e2", "256", "nan",
+                            "inf", "0x10", "Training", "PublicTest", "Validation",
+                            "\u0663", ",", "\r"]) | st.text(max_size=8)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestGuardFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_pixmap_raises_only_data_error(self, data):
+        blob = bytearray(_pixmap(data.draw(st.booleans(), label="color")))
+        header_end = blob.index(b"255\n") + 4
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            kind = data.draw(st.sampled_from(["flip", "truncate", "junk"]))
+            if kind == "flip" and blob:
+                i = data.draw(st.integers(0, len(blob) - 1), label="offset")
+                blob[i] ^= data.draw(st.integers(1, 255), label="xor")
+            elif kind == "truncate":
+                del blob[data.draw(st.integers(0, len(blob)), label="length"):]
+            else:
+                at = data.draw(st.integers(0, min(header_end, len(blob))), label="at")
+                blob[at:at] = data.draw(PIXMAP_JUNK, label="junk")
+        try:
+            image = decode_pixmap(bytes(blob))
+        except DataError:
+            return
+        assert image.dtype == np.uint8 and min(image.shape[:2]) >= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_malformed_fer_row_raises_only_data_error(self, fuzz_dir, data):
+        label = str(data.draw(st.integers(0, 6), label="label"))
+        pixels = [str(v % 256) for v in range(2304)]
+        usage = data.draw(st.sampled_from(["Training", "PublicTest"]), label="usage")
+        keep, extra = 3, []
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            kind = data.draw(st.sampled_from(
+                ["label", "usage", "pixel", "drop pixel", "fewer fields", "more fields"]))
+            if kind == "label":
+                label = data.draw(FER_JUNK, label="label")
+            elif kind == "usage":
+                usage = data.draw(FER_JUNK, label="usage")
+            elif kind == "pixel":
+                i = data.draw(st.integers(0, len(pixels) - 1), label="pixel index")
+                pixels[i] = data.draw(FER_JUNK, label="pixel")
+            elif kind == "drop pixel":
+                del pixels[data.draw(st.integers(0, len(pixels) - 1), label="dropped")]
+            elif kind == "fewer fields":
+                keep = data.draw(st.integers(1, 2), label="fields kept")
+            else:
+                extra.append(data.draw(FER_JUNK, label="extra field"))
+        row = ",".join([label, " ".join(pixels), usage][:keep] + extra)
+        blob = bytearray(row.encode("utf-8"))
+        if data.draw(st.booleans(), label="flip a byte") and blob:
+            i = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[i] ^= data.draw(st.integers(1, 255), label="xor")
+        path = fuzz_dir / "mutant.csv"
+        path.write_bytes(b"emotion,pixels,Usage\n" + zero_row(3).encode() + b"\n"
+                         + bytes(blob) + b"\n")
+        try:
+            manifest = load_fer_csv(path, data.draw(st.sampled_from(["train", "test"])))
+        except DataError:
+            return
+        for sample in manifest.samples:
+            assert sample.pixels.shape == (1, 48, 48)
+            assert 0.0 <= sample.pixels.min() and sample.pixels.max() <= 1.0

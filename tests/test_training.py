@@ -11,7 +11,7 @@ from resemotenet import training
 from resemotenet.autodiff import Graph, Tensor, using_dtype
 from resemotenet.config import RunConfig
 from resemotenet.data import DatasetManifest
-from resemotenet.errors import OptimizerError
+from resemotenet.errors import CheckpointError, OptimizerError
 from resemotenet.layers import TRAIN
 from resemotenet.model import ModelConfig, build_model
 from resemotenet.optim import SgdState, cross_entropy, sgd_step
@@ -106,6 +106,32 @@ def test_divergent_rate_stops_at_the_first_non_finite_loss(monkeypatch):
         training.train_model(cfg, train, test)
     assert len(losses) == 2
     assert np.isfinite(losses[0]) and not np.isfinite(losses[1])
+
+
+def test_non_finite_weights_after_a_finite_loss_write_no_checkpoint(monkeypatch, tmp_path):
+    # the last update of an epoch can leave inf weights after every loss of
+    # the epoch was finite; no checkpoint of them may be written
+    cfg = RunConfig(**{**TINY, "epochs": 2}).validate()
+    train = _manifest(TINY_MODEL, per_class=2, seed=1)  # 14 samples: 2 batches
+    test = make_synthetic_manifest(per_class=1, size=16, channels=3, seed=2,
+                                   split="test")
+    last_call = 2 * len(build_model(TINY_MODEL).named_parameters())
+    calls = []
+
+    def step_then_corrupt(state, params):
+        sgd_step(state, params)
+        calls.append(params[0][0])
+        if len(calls) == last_call:  # epoch 1, last batch, last update
+            params[0][1].data.reshape(-1)[0] = np.inf
+
+    monkeypatch.setattr(training, "sgd_step", step_then_corrupt)
+    with np.errstate(all="ignore"), pytest.raises(
+            CheckpointError,
+            match=r"tensor 'model\..+' is non-finite \(flat index 0 is inf\)") as err:
+        training.train_model(cfg, train, test, out_dir=tmp_path)
+    assert f"'model.{calls[-1]}'" in str(err.value)
+    assert len(calls) == last_call
+    assert list(tmp_path.iterdir()) == []  # no best.ckpt, last.ckpt or temp file
 
 
 # parameter-heavy: the 256x256x3x3 residual conv weight (2.36 MB in float32)
