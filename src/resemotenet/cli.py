@@ -30,7 +30,7 @@ from .layers import EVAL
 from .metrics import report_json, report_text
 from .optim import softmax
 from .training import BEST_CHECKPOINT, evaluate_model, train_model
-from .verification import run_gradient_checks
+from .verification import recorded_ops, run_gradient_checks
 
 GRADCHECK_TRIALS = {"tiny": 50, "small": 150}
 
@@ -154,12 +154,15 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    trials = GRADCHECK_TRIALS[args.scale]
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    if args.inject_fault and args.inject_fault not in (ops := recorded_ops()):
+        raise ConfigError(f"--inject-fault: the battery records no op "
+                          f"{args.inject_fault!r}; it records {', '.join(sorted(ops))}")
     fault = (inject_gradient_fault(args.inject_fault)
              if args.inject_fault else contextlib.nullcontext())
     with fault:
-        report = run_gradient_checks(seed=args.seed if args.seed is not None else 0,
-                                     trials_per_component=trials, log=print)
+        report = run_gradient_checks(args.seed, GRADCHECK_TRIALS[args.scale], log=print)
     print(f"elapsed: {report.elapsed_seconds:.1f}s  "
           f"max_rel_err: {report.max_rel_err:.3e}  tol: {GRADCHECK_TOL:g}")
     if not report.passed:
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     g.add_argument("scale", choices=tuple(GRADCHECK_TRIALS),
                    help="trials per component: tiny=50, small=150")
-    g.add_argument("--seed", type=int, metavar="N")
+    g.add_argument("--seed", type=int, default=0, metavar="N")
     g.add_argument("--inject-fault", dest="inject_fault", metavar="OP",
                    help="corrupt the named op's backward pass; the audit "
                    "must then fail")

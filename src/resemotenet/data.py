@@ -186,10 +186,9 @@ def decode_pixmap(data: bytes, source: str = "<bytes>") -> np.ndarray:
             while pos < len(data) and data[pos] not in b" \t\r\n#":
                 pos += 1
             token = data[start:pos]
-            try:
-                tokens.append(int(token))
-            except ValueError:
+            if not token.isdigit():
                 raise DataError(f"{source}: bad header token {token!r}")
+            tokens.append(int(token))
     width, height, maxval = tokens
     if width < 1 or height < 1:
         raise DataError(f"{source}: bad pixmap dimensions {width}x{height}")

@@ -130,26 +130,18 @@ class ResidualBlock:
             self.shortcut_conv = None
             self.shortcut_bn = None
 
-    @property
-    def has_projection(self) -> bool:
-        return self.shortcut_conv is not None
-
-    def batch_norms(self):
-        bns = [self.bn_a, self.bn_b]
-        if self.shortcut_bn is not None:
-            bns.append(self.shortcut_bn)
-        return bns
+    def layers(self):
+        """The block's sub-layers as (name, layer) pairs, in forward order;
+        the projection pair only when the shortcut projects."""
+        named = [("conv_a", self.conv_a), ("bn_a", self.bn_a),
+                 ("conv_b", self.conv_b), ("bn_b", self.bn_b)]
+        if self.shortcut_conv is None:
+            return named
+        return named + [("shortcut_conv", self.shortcut_conv), ("shortcut_bn", self.shortcut_bn)]
 
     def named_parameters(self):
-        pairs = []
-        for prefix, unit in (("conv_a", self.conv_a), ("bn_a", self.bn_a),
-                             ("conv_b", self.conv_b), ("bn_b", self.bn_b),
-                             ("shortcut_conv", self.shortcut_conv),
-                             ("shortcut_bn", self.shortcut_bn)):
-            if unit is None:
-                continue
-            pairs.extend((f"{prefix}.{n}", t) for n, t in unit.named_parameters())
-        return pairs
+        return [(f"{prefix}.{n}", t) for prefix, layer in self.layers()
+                for n, t in layer.named_parameters()]
 
 
 class LinearLayer:

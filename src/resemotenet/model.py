@@ -143,29 +143,27 @@ class ResEmoteNetModel:
 
     # -- traversal ---------------------------------------------------------
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """Every learnable tensor in a stable order: stem, then the
-        channel-attention gate, then residual blocks, then the classifier.
-        Batch-norm running statistics are tracked state, not parameters, and
-        are excluded."""
-        pairs: list[tuple[str, Tensor]] = []
+    def layers(self) -> list[tuple[str, object]]:
+        """Every layer by name, in parameter order: stem conv and BN pairs, the
+        channel gate, each residual block's sub-layers, the classifier."""
+        named = []
         for i, (conv, bn) in enumerate(self.stem):
-            pairs.extend((f"stem.{i}.conv.{n}", t) for n, t in conv.named_parameters())
-            pairs.extend((f"stem.{i}.bn.{n}", t) for n, t in bn.named_parameters())
-        pairs.extend((f"se.{n}", t) for n, t in self.se.named_parameters())
+            named += [(f"stem.{i}.conv", conv), (f"stem.{i}.bn", bn)]
+        named.append(("se", self.se))
         for i, block in enumerate(self.residuals):
-            pairs.extend((f"residual.{i}.{n}", t) for n, t in block.named_parameters())
-        pairs.extend((f"classifier.{n}", t) for n, t in self.classifier.named_parameters())
-        return pairs
+            named += [(f"residual.{i}.{n}", layer) for n, layer in block.layers()]
+        named.append(("classifier", self.classifier))
+        return named
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        """Every learnable tensor, in `layers` order.  Batch-norm running
+        statistics are tracked state, not parameters, and are excluded."""
+        return [(f"{prefix}.{n}", t) for prefix, layer in self.layers()
+                for n, t in layer.named_parameters()]
 
     def batch_norms(self) -> list[tuple[str, BatchNorm2d]]:
-        named = [(f"stem.{i}.bn", bn) for i, (_, bn) in enumerate(self.stem)]
-        for i, block in enumerate(self.residuals):
-            named.append((f"residual.{i}.bn_a", block.bn_a))
-            named.append((f"residual.{i}.bn_b", block.bn_b))
-            if block.shortcut_bn is not None:
-                named.append((f"residual.{i}.shortcut_bn", block.shortcut_bn))
-        return named
+        return [(name, layer) for name, layer in self.layers()
+                if isinstance(layer, BatchNorm2d)]
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """All persistent arrays: parameters plus batch-norm running stats."""
@@ -176,13 +174,15 @@ class ResEmoteNetModel:
         return state
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, tensor in self.named_parameters():
-            tensor.data = np.asarray(state[name], dtype=tensor.data.dtype)
-        for name, bn in self.batch_norms():
-            bn.running_mean = np.asarray(state[f"{name}.running_mean"],
-                                         dtype=bn.running_mean.dtype)
-            bn.running_var = np.asarray(state[f"{name}.running_var"],
-                                        dtype=bn.running_var.dtype)
+        """Copy `state` into the arrays `state_tensors` returns, once every
+        shape matches; the model never shares the caller's arrays."""
+        slots = self.state_tensors()
+        for name, dest in slots.items():
+            if np.shape(state[name]) != dest.shape:
+                raise ShapeError(f"state tensor {name!r} has shape "
+                                 f"{np.shape(state[name])}, expected {dest.shape}")
+        for name, dest in slots.items():
+            dest[...] = state[name]
 
     def parameter_count(self) -> int:
         return sum(t.size for _, t in self.named_parameters())
@@ -192,10 +192,6 @@ class ResEmoteNetModel:
             raise ConfigError(f"mode must be '{TRAIN}' or '{EVAL}', got {mode!r}")
         for _, bn in self.batch_norms():
             bn.mode = mode
-
-    def zero_grad(self) -> None:
-        for _, tensor in self.named_parameters():
-            tensor.zero_grad()
 
     # -- forward -----------------------------------------------------------
 

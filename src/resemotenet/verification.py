@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, grad_check, using_dtype
+from .autodiff import Graph, Tensor, grad_check, using_dtype
 from .layers import (EVAL, TRAIN, BatchNorm2d, Conv2dLayer, LinearLayer,
                      ResidualBlock, SEBlock, conv_block_forward, residual_forward,
                      se_forward)
@@ -178,6 +178,16 @@ def _randomize_batch_norm(bn: BatchNorm2d, rng, mode: str) -> None:
         bn.running_var[...] = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
 
 
+def _randomize_residual(block: ResidualBlock, rng, mode: str) -> None:
+    """Each conv of `block.layers()` in order, then each batch norm."""
+    layers = [layer for _, layer in block.layers()]
+    for conv in (layer for layer in layers if isinstance(layer, Conv2dLayer)):
+        conv.weight.data[...] = rng.standard_normal(conv.weight.shape) * 0.5
+        conv.bias.data[...] = rng.standard_normal(conv.bias.shape) * 0.1
+    for bn in (layer for layer in layers if isinstance(layer, BatchNorm2d)):
+        _randomize_batch_norm(bn, rng, mode)
+
+
 def _sample_conv_bn_block(rng, mode=EVAL, include_bias=True):
     n, ci, co, size = 2, 2, 2, 4
     conv = Conv2dLayer(ci, co, 3, stride=1, padding=1, rng=rng)
@@ -207,22 +217,14 @@ def _sample_se_block(rng):
 
 
 def _residual_inputs(block: ResidualBlock, x: Tensor, include_bias=True):
-    inputs = [("x", x)]
-    for name, tensor in block.named_parameters():
-        if not include_bias and name.endswith(".bias"):
-            continue
-        inputs.append((name, tensor))
-    return inputs
+    return [("x", x)] + [(name, tensor) for name, tensor in block.named_parameters()
+                         if include_bias or not name.endswith(".bias")]
 
 
 def _sample_residual_identity(rng, mode=EVAL, include_bias=True):
     n, ch, size = 2, 2, 4
     block = ResidualBlock(ch, ch, stride=1, rng=rng)
-    for conv in (block.conv_a, block.conv_b):
-        conv.weight.data[...] = rng.standard_normal(conv.weight.shape) * 0.5
-        conv.bias.data[...] = rng.standard_normal(conv.bias.shape) * 0.1
-    _randomize_batch_norm(block.bn_a, rng, mode)
-    _randomize_batch_norm(block.bn_b, rng, mode)
+    _randomize_residual(block, rng, mode)
     x = Tensor(_signed_uniform(rng, (n, ch, size, size)), requires_grad=True)
     return (lambda *_: residual_forward(block, x),
             _residual_inputs(block, x, include_bias))
@@ -235,12 +237,7 @@ def _sample_residual_identity_train(rng):
 def _sample_residual_projection(rng):
     n, cin, cout, size = 2, 2, 4, 4
     block = ResidualBlock(cin, cout, stride=2, rng=rng)
-    for conv in (block.conv_a, block.conv_b, block.shortcut_conv):
-        conv.weight.data[...] = rng.standard_normal(conv.weight.shape) * 0.5
-        if conv.bias is not None:
-            conv.bias.data[...] = rng.standard_normal(conv.bias.shape) * 0.1
-    for bn in (block.bn_a, block.bn_b, block.shortcut_bn):
-        _randomize_batch_norm(bn, rng, EVAL)
+    _randomize_residual(block, rng, EVAL)
     x = Tensor(rng.standard_normal((n, cin, size, size)), requires_grad=True)
     return lambda *_: residual_forward(block, x), _residual_inputs(block, x)
 
@@ -311,6 +308,16 @@ class VerificationReport:
     @property
     def max_rel_err(self) -> float:
         return max((r.max_rel_err for r in self.results), default=0.0)
+
+
+def recorded_ops() -> set[str]:
+    """The ops the battery's tapes record, read off one trial per component."""
+    with using_dtype(np.float64), Graph() as graph:
+        for sampler in COMPONENTS.values():
+            rng = np.random.default_rng(0)
+            f, inputs = sampler(rng)
+            _read_out(f, inputs, rng)(*(t for _, t in inputs))
+    return {node.op for node in graph.nodes}
 
 
 def run_gradient_checks(seed: int = 0, trials_per_component: int = 50,

@@ -153,7 +153,7 @@ def test_c04_channel_gate_matches_explicit_recomposition():
 def test_c05_zeroed_residual_branch_reduces_to_relu_shortcut():
     with ad.using_dtype(np.float64):
         block = ResidualBlock(4, 4, stride=1, rng=np.random.default_rng(5))
-        assert not block.has_projection
+        assert block.shortcut_conv is None
         for conv in (block.conv_a, block.conv_b):
             conv.weight.data[:] = 0.0
             conv.bias.data[:] = 0.0

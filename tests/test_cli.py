@@ -5,7 +5,9 @@ Everything here drives the real entry point in a subprocess so the printed
 output and exit codes are exactly what a shell user sees.
 """
 
+import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -24,9 +26,15 @@ EPOCH_LINE = re.compile(
     r"^epoch=(\d+) train_loss=(\d+\.\d{6}) eval_acc=(\d+\.\d{2}) lr=(\S+)$")
 
 
+#: the checkout's sources, importable by the CLI subprocess without an install
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "resemotenet", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -252,13 +260,6 @@ def test_plateau_cuts_lr_by_factor_ten(plateau_run):
     assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
-def test_train_missing_dataset_exits_2(tmp_path):
-    code, _, stderr = run_cli("train", "--dataset", "fer2013",
-                              "--data-root", str(tmp_path / "nope.csv"))
-    assert code == 2
-    assert "nope.csv" in stderr
-
-
 def test_config_parse_error_names_the_line(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("epochs = pony\n", encoding="utf-8")
@@ -266,24 +267,6 @@ def test_config_parse_error_names_the_line(tmp_path):
     assert code == 2
     assert "line 1" in stderr
     assert "epochs" in stderr
-
-
-def test_non_finite_rate_in_config_exits_2(tmp_path):
-    bad = tmp_path / "nan.cfg"
-    bad.write_text("lr = nan\n", encoding="utf-8")
-    code, _, stderr = run_cli("train", "--config", str(bad))
-    assert code == 2
-    assert "lr must be finite" in stderr
-
-
-def test_divergent_training_exits_1_naming_epoch_and_batch(dir_fixture, tmp_path):
-    code, stdout, stderr = run_cli("train", "--config", str(dir_fixture["cfg"]),
-                                   "--epochs", "4", "--lr", "1e30",
-                                   "--out", str(tmp_path / "run"))
-    assert code == 1
-    assert re.search(r"epoch 1, batch \d+: non-finite training loss", stderr), stderr
-    assert epoch_lines(stdout) == []
-    assert not list((tmp_path / "run").glob("*.ckpt"))
 
 
 def test_resume_from_malformed_rng_state_exits_2(trained_run, tmp_path):
@@ -294,12 +277,6 @@ def test_resume_from_malformed_rng_state_exits_2(trained_run, tmp_path):
                               "--out", str(tmp_path / "resumed"))
     assert code == 2, stderr
     assert "header field 'rng_state' is not a PCG64 generator state" in stderr
-
-
-def test_unknown_flag_is_usage_error():
-    code, _, stderr = run_cli("train", "--bogus-flag", "1")
-    assert code == 2
-    assert stderr
 
 
 # --- eval ------------------------------------------------------------------
@@ -379,15 +356,6 @@ def _tampered(source: Path, target: Path, mutate) -> Path:
     return target
 
 
-def test_predict_on_malformed_header_exits_2(memorize_run, tmp_path):
-    bad = _tampered(memorize_run["out"] / "best.ckpt", tmp_path / "no_tensors.ckpt",
-                    lambda header: header.pop("tensors"))
-    code, _, stderr = run_cli("predict", str(_one_image(memorize_run)),
-                              "--checkpoint", str(bad))
-    assert code == 2, stderr
-    assert "'tensors' is missing" in stderr
-
-
 def test_predict_argmax_survives_logit_shift(memorize_run):
     image = str(_one_image(memorize_run))
     ckpt = str(memorize_run["out"] / "best.ckpt")
@@ -426,8 +394,69 @@ def test_gradcheck_tiny_passes_and_reports_components():
     assert "FAIL" not in stdout
 
 
-def test_gradcheck_injected_fault_names_the_op():
-    code, stdout, stderr = run_cli("gradcheck", "tiny",
-                                   "--inject-fault", "max_pool2d")
-    assert code == 1
-    assert "max_pool2d" in stderr
+# --- exit codes ------------------------------------------------------------
+
+def _config(tmp_path, text) -> str:
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _malformed_header(memorize_run, tmp_path):
+    bad = _tampered(memorize_run["out"] / "best.ckpt", tmp_path / "no_tensors.ckpt",
+                    lambda header: header.pop("tensors"))
+    return ["predict", str(_one_image(memorize_run)), "--checkpoint", str(bad)]
+
+
+def _not_a_pixmap(memorize_run, tmp_path):
+    image = tmp_path / "photo.png"
+    image.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(32))
+    return ["predict", str(image), "--checkpoint", str(memorize_run["out"] / "best.ckpt")]
+
+
+# Each row builds its argv from the fixtures its builder's parameters name.
+# 0 success, 1 internal failure (divergence, a failed audit), 2 usage or data.
+EXIT_CODES = [
+    pytest.param(lambda memorize_run: [
+        "predict", str(_one_image(memorize_run)),
+        "--checkpoint", str(memorize_run["out"] / "best.ckpt")],
+        0, r"\A\Z", id="predict-ok"),
+    pytest.param(lambda dir_fixture, tmp_path: [
+        "train", "--config", str(dir_fixture["cfg"]), "--epochs", "4",
+        "--lr", "1e30", "--out", str(tmp_path / "run")],
+        1, r"epoch 1, batch \d+: non-finite training loss", id="divergent-training"),
+    pytest.param(lambda: ["gradcheck", "tiny", "--inject-fault", "max_pool2d"],
+                 1, r"FAIL max_pool2d", id="injected-fault"),
+    pytest.param(lambda: ["train", "--bogus-flag", "1"],
+                 2, r"unrecognized arguments: --bogus-flag", id="unknown-flag"),
+    pytest.param(lambda tmp_path: [
+        "train", "--dataset", "fer2013", "--data-root", str(tmp_path / "nope.csv")],
+        2, r"nope\.csv", id="missing-dataset"),
+    pytest.param(lambda tmp_path: ["train", "--config", _config(tmp_path, "epochs 3\n")],
+                 2, r"run\.cfg: line 1: expected 'key = value'", id="config-parse-error"),
+    pytest.param(lambda tmp_path: ["train", "--config", _config(tmp_path, "lr = nan\n")],
+                 2, r"lr must be finite", id="non-finite-lr"),
+    pytest.param(_malformed_header, 2, r"'tensors' is missing", id="malformed-header"),
+    pytest.param(lambda memorize_run, tmp_path: [
+        "predict", str(_one_image(memorize_run)),
+        "--checkpoint", str(tmp_path / "absent.ckpt")],
+        2, r"cannot read checkpoint .*absent\.ckpt", id="missing-checkpoint"),
+    pytest.param(_not_a_pixmap, 2, r"photo\.png: not a binary pixmap", id="not-a-pixmap"),
+    pytest.param(lambda: ["gradcheck", "tiny", "--seed", "-1"],
+                 2, r"\Aerror: seed must be >= 0, got -1$", id="gradcheck-negative-seed"),
+    pytest.param(lambda: ["gradcheck", "tiny", "--inject-fault", "nosuchop"],
+                 2, r"\Aerror: .*no op 'nosuchop'; it records .*max_pool2d",
+                 id="gradcheck-unknown-op"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stderr_pattern", EXIT_CODES)
+def test_exit_code(argv, code, stderr_pattern, request, tmp_path):
+    fixtures = {name: request.getfixturevalue(name)
+                for name in inspect.signature(argv).parameters}
+    got, stdout, stderr = run_cli(*argv(**fixtures))
+    assert got == code, stderr
+    assert re.search(stderr_pattern, stderr), stderr
+    # no row gets as far as a finished epoch or leaves a checkpoint behind
+    assert epoch_lines(stdout) == []
+    assert not list((tmp_path / "run").glob("*.ckpt"))

@@ -172,6 +172,15 @@ class TestPixmaps:
         with pytest.raises(DataError, match="maxval"):
             decode_pixmap(b"P5\n1 1\n65535\n\x00\x00")
 
+    @pytest.mark.parametrize("header", [b"P5\n1_0 +1\n0255\n", b"P5\n10 +1\n255\n",
+                                        b"P5\n10 1\n2_55\n"],
+                             ids=["underscored-width", "signed-height", "underscored-maxval"])
+    def test_header_tokens_are_ascii_digit_runs(self, header):
+        # int() reads b"1_0" as 10 and b"+1" as 1: the first header decoded
+        # as a 1x10 image
+        with pytest.raises(DataError, match="bad header token"):
+            decode_pixmap(header + bytes(10))
+
 
 class TestBilinear:
     def test_checkerboard_2x2_to_4x4_matches_oracle(self):

@@ -146,11 +146,11 @@ class TestResidualBlock:
 
     def test_zero_residual_branch_acts_as_relu(self):
         block = ResidualBlock(4, 4, stride=1, rng=make_rng())
-        assert not block.has_projection
+        assert block.shortcut_conv is None
         for conv in (block.conv_a, block.conv_b):
             conv.weight.data[:] = 0.0
             conv.bias.data[:] = 0.0
-        for bn in block.batch_norms():
+        for bn in (block.bn_a, block.bn_b):
             self._passthrough_bn(bn)
         x = Tensor(np.abs(rng.standard_normal((2, 4, 6, 6))))
         out = residual_forward(block, x)
@@ -169,7 +169,7 @@ class TestResidualBlock:
 
     def test_downsampling_block_shape_and_composition(self):
         block = ResidualBlock(16, 32, stride=2, rng=make_rng(4))
-        for bn in block.batch_norms():
+        for bn in (block.bn_a, block.bn_b, block.shortcut_bn):
             bn.mode = layers.EVAL
         x = Tensor(rng.standard_normal((2, 16, 8, 8)))
         out = residual_forward(block, x)
@@ -182,9 +182,17 @@ class TestResidualBlock:
         npt.assert_allclose(out.data, want, atol=1e-12)
 
     def test_auto_shortcut_selection(self):
-        assert not ResidualBlock(8, 8, 1, rng=make_rng()).has_projection
-        assert ResidualBlock(8, 16, 1, rng=make_rng()).has_projection
-        assert ResidualBlock(8, 8, 2, rng=make_rng()).has_projection
+        assert ResidualBlock(8, 8, 1, rng=make_rng()).shortcut_conv is None
+        assert ResidualBlock(8, 16, 1, rng=make_rng()).shortcut_conv is not None
+        assert ResidualBlock(8, 8, 2, rng=make_rng()).shortcut_conv is not None
+
+    def test_layers_list_the_projection_only_when_it_projects(self):
+        plain = ["conv_a", "bn_a", "conv_b", "bn_b"]
+        identity = ResidualBlock(8, 8, 1, rng=make_rng())
+        projecting = ResidualBlock(8, 16, 2, rng=make_rng())
+        assert [n for n, _ in identity.layers()] == plain
+        assert [n for n, _ in projecting.layers()] == plain + ["shortcut_conv", "shortcut_bn"]
+        assert dict(projecting.layers())["shortcut_bn"] is projecting.shortcut_bn
 
 
 class TestLayerGradients:
@@ -245,7 +253,7 @@ class TestLayerGradients:
     def test_residual_block_parameters_projection(self):
         # eval mode: see the conv-bias note above
         block = ResidualBlock(3, 4, stride=2, rng=make_rng(10))
-        for bn in block.batch_norms():
+        for bn in (block.bn_a, block.bn_b, block.shortcut_bn):
             bn.mode = layers.EVAL
         x = Tensor(rng.standard_normal((2, 3, 6, 6)))
         c = Tensor(rng.standard_normal((2, 4, 3, 3)))

@@ -9,6 +9,7 @@ from resemotenet.autodiff import Tensor
 from resemotenet.errors import ConfigError, ShapeError
 from resemotenet.layers import EVAL, TRAIN, conv_block_forward, residual_forward, se_forward
 from resemotenet.model import ModelConfig, ResEmoteNetModel, build_model
+from resemotenet.optim import SgdState, cross_entropy, sgd_step
 
 rng = np.random.default_rng(123)
 
@@ -78,6 +79,20 @@ class TestBuild:
             if not sections or sections[-1] != head:
                 sections.append(head)
         assert sections == ["stem", "se", "residual", "classifier"]
+
+    def test_layers_name_every_layer_in_parameter_order(self):
+        model = build_model(ModelConfig(**{**TINY.__dict__, "residual_channels":
+                                           ((8, 16, 2), (16, 16, 1))}))
+        block = ["conv_a", "bn_a", "conv_b", "bn_b"]
+        want = (["stem.0.conv", "stem.0.bn", "stem.1.conv", "stem.1.bn",
+                 "stem.2.conv", "stem.2.bn", "se"]
+                + [f"residual.0.{n}" for n in block + ["shortcut_conv", "shortcut_bn"]]
+                + [f"residual.1.{n}" for n in block] + ["classifier"])
+        assert [n for n, _ in model.layers()] == want
+        assert [n.rsplit(".", 1)[0] for n, _ in model.named_parameters()] == \
+            [n for n in want for _ in range(2)]
+        assert [n for n, _ in model.batch_norms()] == \
+            [n for n in want if "bn" in n.rsplit(".", 1)[-1]]
 
     def test_default_parameter_count_matches_closed_form(self):
         model = build_model(ModelConfig())
@@ -224,3 +239,27 @@ class TestStatePlumbing:
         x = Tensor(rng.standard_normal((2, 3, 16, 16)))
         npt.assert_array_equal(a.forward(x, EVAL).values.data,
                                b.forward(x, EVAL).values.data)
+
+    def test_training_a_loaded_copy_leaves_the_source_unchanged(self):
+        a = build_model(TINY)
+        before = {k: v.copy() for k, v in a.state_tensors().items()}
+        b = build_model(ModelConfig(**{**TINY.__dict__, "seed": 99}))
+        b.load_state(a.state_tensors())
+        with ad.Graph():
+            logits = b.forward(Tensor(rng.standard_normal((4, 3, 16, 16))), TRAIN)
+            cross_entropy(logits, np.array([0, 1, 2, 0])).loss.backward()
+        sgd_step(SgdState(lr=0.1, momentum=0.9), b.named_parameters())
+        assert not np.array_equal(b.classifier.weight.data, before["classifier.weight"])
+        for name, arr in a.state_tensors().items():
+            npt.assert_array_equal(arr, before[name], err_msg=name)
+
+    def test_load_state_names_a_wrong_shaped_tensor_and_writes_nothing(self):
+        b = build_model(TINY)
+        before = {k: v.copy() for k, v in b.state_tensors().items()}
+        state = {k: np.ones_like(v) for k, v in before.items()}
+        state["residual.0.conv_b.weight"] = np.ones((8, 8, 1, 1))
+        with pytest.raises(ShapeError, match=r"'residual\.0\.conv_b\.weight' has "
+                                             r"shape \(8, 8, 1, 1\)"):
+            b.load_state(state)
+        for name, arr in b.state_tensors().items():
+            npt.assert_array_equal(arr, before[name], err_msg=name)
