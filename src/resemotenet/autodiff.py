@@ -16,7 +16,13 @@ updated, and its gradient freed, while backward is still running.
 
 Gradient ownership: each op hands ``_accumulate`` a writable array that
 nothing else will read or write, which a first gradient adopts uncopied;
-``add``, sending one array to both inputs, copies it for the second.
+``add``, sending one array to both inputs, copies it for the second.  The
+one exception is a conv weight's first gradient in a graph with
+``on_grad``: ``conv2d`` stores it as a :class:`DeferredGrad`, the product
+``go_t @ patches`` not yet computed.  The optimizer computes it row block
+by row block and applies each block as it goes, so the whole gradient of
+a large kernel is never held; any other reader of ``Tensor.grad`` gets the
+full array, computed from the same blocks on first read.
 
 Element type is a build-wide choice: float64 for verification (finite
 differences are unreliable in float32), float32 permitted for training speed.
@@ -68,15 +74,27 @@ class Tensor:
     ``backward`` and accumulates additively across multiple uses within one
     graph and across graphs until cleared.  Only leaves keep it: a recorded
     op's output drops its gradient once backward has pushed it to the inputs.
+    ``_grad`` is the stored gradient: an array, None, or a
+    :class:`DeferredGrad` that reading ``grad`` turns into its array.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or _default_dtype)
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | DeferredGrad | None = None
         self.node: GraphNode | None = None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        if isinstance(self._grad, DeferredGrad):
+            self._grad = self._grad.materialize()
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -94,7 +112,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self._grad = None
 
     def backward(self) -> None:
         """Reverse-mode pass from this scalar through its recorded graph."""
@@ -114,7 +132,7 @@ class Tensor:
             out_grad = node.out.grad
             # the tape is single-use: release the node's saved buffers and its
             # output's gradient as soon as they have been consumed
-            node.out.grad = None
+            node.out._grad = None
             if out_grad is not None:  # else not reachable from the loss
                 if _fault_op is not None and node.op == _fault_op:
                     out_grad = out_grad * 2.0  # debug fault: corrupt analytic path
@@ -127,7 +145,7 @@ class Tensor:
                     if id(t) in uses:
                         uses[id(t)] -= 1
                         # after its last consumer a leaf's gradient is final
-                        if uses[id(t)] == 0 and t.grad is not None:
+                        if uses[id(t)] == 0 and t._grad is not None:
                             graph.on_grad(t)
 
     def dump(self) -> str:
@@ -169,7 +187,10 @@ class Graph:
     its ``.grad`` then holds the sum over every use.  No node reads the leaf
     after that, so the callback may update ``leaf.data`` in place and
     consume ``leaf.grad``.  A leaf the loss does not reach has no gradient
-    and is not reported.
+    and is not reported.  In such a graph a conv weight's only gradient
+    reaches the callback deferred (``leaf._grad`` is a
+    :class:`DeferredGrad`): ``sgd_step`` consumes it in row blocks, and
+    reading ``leaf.grad`` computes it whole.
     """
 
     def __init__(self, on_grad: Callable[[Tensor], None] | None = None):
@@ -217,6 +238,15 @@ def _leaf_uses(graph: Graph) -> dict[int, int]:
     return uses
 
 
+def _adopted(grad: np.ndarray, dtype) -> np.ndarray:
+    """`grad` as a first gradient of element type `dtype`: converted (a copy
+    only when the dtype differs) and with -0.0 made +0.0, as in a zero
+    buffer plus `grad`."""
+    grad = grad.astype(dtype, copy=False)
+    grad += 0.0
+    return grad
+
+
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
     """Add `grad` into ``tensor.grad``.
 
@@ -226,12 +256,53 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
     """
     if not tensor.requires_grad:
         return
-    if tensor.grad is None:
-        tensor.grad = grad.astype(tensor.data.dtype, copy=False)
-        # -0.0 becomes +0.0, as in a zero buffer plus `grad`
-        tensor.grad += 0.0
+    if tensor._grad is None:
+        tensor._grad = _adopted(grad, tensor.data.dtype)
     else:
-        tensor.grad += grad
+        tensor.grad += grad  # a deferred first gradient is computed whole here
+
+
+#: elements per row block of a deferred gradient (4 MiB in float32)
+GRAD_BLOCK = 1 << 20
+
+
+class DeferredGrad:
+    """A weight gradient kept as the product ``go_t @ patches`` of a
+    (rows, M) and an (M, cols) matrix, computed only when consumed.
+
+    ``blocks`` computes it a few rows at a time into one block buffer, so a
+    consumer that applies each block before taking the next never holds the
+    whole gradient; ``materialize`` fills one full array from the same
+    blocks, so both give the same bits.
+    """
+
+    __slots__ = ("go_t", "patches", "shape", "dtype")
+
+    def __init__(self, go_t: np.ndarray, patches: np.ndarray, shape: tuple, dtype):
+        self.go_t = go_t
+        self.patches = patches
+        self.shape = shape
+        self.dtype = dtype
+
+    def blocks(self):
+        """(first flat index, flat block) pairs covering the gradient in
+        order, each a first gradient of ``dtype``.  A block is overwritten
+        when the next one is computed."""
+        n_rows, cols = self.go_t.shape[0], self.patches.shape[1]
+        rows = max(1, GRAD_BLOCK // cols)
+        buf = np.empty((min(rows, n_rows), cols),
+                       dtype=np.result_type(self.go_t, self.patches))
+        for r0 in range(0, n_rows, rows):
+            block = buf[:min(rows, n_rows - r0)]
+            np.matmul(self.go_t[r0:r0 + rows], self.patches, out=block)
+            yield r0 * cols, _adopted(block, self.dtype).reshape(-1)
+
+    def materialize(self) -> np.ndarray:
+        full = np.empty(self.shape, dtype=self.dtype)
+        flat = full.reshape(-1)
+        for start, block in self.blocks():
+            flat[start:start + block.size] = block
+        return full
 
 
 def _finish(op: str, inputs: Sequence[Tensor], out: Tensor, backward_fn) -> Tensor:
@@ -252,17 +323,18 @@ def _conv_output_extent(in_size: int, k: int, stride: int, padding: int) -> int:
     return (in_size + 2 * padding - k) // stride + 1
 
 
-def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
-    """Patches of the padded input as (N, C*kh*kw, out_h*out_w)."""
+def _windows(x_pad: np.ndarray, kh: int, kw: int, stride: int, out_h: int,
+             out_w: int) -> np.ndarray:
+    """Read-only (N, C, kh, kw, out_h, out_w) view of the padded input's
+    kernel windows; reshaping it copies the patches once."""
     n, c, _, _ = x_pad.shape
     sn, sc, sh, sw = x_pad.strides
-    patches = as_strided(
+    return as_strided(
         x_pad,
         shape=(n, c, kh, kw, out_h, out_w),
         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
-    return patches.reshape(n, c * kh * kw, out_h * out_w)
 
 
 def _col2im(cols: np.ndarray, x_pad_shape: tuple, kh: int, kw: int, stride: int,
@@ -317,7 +389,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
         return x_pad
 
     x_pad_shape = (n, cin, h + 2 * padding, w + 2 * padding)
-    cols = _im2col(padded(), kh, kw, stride, out_h, out_w)       # (N, CKK, L)
+    cols = _windows(padded(), kh, kw, stride, out_h, out_w).reshape(
+        n, -1, out_h * out_w)                                    # (N, CKK, L)
     w_mat = weight.data.reshape(cout, -1)                        # (Cout, CKK)
     out_data = np.matmul(w_mat, cols).reshape(n, cout, out_h, out_w)
     if bias is not None:
@@ -327,25 +400,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
     # the tape's footprint at the activations themselves
     del cols
 
+    graph = active_graph()
+
     def backward_fn(gout: np.ndarray) -> None:
         go = gout.reshape(n, cout, out_h * out_w)
-        if weight.requires_grad:
-            cols = _im2col(padded(), kh, kw, stride, out_h, out_w)
-            # single GEMM over (batch, position); a batched matmul here would
-            # materialize one full weight-grad matrix per sample
-            gw = np.tensordot(go, cols, axes=([0, 2], [0, 2]))
-            del cols
-            _accumulate(weight, gw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, gout.sum(axis=(0, 2, 3)))
+        # the input gradient first: its column matrix is freed before the
+        # weight gradient's patches are built
         if x.requires_grad:
             grad_cols = np.matmul(w_mat.T, go)
             gx_pad = _col2im(grad_cols, x_pad_shape, kh, kw, stride, out_h, out_w)
+            del grad_cols
             if padding > 0:
                 # contiguous: its readers run faster on it than on the view (measured)
                 gx_pad = np.ascontiguousarray(
                     gx_pad[:, :, padding:padding + h, padding:padding + w])
             _accumulate(x, gx_pad)
+        if weight.requires_grad:
+            # one GEMM over (batch, position): (Cout, N*L) @ (N*L, CKK)
+            patches = _windows(padded(), kh, kw, stride, out_h, out_w).transpose(
+                0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
+            product = DeferredGrad(go.transpose(1, 0, 2).reshape(cout, -1), patches,
+                                   weight.shape, weight.data.dtype)
+            if graph.on_grad is not None and weight._grad is None:
+                weight._grad = product  # the optimizer streams it in row blocks
+            else:
+                _accumulate(weight, product.materialize())
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _finish("conv2d", inputs, out, backward_fn)
@@ -370,6 +451,8 @@ def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
     ).reshape(n, c, out_h, out_w, k * k)
     argmax = windows.argmax(axis=-1)
     out_data = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    # the tape keeps the window offset in the narrowest type that holds k*k - 1
+    argmax = argmax.astype(np.min_scalar_type(k * k - 1))
     out = Tensor(out_data, dtype=out_data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:

@@ -35,7 +35,9 @@ from typing import Any
 import numpy as np
 
 from .errors import CheckpointError
-from .model import ModelConfig, ResEmoteNetModel, build_model
+# `build_model` is not called here, but stays a name of this module:
+# perfbench's span tracer wraps `checkpoint.build_model`
+from .model import ModelConfig, ResEmoteNetModel, build_model  # noqa: F401
 from .optim import PlateauScheduler, SgdState
 
 MAGIC = b"REMN"
@@ -303,10 +305,10 @@ def load(path, expected_config: ModelConfig | None = None) -> LoadedCheckpoint:
 
     Only the preamble and header are read before validation: the header's
     form, the tensor directory, and every tensor's name and shape against the
-    model built from the embedded config.  Tensors then stream straight into
-    the model's own arrays (velocity into fresh ones, in the parameter's
-    dtype), each CRC-checked as it lands; no model is returned unless every
-    check passes.
+    model built from the embedded config.  That model's weights are not
+    drawn, only allocated.  Tensors then stream straight into the model's
+    own arrays (velocity into fresh ones, in the parameter's dtype), each
+    CRC-checked as it lands; no model is returned unless every check passes.
     """
     path = Path(path)
     try:
@@ -354,7 +356,9 @@ def _load_from(fh, path: Path,
     scheduler = _from_section(header["scheduler"], PlateauScheduler,
                               _SCHEDULER_FIELDS)
 
-    model = build_model(file_config)
+    # no initial draw: the checks above and below run before any read, and
+    # every model tensor must be in the file, so each one is overwritten
+    model = ResEmoteNetModel(file_config, rng=None)
     # where each stored tensor goes; velocity only when there is an optimizer
     slots = {f"model.{name}": arr for name, arr in model.state_tensors().items()}
     expected_names = set(slots)

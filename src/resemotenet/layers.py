@@ -23,9 +23,27 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    """Fan-in-scaled normal init (std = sqrt(2 / fan_in))."""
-    data = rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+#: elements per block of `he_normal`'s float64 draw
+INIT_BLOCK = 1 << 16
+
+
+def he_normal(rng: np.random.Generator | None, shape: tuple[int, ...],
+              fan_in: int) -> Tensor:
+    """Fan-in-scaled normal init (std = sqrt(2 / fan_in)) in the default
+    element type.  The draw is made in blocks through one float64 work
+    buffer, each scaled and then converted, so the values are those of one
+    whole float64 draw times the scale.  With no `rng` the values are left
+    uninitialized, for a caller that overwrites every one."""
+    data = np.empty(shape, dtype=ad.default_dtype())
+    if rng is not None:
+        flat = data.reshape(-1)
+        scale = np.sqrt(2.0 / fan_in)
+        work = np.empty(min(INIT_BLOCK, flat.size))
+        for start in range(0, flat.size, INIT_BLOCK):
+            block = work[:min(INIT_BLOCK, flat.size - start)]
+            rng.standard_normal(out=block)
+            block *= scale
+            flat[start:start + block.size] = block
     return Tensor(data, requires_grad=True)
 
 
@@ -33,7 +51,7 @@ class Conv2dLayer:
     """2-D convolution with learnable kernel and per-output-channel bias."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0, *, rng: np.random.Generator):
+                 stride: int = 1, padding: int = 0, *, rng: np.random.Generator | None):
         if in_channels < 1 or out_channels < 1 or kernel_size < 1:
             raise ConfigError(
                 f"conv layer needs positive channels/kernel, got "
@@ -74,8 +92,9 @@ class BatchNorm2d:
         if self.mode == TRAIN:
             out, mean, var = ad.batch_norm2d_train(x, self.gamma, self.beta, BN_EPS)
             m = BN_MOMENTUM
-            self.running_mean = (1.0 - m) * self.running_mean + m * mean
-            self.running_var = (1.0 - m) * self.running_var + m * var
+            # in place: a held `state_tensors()` dict keeps seeing the stats
+            self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
+            self.running_var[...] = (1.0 - m) * self.running_var + m * var
             return out
         return ad.batch_norm2d_eval(x, self.gamma, self.beta,
                                     self.running_mean, self.running_var, BN_EPS)
@@ -90,7 +109,7 @@ class SEBlock:
     rescale each channel.  The two projections carry no bias terms."""
 
     def __init__(self, channels: int, reduction_ratio: int = 16, *,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         if reduction_ratio < 1:
             raise ConfigError(f"reduction ratio must be >= 1, got {reduction_ratio}")
         if channels % reduction_ratio != 0:
@@ -114,7 +133,7 @@ class ResidualBlock:
     """
 
     def __init__(self, in_channels: int, out_channels: int, stride: int = 1, *,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         if in_channels < 1 or out_channels < 1 or stride < 1:
             raise ConfigError(
                 f"residual block needs positive channels/stride, got "
@@ -148,7 +167,7 @@ class LinearLayer:
     """Dense projection with learnable weight and bias."""
 
     def __init__(self, in_features: int, out_features: int, *,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         if in_features < 1 or out_features < 1:
             raise ConfigError(
                 f"linear layer needs positive sizes, got {in_features}->{out_features}")

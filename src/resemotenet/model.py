@@ -124,9 +124,13 @@ class Logits:
 
 
 class ResEmoteNetModel:
-    """The assembled network.  Build with `build_model`; run with `forward`."""
+    """The assembled network.  Build with `build_model`; run with `forward`.
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    With ``rng=None`` the conv and linear weights are left uninitialized,
+    for a caller that overwrites every state tensor (`checkpoint.load`).
+    """
+
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         self.config = config
         self.stem: list[tuple[Conv2dLayer, BatchNorm2d]] = []
         cin = config.input_channels

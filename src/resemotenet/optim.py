@@ -106,16 +106,18 @@ def sgd_step(state: SgdState, params: list[tuple[str, Tensor]]) -> None:
     v <- momentum * v + grad; p <- p - lr * v.  Velocity buffers (zeros before
     the first step) and parameters are updated in place, one cache-sized
     block at a time, through one small work buffer; each element sees the
-    same operations in the same order as the whole-array formula.  Gradients
-    are consumed (cleared) so the next accumulation starts fresh."""
+    same operations in the same order as the whole-array formula.  A deferred
+    gradient (`autodiff.DeferredGrad`) is computed one row block at a time,
+    each block applied before the next is computed.  Gradients are consumed
+    (cleared) so the next accumulation starts fresh."""
     for name, p in params:
-        if p.grad is None:
+        if p._grad is None:
             raise OptimizerError(
                 f"parameter '{name}' has no gradient; run backward() before "
                 f"sgd_step")
     momentum, lr, decay = state.momentum, state.lr, state.weight_decay
     for name, p in params:
-        grad, p.grad = p.grad, None
+        grad, p._grad = p._grad, None
         # the flat views below must alias the buffers they update
         if not p.data.flags.c_contiguous:
             p.data = p.data.copy()
@@ -124,22 +126,24 @@ def sgd_step(state: SgdState, params: list[tuple[str, Tensor]]) -> None:
             v = state.velocity[name] = np.zeros_like(p.data)
         elif not v.flags.c_contiguous:
             v = state.velocity[name] = v.copy()
-        flat_p, flat_v, flat_g = p.data.reshape(-1), v.reshape(-1), grad.reshape(-1)
+        flat_p, flat_v = p.data.reshape(-1), v.reshape(-1)
+        pieces = (grad.blocks() if isinstance(grad, ad.DeferredGrad)
+                  else [(0, grad.reshape(-1))])
         work = np.empty(min(SGD_BLOCK, flat_p.size), dtype=v.dtype)
-        for start in range(0, flat_p.size, SGD_BLOCK):
-            pb = flat_p[start:start + SGD_BLOCK]
-            vb = flat_v[start:start + SGD_BLOCK]
-            gb = flat_g[start:start + SGD_BLOCK]
-            tmp = work[:pb.size]
-            vb *= momentum
-            if decay:
-                np.multiply(pb, decay, out=tmp)
-                np.add(gb, tmp, out=tmp)
-                vb += tmp
-            else:
-                vb += gb
-            np.multiply(vb, lr, out=tmp)
-            pb -= tmp
+        for offset, flat_g in pieces:
+            for start in range(0, flat_g.size, SGD_BLOCK):
+                gb = flat_g[start:start + SGD_BLOCK]
+                at = slice(offset + start, offset + start + gb.size)
+                pb, vb, tmp = flat_p[at], flat_v[at], work[:gb.size]
+                vb *= momentum
+                if decay:
+                    np.multiply(pb, decay, out=tmp)
+                    np.add(gb, tmp, out=tmp)
+                    vb += tmp
+                else:
+                    vb += gb
+                np.multiply(vb, lr, out=tmp)
+                pb -= tmp
 
 
 @dataclass

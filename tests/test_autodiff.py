@@ -412,6 +412,63 @@ class TestOnGrad:
             assert leaf.grad is None
 
 
+class TestDeferredConvWeightGrad:
+    """In a graph with ``on_grad`` a conv weight's gradient is handed over
+    as a `DeferredGrad`; reading ``.grad`` gives the plain backward's bits."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # two rows of a (C, 2, 3, 3) weight per block, one of a (C, 3, 3, 3)
+        monkeypatch.setattr(ad, "GRAD_BLOCK", 40)
+
+    def test_callback_sees_a_deferred_gradient_with_the_plain_bits(self):
+        plain = _small_leaves()
+        with Graph():
+            _small_net(*plain)[0].backward()
+        leaves = _small_leaves()
+        seen = {}
+
+        def on_grad(leaf):
+            seen[id(leaf)] = (type(leaf._grad), leaf.grad.copy())
+
+        with Graph(on_grad=on_grad):
+            _small_net(*leaves)[0].backward()
+        kind, grad = seen[id(leaves[1])]
+        assert kind is ad.DeferredGrad
+        assert grad.tobytes() == plain[1].grad.tobytes()
+
+    def test_blocks_cover_the_gradient_in_order(self):
+        r = np.random.default_rng(3)
+        go_t, patches = r.standard_normal((5, 8)), r.standard_normal((8, 18))
+        deferred = ad.DeferredGrad(go_t, patches, (5, 2, 3, 3), np.float64)
+        pieces = [(start, block.copy()) for start, block in deferred.blocks()]
+        assert [start for start, _ in pieces] == [0, 36, 72]
+        flat = np.concatenate([block for _, block in pieces])
+        assert flat.tobytes() == deferred.materialize().reshape(-1).tobytes()
+        npt.assert_allclose(flat.reshape(5, 18), go_t @ patches, rtol=1e-12)
+
+    def test_shared_weight_gets_the_summed_gradient_once(self):
+        r = np.random.default_rng(5)
+
+        def net(x, w):
+            a = ad.conv2d(x, w, None, stride=1, padding=1)
+            b = ad.conv2d(ad.relu(a), w, None, stride=1, padding=1)
+            return ad.tensor_sum(ad.mul(b, b))
+
+        x0, w0 = r.standard_normal((2, 3, 4, 4)), r.standard_normal((3, 3, 3, 3))
+        x, w = t(x0), t(w0)
+        with Graph():
+            net(x, w).backward()
+        calls = []
+        x2, w2 = t(x0), t(w0)
+        with Graph(on_grad=lambda leaf: calls.append((leaf, leaf.grad.copy()))):
+            net(x2, w2).backward()
+        got = dict((id(leaf), grad) for leaf, grad in calls)
+        assert len(calls) == 2
+        assert got[id(w2)].tobytes() == w.grad.tobytes()
+        assert got[id(x2)].tobytes() == x.grad.tobytes()
+
+
 def _leaf_fed_net():
     """Leaves fed straight into each op that hands gradients to its inputs;
     returns the scalar loss and every leaf."""

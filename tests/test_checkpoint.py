@@ -63,6 +63,19 @@ class TestRoundTrip:
         for name, v in optimizer.velocity.items():
             npt.assert_array_equal(loaded.optimizer.velocity[name], v)
 
+    def test_load_never_draws_initial_weights(self, tmp_path, monkeypatch):
+        model, optimizer, scheduler = trained_state()
+        path = tmp_path / "run.ckpt"
+        ckpt.save(model, optimizer, scheduler, epoch=7, path=path)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("checkpoint.load made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded = ckpt.load(path, expected_config=TINY)
+        for name, arr in model.state_tensors().items():
+            assert loaded.model.state_tensors()[name].tobytes() == arr.tobytes()
+
     def test_metadata_roundtrip(self, tmp_path):
         model, optimizer, scheduler = trained_state()
         path = tmp_path / "run.ckpt"

@@ -72,6 +72,20 @@ class TestConvBlock:
         npt.assert_allclose(bn.running_mean, 0.9 * 0.0 + 0.1 * batch_mean, atol=1e-12)
         npt.assert_allclose(bn.running_var, 0.9 * 1.0 + 0.1 * batch_var, atol=1e-12)
 
+    def test_running_stats_update_in_place_with_the_same_bits(self):
+        bn = BatchNorm2d(2)
+        bn.mode = layers.TRAIN
+        bn.running_mean[...] = [0.25, -1.5]
+        buffers = (bn.running_mean, bn.running_var)
+        m = layers.BN_MOMENTUM
+        x = Tensor(rng.standard_normal((3, 2, 4, 4)) + 3.0)
+        want_mean = (1.0 - m) * bn.running_mean + m * x.data.mean(axis=(0, 2, 3))
+        want_var = (1.0 - m) * bn.running_var + m * x.data.var(axis=(0, 2, 3))
+        bn.forward(x)
+        assert bn.running_mean is buffers[0] and bn.running_var is buffers[1]
+        assert bn.running_mean.tobytes() == want_mean.tobytes()
+        assert bn.running_var.tobytes() == want_var.tobytes()
+
     def test_eval_mode_does_not_touch_running_stats(self):
         bn = BatchNorm2d(2)
         bn.mode = layers.EVAL
@@ -292,3 +306,12 @@ class TestInitialization:
         npt.assert_array_equal(bn.beta.data, 0.0)
         npt.assert_array_equal(bn.running_mean, 0.0)
         npt.assert_array_equal(bn.running_var, 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_draw_equals_one_whole_draw(self, dtype):
+        shape = (3, layers.INIT_BLOCK // 2 + 5)  # two whole blocks and a part
+        with ad.using_dtype(dtype):
+            got = layers.he_normal(make_rng(4), shape, fan_in=27)
+        want = (make_rng(4).standard_normal(shape) * np.sqrt(2.0 / 27)).astype(dtype)
+        assert got.data.dtype == dtype and got.data.shape == shape
+        assert got.data.tobytes() == want.tobytes()

@@ -231,6 +231,20 @@ class TestStatePlumbing:
         assert "stem.0.bn.running_mean" in state
         assert "residual.0.bn_a.running_var" in state
 
+    def test_held_state_dict_follows_a_train_forward(self):
+        model = build_model(TINY)
+        held = model.state_tensors()
+        before = {k: v.copy() for k, v in held.items()}
+        model.forward(Tensor(rng.standard_normal((4, 3, 16, 16))), TRAIN)
+        now = model.state_tensors()
+        assert held.keys() == now.keys()
+        for name, arr in now.items():
+            assert held[name] is arr, name
+        for name, bn in model.batch_norms():
+            for stat in ("running_mean", "running_var"):
+                key = f"{name}.{stat}"
+                assert not np.array_equal(held[key], before[key]), key
+
     def test_load_state_round_trip(self):
         a = build_model(TINY)
         a.forward(Tensor(rng.standard_normal((4, 3, 16, 16))), TRAIN)  # move stats

@@ -1,5 +1,7 @@
 """Loss values, optimizer updates, and plateau schedule behavior."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +10,10 @@ from hypothesis import strategies as st
 
 from resemotenet import autodiff as ad
 from resemotenet.autodiff import Graph, Tensor
+from resemotenet.data import make_batches
 from resemotenet.errors import ConfigError, DataError, OptimizerError
+from resemotenet.layers import TRAIN
+from resemotenet.model import ModelConfig, build_model
 from resemotenet.optim import (
     LossValue,
     PlateauScheduler,
@@ -18,6 +23,8 @@ from resemotenet.optim import (
     sgd_step,
     softmax,
 )
+from resemotenet.synthetic import make_synthetic_manifest
+from resemotenet.training import train_one_epoch
 
 import oracles
 
@@ -273,6 +280,67 @@ class TestSgdInPlace:
         for name, p in params:
             assert _bits(loaded.optimizer.velocity[name]) == _bits(state.velocity[name])
             assert _bits(p.data) == _bits(dict(model.named_parameters())[name].data)
+
+
+#: its residual conv_b weight, 768x768x3x3, spans six row blocks of
+#: `autodiff.GRAD_BLOCK` elements; every activation is at most 8x8
+STREAMED = ModelConfig(input_channels=1, input_size=8, stem_channels=(4, 8, 16),
+                       se_reduction=4, residual_channels=((16, 768, 1),), seed=3)
+
+
+class TestStreamedWeightGradient:
+    """Training streams each conv weight gradient into `sgd_step` row block
+    by row block (`autodiff.DeferredGrad`)."""
+
+    @staticmethod
+    def _fixture():
+        return make_synthetic_manifest(per_class=1, size=8, channels=1, seed=8)
+
+    def test_steady_step_never_holds_a_whole_large_weight_gradient(self):
+        with ad.using_dtype(np.float32):
+            model = build_model(STREAMED)
+            weight = model.residuals[0].conv_b.weight
+            assert weight.size >= 4 * ad.GRAD_BLOCK
+            state = SgdState(lr=0.01, momentum=0.9, weight_decay=5e-4)
+            manifest, r = self._fixture(), np.random.default_rng(1)
+            # one step per epoch; the first allocates the velocity buffers
+            train_one_epoch(model, state, manifest, len(manifest), r, augment=False)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train_one_epoch(model, state, manifest, len(manifest), r, augment=False)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.5 * weight.data.nbytes, (peak, weight.data.nbytes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_equals_plain_backward_and_the_whole_array_formula(self, dtype, weight_decay,
+                                                               monkeypatch):
+        # a narrower net with smaller blocks, for speed: conv_b's 64x576
+        # gradient spans ten blocks of seven rows, the last of one row
+        monkeypatch.setattr(ad, "GRAD_BLOCK", 1 << 12)
+        config = ModelConfig(**{**STREAMED.__dict__, "residual_channels": ((16, 64, 1),)})
+        manifest = self._fixture()
+        runs = []
+        for streamed in (True, False):
+            with ad.using_dtype(dtype):
+                model = build_model(config)
+                state = SgdState(lr=0.01, momentum=0.9, weight_decay=weight_decay)
+                r = np.random.default_rng(2)
+                for _ in range(2):
+                    if streamed:
+                        train_one_epoch(model, state, manifest, 4, r, augment=False)
+                        continue
+                    for pixels, labels in make_batches(manifest, 4, r, shuffle=True):
+                        with Graph():
+                            logits = model.forward(pixels, mode=TRAIN)
+                            cross_entropy(logits, labels).loss.backward()
+                        _out_of_place_sgd_step(state, model.named_parameters())
+            runs.append(([(k, _bits(v)) for k, v in model.state_tensors().items()],
+                         sorted((k, _bits(v)) for k, v in state.velocity.items())))
+        assert runs[0] == runs[1]
 
 
 class TestPlateauScheduler:
