@@ -262,7 +262,8 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
         tensor.grad += grad  # a deferred first gradient is computed whole here
 
 
-#: elements per row block of a deferred gradient (4 MiB in float32)
+#: elements per block of a blocked kernel: the rows of a deferred gradient,
+#: the samples of a conv forward's patches (4 MiB in float32)
 GRAD_BLOCK = 1 << 20
 
 
@@ -381,24 +382,29 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
     out_h = _conv_output_extent(h, kh, stride, padding)
     out_w = _conv_output_extent(w, kw, stride, padding)
 
-    def padded() -> np.ndarray:
+    def padded(a: np.ndarray) -> np.ndarray:
         if padding == 0:
-            return x.data
-        x_pad = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
-        x_pad[:, :, padding:padding + h, padding:padding + w] = x.data
-        return x_pad
+            return a
+        a_pad = np.zeros((len(a), cin, h + 2 * padding, w + 2 * padding), dtype=a.dtype)
+        a_pad[:, :, padding:padding + h, padding:padding + w] = a
+        return a_pad
 
     x_pad_shape = (n, cin, h + 2 * padding, w + 2 * padding)
-    cols = _windows(padded(), kh, kw, stride, out_h, out_w).reshape(
-        n, -1, out_h * out_w)                                    # (N, CKK, L)
     w_mat = weight.data.reshape(cout, -1)                        # (Cout, CKK)
-    out_data = np.matmul(w_mat, cols).reshape(n, cout, out_h, out_w)
+    ckk, positions = w_mat.shape[1], out_h * out_w
+    out_data = np.empty((n, cout, out_h, out_w), dtype=np.result_type(w_mat, x.data))
+    out_rows = out_data.reshape(n, cout, positions)
+    # the patches of a few samples at a time, about GRAD_BLOCK elements, each
+    # block one per-sample GEMM; backward rebuilds what it needs from x
+    step = max(1, GRAD_BLOCK // (ckk * positions))
+    for s0 in range(0, n, step):
+        cols = _windows(padded(x.data[s0:s0 + step]), kh, kw, stride, out_h,
+                        out_w).reshape(-1, ckk, positions)       # (b, CKK, L)
+        np.matmul(w_mat, cols, out=out_rows[s0:s0 + step])
+        del cols  # before the next block is built
     if bias is not None:
         out_data += bias.data[None, :, None, None]
     out = Tensor(out_data, dtype=out_data.dtype)
-    # the patch matrix is large; rebuilding it from x at backward time keeps
-    # the tape's footprint at the activations themselves
-    del cols
 
     graph = active_graph()
 
@@ -419,7 +425,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
             _accumulate(x, gx_pad)
         if weight.requires_grad:
             # one GEMM over (batch, position): (Cout, N*L) @ (N*L, CKK)
-            patches = _windows(padded(), kh, kw, stride, out_h, out_w).transpose(
+            patches = _windows(padded(x.data), kh, kw, stride, out_h, out_w).transpose(
                 0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
             product = DeferredGrad(go.transpose(1, 0, 2).reshape(cout, -1), patches,
                                    weight.shape, weight.data.dtype)
@@ -432,9 +438,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
     return _finish("conv2d", inputs, out, backward_fn)
 
 
+def _window_taps(a: np.ndarray, k: int, stride: int, out_h: int,
+                 out_w: int) -> list[np.ndarray]:
+    """The k*k strided (N, C, out_h, out_w) views of `a` holding tap (i, j)
+    of every pooling window, in row-major window order (i * k + j)."""
+    span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+    return [a[:, :, i:i + span_h:stride, j:j + span_w:stride]
+            for i in range(k) for j in range(k)]
+
+
 def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
-    """k x k window maximum; gradient routes to each window's argmax
-    (first index in row-major window order on ties)."""
+    """k x k window maximum; gradient routes to each window's first maximum
+    in row-major window order (its first NaN, if it holds one)."""
     if x.data.ndim != 4:
         raise ShapeError(f"max_pool2d: input must be 4-D, got rank {x.data.ndim}")
     n, c, h, w = x.shape
@@ -442,24 +457,43 @@ def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
         raise ShapeError(f"max_pool2d: window {k}x{k} larger than input {h}x{w}")
     out_h = (h - k) // stride + 1
     out_w = (w - k) // stride + 1
-    sn, sc, sh, sw = x.data.strides
-    windows = as_strided(
-        x.data,
-        shape=(n, c, out_h, out_w, k, k),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    ).reshape(n, c, out_h, out_w, k * k)
-    argmax = windows.argmax(axis=-1)
-    out_data = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
-    # the tape keeps the window offset in the narrowest type that holds k*k - 1
-    argmax = argmax.astype(np.min_scalar_type(k * k - 1))
+    taps = _window_taps(x.data, k, stride, out_h, out_w)
+    out_data = taps[0].copy()
+    for tap in taps[1:]:
+        # the running maximum as the second operand: on a tie of -0.0 and
+        # +0.0 np.maximum returns it, so the first maximum's sign is kept (of
+        # two NaNs it returns the first operand, so the last NaN's bits)
+        np.maximum(tap, out_data, out=out_data)
     out = Tensor(out_data, dtype=out_data.dtype)
+    if active_graph() is not None and x.requires_grad:
+        # each window's first tap holding its maximum, or its first NaN (the
+        # maximum is then NaN and equals nothing), in the narrowest type that
+        # holds k*k - 1; plain ufuncs only, as masked writes are far slower
+        offset = np.zeros(out_data.shape, dtype=np.min_scalar_type(k * k - 1))
+        found = np.zeros(out_data.shape, dtype=bool)
+        for o, tap in enumerate(taps):
+            hit = tap == out_data
+            hit |= np.isnan(tap)
+            hit &= ~found
+            found |= hit
+            offset += hit * offset.dtype.type(o)
 
     def backward_fn(gout: np.ndarray) -> None:
-        if not x.requires_grad:
+        if stride >= k:
+            # windows do not overlap: each tap slice of the gradient is gout
+            # where that tap was the window's first maximum and +0.0 elsewhere,
+            # selected by masking gout's bits so a NaN or inf stays in place
+            bits = np.dtype(f"u{gout.itemsize}")
+            keep = np.empty(gout.shape, dtype=bits)
+            gx = np.zeros((n, c, h, w), dtype=gout.dtype)
+            for o, tap in enumerate(_window_taps(gx, k, stride, out_h, out_w)):
+                np.equal(offset, o, out=keep)
+                np.negative(keep, out=keep)  # 1 -> all bits set
+                np.bitwise_and(gout.view(bits), keep, out=tap.view(bits))
+            _accumulate(x, gx)
             return
-        rows = (np.arange(out_h) * stride)[None, None, :, None] + argmax // k
-        cols_ = (np.arange(out_w) * stride)[None, None, None, :] + argmax % k
+        rows = (np.arange(out_h) * stride)[None, None, :, None] + offset // k
+        cols_ = (np.arange(out_w) * stride)[None, None, None, :] + offset % k
         n_idx = np.arange(n)[:, None, None, None]
         c_idx = np.arange(c)[None, :, None, None]
         linear = ((n_idx * c + c_idx) * h + rows) * w + cols_
@@ -657,13 +691,29 @@ def tensor_sum(x: Tensor) -> Tensor:
 # Batch normalization
 # ---------------------------------------------------------------------------
 
+def _normalized(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray,
+                *affine: np.ndarray) -> np.ndarray:
+    """Per channel, ``(x - mean) * inv_std``, then times gamma plus beta when
+    `affine` is (gamma, beta): one new buffer, each op in place in that
+    order, with the element type of the expression written out."""
+    out = np.empty(x.shape, dtype=np.result_type(x, mean, inv_std, *affine))
+    np.subtract(x, mean[None, :, None, None], out=out)
+    out *= inv_std[None, :, None, None]
+    if affine:
+        gamma, beta = affine
+        out *= gamma[None, :, None, None]
+        out += beta[None, :, None, None]
+    return out
+
+
 def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
                        eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Normalize per channel with batch statistics over (N, H, W).
 
     Returns (output, batch_mean, batch_var); variance is the biased estimate
     and zero-variance channels are guarded by eps.  The backward pass accounts
-    for the dependence of the batch statistics on the input.
+    for the dependence of the batch statistics on the input, and recomputes
+    the normalized input from ``x.data`` rather than keeping it on the tape.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm2d: input must be 4-D, got rank {x.data.ndim}")
@@ -675,11 +725,11 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
     mean = x.data.mean(axis=(0, 2, 3))
     var = x.data.var(axis=(0, 2, 3))
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * x_hat + beta.data[None, :, None, None]
+    out_data = _normalized(x.data, mean, inv_std, gamma.data, beta.data)
     out = Tensor(out_data, dtype=out_data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
+        x_hat = _normalized(x.data, mean, inv_std)
         if gamma.requires_grad:
             _accumulate(gamma, (gout * x_hat).sum(axis=(0, 2, 3)))
         if beta.requires_grad:
@@ -688,9 +738,12 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
             t = gout * gamma.data[None, :, None, None]
             t_mean = t.sum(axis=(0, 2, 3)) / m
             tx_mean = (t * x_hat).sum(axis=(0, 2, 3)) / m
-            gx = inv_std[None, :, None, None] * (
-                t - t_mean[None, :, None, None] - x_hat * tx_mean[None, :, None, None])
-            _accumulate(x, gx)
+            # inv_std * (t - t_mean - x_hat * tx_mean), in place in t
+            t -= t_mean[None, :, None, None]
+            x_hat *= tx_mean[None, :, None, None]
+            t -= x_hat
+            t *= inv_std[None, :, None, None]
+            _accumulate(x, t)
 
     return _finish("batch_norm2d_train", (x, gamma, beta), out, backward_fn), mean, var
 
@@ -698,20 +751,24 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
 def batch_norm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                       running_mean: np.ndarray, running_var: np.ndarray,
                       eps: float) -> Tensor:
-    """Per-channel affine normalization with fixed running statistics."""
+    """Per-channel affine normalization with fixed running statistics.
+
+    The backward pass recomputes the normalized input from ``x.data`` and
+    the statistics as they were at the forward."""
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm2d: input must be 4-D, got rank {x.data.ndim}")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"batch_norm2d: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
+    mean = running_mean.copy()  # a train-mode forward updates the stats in place
     inv_std = 1.0 / np.sqrt(running_var + eps)
-    x_hat = (x.data - running_mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * x_hat + beta.data[None, :, None, None]
+    out_data = _normalized(x.data, mean, inv_std, gamma.data, beta.data)
     out = Tensor(out_data, dtype=out_data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         if gamma.requires_grad:
+            x_hat = _normalized(x.data, mean, inv_std)
             _accumulate(gamma, (gout * x_hat).sum(axis=(0, 2, 3)))
         if beta.requires_grad:
             _accumulate(beta, gout.sum(axis=(0, 2, 3)))

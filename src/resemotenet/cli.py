@@ -92,10 +92,14 @@ def cmd_train(args) -> int:
     # final report comes from the best checkpoint, not the last epoch
     with using_dtype(cfg.dtype):
         best_path = out_dir / BEST_CHECKPOINT
-        model = result.model
         if best_path.exists():
+            # release the trained model and its velocity before the load, so
+            # it does not hold a third copy of the parameters over them
+            result.model = result.optimizer = None
             model = checkpoint_io.load(
                 best_path, expected_config=cfg.model_config()).model
+        else:
+            model = result.model
         confusion = evaluate_model(model, eval_manifest)
     (out_dir / "confusion.txt").write_text(report_text(confusion),
                                            encoding="utf-8")

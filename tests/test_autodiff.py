@@ -48,6 +48,33 @@ class TestForwardAgainstOracles:
         want = oracles.conv2d_loops(x, w, None, stride=2, padding=0)
         npt.assert_allclose(got.data, want, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv2d_forward_blocks_match_one_block(self, monkeypatch, dtype):
+        r = np.random.default_rng(7)
+        x0, w0 = r.standard_normal((7, 2, 5, 5)), r.standard_normal((3, 2, 3, 3))
+        b0, c0 = r.standard_normal(3), r.standard_normal((7, 3, 5, 5))
+        windows = ad._windows
+        calls = []
+
+        def run(block):
+            monkeypatch.setattr(ad, "GRAD_BLOCK", block)
+            x, w, b = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x0, w0, b0))
+            calls.clear()
+            with Graph():
+                out = ad.conv2d(x, w, b, stride=1, padding=1)
+                blocks = len(calls)
+                ad.tensor_sum(ad.mul(out, Tensor(c0, dtype=dtype))).backward()
+            return blocks, [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)], out
+
+        monkeypatch.setattr(ad, "_windows", lambda *a: calls.append(1) or windows(*a))
+        # a sample's patches are (2*3*3) x (5*5) = 450 elements: 3 + 3 + 1 samples
+        blocks, blocked, out = run(3 * 450)
+        assert blocks == 3
+        assert run(1 << 20)[:2] == (1, blocked)
+        assert out.dtype == dtype
+        if dtype == np.float64:
+            npt.assert_allclose(out.data, oracles.conv2d_loops(x0, w0, b0, 1, 1), atol=1e-12)
+
     def test_max_pool_matches_loop_reference(self):
         x = rng.standard_normal((2, 3, 8, 8))
         got = ad.max_pool2d(t(x), k=2, stride=2)
@@ -159,6 +186,43 @@ class TestGradients:
         expected = np.zeros((1, 1, 2, 2))
         expected[0, 0, 0, 0] = 1.0  # row-major first among the tied maxima
         npt.assert_array_equal(x.grad, expected)
+
+    @staticmethod
+    def _pooled(rows, stride, weights):
+        """Forward and backward of sum(max_pool2d(x, 2, stride) * weights)
+        over a (1, 1, 2, W) input; the output's bits must not depend on
+        whether a graph records the op."""
+        x = Tensor(np.array([[rows]]), requires_grad=True)
+        with Graph():
+            out = ad.max_pool2d(x, 2, stride)
+            ad.tensor_sum(ad.mul(out, Tensor(np.array(weights).reshape(out.shape)))).backward()
+        assert ad.max_pool2d(Tensor(x.data), 2, stride).data.tobytes() == out.data.tobytes()
+        return out.data.reshape(-1), x.grad
+
+    def test_max_pool_nan_and_ties_route_to_the_first_hit(self):
+        nan = np.nan
+        # five side-by-side windows [a b; c d]: a NaN pair, NaN in the first
+        # slot, an equal-value tie, then -0.0/+0.0 ties each way round; an
+        # infinite upstream gradient reaches only its window's first NaN
+        out, grad = self._pooled([[1, nan, nan, 2, 2, 7, -0.0, 0.0, -1, 0.0],
+                                  [nan, 0.5, 3, nan, 7, 7, 0.0, -1, -0.0, -0.0]],
+                                 2, [10, np.inf, 30, 40, 50])
+        assert np.isnan(out[:2]).all()
+        npt.assert_array_equal(out[2:], [7, 0, 0])
+        assert np.signbit(out[2:]).tolist() == [False, True, False]
+        npt.assert_array_equal(grad, [[[[0, 10, np.inf, 0, 0, 30, 40, 0, 0, 50],
+                                        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]]])
+        assert not np.signbit(grad).any()
+
+    def test_max_pool_overlapping_windows_sum_at_the_first_hit(self):
+        nan = np.nan
+        out, grad = self._pooled([[1, nan, 3, -0.0, 0.0], [nan, 0.5, 2, 0.0, -0.0]],
+                                 1, [10, 20, 30, 40])
+        assert np.isnan(out[:2]).all()
+        npt.assert_array_equal(out[2:], [3, 0])
+        assert np.signbit(out[2:]).tolist() == [False, True]
+        npt.assert_array_equal(grad, [[[[0, 30, 30, 40, 0], [0, 0, 0, 0, 0]]]])
+        assert not np.signbit(grad).any()
 
     def test_global_avg_pool(self):
         x = t(rng.standard_normal((2, 3, 4, 4)))

@@ -2,7 +2,8 @@
 lines, artifacts on disk, and the prediction/eval equivalences.
 
 Everything here drives the real entry point in a subprocess so the printed
-output and exit codes are exactly what a shell user sees.
+output and exit codes are exactly what a shell user sees; the one test that
+measures the process's own memory calls `cli.main` in process.
 """
 
 import inspect
@@ -11,12 +12,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from resemotenet import checkpoint, cli
 from resemotenet.config import RunConfig
 from resemotenet.data import CLASS_NAMES, DatasetManifest, Sample
 from resemotenet.synthetic import (class_pattern, make_synthetic_manifest,
@@ -195,6 +198,37 @@ def test_epoch_line_is_machine_parseable(trained_run):
         match = EPOCH_LINE.match(line)
         assert match, line
         float(match.group(2)), float(match.group(3)), float(match.group(4))
+
+
+def test_final_report_loads_best_checkpoint_with_no_model_alive(dir_fixture, tmp_path,
+                                                               monkeypatch):
+    """The trained model and its velocity are released before `best.ckpt`
+    is loaded for the report, so the load does not stack a third copy of
+    the parameters on them."""
+    text = dir_fixture["cfg"].read_text()
+    assert "residual_channels = 8:8:1" in text
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(text.replace("residual_channels = 8:8:1", "residual_channels = 8:256:1"),
+                   encoding="utf-8")
+    load = checkpoint.load
+    seen = []
+
+    def spy(*args, **kwargs):
+        entered = tracemalloc.get_traced_memory()[0]
+        loaded = load(*args, **kwargs)
+        seen.append((entered, sum(p.data.nbytes for _, p in loaded.model.named_parameters())))
+        return loaded
+
+    monkeypatch.setattr(checkpoint, "load", spy)
+    tracemalloc.start()
+    try:
+        code = cli.main(["train", "--config", str(cfg), "--epochs", "1",
+                         "--out", str(tmp_path / "run")])
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    (entered, parameters), = seen
+    assert entered < parameters, f"{entered} bytes held at load, parameters {parameters}"
 
 
 def test_config_echo_shows_recipe_defaults():

@@ -1,5 +1,7 @@
 """End-to-end behavior of the assembled network and its configuration."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -277,3 +279,64 @@ class TestStatePlumbing:
             b.load_state(state)
         for name, arr in b.state_tensors().items():
             npt.assert_array_equal(arr, before[name], err_msg=name)
+
+
+# the default net's stem at a quarter of its width: the stem's first conv
+# output is the largest array a forward makes
+STEM_HEAVY = ModelConfig(input_channels=3, input_size=64, stem_channels=(16, 32, 64),
+                         se_reduction=4, residual_channels=((64, 64, 2),))
+
+
+class TestForwardMemory:
+    """tracemalloc guards on what a forward allocates; float32, batch 32."""
+
+    @pytest.fixture(scope="class")
+    def model_and_batch(self):
+        with ad.using_dtype("float32"):
+            model = build_model(STEM_HEAVY)
+            x = Tensor(np.random.default_rng(0).uniform(0, 1, (32, 3, 64, 64)))
+        largest = 32 * STEM_HEAVY.stem_channels[0] * 64 * 64 * 4
+        return model, x, largest
+
+    def test_eval_peak_is_at_most_two_and_a_half_stage_outputs(self, model_and_batch):
+        """Each stem kernel allocates its output plus at most a bounded
+        block: batch norm one buffer, pooling no window copy, conv its
+        patches a few samples at a time."""
+        model, x, largest = model_and_batch
+        with ad.using_dtype("float32"):
+            model.forward(x, EVAL)
+            tracemalloc.start()
+            try:
+                model.forward(x, EVAL)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.5 * largest, f"peak {peak / largest:.2f} x the largest output"
+
+    def test_train_tape_holds_outputs_and_pool_offsets_only(self, model_and_batch):
+        """Batch norm recomputes its normalized input in backward, so the
+        tape holds each op's output and a byte per pooled element, and no
+        second output-sized array per batch norm."""
+        model, x, _ = model_and_batch
+        with ad.using_dtype("float32"):
+            x = Tensor(x.data[:8])
+            tracemalloc.start()
+            try:
+                with ad.Graph() as graph:
+                    model.forward(x, TRAIN)
+                    retained = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        buffers = {id(owner(n.out.data)): owner(n.out.data) for n in graph.nodes}
+        outputs = sum(a.nbytes for a in buffers.values())
+        offsets = sum(n.out.data.size for n in graph.nodes if n.op == "max_pool2d")
+        bn_outputs = sum(n.out.data.nbytes for n in graph.nodes
+                         if n.op == "batch_norm2d_train")
+        extra = retained - outputs - offsets
+        assert extra < 0.5 * bn_outputs, f"{extra} bytes besides outputs, BN {bn_outputs}"

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resemotenet import training
+from resemotenet import autodiff, training
 from resemotenet.autodiff import Graph, Tensor, using_dtype
 from resemotenet.config import RunConfig
 from resemotenet.data import DatasetManifest
@@ -167,8 +167,12 @@ def test_benchmark_tracer_still_sees_the_optimizer_and_backward(monkeypatch):
     import spans
 
     tracer = spans.Tracer()
+    unpatched = {op: getattr(autodiff, op) for op in spans.KEY_OPS}
     tracer.install()
     try:
+        # the tracer wraps the public ops whose own code calls `_finish`
+        for op, fn in unpatched.items():
+            assert getattr(autodiff, op) is not fn, f"autodiff.{op} is not traced"
         with using_dtype("float32"):
             model = build_model(TINY_MODEL)
             training.train_one_epoch(model, SgdState(lr=0.01), _manifest(TINY_MODEL, 1),
