@@ -24,6 +24,18 @@ by row block and applies each block as it goes, so the whole gradient of
 a large kernel is never held; any other reader of ``Tensor.grad`` gets the
 full array, computed from the same blocks on first read.
 
+Forward buffers follow the same rule.  A public op never writes into its
+arguments' arrays (``grad_check`` perturbs leaves and re-runs ``f``), except
+where a caller hands one over with ``out=``: ``relu`` and ``add`` then write
+their result there, and ``batch_norm2d_eval`` normalizes in place when no
+graph records it (its backward reads its input) and the element type
+matches.  Only a caller that owns the array and knows nothing reads it
+again passes ``out``: ``layers`` hands over a batch norm's input (the conv
+output) and output (read by no backward, as batch norm recomputes x-hat
+from its input and ``add`` reads no data).  ``relu``'s backward then reads
+its own output as its input, and ``relu(x) > 0`` holds exactly where
+``x > 0`` does.
+
 Element type is a build-wide choice: float64 for verification (finite
 differences are unreliable in float32), float32 permitted for training speed.
 """
@@ -271,10 +283,14 @@ class DeferredGrad:
     """A weight gradient kept as the product ``go_t @ patches`` of a
     (rows, M) and an (M, cols) matrix, computed only when consumed.
 
-    ``blocks`` computes it a few rows at a time into one block buffer, so a
-    consumer that applies each block before taking the next never holds the
-    whole gradient; ``materialize`` fills one full array from the same
-    blocks, so both give the same bits.
+    ``go_t`` may also be a (rows, ...) array, a view included, whose rows
+    each hold M elements: ``conv2d`` passes the (Cout, N, L) transposed view
+    of its output gradient, and each row block is copied into (rows, M)
+    form only when its product is computed.  ``blocks`` computes the
+    product a few rows at a time into one block buffer, so a consumer that
+    applies each block before taking the next never holds the whole
+    gradient; ``materialize`` fills one full array from the same blocks, so
+    both give the same bits.
     """
 
     __slots__ = ("go_t", "patches", "shape", "dtype")
@@ -293,9 +309,10 @@ class DeferredGrad:
         rows = max(1, GRAD_BLOCK // cols)
         buf = np.empty((min(rows, n_rows), cols),
                        dtype=np.result_type(self.go_t, self.patches))
+        m = self.patches.shape[0]
         for r0 in range(0, n_rows, rows):
             block = buf[:min(rows, n_rows - r0)]
-            np.matmul(self.go_t[r0:r0 + rows], self.patches, out=block)
+            np.matmul(self.go_t[r0:r0 + rows].reshape(-1, m), self.patches, out=block)
             yield r0 * cols, _adopted(block, self.dtype).reshape(-1)
 
     def materialize(self) -> np.ndarray:
@@ -306,9 +323,14 @@ class DeferredGrad:
         return full
 
 
+def _records(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op over `inputs` is recorded on the active graph."""
+    return active_graph() is not None and any(t.requires_grad for t in inputs)
+
+
 def _finish(op: str, inputs: Sequence[Tensor], out: Tensor, backward_fn) -> Tensor:
     graph = active_graph()
-    if graph is not None and any(t.requires_grad for t in inputs):
+    if _records(inputs):
         out.requires_grad = True
         node = GraphNode(op, tuple(inputs), out, backward_fn, graph)
         graph.nodes.append(node)
@@ -338,16 +360,15 @@ def _windows(x_pad: np.ndarray, kh: int, kw: int, stride: int, out_h: int,
     )
 
 
-def _col2im(cols: np.ndarray, x_pad_shape: tuple, kh: int, kw: int, stride: int,
-            out_h: int, out_w: int) -> np.ndarray:
-    """Scatter-add (N, C*kh*kw, L) columns back onto the padded input grid."""
-    n, c, hp, wp = x_pad_shape
-    grad = np.zeros(x_pad_shape, dtype=cols.dtype)
+def _col2im(cols: np.ndarray, grad: np.ndarray, kh: int, kw: int, stride: int,
+            out_h: int, out_w: int) -> None:
+    """Scatter-add (N, C*kh*kw, L) columns onto `grad`, the zeroed
+    (N, C, Hp, Wp) padded input grid."""
+    n, c = grad.shape[:2]
     cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
     for i in range(kh):
         for j in range(kw):
             grad[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += cols6[:, :, i, j]
-    return grad
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
@@ -389,13 +410,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
         a_pad[:, :, padding:padding + h, padding:padding + w] = a
         return a_pad
 
-    x_pad_shape = (n, cin, h + 2 * padding, w + 2 * padding)
     w_mat = weight.data.reshape(cout, -1)                        # (Cout, CKK)
     ckk, positions = w_mat.shape[1], out_h * out_w
     out_data = np.empty((n, cout, out_h, out_w), dtype=np.result_type(w_mat, x.data))
     out_rows = out_data.reshape(n, cout, positions)
     # the patches of a few samples at a time, about GRAD_BLOCK elements, each
-    # block one per-sample GEMM; backward rebuilds what it needs from x
+    # block one per-sample GEMM; backward rebuilds what it needs from x, and
+    # builds the input gradient's columns in the same sample blocks
     step = max(1, GRAD_BLOCK // (ckk * positions))
     for s0 in range(0, n, step):
         cols = _windows(padded(x.data[s0:s0 + step]), kh, kw, stride, out_h,
@@ -408,26 +429,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
 
     graph = active_graph()
 
+    def input_grad(go: np.ndarray) -> np.ndarray:
+        """The (N, Cin, H, W) input gradient, its columns computed for the
+        forward's sample blocks in turn, each scattered onto that block's
+        padded grid and cropped into one array."""
+        gx = np.zeros(x.shape, dtype=go.dtype)
+        for s0 in range(0, n, step):
+            cols = np.matmul(w_mat.T, go[s0:s0 + step])         # (b, CKK, L)
+            g = gx[s0:s0 + step]
+            g_pad = g if padding == 0 else np.zeros(
+                (len(g), cin, h + 2 * padding, w + 2 * padding), dtype=go.dtype)
+            _col2im(cols, g_pad, kh, kw, stride, out_h, out_w)
+            if padding > 0:
+                g[...] = g_pad[:, :, padding:padding + h, padding:padding + w]
+        return gx
+
     def backward_fn(gout: np.ndarray) -> None:
         go = gout.reshape(n, cout, out_h * out_w)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, gout.sum(axis=(0, 2, 3)))
-        # the input gradient first: its column matrix is freed before the
+        # the input gradient first: its last column block is gone before the
         # weight gradient's patches are built
         if x.requires_grad:
-            grad_cols = np.matmul(w_mat.T, go)
-            gx_pad = _col2im(grad_cols, x_pad_shape, kh, kw, stride, out_h, out_w)
-            del grad_cols
-            if padding > 0:
-                # contiguous: its readers run faster on it than on the view (measured)
-                gx_pad = np.ascontiguousarray(
-                    gx_pad[:, :, padding:padding + h, padding:padding + w])
-            _accumulate(x, gx_pad)
+            _accumulate(x, input_grad(go))
         if weight.requires_grad:
-            # one GEMM over (batch, position): (Cout, N*L) @ (N*L, CKK)
+            # one GEMM over (batch, position): (Cout, N*L) @ (N*L, CKK), the
+            # output gradient kept as its (Cout, N, L) view
             patches = _windows(padded(x.data), kh, kw, stride, out_h, out_w).transpose(
                 0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
-            product = DeferredGrad(go.transpose(1, 0, 2).reshape(cout, -1), patches,
+            product = DeferredGrad(go.transpose(1, 0, 2), patches,
                                    weight.shape, weight.data.dtype)
             if graph.on_grad is not None and weight._grad is None:
                 weight._grad = product  # the optimizer streams it in row blocks
@@ -587,8 +617,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _finish("linear", inputs, out, backward_fn)
 
 
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0), dtype=x.data.dtype)
+def relu(x: Tensor, *, out: np.ndarray | None = None) -> Tensor:
+    """max(x, 0), written into `out` when the caller hands over x's own
+    array (see the module docstring); backward reads only where the result
+    is positive, which is where x is."""
+    out = Tensor(np.maximum(x.data, 0, out=out), dtype=x.data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         if x.requires_grad:
@@ -618,10 +651,12 @@ def sigmoid(x: Tensor) -> Tensor:
     return _finish("sigmoid", (x,), out, backward_fn)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, *, out: np.ndarray | None = None) -> Tensor:
+    """a + b, written into `out` when a caller hands one over; backward
+    reads no data."""
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data + b.data, dtype=a.data.dtype)
+    out = Tensor(np.add(a.data, b.data, out=out), dtype=a.data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         _accumulate(a, gout)
@@ -692,11 +727,14 @@ def tensor_sum(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _normalized(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray,
-                *affine: np.ndarray) -> np.ndarray:
+                *affine: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per channel, ``(x - mean) * inv_std``, then times gamma plus beta when
-    `affine` is (gamma, beta): one new buffer, each op in place in that
-    order, with the element type of the expression written out."""
-    out = np.empty(x.shape, dtype=np.result_type(x, mean, inv_std, *affine))
+    `affine` is (gamma, beta): one buffer, each op in place in that order,
+    with the element type of the expression written out.  The buffer is
+    `out` (x itself, say) when given in that type, else a new one."""
+    dtype = np.result_type(x, mean, inv_std, *affine)
+    if out is None or out.dtype != dtype:
+        out = np.empty(x.shape, dtype=dtype)
     np.subtract(x, mean[None, :, None, None], out=out)
     out *= inv_std[None, :, None, None]
     if affine:
@@ -735,7 +773,8 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
         if beta.requires_grad:
             _accumulate(beta, gout.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            t = gout * gamma.data[None, :, None, None]
+            t = gout  # handed over to this op alone, and read above for the last time
+            t *= gamma.data[None, :, None, None]
             t_mean = t.sum(axis=(0, 2, 3)) / m
             tx_mean = (t * x_hat).sum(axis=(0, 2, 3)) / m
             # inv_std * (t - t_mean - x_hat * tx_mean), in place in t
@@ -750,11 +789,14 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
 
 def batch_norm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                       running_mean: np.ndarray, running_var: np.ndarray,
-                      eps: float) -> Tensor:
+                      eps: float, *, out: np.ndarray | None = None) -> Tensor:
     """Per-channel affine normalization with fixed running statistics.
 
     The backward pass recomputes the normalized input from ``x.data`` and
-    the statistics as they were at the forward."""
+    the statistics as they were at the forward.  So a caller may hand over
+    ``x.data`` as `out`, but it is written only when no graph records the
+    op (eval and ``predict``) and already has the result's element type;
+    otherwise the result is a new array."""
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm2d: input must be 4-D, got rank {x.data.ndim}")
     c = x.shape[1]
@@ -763,7 +805,9 @@ def batch_norm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
             f"batch_norm2d: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
     mean = running_mean.copy()  # a train-mode forward updates the stats in place
     inv_std = 1.0 / np.sqrt(running_var + eps)
-    out_data = _normalized(x.data, mean, inv_std, gamma.data, beta.data)
+    inputs = (x, gamma, beta)
+    out_data = _normalized(x.data, mean, inv_std, gamma.data, beta.data,
+                           out=None if _records(inputs) else out)
     out = Tensor(out_data, dtype=out_data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
@@ -775,7 +819,7 @@ def batch_norm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
         if x.requires_grad:
             _accumulate(x, gout * (gamma.data * inv_std)[None, :, None, None])
 
-    return _finish("batch_norm2d_eval", (x, gamma, beta), out, backward_fn)
+    return _finish("batch_norm2d_eval", inputs, out, backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,8 @@ def _read_tensor(fh, payload_start: int, entry: dict, dest: np.ndarray,
         dest[...] = buf
 
 
-def load(path, expected_config: ModelConfig | None = None) -> LoadedCheckpoint:
+def load(path, expected_config: ModelConfig | None = None, *,
+         model_only: bool = False) -> LoadedCheckpoint:
     """Read a checkpoint back into a freshly built model plus training state.
 
     When `expected_config` is given, every architecture field must match the
@@ -309,17 +310,20 @@ def load(path, expected_config: ModelConfig | None = None) -> LoadedCheckpoint:
     drawn, only allocated.  Tensors then stream straight into the model's
     own arrays (velocity into fresh ones, in the parameter's dtype), each
     CRC-checked as it lands; no model is returned unless every check passes.
+
+    With `model_only` (inference) the velocity is seeked past, unread and
+    so not CRC-checked, and `optimizer` and `scheduler` are None.
     """
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            return _load_from(fh, path, expected_config)
+            return _load_from(fh, path, expected_config, model_only)
     except OSError as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from None
 
 
-def _load_from(fh, path: Path,
-               expected_config: ModelConfig | None) -> LoadedCheckpoint:
+def _load_from(fh, path: Path, expected_config: ModelConfig | None,
+               model_only: bool) -> LoadedCheckpoint:
     preamble = fh.read(16)
     if len(preamble) < 16 or preamble[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (magic mismatch)")
@@ -379,10 +383,14 @@ def _load_from(fh, path: Path,
             f"{path}: missing model tensors: {sorted(missing)[:3]}"
             + ("..." if len(missing) > 3 else ""))
 
+    if model_only:
+        optimizer = scheduler = None
     for entry in directory:
         name = entry["name"]
         dest = slots[name]
         if name.startswith("velocity."):
+            if model_only:
+                continue
             dest = optimizer.velocity[name[len("velocity."):]] = np.empty_like(dest)
         _read_tensor(fh, payload_start, entry, dest, path)
 

@@ -120,8 +120,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, _overrides_from(args))
-    loaded = checkpoint_io.load(args.checkpoint)
-    model = loaded.model
+    model = checkpoint_io.load(args.checkpoint, model_only=True).model
     geometry = model.config
     manifest = _load_split(cfg.dataset, cfg.data_root, args.split,
                            geometry.input_size, geometry.input_channels)
@@ -139,8 +138,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    loaded = checkpoint_io.load(args.checkpoint)
-    model = loaded.model
+    model = checkpoint_io.load(args.checkpoint, model_only=True).model
     geometry = model.config
     sample = load_single_image(args.image, geometry.input_size,
                                geometry.input_channels)

@@ -88,7 +88,9 @@ class BatchNorm2d:
         self.running_var = np.ones(channels, dtype=ad.default_dtype())
         self.mode = TRAIN
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, *, out: np.ndarray | None = None) -> Tensor:
+        """`out`, x's own array handed over by a caller that reads x no
+        more, goes to `batch_norm2d_eval`; train mode makes a new output."""
         if self.mode == TRAIN:
             out, mean, var = ad.batch_norm2d_train(x, self.gamma, self.beta, BN_EPS)
             m = BN_MOMENTUM
@@ -97,7 +99,7 @@ class BatchNorm2d:
             self.running_var[...] = (1.0 - m) * self.running_var + m * var
             return out
         return ad.batch_norm2d_eval(x, self.gamma, self.beta,
-                                    self.running_mean, self.running_var, BN_EPS)
+                                    self.running_mean, self.running_var, BN_EPS, out=out)
 
     def named_parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -182,8 +184,14 @@ class LinearLayer:
 
 
 def conv_block_forward(layer: Conv2dLayer, bn: BatchNorm2d, x: Tensor) -> Tensor:
-    """relu(bn(conv(x))) — the repeated unit of the feature-extraction stem."""
-    return ad.relu(bn.forward(layer.forward(x)))
+    """relu(bn(conv(x))) — the repeated unit of the feature-extraction stem.
+
+    The conv and BN outputs are this function's own and nothing reads them
+    afterwards, so each is handed over: eval BN may normalize in the conv
+    output, and ReLU writes over the BN output."""
+    h = layer.forward(x)
+    h = bn.forward(h, out=h.data)
+    return ad.relu(h, out=h.data)
 
 
 def se_forward(se: SEBlock, x: Tensor) -> Tensor:
@@ -201,11 +209,17 @@ def se_forward(se: SEBlock, x: Tensor) -> Tensor:
 
 
 def residual_forward(block: ResidualBlock, x: Tensor) -> Tensor:
-    """relu(H(x) + shortcut(x)) with H = bn_b(conv_b(relu(bn_a(conv_a(x)))))."""
-    h = ad.relu(block.bn_a.forward(block.conv_a.forward(x)))
-    h = block.bn_b.forward(block.conv_b.forward(h))
+    """relu(H(x) + shortcut(x)) with H = bn_b(conv_b(relu(bn_a(conv_a(x))))).
+
+    As in `conv_block_forward`, each conv and BN output is handed over to
+    the op after it; the sum is written over H's output, never over x."""
+    h = conv_block_forward(block.conv_a, block.bn_a, x)
+    h = block.conv_b.forward(h)
+    h = block.bn_b.forward(h, out=h.data)
     if block.shortcut_conv is not None:
-        shortcut = block.shortcut_bn.forward(block.shortcut_conv.forward(x))
+        shortcut = block.shortcut_conv.forward(x)
+        shortcut = block.shortcut_bn.forward(shortcut, out=shortcut.data)
     else:
         shortcut = x
-    return ad.relu(ad.add(h, shortcut))
+    h = ad.add(h, shortcut, out=h.data)
+    return ad.relu(h, out=h.data)

@@ -4,6 +4,8 @@ Forward values are checked against the loop oracles in oracles.py; gradients
 are checked against central finite differences via the built-in checker.
 """
 
+import contextlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -358,6 +360,51 @@ def _small_leaves():
     r = np.random.default_rng(7)
     return (t(r.standard_normal((2, 2, 4, 4))), t(r.standard_normal((3, 2, 3, 3))),
             t(r.standard_normal(3)), t(r.standard_normal((5, 12))))
+
+
+class TestHandOverBuffers:
+    """Only an array handed over with ``out=`` is ever written by a forward."""
+
+    def _inputs(self):
+        r = np.random.default_rng(13)
+        x, y = t(r.standard_normal((2, 3, 4, 4))), t(r.standard_normal((2, 3, 4, 4)))
+        gamma, beta = t(r.uniform(0.5, 1.5, 3)), t(r.standard_normal(3))
+        stats = r.standard_normal(3), r.uniform(0.5, 2.0, 3)
+        return x, y, gamma, beta, stats
+
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_calls_without_out_leave_their_inputs_untouched(self, graph):
+        x, y, gamma, beta, (mean, var) = self._inputs()
+        arrays = [x.data, y.data, gamma.data, beta.data, mean, var]
+        before = [a.tobytes() for a in arrays]
+        with Graph() if graph else contextlib.nullcontext():
+            outs = [ad.relu(x), ad.add(x, y),
+                    ad.batch_norm2d_eval(x, gamma, beta, mean, var, 1e-5)]
+        assert [a.tobytes() for a in arrays] == before
+        for out in outs:
+            assert not any(np.shares_memory(out.data, a) for a in arrays)
+
+    def test_relu_and_add_write_into_out(self):
+        x, y, *_ = self._inputs()
+        want_sum, want_relu = x.data + y.data, np.maximum(x.data + y.data, 0)
+        s = ad.add(x, y, out=x.data)
+        assert s.data is x.data and s.data.tobytes() == want_sum.tobytes()
+        r = ad.relu(s, out=s.data)
+        assert r.data is x.data and r.data.tobytes() == want_relu.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_batch_norm_writes_out_only_when_unrecorded(self, dtype):
+        x, _, gamma, beta, (mean, var) = self._inputs()
+        x = Tensor(x.data, requires_grad=True, dtype=dtype)
+        want = ad.batch_norm2d_eval(x, gamma, beta, mean, var, 1e-5)
+        kept = x.data.copy()
+        with Graph():
+            recorded = ad.batch_norm2d_eval(x, gamma, beta, mean, var, 1e-5, out=x.data)
+        assert x.data.tobytes() == kept.tobytes()  # its backward reads x
+        got = ad.batch_norm2d_eval(x, gamma, beta, mean, var, 1e-5, out=x.data)
+        # float32 input, float64 statistics: a float64 result, in a new array
+        assert (got.data is x.data) == (dtype == np.float64)
+        assert got.data.tobytes() == recorded.data.tobytes() == want.data.tobytes()
 
 
 class TestTapeRelease:

@@ -138,6 +138,24 @@ class TestIntegrity:
         with pytest.raises(CheckpointError, match="checksum mismatch"):
             ckpt.load(path, TINY)
 
+    def test_model_only_load_seeks_past_the_velocity_unchecked(self, tmp_path):
+        model, optimizer, scheduler = trained_state()
+        path = tmp_path / "run.ckpt"
+        ckpt.save(model, optimizer, scheduler, 1, path)
+        blob = bytearray(path.read_bytes())
+        header_len = struct.unpack("<Q", bytes(blob[8:16]))[0]
+        header = json.loads(blob[16:16 + header_len].decode())
+        entry = next(e for e in header["tensors"] if e["name"].startswith("velocity."))
+        blob[16 + header_len + entry["offset"]] ^= 0xFF  # corrupt one velocity byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum mismatch for tensor "
+                                                  f"'{entry['name']}'"):
+            ckpt.load(path, TINY)
+        loaded = ckpt.load(path, TINY, model_only=True)
+        assert loaded.optimizer is None and loaded.scheduler is None
+        for name, arr in model.state_tensors().items():
+            assert loaded.model.state_tensors()[name].tobytes() == arr.tobytes(), name
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + bytes(32))
@@ -460,6 +478,15 @@ class TestStreamingMemory:
         _, alloc = _traced_alloc(
             lambda: ckpt.save(model, optimizer, PlateauScheduler(), 1, path))
         assert alloc <= 0.1 * path.stat().st_size
+
+    def test_model_only_load_allocates_about_the_model_size(self, fer48_state):
+        model, optimizer, path = fer48_state
+        ckpt.save(model, optimizer, PlateauScheduler(), 1, path)
+        model_bytes = sum(a.nbytes for a in model.state_tensors().values())
+        with using_dtype(np.float32):
+            _, alloc = _traced_alloc(lambda: ckpt.load(path, FER48, model_only=True))
+        # the file holds the model and a velocity about as large
+        assert alloc <= 1.25 * model_bytes < 0.7 * path.stat().st_size
 
     def test_load_allocates_about_the_file_size(self, fer48_state):
         model, optimizer, path = fer48_state

@@ -20,8 +20,11 @@ import numpy as np
 import pytest
 
 from resemotenet import checkpoint, cli
+from resemotenet.autodiff import using_dtype
 from resemotenet.config import RunConfig
 from resemotenet.data import CLASS_NAMES, DatasetManifest, Sample
+from resemotenet.model import ModelConfig, ResEmoteNetModel, build_model
+from resemotenet.optim import PlateauScheduler, SgdState
 from resemotenet.synthetic import (class_pattern, make_synthetic_manifest,
                                    write_fer_csv, write_pixmap_dir)
 
@@ -229,6 +232,39 @@ def test_final_report_loads_best_checkpoint_with_no_model_alive(dir_fixture, tmp
     assert code == 0
     (entered, parameters), = seen
     assert entered < parameters, f"{entered} bytes held at load, parameters {parameters}"
+
+
+def test_predict_forward_starts_with_one_copy_of_the_parameters(dir_fixture, tmp_path,
+                                                              monkeypatch):
+    """`predict` loads only the model: a training checkpoint's velocity is
+    not read, and nothing but the model outlives the load."""
+    config = ModelConfig(input_size=16, stem_channels=(4, 8, 8), se_reduction=4,
+                         residual_channels=((8, 256, 1),), seed=9)
+    with using_dtype("float32"):
+        model = build_model(config)
+    optimizer = SgdState(lr=0.01, momentum=0.9)
+    optimizer.velocity = {name: np.ones_like(p.data) for name, p in model.named_parameters()}
+    path = tmp_path / "train.ckpt"
+    checkpoint.save(model, optimizer, PlateauScheduler(), 1, path)
+    del model, optimizer
+    forward = ResEmoteNetModel.forward
+    seen = []
+
+    def spy(self, *args, **kwargs):
+        seen.append((tracemalloc.get_traced_memory()[0],
+                     sum(p.data.nbytes for _, p in self.named_parameters())))
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResEmoteNetModel, "forward", spy)
+    tracemalloc.start()
+    try:
+        code = cli.main(["predict", str(_one_image(dir_fixture)), "--checkpoint", str(path)])
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    (entered, parameters), = seen
+    # 1.05x here; 2.01x when the velocity was read as well
+    assert entered <= 1.25 * parameters, f"{entered / parameters:.2f} x the parameters"
 
 
 def test_config_echo_shows_recipe_defaults():

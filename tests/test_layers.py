@@ -1,6 +1,8 @@
 """Behavioral tests for the architectural units: conv+BN blocks, the
 channel-attention gate, residual blocks, and the classifier head."""
 
+import contextlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -315,3 +317,93 @@ class TestInitialization:
         want = (make_rng(4).standard_normal(shape) * np.sqrt(2.0 / 27)).astype(dtype)
         assert got.data.dtype == dtype and got.data.shape == shape
         assert got.data.tobytes() == want.tobytes()
+
+
+def _out_of_place_block(conv, bn, x):
+    return ad.relu(bn.forward(conv.forward(x)))
+
+
+def _out_of_place_residual(block, x):
+    h = ad.relu(block.bn_a.forward(block.conv_a.forward(x)))
+    h = block.bn_b.forward(block.conv_b.forward(h))
+    shortcut = x
+    if block.shortcut_conv is not None:
+        shortcut = block.shortcut_bn.forward(block.shortcut_conv.forward(x))
+    return ad.relu(ad.add(h, shortcut))
+
+
+class TestHandOver:
+    """`conv_block_forward` and `residual_forward` hand their conv and BN
+    outputs over to the op after them; every output and gradient keeps the
+    bits of the out-of-place composition."""
+
+    CASES = [(layers.TRAIN, True), (layers.EVAL, True), (layers.EVAL, False)]
+
+    def _units(self, kind, dtype):
+        """The layers under test, with BN stats and affine moved off their
+        defaults, and their (name, layer) pairs."""
+        with ad.using_dtype(dtype):
+            if kind == "block":
+                conv, bn = Conv2dLayer(3, 4, 3, padding=1, rng=make_rng(21)), BatchNorm2d(4)
+                units, named = (conv, bn), [("conv", conv), ("bn", bn)]
+            else:
+                stride, cout = (2, 6) if kind == "projecting" else (1, 3)
+                block = ResidualBlock(3, cout, stride, rng=make_rng(23))
+                units, named = (block,), block.layers()
+        r = make_rng(24)
+        for _, bn in named:
+            if isinstance(bn, BatchNorm2d):
+                c = bn.running_mean.size
+                bn.running_mean[...] = r.standard_normal(c)
+                bn.running_var[...] = r.uniform(0.5, 2.0, c)
+                bn.gamma.data[...] = r.uniform(0.5, 1.5, c)
+                bn.beta.data[...] = r.standard_normal(c)
+        return units, named
+
+    def _run(self, kind, dtype, mode, graph, handed_over):
+        units, named = self._units(kind, dtype)
+        for _, layer in named:
+            if isinstance(layer, BatchNorm2d):
+                layer.mode = mode
+        r = make_rng(25)
+        x = Tensor(r.standard_normal((3, 3, 6, 6)), requires_grad=True, dtype=dtype)
+        if kind == "block":
+            fn = conv_block_forward if handed_over else _out_of_place_block
+        else:
+            fn = residual_forward if handed_over else _out_of_place_residual
+        if not graph:
+            out = fn(*units, x)
+            return [out.data.tobytes()], out
+        with Graph():
+            out = fn(*units, x)
+            c = Tensor(r.standard_normal(out.shape), dtype=dtype)
+            ad.tensor_sum(ad.mul(out, c)).backward()
+        params = [t for _, layer in named for _, t in layer.named_parameters()]
+        stats = [getattr(layer, s) for _, layer in named if isinstance(layer, BatchNorm2d)
+                 for s in ("running_mean", "running_var")]
+        return [a.tobytes() for a in [out.data, x.grad]
+                + [p.grad for p in params] + stats], out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode,graph", CASES)
+    @pytest.mark.parametrize("kind", ["block", "projecting", "identity"])
+    def test_bits_equal_the_out_of_place_composition(self, kind, mode, graph, dtype):
+        got, out = self._run(kind, dtype, mode, graph, handed_over=True)
+        want, _ = self._run(kind, dtype, mode, graph, handed_over=False)
+        assert out.data.dtype == dtype
+        assert got == want
+
+    @pytest.mark.parametrize("mode,graph", CASES)
+    def test_only_an_unrecorded_block_keeps_one_buffer(self, monkeypatch, mode, graph):
+        """With no graph recording, BN and ReLU write in the conv output;
+        a recorded BN keeps the conv output for its backward."""
+        convs = []
+        forward = Conv2dLayer.forward
+        monkeypatch.setattr(Conv2dLayer, "forward",
+                            lambda self, x: convs.append(forward(self, x)) or convs[-1])
+        (conv, bn), _ = self._units("block", np.float64)
+        bn.mode = mode
+        x = Tensor(make_rng(26).standard_normal((2, 3, 6, 6)), requires_grad=True)
+        with Graph() if graph else contextlib.nullcontext():
+            out = conv_block_forward(conv, bn, x)
+        assert (out.data is convs[0].data) == (not graph)

@@ -1,6 +1,9 @@
 """The training step: optimizer inside backward, its memory, divergence stops
 and the names the benchmark's tracer patches."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -190,3 +193,59 @@ def test_benchmark_tracer_still_sees_the_optimizer_and_backward(monkeypatch):
         assert tracer.spans[tracer.spans[index].parent].name == "autodiff.backward"
     metrics = spans.per_layer_metrics(tracer)
     assert metrics["optim.sgd_step_ms"] > 0 and metrics["autodiff.backward_ms"] > 0
+
+
+#: run in a fresh interpreter per OpenBLAS thread count: two training steps
+#: (weight decay on) and an eval forward of a small net whose stem GEMMs are
+#: large enough to be split across threads, in float32 and float64; prints
+#: the thread count OpenBLAS reports (None if it cannot be asked) and one
+#: sha256 over the losses, parameters, BN stats, velocity and logits
+THREAD_SCRIPT = """
+import ctypes, hashlib
+from pathlib import Path
+import numpy as np
+from resemotenet import autodiff as ad, training
+from resemotenet.layers import EVAL
+from resemotenet.model import ModelConfig, build_model
+from resemotenet.optim import SgdState
+from resemotenet.synthetic import make_synthetic_manifest
+
+threads = None
+for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if fn is not None:
+            threads = fn()
+config = ModelConfig(input_size=32, stem_channels=(16, 32, 32), se_reduction=4,
+                     residual_channels=((32, 64, 2),), seed=3)
+digest = hashlib.sha256()
+for dtype in ("float32", "float64"):
+    with ad.using_dtype(dtype):
+        model = build_model(config)
+        optimizer = SgdState(lr=0.01, momentum=0.9, weight_decay=5e-4)
+        manifest = make_synthetic_manifest(per_class=2, size=32, seed=4, num_classes=4)
+        loss = training.train_one_epoch(model, optimizer, manifest, 4,
+                                        np.random.default_rng(5), True)
+        logits = model.forward(ad.Tensor(np.stack([s.pixels for s in manifest.samples])),
+                               EVAL).values.data
+    state = model.state_tensors()
+    for a in ([np.float64(loss), logits] + [state[k] for k in sorted(state)]
+              + [optimizer.velocity[k] for k in sorted(optimizer.velocity)]):
+        digest.update(a.tobytes())
+print(threads, digest.hexdigest())
+"""
+
+
+def test_training_and_eval_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    results = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        reported, digest = done.stdout.split()
+        assert reported in (threads, "None")
+        results.append(digest)
+    assert results[0] == results[1]
