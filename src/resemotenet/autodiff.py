@@ -36,6 +36,15 @@ from its input and ``add`` reads no data).  ``relu``'s backward then reads
 its own output as its input, and ``relu(x) > 0`` holds exactly where
 ``x > 0`` does.
 
+Windowed kernels reach a kernel tap one way: ``_windows`` gives, for each
+tap (i, j) of a kh x kw window, the plain basic slice of an (N, C, H, W)
+array that holds that tap of every window, in row-major tap order.  Reads
+copy or compare through these slices (``conv2d``'s patches, ``max_pool2d``'s
+running maximum).  Writes go through one tap at a time, so no numpy call
+writes an element twice: the conv input gradient adds each tap's columns in
+turn, and max-pool's gradient writes each tap's share where windows are
+disjoint and adds it, last tap first, where they overlap.
+
 Element type is a build-wide choice: float64 for verification (finite
 differences are unreliable in float32), float32 permitted for training speed.
 """
@@ -46,7 +55,6 @@ import contextlib
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import GraphError, ShapeError
 
@@ -346,29 +354,14 @@ def _conv_output_extent(in_size: int, k: int, stride: int, padding: int) -> int:
     return (in_size + 2 * padding - k) // stride + 1
 
 
-def _windows(x_pad: np.ndarray, kh: int, kw: int, stride: int, out_h: int,
-             out_w: int) -> np.ndarray:
-    """Read-only (N, C, kh, kw, out_h, out_w) view of the padded input's
-    kernel windows; reshaping it copies the patches once."""
-    n, c, _, _ = x_pad.shape
-    sn, sc, sh, sw = x_pad.strides
-    return as_strided(
-        x_pad,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
-
-
-def _col2im(cols: np.ndarray, grad: np.ndarray, kh: int, kw: int, stride: int,
-            out_h: int, out_w: int) -> None:
-    """Scatter-add (N, C*kh*kw, L) columns onto `grad`, the zeroed
-    (N, C, Hp, Wp) padded input grid."""
-    n, c = grad.shape[:2]
-    cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
-    for i in range(kh):
-        for j in range(kw):
-            grad[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += cols6[:, :, i, j]
+def _windows(a: np.ndarray, kh: int, kw: int, stride: int, out_h: int,
+             out_w: int) -> list[np.ndarray]:
+    """The kh*kw (N, C, out_h, out_w) views of `a` holding tap (i, j) of
+    every kernel window, in row-major tap order (i * kw + j): plain basic
+    slices, so writing through one writes `a`."""
+    span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+    return [a[:, :, i:i + span_h:stride, j:j + span_w:stride]
+            for i in range(kh) for j in range(kw)]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
@@ -410,8 +403,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
         a_pad[:, :, padding:padding + h, padding:padding + w] = a
         return a_pad
 
+    def unfold(s0: int, patches: np.ndarray) -> None:
+        """Copy the patches of samples s0, s0 + 1, ... into `patches`, a
+        (b, Cin, kh*kw, out_h, out_w) array or view, one tap at a time."""
+        block = padded(x.data[s0:s0 + len(patches)])
+        np.stack(_windows(block, kh, kw, stride, out_h, out_w), axis=2, out=patches)
+
     w_mat = weight.data.reshape(cout, -1)                        # (Cout, CKK)
-    ckk, positions = w_mat.shape[1], out_h * out_w
+    ckk, positions, taps = w_mat.shape[1], out_h * out_w, kh * kw
     out_data = np.empty((n, cout, out_h, out_w), dtype=np.result_type(w_mat, x.data))
     out_rows = out_data.reshape(n, cout, positions)
     # the patches of a few samples at a time, about GRAD_BLOCK elements, each
@@ -419,9 +418,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
     # builds the input gradient's columns in the same sample blocks
     step = max(1, GRAD_BLOCK // (ckk * positions))
     for s0 in range(0, n, step):
-        cols = _windows(padded(x.data[s0:s0 + step]), kh, kw, stride, out_h,
-                        out_w).reshape(-1, ckk, positions)       # (b, CKK, L)
-        np.matmul(w_mat, cols, out=out_rows[s0:s0 + step])
+        cols = np.empty((min(step, n - s0), cin, taps, out_h, out_w), dtype=x.data.dtype)
+        unfold(s0, cols)
+        np.matmul(w_mat, cols.reshape(-1, ckk, positions), out=out_rows[s0:s0 + step])
         del cols  # before the next block is built
     if bias is not None:
         out_data += bias.data[None, :, None, None]
@@ -435,11 +434,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
         padded grid and cropped into one array."""
         gx = np.zeros(x.shape, dtype=go.dtype)
         for s0 in range(0, n, step):
-            cols = np.matmul(w_mat.T, go[s0:s0 + step])         # (b, CKK, L)
+            cols = np.matmul(w_mat.T, go[s0:s0 + step]).reshape(
+                -1, cin, taps, out_h, out_w)             # (b, Cin, kh*kw, oh, ow)
             g = gx[s0:s0 + step]
             g_pad = g if padding == 0 else np.zeros(
                 (len(g), cin, h + 2 * padding, w + 2 * padding), dtype=go.dtype)
-            _col2im(cols, g_pad, kh, kw, stride, out_h, out_w)
+            for t, tap in enumerate(_windows(g_pad, kh, kw, stride, out_h, out_w)):
+                tap += cols[:, :, t]
             if padding > 0:
                 g[...] = g_pad[:, :, padding:padding + h, padding:padding + w]
         return gx
@@ -454,10 +455,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
             _accumulate(x, input_grad(go))
         if weight.requires_grad:
             # one GEMM over (batch, position): (Cout, N*L) @ (N*L, CKK), the
-            # output gradient kept as its (Cout, N, L) view
-            patches = _windows(padded(x.data), kh, kw, stride, out_h, out_w).transpose(
-                0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
-            product = DeferredGrad(go.transpose(1, 0, 2), patches,
+            # output gradient kept as its (Cout, N, L) view; the patches are
+            # filled in the forward's sample blocks, so each block's taps
+            # write a cache-sized slice of them
+            patches = np.empty((n, out_h, out_w, cin, taps), dtype=x.data.dtype)
+            for s0 in range(0, n, step):
+                unfold(s0, patches[s0:s0 + step].transpose(0, 3, 4, 1, 2))
+            product = DeferredGrad(go.transpose(1, 0, 2), patches.reshape(n * positions, ckk),
                                    weight.shape, weight.data.dtype)
             if graph.on_grad is not None and weight._grad is None:
                 weight._grad = product  # the optimizer streams it in row blocks
@@ -466,15 +470,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _finish("conv2d", inputs, out, backward_fn)
-
-
-def _window_taps(a: np.ndarray, k: int, stride: int, out_h: int,
-                 out_w: int) -> list[np.ndarray]:
-    """The k*k strided (N, C, out_h, out_w) views of `a` holding tap (i, j)
-    of every pooling window, in row-major window order (i * k + j)."""
-    span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
-    return [a[:, :, i:i + span_h:stride, j:j + span_w:stride]
-            for i in range(k) for j in range(k)]
 
 
 def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
@@ -487,7 +482,7 @@ def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
         raise ShapeError(f"max_pool2d: window {k}x{k} larger than input {h}x{w}")
     out_h = (h - k) // stride + 1
     out_w = (w - k) // stride + 1
-    taps = _window_taps(x.data, k, stride, out_h, out_w)
+    taps = _windows(x.data, k, k, stride, out_h, out_w)
     out_data = taps[0].copy()
     for tap in taps[1:]:
         # the running maximum as the second operand: on a tie of -0.0 and
@@ -509,27 +504,24 @@ def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
             offset += hit * offset.dtype.type(o)
 
     def backward_fn(gout: np.ndarray) -> None:
-        if stride >= k:
-            # windows do not overlap: each tap slice of the gradient is gout
-            # where that tap was the window's first maximum and +0.0 elsewhere,
-            # selected by masking gout's bits so a NaN or inf stays in place
-            bits = np.dtype(f"u{gout.itemsize}")
-            keep = np.empty(gout.shape, dtype=bits)
-            gx = np.zeros((n, c, h, w), dtype=gout.dtype)
-            for o, tap in enumerate(_window_taps(gx, k, stride, out_h, out_w)):
-                np.equal(offset, o, out=keep)
-                np.negative(keep, out=keep)  # 1 -> all bits set
-                np.bitwise_and(gout.view(bits), keep, out=tap.view(bits))
-            _accumulate(x, gx)
-            return
-        rows = (np.arange(out_h) * stride)[None, None, :, None] + offset // k
-        cols_ = (np.arange(out_w) * stride)[None, None, None, :] + offset % k
-        n_idx = np.arange(n)[:, None, None, None]
-        c_idx = np.arange(c)[None, :, None, None]
-        linear = ((n_idx * c + c_idx) * h + rows) * w + cols_
-        gx = np.zeros(n * c * h * w, dtype=gout.dtype)
-        np.add.at(gx, linear.reshape(-1), gout.reshape(-1))
-        _accumulate(x, gx.reshape(n, c, h, w))
+        # a tap's share of the gradient is gout where that tap was the
+        # window's first maximum and +0.0 elsewhere, selected by masking
+        # gout's bits so a NaN or inf stays in place.  Disjoint taps (stride
+        # >= k) write their share; overlapping ones add it, last tap first,
+        # so each element sums its windows in row-major window order
+        bits = np.dtype(f"u{gout.itemsize}")
+        keep = np.empty(gout.shape, dtype=bits)
+        gx = np.zeros((n, c, h, w), dtype=gout.dtype)
+        gx_taps = _windows(gx, k, k, stride, out_h, out_w)
+        for o in reversed(range(k * k)):
+            np.equal(offset, o, out=keep)
+            np.negative(keep, out=keep)  # 1 -> all bits set
+            if stride >= k:
+                np.bitwise_and(gout.view(bits), keep, out=gx_taps[o].view(bits))
+            else:
+                np.bitwise_and(gout.view(bits), keep, out=keep)
+                gx_taps[o] += keep.view(gout.dtype)
+        _accumulate(x, gx)
 
     return _finish("max_pool2d", (x,), out, backward_fn)
 
@@ -625,7 +617,7 @@ def relu(x: Tensor, *, out: np.ndarray | None = None) -> Tensor:
 
     def backward_fn(gout: np.ndarray) -> None:
         if x.requires_grad:
-            _accumulate(x, gout * (x.data > 0))
+            _accumulate(x, np.multiply(gout, x.data > 0, out=gout))
 
     return _finish("relu", (x,), out, backward_fn)
 

@@ -138,6 +138,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if not np.isfinite(args.logit_shift):
+        raise ConfigError(f"--logit-shift must be finite, got {args.logit_shift}")
     model = checkpoint_io.load(args.checkpoint, model_only=True).model
     geometry = model.config
     sample = load_single_image(args.image, geometry.input_size,

@@ -32,6 +32,56 @@ def conv2d_loops(x, weight, bias=None, stride=1, padding=1):
     return out
 
 
+def conv2d_backward_loops(x, weight, gout, stride=1, padding=1):
+    """Input and weight gradients of `conv2d_loops` for the output gradient
+    `gout`: each product x[..] * weight[..] of the forward sends
+    gout * weight back to x and gout * x back to weight."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    _, _, out_h, out_w = gout.shape
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(weight)
+    for b in range(n):
+        for co in range(cout):
+            for oi in range(out_h):
+                for oj in range(out_w):
+                    g = gout[b, co, oi, oj]
+                    for ci in range(cin):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                ii = oi * stride + ki - padding
+                                jj = oj * stride + kj - padding
+                                if 0 <= ii < h and 0 <= jj < w:
+                                    gx[b, ci, ii, jj] += g * weight[co, ci, ki, kj]
+                                    gw[co, ci, ki, kj] += g * x[b, ci, ii, jj]
+    return gx, gw
+
+
+def max_pool2d_backward_loops(x, gout, k, stride):
+    """The input gradient of a k x k max-pool: window by window, in
+    row-major window order, its output gradient is added at the window's
+    first maximum in row-major tap order, or at its first NaN if it holds
+    one.  Accumulates in gout's element type."""
+    n, c, _, _ = x.shape
+    _, _, out_h, out_w = gout.shape
+    gx = np.zeros(x.shape, dtype=gout.dtype)
+    for b in range(n):
+        for ci in range(c):
+            for oi in range(out_h):
+                for oj in range(out_w):
+                    plane = x[b, ci]
+                    taps = [(oi * stride + ki, oj * stride + kj)
+                            for ki in range(k) for kj in range(k)]
+                    nans = [tap for tap in taps if np.isnan(plane[tap])]
+                    at = nans[0] if nans else taps[0]
+                    if not nans:
+                        for tap in taps[1:]:
+                            if plane[tap] > plane[at]:  # strict: a tie keeps the first
+                                at = tap
+                    gx[b, ci][at] += gout[b, ci, oi, oj]
+    return gx
+
+
 def max_pool2d_loops(x, k, stride):
     n, c, h, w = x.shape
     out_h = (h - k) // stride + 1

@@ -5,6 +5,7 @@ are checked against central finite differences via the built-in checker.
 """
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -149,6 +150,51 @@ def test_adaptive_pool_of_constant_is_constant(n, c, h, w):
     oh, ow = min(3, h), min(2, w)
     out = ad.adaptive_avg_pool(x, oh, ow)
     npt.assert_allclose(out.data, 3.25, atol=1e-12)
+
+
+def _pushed_back(r, op, *inputs):
+    """Run `op` on a graph and push a random output gradient back through
+    it; returns that gradient."""
+    with Graph():
+        out = op(*inputs)
+        g = r.standard_normal(out.shape).astype(out.dtype)
+        g[r.random(g.shape) < 0.1] = -0.0
+        out.node.backward_fn(g.copy())
+    return g
+
+
+class TestBackwardAgainstOracles:
+    """The windowed kernels' gradients against the loop oracles."""
+
+    @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 3), (1, 3)])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_conv2d_input_and_weight_gradients(self, stride, padding, kh, kw):
+        r = np.random.default_rng(100 * stride + 10 * padding + kh * kw)
+        x0, w0 = r.standard_normal((2, 3, 7, 6)), r.standard_normal((4, 3, kh, kw))
+        x, w, b = t(x0), t(w0), t(r.standard_normal(4))
+        g = _pushed_back(r, lambda: ad.conv2d(x, w, b, stride, padding))
+        want_x, want_w = oracles.conv2d_backward_loops(x0, w0, g, stride, padding)
+        npt.assert_allclose(x.grad, want_x, rtol=0, atol=1e-12)
+        npt.assert_allclose(w.grad, want_w, rtol=0, atol=1e-12)
+        npt.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_max_pool_routes_to_first_maximum_summing_windows_in_order(
+            self, k, stride, dtype):
+        r = np.random.default_rng(10 * k + stride)
+        # few distinct values, so windows tie; half the zeros are -0.0, and
+        # some windows hold one or more NaNs
+        x0 = r.integers(-2, 3, (2, 3, 8, 7)).astype(dtype)
+        x0[(x0 == 0) & (r.random(x0.shape) < 0.5)] = -0.0
+        x0[r.random(x0.shape) < 0.05] = np.nan
+        x = Tensor(x0, requires_grad=True, dtype=dtype)
+        g = _pushed_back(r, lambda: ad.max_pool2d(x, k, stride))
+        want = oracles.max_pool2d_backward_loops(x0, g, k, stride)
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == want.tobytes()
 
 
 class TestGradients:
@@ -405,6 +451,22 @@ class TestHandOverBuffers:
         # float32 input, float64 statistics: a float64 result, in a new array
         assert (got.data is x.data) == (dtype == np.float64)
         assert got.data.tobytes() == recorded.data.tobytes() == want.data.tobytes()
+
+    def test_relu_backward_masks_the_gradient_it_was_handed(self):
+        r = np.random.default_rng(5)
+        x = Tensor(r.standard_normal((4, 16, 64, 64)), requires_grad=True, dtype=np.float32)
+        with Graph():
+            out = ad.relu(x)
+        gout = r.standard_normal(x.shape).astype(np.float32)
+        want = gout * (x.data > 0) + np.float32(0.0)  # a first gradient has no -0.0
+        tracemalloc.start()
+        try:
+            out.node.backward_fn(gout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad is gout and gout.tobytes() == want.tobytes()
+        assert peak <= x.size + (64 << 10)  # its bool mask, plus slack
 
 
 class TestTapeRelease:

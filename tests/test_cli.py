@@ -512,6 +512,14 @@ EXIT_CODES = [
         "--checkpoint", str(tmp_path / "absent.ckpt")],
         2, r"cannot read checkpoint .*absent\.ckpt", id="missing-checkpoint"),
     pytest.param(_not_a_pixmap, 2, r"photo\.png: not a binary pixmap", id="not-a-pixmap"),
+    pytest.param(lambda memorize_run: [
+        "predict", str(_one_image(memorize_run)),
+        "--checkpoint", str(memorize_run["out"] / "best.ckpt"), "--logit-shift", "nan"],
+        2, r"\Aerror: --logit-shift must be finite, got nan$", id="nan-logit-shift"),
+    pytest.param(lambda memorize_run: [
+        "predict", str(_one_image(memorize_run)),
+        "--checkpoint", str(memorize_run["out"] / "best.ckpt"), "--logit-shift", "inf"],
+        2, r"\Aerror: --logit-shift must be finite, got inf$", id="inf-logit-shift"),
     pytest.param(lambda: ["gradcheck", "tiny", "--seed", "-1"],
                  2, r"\Aerror: seed must be >= 0, got -1$", id="gradcheck-negative-seed"),
     pytest.param(lambda: ["gradcheck", "tiny", "--inject-fault", "nosuchop"],
