@@ -17,12 +17,12 @@ updated, and its gradient freed, while backward is still running.
 Gradient ownership: each op hands ``_accumulate`` a writable array that
 nothing else will read or write, which a first gradient adopts uncopied;
 ``add``, sending one array to both inputs, copies it for the second.  The
-one exception is a conv weight's first gradient in a graph with
-``on_grad``: ``conv2d`` stores it as a :class:`DeferredGrad`, the product
-``go_t @ patches`` not yet computed.  The optimizer computes it row block
-by row block and applies each block as it goes, so the whole gradient of
-a large kernel is never held; any other reader of ``Tensor.grad`` gets the
-full array, computed from the same blocks on first read.
+one exception is a conv weight's first gradient: ``conv2d`` stores it as a
+:class:`DeferredGrad`, the product ``go_t @ patches`` not yet computed.
+The optimizer computes it row block by row block and applies each block as
+it goes, so the whole gradient of a large kernel is never held; any other
+reader of ``Tensor.grad`` gets the full array, computed from the same
+blocks on first read.
 
 Forward buffers follow the same rule.  A public op never writes into its
 arguments' arrays (``grad_check`` perturbs leaves and re-runs ``f``), except
@@ -207,10 +207,9 @@ class Graph:
     its ``.grad`` then holds the sum over every use.  No node reads the leaf
     after that, so the callback may update ``leaf.data`` in place and
     consume ``leaf.grad``.  A leaf the loss does not reach has no gradient
-    and is not reported.  In such a graph a conv weight's only gradient
-    reaches the callback deferred (``leaf._grad`` is a
-    :class:`DeferredGrad`): ``sgd_step`` consumes it in row blocks, and
-    reading ``leaf.grad`` computes it whole.
+    and is not reported.  ``on_grad`` decides only when a gradient is
+    consumed, not its form: a conv weight's is deferred in any graph (see
+    :class:`DeferredGrad`), and ``sgd_step`` consumes it in row blocks.
     """
 
     def __init__(self, on_grad: Callable[[Tensor], None] | None = None):
@@ -426,8 +425,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
         out_data += bias.data[None, :, None, None]
     out = Tensor(out_data, dtype=out_data.dtype)
 
-    graph = active_graph()
-
     def input_grad(go: np.ndarray) -> np.ndarray:
         """The (N, Cin, H, W) input gradient, its columns computed for the
         forward's sample blocks in turn, each scattered onto that block's
@@ -463,8 +460,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
                 unfold(s0, patches[s0:s0 + step].transpose(0, 3, 4, 1, 2))
             product = DeferredGrad(go.transpose(1, 0, 2), patches.reshape(n * positions, ckk),
                                    weight.shape, weight.data.dtype)
-            if graph.on_grad is not None and weight._grad is None:
-                weight._grad = product  # the optimizer streams it in row blocks
+            if weight._grad is None:
+                weight._grad = product  # computed when consumed or read
             else:
                 _accumulate(weight, product.materialize())
 

@@ -77,20 +77,21 @@ def _load_split(dataset: str, data_root: str, split: str,
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, _overrides_from(args))
     _echo_config(cfg)
-    train_manifest = _load_split(cfg.dataset, cfg.data_root, "train",
-                                 cfg.input_size, cfg.input_channels)
-    eval_manifest = _load_split(cfg.dataset, cfg.data_root, "test",
-                                cfg.input_size, cfg.input_channels)
-    for manifest in (train_manifest, eval_manifest):
-        for line in count_report(manifest):
-            print(line)
-
-    out_dir = Path(cfg.out_dir)
-    result = train_model(cfg, train_manifest, eval_manifest, out_dir=out_dir,
-                         resume_from=args.checkpoint, log=print)
-
-    # final report comes from the best checkpoint, not the last epoch
+    # splits load in the training dtype: no float64 copy, no per-batch cast
     with using_dtype(cfg.dtype):
+        train_manifest = _load_split(cfg.dataset, cfg.data_root, "train",
+                                     cfg.input_size, cfg.input_channels)
+        eval_manifest = _load_split(cfg.dataset, cfg.data_root, "test",
+                                    cfg.input_size, cfg.input_channels)
+        for manifest in (train_manifest, eval_manifest):
+            for line in count_report(manifest):
+                print(line)
+
+        out_dir = Path(cfg.out_dir)
+        result = train_model(cfg, train_manifest, eval_manifest, out_dir=out_dir,
+                             resume_from=args.checkpoint, log=print)
+
+        # final report comes from the best checkpoint, not the last epoch
         best_path = out_dir / BEST_CHECKPOINT
         if best_path.exists():
             # release the trained model and its velocity before the load, so
@@ -190,10 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="corpus kind (default fer2013)")
         p.add_argument("--data-root", dest="data_root", metavar="PATH",
                        help="CSV file/directory (fer2013) or split directory root")
-        p.add_argument("--seed", type=int, metavar="N")
 
     t = sub.add_parser("train", help="run the training recipe")
     add_data_flags(t)
+    t.add_argument("--seed", type=int, metavar="N")
     t.add_argument("--epochs", type=int, metavar="N")
     t.add_argument("--batch-size", dest="batch_size", type=int, metavar="N")
     t.add_argument("--lr", type=float, metavar="F")

@@ -4,7 +4,8 @@ residual blocks, and the linear classifier head.
 Each class owns its tensors and initialization; the forward computations are
 free functions (`conv_block_forward`, `se_forward`, `residual_forward`) so the
 data flow stays readable and the recorded graph mirrors the published
-composition exactly.
+composition exactly.  Batch norm's mode (`TRAIN` or `EVAL`) is passed to
+each call that reaches one; no layer stores it.
 """
 
 from __future__ import annotations
@@ -72,11 +73,11 @@ class Conv2dLayer:
 class BatchNorm2d:
     """Per-channel normalization with learnable affine and tracked running stats.
 
-    `mode` selects the statistics source: "train" normalizes with the current
-    batch and folds those statistics into the running estimates
-    (running <- (1 - m) * running + m * batch with m = `BN_MOMENTUM`, biased
-    variance); "eval" normalizes with the running estimates and never mutates
-    them.  Both add `BN_EPS` to the variance.
+    The `mode` of each forward call selects the statistics source: "train"
+    normalizes with the current batch and folds those statistics into the
+    running estimates (running <- (1 - m) * running + m * batch with
+    m = `BN_MOMENTUM`, biased variance); "eval" normalizes with the running
+    estimates and never mutates them.  Both add `BN_EPS` to the variance.
     """
 
     def __init__(self, channels: int):
@@ -86,12 +87,11 @@ class BatchNorm2d:
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=ad.default_dtype())
         self.running_var = np.ones(channels, dtype=ad.default_dtype())
-        self.mode = TRAIN
 
-    def forward(self, x: Tensor, *, out: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, mode: str, *, out: np.ndarray | None = None) -> Tensor:
         """`out`, x's own array handed over by a caller that reads x no
         more, goes to `batch_norm2d_eval`; train mode makes a new output."""
-        if self.mode == TRAIN:
+        if mode == TRAIN:
             out, mean, var = ad.batch_norm2d_train(x, self.gamma, self.beta, BN_EPS)
             m = BN_MOMENTUM
             # in place: a held `state_tensors()` dict keeps seeing the stats
@@ -183,14 +183,20 @@ class LinearLayer:
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-def conv_block_forward(layer: Conv2dLayer, bn: BatchNorm2d, x: Tensor) -> Tensor:
+def _conv_bn(layer: Conv2dLayer, bn: BatchNorm2d, x: Tensor, mode: str) -> Tensor:
+    """bn(conv(x)); eval BN may normalize in the handed-over conv output."""
+    h = layer.forward(x)
+    return bn.forward(h, mode, out=h.data)
+
+
+def conv_block_forward(layer: Conv2dLayer, bn: BatchNorm2d, x: Tensor,
+                       mode: str) -> Tensor:
     """relu(bn(conv(x))) — the repeated unit of the feature-extraction stem.
 
     The conv and BN outputs are this function's own and nothing reads them
     afterwards, so each is handed over: eval BN may normalize in the conv
     output, and ReLU writes over the BN output."""
-    h = layer.forward(x)
-    h = bn.forward(h, out=h.data)
+    h = _conv_bn(layer, bn, x, mode)
     return ad.relu(h, out=h.data)
 
 
@@ -208,18 +214,15 @@ def se_forward(se: SEBlock, x: Tensor) -> Tensor:
     return ad.mul_broadcast_channel(x, gate)
 
 
-def residual_forward(block: ResidualBlock, x: Tensor) -> Tensor:
+def residual_forward(block: ResidualBlock, x: Tensor, mode: str) -> Tensor:
     """relu(H(x) + shortcut(x)) with H = bn_b(conv_b(relu(bn_a(conv_a(x))))).
 
     As in `conv_block_forward`, each conv and BN output is handed over to
     the op after it; the sum is written over H's output, never over x."""
-    h = conv_block_forward(block.conv_a, block.bn_a, x)
-    h = block.conv_b.forward(h)
-    h = block.bn_b.forward(h, out=h.data)
+    h = conv_block_forward(block.conv_a, block.bn_a, x, mode)
+    h = _conv_bn(block.conv_b, block.bn_b, h, mode)
+    shortcut = x
     if block.shortcut_conv is not None:
-        shortcut = block.shortcut_conv.forward(x)
-        shortcut = block.shortcut_bn.forward(shortcut, out=shortcut.data)
-    else:
-        shortcut = x
+        shortcut = _conv_bn(block.shortcut_conv, block.shortcut_bn, x, mode)
     h = ad.add(h, shortcut, out=h.data)
     return ad.relu(h, out=h.data)

@@ -191,12 +191,6 @@ class ResEmoteNetModel:
     def parameter_count(self) -> int:
         return sum(t.size for _, t in self.named_parameters())
 
-    def set_mode(self, mode: str) -> None:
-        if mode not in (TRAIN, EVAL):
-            raise ConfigError(f"mode must be '{TRAIN}' or '{EVAL}', got {mode!r}")
-        for _, bn in self.batch_norms():
-            bn.mode = mode
-
     # -- forward -----------------------------------------------------------
 
     def forward(self, x: Tensor, mode: str = EVAL) -> Logits:
@@ -205,10 +199,11 @@ class ResEmoteNetModel:
         Stages: each stem block is conv+BN+ReLU then a 2x2 max-pool; the
         channel gate rescales the stem output; residual blocks downsample;
         adaptive average pooling collapses the grid; the flattened features
-        feed the linear head.  `mode` is applied to every batch-norm layer.
+        feed the linear head.  `mode` is passed to every batch-norm layer.
         """
         cfg = self.config
-        self.set_mode(mode)
+        if mode not in (TRAIN, EVAL):
+            raise ConfigError(f"mode must be '{TRAIN}' or '{EVAL}', got {mode!r}")
         if x.data.ndim != 4 or x.shape[1] != cfg.input_channels or \
                 x.shape[2] != cfg.input_size or x.shape[3] != cfg.input_size:
             raise ShapeError(
@@ -216,11 +211,11 @@ class ResEmoteNetModel:
                 f"{cfg.input_size}), got {x.shape}")
         out = x
         for i, (conv, bn) in enumerate(self.stem):
-            out = _staged(f"stem stage {i}", conv_block_forward, conv, bn, out)
+            out = _staged(f"stem stage {i}", conv_block_forward, conv, bn, out, mode)
             out = _staged(f"stem stage {i} pool", ad.max_pool2d, out, 2, 2)
         out = _staged("channel gate", se_forward, self.se, out)
         for i, block in enumerate(self.residuals):
-            out = _staged(f"residual block {i}", residual_forward, block, out)
+            out = _staged(f"residual block {i}", residual_forward, block, out, mode)
         out = _staged("adaptive pool", ad.adaptive_avg_pool, out, *cfg.aap_output)
         out = ad.reshape(out, (out.shape[0], cfg.classifier_inputs))
         out = _staged("classifier", self.classifier.forward, out)

@@ -29,16 +29,13 @@ class LossValue:
     probabilities: np.ndarray  # (N, K), rows sum to 1
 
 
-def cross_entropy(logits, labels) -> LossValue:
+def cross_entropy(values: Tensor, labels) -> LossValue:
     """Mean negative log-likelihood of the true classes.
 
-    loss = -(1/N) * sum_i log softmax(logits)[i, label_i], evaluated via
+    loss = -(1/N) * sum_i log softmax(values)[i, label_i], evaluated via
     max-subtracted log-sum-exp; the backward pass pushes
-    (softmax - onehot) / N into the logits.
-
-    `logits` may be the raw (N, K) tensor or a wrapper exposing `.values`.
+    (softmax - onehot) / N into the (N, K) logits `values`.
     """
-    values: Tensor = getattr(logits, "values", logits)
     if values.data.ndim != 2:
         raise DataError(f"cross_entropy: logits must be (N, K), got {values.shape}")
     n, k = values.shape

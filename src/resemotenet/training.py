@@ -30,6 +30,8 @@ from .optim import (PlateauScheduler, SgdState, cross_entropy, scheduler_step,
 
 BEST_CHECKPOINT = "best.ckpt"
 LAST_CHECKPOINT = "last.ckpt"
+#: images per `evaluate_model` forward
+EVAL_BATCH = 32
 
 
 @dataclass
@@ -55,12 +57,11 @@ class TrainResult:
     best_accuracy: float = float("-inf")
 
 
-def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest,
-                   batch_size: int = 32) -> ConfusionMatrix:
+def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest) -> ConfusionMatrix:
     """Tally a confusion matrix over a manifest in eval mode: fixed order,
     no augmentation, running statistics untouched."""
     cm = ConfusionMatrix(model.config.num_classes)
-    for pixels, labels in make_batches(manifest, batch_size, None, shuffle=False):
+    for pixels, labels in make_batches(manifest, EVAL_BATCH, None, shuffle=False):
         logits = model.forward(pixels, mode=EVAL)
         cm.update(labels, predict_labels(logits.values.data))
     return cm
@@ -94,7 +95,7 @@ def train_one_epoch(model: ResEmoteNetModel, optimizer: SgdState,
         pending = dict(params)
         with Graph(on_grad=step):
             logits = model.forward(pixels, mode=TRAIN)
-            value = cross_entropy(logits, labels)
+            value = cross_entropy(logits.values, labels)
             loss = float(value.loss.item())
             if not np.isfinite(loss):
                 raise OptimizerError(

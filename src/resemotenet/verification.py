@@ -170,7 +170,6 @@ def _sample_cross_entropy(rng):
 
 
 def _randomize_batch_norm(bn: BatchNorm2d, rng, mode: str) -> None:
-    bn.mode = mode
     bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=bn.gamma.shape)
     bn.beta.data[...] = rng.standard_normal(bn.beta.shape)
     if mode == EVAL:
@@ -200,7 +199,7 @@ def _sample_conv_bn_block(rng, mode=EVAL, include_bias=True):
     if include_bias:
         inputs.append(("conv.bias", conv.bias))
     inputs += [("bn.gamma", bn.gamma), ("bn.beta", bn.beta)]
-    return lambda *_: conv_block_forward(conv, bn, x), inputs
+    return lambda *_: conv_block_forward(conv, bn, x, mode), inputs
 
 
 def _sample_conv_bn_block_train(rng):
@@ -226,7 +225,7 @@ def _sample_residual_identity(rng, mode=EVAL, include_bias=True):
     block = ResidualBlock(ch, ch, stride=1, rng=rng)
     _randomize_residual(block, rng, mode)
     x = Tensor(_signed_uniform(rng, (n, ch, size, size)), requires_grad=True)
-    return (lambda *_: residual_forward(block, x),
+    return (lambda *_: residual_forward(block, x, mode),
             _residual_inputs(block, x, include_bias))
 
 
@@ -239,7 +238,7 @@ def _sample_residual_projection(rng):
     block = ResidualBlock(cin, cout, stride=2, rng=rng)
     _randomize_residual(block, rng, EVAL)
     x = Tensor(rng.standard_normal((n, cin, size, size)), requires_grad=True)
-    return lambda *_: residual_forward(block, x), _residual_inputs(block, x)
+    return lambda *_: residual_forward(block, x, EVAL), _residual_inputs(block, x)
 
 
 def _sample_classifier(rng):

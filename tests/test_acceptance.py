@@ -32,7 +32,7 @@ from resemotenet.data import (
     published_counts,
     random_horizontal_flip,
 )
-from resemotenet.layers import ResidualBlock, SEBlock, residual_forward, se_forward
+from resemotenet.layers import TRAIN, ResidualBlock, SEBlock, residual_forward, se_forward
 from resemotenet.metrics import ConfusionMatrix
 from resemotenet.model import build_model
 from resemotenet.optim import (
@@ -160,11 +160,11 @@ def test_c05_zeroed_residual_branch_reduces_to_relu_shortcut():
         # branch output is exactly zero (train-mode BN maps zeros to zeros),
         # so non-negative inputs must come back bitwise through relu(identity)
         x = np.abs(np.random.default_rng(55).standard_normal((2, 4, 6, 6)))
-        out = residual_forward(block, Tensor(x))
+        out = residual_forward(block, Tensor(x), TRAIN)
         npt.assert_array_equal(out.data, x)
         # signed inputs reduce to plain relu of the shortcut
         y = np.random.default_rng(56).standard_normal((2, 4, 6, 6))
-        out = residual_forward(block, Tensor(y))
+        out = residual_forward(block, Tensor(y), TRAIN)
         npt.assert_array_equal(out.data, np.maximum(y, 0.0))
 
 

@@ -586,29 +586,36 @@ class TestOnGrad:
 
 
 class TestDeferredConvWeightGrad:
-    """In a graph with ``on_grad`` a conv weight's gradient is handed over
-    as a `DeferredGrad`; reading ``.grad`` gives the plain backward's bits."""
+    """In every graph a conv weight's first gradient is stored as a
+    `DeferredGrad`; reading ``.grad`` gives the eager product's bits."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         # two rows of a (C, 2, 3, 3) weight per block, one of a (C, 3, 3, 3)
         monkeypatch.setattr(ad, "GRAD_BLOCK", 40)
 
-    def test_callback_sees_a_deferred_gradient_with_the_plain_bits(self):
-        plain = _small_leaves()
+    @pytest.mark.parametrize("with_callback", [False, True])
+    def test_weight_gradient_is_deferred_with_the_eager_bits(self, with_callback):
+        # a weight that already holds a gradient gets the product added at
+        # once; starting from zeros, that is the eager product
+        eager = _small_leaves()
+        eager[1].grad = np.zeros(eager[1].shape)
         with Graph():
-            _small_net(*plain)[0].backward()
+            _small_net(*eager)[0].backward()
         leaves = _small_leaves()
         seen = {}
 
         def on_grad(leaf):
             seen[id(leaf)] = (type(leaf._grad), leaf.grad.copy())
 
-        with Graph(on_grad=on_grad):
+        with Graph(on_grad=on_grad if with_callback else None):
             _small_net(*leaves)[0].backward()
+        if not with_callback:  # held until read
+            seen[id(leaves[1])] = (type(leaves[1]._grad), leaves[1].grad)
         kind, grad = seen[id(leaves[1])]
         assert kind is ad.DeferredGrad
-        assert grad.tobytes() == plain[1].grad.tobytes()
+        assert type(eager[1]._grad) is np.ndarray
+        assert grad.tobytes() == eager[1].grad.tobytes()
 
     def test_blocks_cover_the_gradient_in_order(self):
         r = np.random.default_rng(3)

@@ -234,6 +234,25 @@ def test_final_report_loads_best_checkpoint_with_no_model_alive(dir_fixture, tmp
     assert entered < parameters, f"{entered} bytes held at load, parameters {parameters}"
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_train_loads_both_splits_in_the_training_dtype(dir_fixture, tmp_path, monkeypatch,
+                                                       dtype):
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text(dir_fixture["cfg"].read_text() + f"dtype = {dtype}\n", encoding="utf-8")
+    train_model = cli.train_model
+    seen = []
+
+    def spy(cfg, *manifests, **kwargs):
+        seen.append({s.pixels.dtype for m in manifests for s in m.samples})
+        return train_model(cfg, *manifests, **kwargs)
+
+    monkeypatch.setattr(cli, "train_model", spy)
+    code = cli.main(["train", "--config", str(cfg), "--epochs", "1",
+                     "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert seen == [{np.dtype(dtype)}]
+
+
 def test_predict_forward_starts_with_one_copy_of_the_parameters(dir_fixture, tmp_path,
                                                               monkeypatch):
     """`predict` loads only the model: a training checkpoint's velocity is
@@ -520,6 +539,9 @@ EXIT_CODES = [
         "predict", str(_one_image(memorize_run)),
         "--checkpoint", str(memorize_run["out"] / "best.ckpt"), "--logit-shift", "inf"],
         2, r"\Aerror: --logit-shift must be finite, got inf$", id="inf-logit-shift"),
+    pytest.param(lambda memorize_run: [
+        "eval", "--checkpoint", str(memorize_run["out"] / "best.ckpt"), "--seed", "1"],
+        2, r"unrecognized arguments: --seed 1", id="eval-seed"),
     pytest.param(lambda: ["gradcheck", "tiny", "--seed", "-1"],
                  2, r"\Aerror: seed must be >= 0, got -1$", id="gradcheck-negative-seed"),
     pytest.param(lambda: ["gradcheck", "tiny", "--inject-fault", "nosuchop"],

@@ -38,9 +38,8 @@ class TestConvBlock:
         conv.weight.data[:] = 0.0
         conv.bias.data[:] = 5.0  # constant pre-BN activations
         bn = BatchNorm2d(3)
-        bn.mode = layers.TRAIN
         x = Tensor(np.ones((2, 2, 4, 4)))
-        out = conv_block_forward(conv, bn, x)
+        out = conv_block_forward(conv, bn, x, layers.TRAIN)
         npt.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_eval_with_unit_stats_is_identity_up_to_eps(self):
@@ -48,17 +47,15 @@ class TestConvBlock:
         conv.weight.data[:] = 1.0
         conv.bias.data[:] = 0.0
         bn = BatchNorm2d(1)
-        bn.mode = layers.EVAL
         x = Tensor(np.abs(rng.standard_normal((2, 1, 3, 3))))
-        out = conv_block_forward(conv, bn, x)
+        out = conv_block_forward(conv, bn, x, layers.EVAL)
         npt.assert_allclose(out.data, x.data, rtol=1e-5)
 
     def test_train_mode_output_statistics(self):
         # with default gamma=1, beta=0 the BN output is the normalized batch
         bn = BatchNorm2d(8)
-        bn.mode = layers.TRAIN
         x = Tensor(rng.standard_normal((4, 8, 6, 6)) * 2.0 + 1.0)
-        out = bn.forward(x)
+        out = bn.forward(x, layers.TRAIN)
         mean = out.data.mean(axis=(0, 2, 3))
         var = out.data.var(axis=(0, 2, 3))
         npt.assert_allclose(mean, 0.0, atol=1e-6)
@@ -66,41 +63,37 @@ class TestConvBlock:
 
     def test_running_stats_update_rule(self):
         bn = BatchNorm2d(2)
-        bn.mode = layers.TRAIN
         x = Tensor(rng.standard_normal((3, 2, 4, 4)) + 3.0)
         batch_mean = x.data.mean(axis=(0, 2, 3))
         batch_var = x.data.var(axis=(0, 2, 3))
-        bn.forward(x)
+        bn.forward(x, layers.TRAIN)
         npt.assert_allclose(bn.running_mean, 0.9 * 0.0 + 0.1 * batch_mean, atol=1e-12)
         npt.assert_allclose(bn.running_var, 0.9 * 1.0 + 0.1 * batch_var, atol=1e-12)
 
     def test_running_stats_update_in_place_with_the_same_bits(self):
         bn = BatchNorm2d(2)
-        bn.mode = layers.TRAIN
         bn.running_mean[...] = [0.25, -1.5]
         buffers = (bn.running_mean, bn.running_var)
         m = layers.BN_MOMENTUM
         x = Tensor(rng.standard_normal((3, 2, 4, 4)) + 3.0)
         want_mean = (1.0 - m) * bn.running_mean + m * x.data.mean(axis=(0, 2, 3))
         want_var = (1.0 - m) * bn.running_var + m * x.data.var(axis=(0, 2, 3))
-        bn.forward(x)
+        bn.forward(x, layers.TRAIN)
         assert bn.running_mean is buffers[0] and bn.running_var is buffers[1]
         assert bn.running_mean.tobytes() == want_mean.tobytes()
         assert bn.running_var.tobytes() == want_var.tobytes()
 
     def test_eval_mode_does_not_touch_running_stats(self):
         bn = BatchNorm2d(2)
-        bn.mode = layers.EVAL
         before = (bn.running_mean.copy(), bn.running_var.copy())
-        bn.forward(Tensor(rng.standard_normal((2, 2, 3, 3))))
+        bn.forward(Tensor(rng.standard_normal((2, 2, 3, 3))), layers.EVAL)
         npt.assert_array_equal(bn.running_mean, before[0])
         npt.assert_array_equal(bn.running_var, before[1])
 
     def test_eval_before_any_train_uses_unit_stats(self):
         bn = BatchNorm2d(3)
-        bn.mode = layers.EVAL
         x = Tensor(rng.standard_normal((1, 3, 2, 2)))
-        out = bn.forward(x)
+        out = bn.forward(x, layers.EVAL)
         npt.assert_allclose(out.data, x.data / np.sqrt(1 + 1e-5), atol=1e-12)
 
 
@@ -157,19 +150,15 @@ def test_se_gate_strictly_inside_unit_interval(n, h, w, scale):
 
 
 class TestResidualBlock:
-    def _passthrough_bn(self, bn):
-        bn.mode = layers.EVAL  # unit running stats -> near-identity
-
     def test_zero_residual_branch_acts_as_relu(self):
         block = ResidualBlock(4, 4, stride=1, rng=make_rng())
         assert block.shortcut_conv is None
         for conv in (block.conv_a, block.conv_b):
             conv.weight.data[:] = 0.0
             conv.bias.data[:] = 0.0
-        for bn in (block.bn_a, block.bn_b):
-            self._passthrough_bn(bn)
         x = Tensor(np.abs(rng.standard_normal((2, 4, 6, 6))))
-        out = residual_forward(block, x)
+        # eval mode: unit running stats make each BN a near-identity
+        out = residual_forward(block, x, layers.EVAL)
         # H(x) is exactly zero (BN of zeros with unit stats and zero shift),
         # so the block reduces to relu(identity) bitwise
         npt.assert_array_equal(out.data, x.data)
@@ -180,20 +169,18 @@ class TestResidualBlock:
             conv.weight.data[:] = 0.0
             conv.bias.data[:] = 0.0
         x = Tensor(np.abs(rng.standard_normal((2, 4, 6, 6))))
-        out = residual_forward(block, x)  # train-mode BNs: 0 normalizes to 0
+        out = residual_forward(block, x, layers.TRAIN)  # 0 normalizes to 0
         npt.assert_array_equal(out.data, x.data)
 
     def test_downsampling_block_shape_and_composition(self):
         block = ResidualBlock(16, 32, stride=2, rng=make_rng(4))
-        for bn in (block.bn_a, block.bn_b, block.shortcut_bn):
-            bn.mode = layers.EVAL
         x = Tensor(rng.standard_normal((2, 16, 8, 8)))
-        out = residual_forward(block, x)
+        out = residual_forward(block, x, layers.EVAL)
         assert out.shape == (2, 32, 4, 4)
         # manual recomposition of the declared sub-operations
-        h = ad.relu(block.bn_a.forward(block.conv_a.forward(x)))
-        h = block.bn_b.forward(block.conv_b.forward(h))
-        sc = block.shortcut_bn.forward(block.shortcut_conv.forward(x))
+        h = ad.relu(block.bn_a.forward(block.conv_a.forward(x), layers.EVAL))
+        h = block.bn_b.forward(block.conv_b.forward(h), layers.EVAL)
+        sc = block.shortcut_bn.forward(block.shortcut_conv.forward(x), layers.EVAL)
         want = np.maximum(h.data + sc.data, 0.0)
         npt.assert_allclose(out.data, want, atol=1e-12)
 
@@ -218,12 +205,11 @@ class TestLayerGradients:
         # gradient identically zero (nothing finite differences can resolve)
         conv = Conv2dLayer(2, 3, 3, padding=1, rng=make_rng(6))
         bn = BatchNorm2d(3)
-        bn.mode = layers.EVAL
         x = Tensor(rng.standard_normal((2, 2, 4, 4)))
         c = Tensor(rng.standard_normal((2, 3, 2, 2)))
 
         def f(w, b, g, bt):
-            y = conv_block_forward(conv, bn, x)
+            y = conv_block_forward(conv, bn, x, layers.EVAL)
             return ad.tensor_sum(ad.mul(ad.max_pool2d(y, 2, 2), c))
 
         report = ad.grad_check(f, [("w", conv.weight), ("b", conv.bias),
@@ -234,12 +220,11 @@ class TestLayerGradients:
         # the composed train-mode path, minus the bias (see above)
         conv = Conv2dLayer(2, 3, 3, padding=1, rng=make_rng(6))
         bn = BatchNorm2d(3)
-        bn.mode = layers.TRAIN
         x = Tensor(rng.standard_normal((2, 2, 4, 4)))
         c = Tensor(rng.standard_normal((2, 3, 4, 4)))
 
         def f(w, g, bt):
-            return ad.tensor_sum(ad.mul(conv_block_forward(conv, bn, x), c))
+            return ad.tensor_sum(ad.mul(conv_block_forward(conv, bn, x, layers.TRAIN), c))
 
         report = ad.grad_check(f, [("w", conv.weight), ("g", bn.gamma),
                                    ("bt", bn.beta)])
@@ -250,10 +235,9 @@ class TestLayerGradients:
         # train-mode normalization vanishes to accumulation roundoff
         conv = Conv2dLayer(2, 3, 3, padding=1, rng=make_rng(6))
         bn = BatchNorm2d(3)
-        bn.mode = layers.TRAIN
         x = Tensor(rng.standard_normal((2, 2, 4, 4)))
         with Graph():
-            out = conv_block_forward(conv, bn, x)
+            out = conv_block_forward(conv, bn, x, layers.TRAIN)
             ad.tensor_sum(ad.mul(out, out)).backward()
         assert np.max(np.abs(conv.bias.grad)) < 1e-10
 
@@ -269,13 +253,12 @@ class TestLayerGradients:
     def test_residual_block_parameters_projection(self):
         # eval mode: see the conv-bias note above
         block = ResidualBlock(3, 4, stride=2, rng=make_rng(10))
-        for bn in (block.bn_a, block.bn_b, block.shortcut_bn):
-            bn.mode = layers.EVAL
         x = Tensor(rng.standard_normal((2, 3, 6, 6)))
         c = Tensor(rng.standard_normal((2, 4, 3, 3)))
         named = [(n, t) for n, t in block.named_parameters()]
         report = ad.grad_check(
-            lambda *params: ad.tensor_sum(ad.mul(residual_forward(block, x), c)),
+            lambda *params: ad.tensor_sum(ad.mul(
+                residual_forward(block, x, layers.EVAL), c)),
             named)
         assert report.passed, f"\n{report!r}"
 
@@ -319,16 +302,16 @@ class TestInitialization:
         assert got.data.tobytes() == want.tobytes()
 
 
-def _out_of_place_block(conv, bn, x):
-    return ad.relu(bn.forward(conv.forward(x)))
+def _out_of_place_block(conv, bn, x, mode):
+    return ad.relu(bn.forward(conv.forward(x), mode))
 
 
-def _out_of_place_residual(block, x):
-    h = ad.relu(block.bn_a.forward(block.conv_a.forward(x)))
-    h = block.bn_b.forward(block.conv_b.forward(h))
+def _out_of_place_residual(block, x, mode):
+    h = ad.relu(block.bn_a.forward(block.conv_a.forward(x), mode))
+    h = block.bn_b.forward(block.conv_b.forward(h), mode)
     shortcut = x
     if block.shortcut_conv is not None:
-        shortcut = block.shortcut_bn.forward(block.shortcut_conv.forward(x))
+        shortcut = block.shortcut_bn.forward(block.shortcut_conv.forward(x), mode)
     return ad.relu(ad.add(h, shortcut))
 
 
@@ -362,9 +345,6 @@ class TestHandOver:
 
     def _run(self, kind, dtype, mode, graph, handed_over):
         units, named = self._units(kind, dtype)
-        for _, layer in named:
-            if isinstance(layer, BatchNorm2d):
-                layer.mode = mode
         r = make_rng(25)
         x = Tensor(r.standard_normal((3, 3, 6, 6)), requires_grad=True, dtype=dtype)
         if kind == "block":
@@ -372,10 +352,10 @@ class TestHandOver:
         else:
             fn = residual_forward if handed_over else _out_of_place_residual
         if not graph:
-            out = fn(*units, x)
+            out = fn(*units, x, mode)
             return [out.data.tobytes()], out
         with Graph():
-            out = fn(*units, x)
+            out = fn(*units, x, mode)
             c = Tensor(r.standard_normal(out.shape), dtype=dtype)
             ad.tensor_sum(ad.mul(out, c)).backward()
         params = [t for _, layer in named for _, t in layer.named_parameters()]
@@ -402,8 +382,7 @@ class TestHandOver:
         monkeypatch.setattr(Conv2dLayer, "forward",
                             lambda self, x: convs.append(forward(self, x)) or convs[-1])
         (conv, bn), _ = self._units("block", np.float64)
-        bn.mode = mode
         x = Tensor(make_rng(26).standard_normal((2, 3, 6, 6)), requires_grad=True)
         with Graph() if graph else contextlib.nullcontext():
-            out = conv_block_forward(conv, bn, x)
+            out = conv_block_forward(conv, bn, x, mode)
         assert (out.data is convs[0].data) == (not graph)

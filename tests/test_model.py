@@ -160,13 +160,12 @@ class TestForward:
         x = Tensor(rng.standard_normal((1, 3, 16, 16)))
         got = model.forward(x, EVAL).values.data
         # replay the pipeline through the public stage functions
-        model.set_mode(EVAL)
         out = x
         for conv, bn in model.stem:
-            out = ad.max_pool2d(conv_block_forward(conv, bn, out), 2, 2)
+            out = ad.max_pool2d(conv_block_forward(conv, bn, out, EVAL), 2, 2)
         out = se_forward(model.se, out)
         for block in model.residuals:
-            out = residual_forward(block, out)
+            out = residual_forward(block, out, EVAL)
         out = ad.adaptive_avg_pool(out, 1, 1)
         out = ad.reshape(out, (1, model.config.classifier_inputs))
         want = model.classifier.forward(out).data
@@ -265,7 +264,7 @@ class TestStatePlumbing:
         b.load_state(a.state_tensors())
         with ad.Graph():
             logits = b.forward(Tensor(rng.standard_normal((4, 3, 16, 16))), TRAIN)
-            cross_entropy(logits, np.array([0, 1, 2, 0])).loss.backward()
+            cross_entropy(logits.values, np.array([0, 1, 2, 0])).loss.backward()
         sgd_step(SgdState(lr=0.1, momentum=0.9), b.named_parameters())
         assert not np.array_equal(b.classifier.weight.data, before["classifier.weight"])
         for name, arr in a.state_tensors().items():

@@ -38,7 +38,7 @@ def _backward_then_step(model, optimizer, manifest, batch_size, rng):
     losses = []
     for pixels, labels in training.make_batches(manifest, batch_size, rng, shuffle=True):
         with Graph():
-            value = cross_entropy(model.forward(pixels, mode=TRAIN), labels)
+            value = cross_entropy(model.forward(pixels, mode=TRAIN).values, labels)
             value.loss.backward()
         sgd_step(optimizer, params)
         losses.append(value.loss.item())
