@@ -52,7 +52,7 @@ differences are unreliable in float32), float32 permitted for training speed.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -335,9 +335,13 @@ def _records(inputs: Sequence[Tensor]) -> bool:
     return active_graph() is not None and any(t.requires_grad for t in inputs)
 
 
-def _finish(op: str, inputs: Sequence[Tensor], out: Tensor, backward_fn) -> Tensor:
-    graph = active_graph()
+def _finish(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
+            backward_fn) -> Tensor:
+    """The op's output tensor over `out_data`, recorded on the active graph
+    with `backward_fn` when any input requires a gradient."""
+    out = Tensor(out_data, dtype=out_data.dtype)
     if _records(inputs):
+        graph = active_graph()
         out.requires_grad = True
         node = GraphNode(op, tuple(inputs), out, backward_fn, graph)
         graph.nodes.append(node)
@@ -423,7 +427,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
         del cols  # before the next block is built
     if bias is not None:
         out_data += bias.data[None, :, None, None]
-    out = Tensor(out_data, dtype=out_data.dtype)
 
     def input_grad(go: np.ndarray) -> np.ndarray:
         """The (N, Cin, H, W) input gradient, its columns computed for the
@@ -466,7 +469,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
                 _accumulate(weight, product.materialize())
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _finish("conv2d", inputs, out, backward_fn)
+    return _finish("conv2d", inputs, out_data, backward_fn)
 
 
 def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
@@ -486,8 +489,7 @@ def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
         # +0.0 np.maximum returns it, so the first maximum's sign is kept (of
         # two NaNs it returns the first operand, so the last NaN's bits)
         np.maximum(tap, out_data, out=out_data)
-    out = Tensor(out_data, dtype=out_data.dtype)
-    if active_graph() is not None and x.requires_grad:
+    if _records((x,)):
         # each window's first tap holding its maximum, or its first NaN (the
         # maximum is then NaN and equals nothing), in the narrowest type that
         # holds k*k - 1; plain ufuncs only, as masked writes are far slower
@@ -520,7 +522,7 @@ def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
                 gx_taps[o] += keep.view(gout.dtype)
         _accumulate(x, gx)
 
-    return _finish("max_pool2d", (x,), out, backward_fn)
+    return _finish("max_pool2d", (x,), out_data, backward_fn)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -528,13 +530,12 @@ def global_avg_pool(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool: input must be 4-D, got rank {x.data.ndim}")
     n, c, h, w = x.shape
-    out = Tensor(x.data.mean(axis=(2, 3)), dtype=x.data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         if x.requires_grad:
             _accumulate(x, np.broadcast_to(gout[:, :, None, None] / (h * w), x.shape).copy())
 
-    return _finish("global_avg_pool", (x,), out, backward_fn)
+    return _finish("global_avg_pool", (x,), x.data.mean(axis=(2, 3)), backward_fn)
 
 
 def _pool_region(i: int, in_size: int, out_size: int) -> tuple[int, int]:
@@ -558,7 +559,6 @@ def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
     for i, (h0, h1) in enumerate(bounds_h):
         for j, (w0, w1) in enumerate(bounds_w):
             out_data[:, :, i, j] = x.data[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
-    out = Tensor(out_data, dtype=out_data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         if not x.requires_grad:
@@ -570,7 +570,7 @@ def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
                 gx[:, :, h0:h1, w0:w1] += gout[:, :, i, j][:, :, None, None] / area
         _accumulate(x, gx)
 
-    return _finish("adaptive_avg_pool", (x,), out, backward_fn)
+    return _finish("adaptive_avg_pool", (x,), out_data, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +592,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     out_data = x.data @ weight.data.T
     if bias is not None:
         out_data = out_data + bias.data
-    out = Tensor(out_data, dtype=out_data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         if x.requires_grad:
@@ -603,20 +602,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             _accumulate(bias, gout.sum(axis=0))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _finish("linear", inputs, out, backward_fn)
+    return _finish("linear", inputs, out_data, backward_fn)
 
 
 def relu(x: Tensor, *, out: np.ndarray | None = None) -> Tensor:
     """max(x, 0), written into `out` when the caller hands over x's own
     array (see the module docstring); backward reads only where the result
     is positive, which is where x is."""
-    out = Tensor(np.maximum(x.data, 0, out=out), dtype=x.data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         if x.requires_grad:
             _accumulate(x, np.multiply(gout, x.data > 0, out=gout))
 
-    return _finish("relu", (x,), out, backward_fn)
+    return _finish("relu", (x,), np.maximum(x.data, 0, out=out), backward_fn)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -631,13 +629,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
-    out = Tensor(s, dtype=s.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         if x.requires_grad:
             _accumulate(x, gout * s * (1.0 - s))
 
-    return _finish("sigmoid", (x,), out, backward_fn)
+    return _finish("sigmoid", (x,), s, backward_fn)
 
 
 def add(a: Tensor, b: Tensor, *, out: np.ndarray | None = None) -> Tensor:
@@ -645,20 +642,18 @@ def add(a: Tensor, b: Tensor, *, out: np.ndarray | None = None) -> Tensor:
     reads no data."""
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(np.add(a.data, b.data, out=out), dtype=a.data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         _accumulate(a, gout)
         if b.requires_grad:
             _accumulate(b, gout.copy())  # `a` may have adopted gout itself
 
-    return _finish("add", (a, b), out, backward_fn)
+    return _finish("add", (a, b), np.add(a.data, b.data, out=out), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data * b.data, dtype=a.data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         if a.requires_grad:
@@ -666,7 +661,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, gout * a.data)
 
-    return _finish("mul", (a, b), out, backward_fn)
+    return _finish("mul", (a, b), a.data * b.data, backward_fn)
 
 
 def mul_broadcast_channel(x: Tensor, s: Tensor) -> Tensor:
@@ -679,7 +674,6 @@ def mul_broadcast_channel(x: Tensor, s: Tensor) -> Tensor:
         raise ShapeError(
             f"mul_broadcast_channel: batch/channel {x.shape[:2]} != {s.shape}")
     s4 = s.data[:, :, None, None]
-    out = Tensor(x.data * s4, dtype=x.data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         if x.requires_grad:
@@ -687,28 +681,25 @@ def mul_broadcast_channel(x: Tensor, s: Tensor) -> Tensor:
         if s.requires_grad:
             _accumulate(s, (gout * x.data).sum(axis=(2, 3)))
 
-    return _finish("mul_broadcast_channel", (x, s), out, backward_fn)
+    return _finish("mul_broadcast_channel", (x, s), x.data * s4, backward_fn)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape), dtype=x.data.dtype)
-
     def backward_fn(gout: np.ndarray) -> None:
         if x.requires_grad:
             _accumulate(x, gout.reshape(x.shape))
 
-    return _finish("reshape", (x,), out, backward_fn)
+    return _finish("reshape", (x,), x.data.reshape(shape), backward_fn)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
-    out = Tensor(x.data.sum(), dtype=x.data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         if x.requires_grad:
             _accumulate(x, np.broadcast_to(gout, x.shape).copy())
 
-    return _finish("sum", (x,), out, backward_fn)
+    return _finish("sum", (x,), x.data.sum(), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +744,6 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
     var = x.data.var(axis=(0, 2, 3))
     inv_std = 1.0 / np.sqrt(var + eps)
     out_data = _normalized(x.data, mean, inv_std, gamma.data, beta.data)
-    out = Tensor(out_data, dtype=out_data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         x_hat = _normalized(x.data, mean, inv_std)
@@ -773,7 +763,7 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
             t *= inv_std[None, :, None, None]
             _accumulate(x, t)
 
-    return _finish("batch_norm2d_train", (x, gamma, beta), out, backward_fn), mean, var
+    return _finish("batch_norm2d_train", (x, gamma, beta), out_data, backward_fn), mean, var
 
 
 def batch_norm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -797,7 +787,6 @@ def batch_norm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
     inputs = (x, gamma, beta)
     out_data = _normalized(x.data, mean, inv_std, gamma.data, beta.data,
                            out=None if _records(inputs) else out)
-    out = Tensor(out_data, dtype=out_data.dtype)
 
     def backward_fn(gout: np.ndarray) -> None:
         if gamma.requires_grad:
@@ -808,7 +797,7 @@ def batch_norm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
         if x.requires_grad:
             _accumulate(x, gout * (gamma.data * inv_std)[None, :, None, None])
 
-    return _finish("batch_norm2d_eval", inputs, out, backward_fn)
+    return _finish("batch_norm2d_eval", inputs, out_data, backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,9 @@ from .training import BEST_CHECKPOINT, evaluate_model, train_model
 from .verification import recorded_ops, run_gradient_checks
 
 GRADCHECK_TRIALS = {"tiny": 50, "small": 150}
+#: largest |--logit-shift|: ulp(1e6) is 1.2e-10, so a shift this large moves
+#: each logit by far less than the 8 printed decimals resolve
+LOGIT_SHIFT_BOUND = 1e6
 
 
 def _overrides_from(args) -> dict:
@@ -91,14 +94,17 @@ def cmd_train(args) -> int:
         result = train_model(cfg, train_manifest, eval_manifest, out_dir=out_dir,
                              resume_from=args.checkpoint, log=print)
 
-        # final report comes from the best checkpoint, not the last epoch
+        # final report comes from the best checkpoint, not the last epoch; a
+        # resumed run's best may predate it, so its epoch comes from there too
         best_path = out_dir / BEST_CHECKPOINT
+        best_epoch, best_accuracy = result.best_epoch, result.scheduler.best_metric
         if best_path.exists():
             # release the trained model and its velocity before the load, so
             # it does not hold a third copy of the parameters over them
             result.model = result.optimizer = None
-            model = checkpoint_io.load(
-                best_path, expected_config=cfg.model_config()).model
+            best = checkpoint_io.load(best_path, expected_config=cfg.model_config())
+            model, best_epoch, best_accuracy = best.model, best.epoch, best.best_metric
+            del best  # with the velocity it loaded, before the report's forwards
         else:
             model = result.model
         confusion = evaluate_model(model, eval_manifest)
@@ -108,14 +114,14 @@ def cmd_train(args) -> int:
         "dataset": cfg.dataset,
         "seed": cfg.seed,
         "epochs_run": len(result.history),
-        "best_epoch": result.best_epoch,
-        "best_accuracy": result.best_accuracy,
+        "best_epoch": best_epoch,
+        "best_accuracy": best_accuracy,
         "history": [dataclasses.asdict(record) for record in result.history],
         "report": json.loads(report_json(confusion)),
     }
     (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n",
                                           encoding="utf-8")
-    print(f"best epoch {result.best_epoch} accuracy {result.best_accuracy:.2f}")
+    print(f"best epoch {best_epoch} accuracy {best_accuracy:.2f}")
     return 0
 
 
@@ -141,6 +147,9 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     if not np.isfinite(args.logit_shift):
         raise ConfigError(f"--logit-shift must be finite, got {args.logit_shift}")
+    if abs(args.logit_shift) > LOGIT_SHIFT_BOUND:
+        raise ConfigError(f"--logit-shift must be within +-{LOGIT_SHIFT_BOUND:g}, "
+                          f"got {args.logit_shift}")
     model = checkpoint_io.load(args.checkpoint, model_only=True).model
     geometry = model.config
     sample = load_single_image(args.image, geometry.input_size,
@@ -218,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", metavar="PATH", required=True)
     p.add_argument("--logit-shift", dest="logit_shift", type=float, default=0.0,
                    metavar="F", help="add a constant to every logit first "
-                   "(the prediction must not change)")
+                   f"(the prediction must not change); |F| <= {LOGIT_SHIFT_BOUND:g}")
     p.set_defaults(func=cmd_predict)
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient audit")

@@ -8,8 +8,8 @@ trailing), blank lines ignored.  Lists are comma-separated (``64,128,256``);
 a list of triples separates each triple's items by colons
 (``256:512:2,512:1024:2``).  Command-line flags override file values, which
 override the defaults below.  The defaults are the full training recipe:
-batch 16, 80 epochs, lr 1e-3 with plateau factor 0.1, momentum 0.9,
-horizontal-flip augmentation on.
+batch 16, 80 epochs, horizontal-flip augmentation on, and the optimizer and
+plateau-schedule defaults that `SgdState` and `PlateauScheduler` declare.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ class _Recipe:
     # training recipe
     batch_size: int = 16
     epochs: int = 80
-    lr: float = 1e-3
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    factor: float = 0.1
-    patience: int = 10
-    min_lr: float = 1e-6
+    lr: float = SgdState.lr
+    momentum: float = SgdState.momentum
+    weight_decay: float = SgdState.weight_decay
+    factor: float = PlateauScheduler.factor
+    patience: int = PlateauScheduler.patience
+    min_lr: float = PlateauScheduler.min_lr
     augment: bool = True
     dtype: str = "float32"
     seed: int = 0

@@ -5,7 +5,8 @@ Each class owns its tensors and initialization; the forward computations are
 free functions (`conv_block_forward`, `se_forward`, `residual_forward`) so the
 data flow stays readable and the recorded graph mirrors the published
 composition exactly.  Batch norm's mode (`TRAIN` or `EVAL`) is passed to
-each call that reaches one; no layer stores it.
+each call that reaches one; no layer stores it, and batch norm rejects any
+other value.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class BatchNorm2d:
     running estimates (running <- (1 - m) * running + m * batch with
     m = `BN_MOMENTUM`, biased variance); "eval" normalizes with the running
     estimates and never mutates them.  Both add `BN_EPS` to the variance.
+    Any other mode raises `ConfigError` before the statistics are read.
     """
 
     def __init__(self, channels: int):
@@ -91,6 +93,8 @@ class BatchNorm2d:
     def forward(self, x: Tensor, mode: str, *, out: np.ndarray | None = None) -> Tensor:
         """`out`, x's own array handed over by a caller that reads x no
         more, goes to `batch_norm2d_eval`; train mode makes a new output."""
+        if mode not in (TRAIN, EVAL):
+            raise ConfigError(f"mode must be '{TRAIN}' or '{EVAL}', got {mode!r}")
         if mode == TRAIN:
             out, mean, var = ad.batch_norm2d_train(x, self.gamma, self.beta, BN_EPS)
             m = BN_MOMENTUM

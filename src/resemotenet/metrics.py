@@ -21,16 +21,11 @@ def predict_labels(logits: np.ndarray) -> np.ndarray:
 class ConfusionMatrix:
     """K x K count table; rows index the true class, columns the predicted."""
 
-    def __init__(self, num_classes: int, class_names: tuple[str, ...] | None = None):
+    def __init__(self, num_classes: int):
         if num_classes < 2:
             raise DataError(f"confusion matrix needs >= 2 classes, got {num_classes}")
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-        if class_names is None:
-            class_names = class_names_for(num_classes)
-        if len(class_names) != num_classes:
-            raise DataError(
-                f"{len(class_names)} names for {num_classes} classes")
-        self.class_names = tuple(class_names)
+        self.class_names = class_names_for(num_classes)
 
     @property
     def num_classes(self) -> int:
@@ -55,13 +50,6 @@ class ConfusionMatrix:
                 raise DataError(
                     f"{name} label {int(arr[i])} at index {i} outside [0, {k})")
         np.add.at(self.counts, (t, p), 1)
-
-    def merge(self, other: "ConfusionMatrix") -> None:
-        """Fold in another shard's counts (elementwise addition)."""
-        if other.counts.shape != self.counts.shape:
-            raise DataError(
-                f"cannot merge {other.counts.shape} into {self.counts.shape}")
-        self.counts += other.counts
 
     def accuracy(self) -> float:
         """Share of correct predictions, in percent: 100 * trace / total."""

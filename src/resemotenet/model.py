@@ -12,7 +12,6 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 from .layers import (
     EVAL,
-    TRAIN,
     BatchNorm2d,
     Conv2dLayer,
     LinearLayer,
@@ -199,11 +198,10 @@ class ResEmoteNetModel:
         Stages: each stem block is conv+BN+ReLU then a 2x2 max-pool; the
         channel gate rescales the stem output; residual blocks downsample;
         adaptive average pooling collapses the grid; the flattened features
-        feed the linear head.  `mode` is passed to every batch-norm layer.
+        feed the linear head.  `mode` is passed to every batch-norm layer,
+        which rejects anything but `TRAIN` or `EVAL`.
         """
         cfg = self.config
-        if mode not in (TRAIN, EVAL):
-            raise ConfigError(f"mode must be '{TRAIN}' or '{EVAL}', got {mode!r}")
         if x.data.ndim != 4 or x.shape[1] != cfg.input_channels or \
                 x.shape[2] != cfg.input_size or x.shape[3] != cfg.input_size:
             raise ShapeError(

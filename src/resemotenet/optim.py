@@ -55,7 +55,6 @@ def cross_entropy(values: Tensor, labels) -> LossValue:
     log_probs = shifted - log_z[:, None]
     loss_value = -log_probs[np.arange(n), labels].mean()
     probs = np.exp(log_probs)
-    out = Tensor(np.asarray(loss_value, dtype=values.data.dtype))
 
     def backward_fn(gout: np.ndarray) -> None:
         if values.requires_grad:
@@ -63,8 +62,9 @@ def cross_entropy(values: Tensor, labels) -> LossValue:
             grad[np.arange(n), labels] -= 1.0
             ad._accumulate(values, gout * grad / n)
 
-    ad._finish("cross_entropy", (values,), out, backward_fn)
-    return LossValue(loss=out, probabilities=probs)
+    loss = ad._finish("cross_entropy", (values,),
+                      np.asarray(loss_value, dtype=values.data.dtype), backward_fn)
+    return LossValue(loss=loss, probabilities=probs)
 
 
 def _require_finite(**values) -> None:

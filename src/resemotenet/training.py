@@ -53,8 +53,7 @@ class TrainResult:
     optimizer: SgdState
     scheduler: PlateauScheduler
     history: list[EpochRecord] = field(default_factory=list)
-    best_epoch: int = 0
-    best_accuracy: float = float("-inf")
+    best_epoch: int = 0  # of this session; 0 when none of its epochs improved
 
 
 def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest) -> ConfusionMatrix:
@@ -140,16 +139,13 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
             if loaded.rng_state is not None:
                 rng.bit_generator.state = loaded.rng_state
             start_epoch = loaded.epoch + 1
-            best_accuracy = loaded.best_metric
         else:
             model = build_model(cfg.model_config())
             optimizer = cfg.sgd_state()
             scheduler = cfg.scheduler()
             start_epoch = 1
-            best_accuracy = float("-inf")
 
-        result = TrainResult(model=model, optimizer=optimizer,
-                             scheduler=scheduler, best_accuracy=best_accuracy)
+        result = TrainResult(model=model, optimizer=optimizer, scheduler=scheduler)
         out_path = Path(out_dir) if out_dir is not None else None
         if out_path is not None:
             out_path.mkdir(parents=True, exist_ok=True)
@@ -161,27 +157,27 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
             except OptimizerError as err:
                 raise OptimizerError(f"epoch {epoch}, {err}") from err
             accuracy = evaluate_model(model, eval_manifest).accuracy()
+            best_before = scheduler.best_metric
             reduced = scheduler_step(scheduler, accuracy, optimizer)
+            improved = scheduler.best_metric != best_before
             record = EpochRecord(epoch=epoch, train_loss=mean_loss,
                                  eval_accuracy=accuracy, lr=optimizer.lr,
                                  lr_reduced=reduced)
             result.history.append(record)
             emit(record.line())
 
-            improved = accuracy > result.best_accuracy + 1e-12
             if improved:
-                result.best_accuracy = accuracy
                 result.best_epoch = epoch
             if out_path is not None:
                 if improved:
                     checkpoint.save(model, optimizer, scheduler, epoch,
                                     out_path / BEST_CHECKPOINT,
                                     rng_state=rng.bit_generator.state,
-                                    best_metric=result.best_accuracy)
+                                    best_metric=scheduler.best_metric)
                 checkpoint.save(model, optimizer, scheduler, epoch,
                                 out_path / LAST_CHECKPOINT,
                                 rng_state=rng.bit_generator.state,
-                                best_metric=result.best_accuracy)
+                                best_metric=scheduler.best_metric)
             if stop_when is not None and stop_when(record):
                 break
     return result

@@ -229,7 +229,7 @@ def test_c09_stale_metrics_cut_rate_by_factor_to_floor():
 
 
 def test_c10_accuracy_matches_binary_and_counting_oracles():
-    cm = ConfusionMatrix(2, ("rest", "target"))
+    cm = ConfusionMatrix(2)  # class 1 is the target, class 0 the rest
     cm.update([1, 1, 1, 0, 0, 0, 0, 0, 0, 1],
               [1, 1, 1, 0, 0, 0, 0, 0, 1, 0])
     assert cm.one_vs_rest(1) == {"TP": 3, "TN": 5, "FP": 1, "FN": 1}

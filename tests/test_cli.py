@@ -1,9 +1,11 @@
 """Command-line contract: subcommands, exit codes, config echo, epoch log
 lines, artifacts on disk, and the prediction/eval equivalences.
 
-Everything here drives the real entry point in a subprocess so the printed
-output and exit codes are exactly what a shell user sees; the one test that
-measures the process's own memory calls `cli.main` in process.
+Most tests drive the real entry point in a subprocess so the printed
+output and exit codes are exactly what a shell user sees.  A few call
+`cli.main` in process: the ones that measure the process's own memory or
+patch a module, and the gradcheck tests, which cut the battery to one trial
+per component (C02 runs it in full).
 """
 
 import inspect
@@ -341,6 +343,26 @@ def test_resume_continues_epoch_numbering(dir_fixture, tmp_path):
     assert numbers == [3, 4]
 
 
+def test_resumed_run_reports_the_best_checkpoint_it_kept(dir_fixture, tmp_path):
+    """At a rate too small to change a prediction no resumed epoch
+    improves, so the run's best is the first session's best.ckpt."""
+    out = tmp_path / "run"
+    train = ["train", "--config", str(dir_fixture["cfg"]), "--lr", "1e-9",
+             "--out", str(out)]
+    code, _, stderr = run_cli(*train, "--epochs", "2")
+    assert code == 0, stderr
+    code, stdout, stderr = run_cli(*train, "--epochs", "4",
+                                   "--checkpoint", str(out / "last.ckpt"))
+    assert code == 0, stderr
+    best = checkpoint.load(out / "best.ckpt")
+    assert best.epoch <= 2
+    payload = json.loads((out / "metrics.json").read_text())
+    assert payload["best_epoch"] == best.epoch
+    assert payload["best_accuracy"] == best.best_metric
+    assert stdout.splitlines()[-1] == \
+        f"best epoch {best.epoch} accuracy {best.best_metric:.2f}"
+
+
 def test_plateau_cuts_lr_by_factor_ten(plateau_run):
     rates = [float(EPOCH_LINE.match(line).group(4))
              for line in epoch_lines(plateau_run["stdout"])]
@@ -475,12 +497,25 @@ def test_predict_agrees_with_eval_on_singleton_manifest(memorize_run, tmp_path):
 
 # --- gradcheck -------------------------------------------------------------
 
-def test_gradcheck_tiny_passes_and_reports_components():
-    code, stdout, stderr = run_cli("gradcheck", "tiny")
+@pytest.fixture
+def one_trial_gradcheck(monkeypatch):
+    monkeypatch.setitem(cli.GRADCHECK_TRIALS, "tiny", 1)
+
+
+def test_gradcheck_tiny_passes_and_reports_components(one_trial_gradcheck, capsys):
+    code = cli.main(["gradcheck", "tiny"])
+    stdout, stderr = capsys.readouterr()
     assert code == 0, stderr
     assert "conv2d" in stdout
     assert "max_rel_err" in stdout
     assert "FAIL" not in stdout
+
+
+def test_gradcheck_injected_fault_fails_naming_the_op(one_trial_gradcheck, capsys):
+    code = cli.main(["gradcheck", "tiny", "--inject-fault", "max_pool2d"])
+    _, stderr = capsys.readouterr()
+    assert code == 1
+    assert re.search(r"FAIL max_pool2d", stderr), stderr
 
 
 # --- exit codes ------------------------------------------------------------
@@ -514,8 +549,6 @@ EXIT_CODES = [
         "train", "--config", str(dir_fixture["cfg"]), "--epochs", "4",
         "--lr", "1e30", "--out", str(tmp_path / "run")],
         1, r"epoch 1, batch \d+: non-finite training loss", id="divergent-training"),
-    pytest.param(lambda: ["gradcheck", "tiny", "--inject-fault", "max_pool2d"],
-                 1, r"FAIL max_pool2d", id="injected-fault"),
     pytest.param(lambda: ["train", "--bogus-flag", "1"],
                  2, r"unrecognized arguments: --bogus-flag", id="unknown-flag"),
     pytest.param(lambda tmp_path: [
@@ -539,6 +572,11 @@ EXIT_CODES = [
         "predict", str(_one_image(memorize_run)),
         "--checkpoint", str(memorize_run["out"] / "best.ckpt"), "--logit-shift", "inf"],
         2, r"\Aerror: --logit-shift must be finite, got inf$", id="inf-logit-shift"),
+    pytest.param(lambda memorize_run: [
+        "predict", str(_one_image(memorize_run)),
+        "--checkpoint", str(memorize_run["out"] / "best.ckpt"), "--logit-shift", "1e17"],
+        2, r"\Aerror: --logit-shift must be within \+-1e\+06, got 1e\+17$",
+        id="huge-logit-shift"),
     pytest.param(lambda memorize_run: [
         "eval", "--checkpoint", str(memorize_run["out"] / "best.ckpt"), "--seed", "1"],
         2, r"unrecognized arguments: --seed 1", id="eval-seed"),

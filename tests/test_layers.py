@@ -90,6 +90,14 @@ class TestConvBlock:
         npt.assert_array_equal(bn.running_mean, before[0])
         npt.assert_array_equal(bn.running_var, before[1])
 
+    def test_unknown_mode_raises_before_touching_running_stats(self):
+        bn = BatchNorm2d(2)
+        x = Tensor(rng.standard_normal((3, 2, 4, 4)) + 3.0)
+        with pytest.raises(ConfigError, match="mode must be 'train' or 'eval', got 'Train'"):
+            bn.forward(x, "Train")
+        npt.assert_array_equal(bn.running_mean, 0.0)
+        npt.assert_array_equal(bn.running_var, 1.0)
+
     def test_eval_before_any_train_uses_unit_stats(self):
         bn = BatchNorm2d(3)
         x = Tensor(rng.standard_normal((1, 3, 2, 2)))

@@ -135,23 +135,7 @@ def test_one_vs_rest_partitions_total(k, n, seed):
         assert min(ovr.values()) >= 0
 
 
-class TestMergeAndNormalize:
-    def test_merge_equals_joint_update(self):
-        labels = rng.integers(0, 4, 100)
-        preds = rng.integers(0, 4, 100)
-        joint = ConfusionMatrix(4)
-        joint.update(labels, preds)
-        a = ConfusionMatrix(4)
-        b = ConfusionMatrix(4)
-        a.update(labels[:37], preds[:37])
-        b.update(labels[37:], preds[37:])
-        a.merge(b)
-        npt.assert_array_equal(a.counts, joint.counts)
-
-    def test_merge_shape_mismatch(self):
-        with pytest.raises(DataError, match="merge"):
-            ConfusionMatrix(3).merge(ConfusionMatrix(4))
-
+class TestNormalize:
     def test_normalized_rows_sum_to_one(self):
         cm = ConfusionMatrix(5)
         cm.update(rng.integers(0, 5, 200), rng.integers(0, 5, 200))
@@ -196,6 +180,6 @@ class TestReports:
             assert name in text
 
     def test_text_report_flags_undefined_precision(self):
-        cm = ConfusionMatrix(3, class_names=("a", "b", "c"))
+        cm = ConfusionMatrix(3)
         cm.update([0, 1, 2], [0, 1, 1])
         assert "undef" in report_text(cm)

@@ -11,7 +11,7 @@ from resemotenet.autodiff import Tensor
 from resemotenet.data import DatasetManifest, Sample
 from resemotenet.errors import ConfigError, ShapeError
 from resemotenet.layers import EVAL, TRAIN, conv_block_forward, residual_forward, se_forward
-from resemotenet.model import ModelConfig, ResEmoteNetModel, build_model
+from resemotenet.model import ModelConfig, build_model
 from resemotenet.optim import SgdState, cross_entropy, sgd_step
 from resemotenet.training import train_one_epoch
 
@@ -131,6 +131,15 @@ class TestForward:
         out = model.forward(Tensor(rng.standard_normal((16, 3, 16, 16))), EVAL)
         assert out.values.shape == (16, 3)
         assert np.all(np.isfinite(out.values.data))
+
+    def test_unknown_mode_raises_and_leaves_running_stats(self):
+        model = build_model(TINY)
+        x = Tensor(rng.standard_normal((2, 3, 16, 16)) + 3.0)
+        with pytest.raises(ConfigError, match="mode must be 'train' or 'eval', got 'Train'"):
+            model.forward(x, "Train")
+        for _, bn in model.batch_norms():
+            npt.assert_array_equal(bn.running_mean, 0.0)
+            npt.assert_array_equal(bn.running_var, 1.0)
 
     def test_zero_input_fresh_model_gives_zero_logits(self):
         # BN(0)=0 under unit running stats, conv biases are zero, the channel

@@ -15,7 +15,6 @@ from resemotenet.errors import ConfigError, DataError, OptimizerError
 from resemotenet.layers import TRAIN
 from resemotenet.model import ModelConfig, build_model
 from resemotenet.optim import (
-    LossValue,
     PlateauScheduler,
     SgdState,
     cross_entropy,
