@@ -10,7 +10,6 @@ from .autodiff import (
     Tensor,
     grad_check,
     inject_gradient_fault,
-    set_default_dtype,
     using_dtype,
 )
 from .config import RunConfig, load_run_config
@@ -36,7 +35,6 @@ __all__ = [
     "Tensor",
     "grad_check",
     "inject_gradient_fault",
-    "set_default_dtype",
     "using_dtype",
     "RunConfig",
     "load_run_config",

@@ -64,27 +64,22 @@ GRADCHECK_EPSILON = 1e-5
 GRADCHECK_TOL = 1e-4
 
 
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported element type {dtype}; use float32 or float64")
-    _default_dtype = dtype.type
-
-
 def default_dtype():
     return _default_dtype
 
 
 @contextlib.contextmanager
 def using_dtype(dtype):
-    """Temporarily switch the build-wide element type."""
-    previous = _default_dtype
-    set_default_dtype(dtype)
+    """Temporarily switch the build-wide element type (float32 or float64)."""
+    global _default_dtype
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ValueError(f"unsupported element type {dtype}; use float32 or float64")
+    previous, _default_dtype = _default_dtype, dtype.type
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _default_dtype = previous
 
 
 class Tensor:
@@ -480,8 +475,8 @@ def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
     n, c, h, w = x.shape
     if k > h or k > w:
         raise ShapeError(f"max_pool2d: window {k}x{k} larger than input {h}x{w}")
-    out_h = (h - k) // stride + 1
-    out_w = (w - k) // stride + 1
+    out_h = _conv_output_extent(h, k, stride, 0)
+    out_w = _conv_output_extent(w, k, stride, 0)
     taps = _windows(x.data, k, k, stride, out_h, out_w)
     out_data = taps[0].copy()
     for tap in taps[1:]:
@@ -532,8 +527,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
 
     def backward_fn(gout: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, np.broadcast_to(gout[:, :, None, None] / (h * w), x.shape).copy())
+        _accumulate(x, np.broadcast_to(gout[:, :, None, None] / (h * w), x.shape).copy())
 
     return _finish("global_avg_pool", (x,), x.data.mean(axis=(2, 3)), backward_fn)
 
@@ -561,8 +555,6 @@ def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
             out_data[:, :, i, j] = x.data[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
 
     def backward_fn(gout: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
         gx = np.zeros_like(x.data)
         for i, (h0, h1) in enumerate(bounds_h):
             for j, (w0, w1) in enumerate(bounds_w):
@@ -611,8 +603,7 @@ def relu(x: Tensor, *, out: np.ndarray | None = None) -> Tensor:
     is positive, which is where x is."""
 
     def backward_fn(gout: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, np.multiply(gout, x.data > 0, out=gout))
+        _accumulate(x, np.multiply(gout, x.data > 0, out=gout))
 
     return _finish("relu", (x,), np.maximum(x.data, 0, out=out), backward_fn)
 
@@ -631,8 +622,7 @@ def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
 
     def backward_fn(gout: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, gout * s * (1.0 - s))
+        _accumulate(x, gout * s * (1.0 - s))
 
     return _finish("sigmoid", (x,), s, backward_fn)
 
@@ -686,8 +676,7 @@ def mul_broadcast_channel(x: Tensor, s: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward_fn(gout: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, gout.reshape(x.shape))
+        _accumulate(x, gout.reshape(x.shape))
 
     return _finish("reshape", (x,), x.data.reshape(shape), backward_fn)
 
@@ -696,8 +685,7 @@ def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
 
     def backward_fn(gout: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, np.broadcast_to(gout, x.shape).copy())
+        _accumulate(x, np.broadcast_to(gout, x.shape).copy())
 
     return _finish("sum", (x,), x.data.sum(), backward_fn)
 
@@ -724,6 +712,15 @@ def _normalized(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray,
     return out
 
 
+def _check_batch_norm_inputs(x: Tensor, gamma: Tensor, beta: Tensor) -> None:
+    if x.data.ndim != 4:
+        raise ShapeError(f"batch_norm2d: input must be 4-D, got rank {x.data.ndim}")
+    c = x.shape[1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(
+            f"batch_norm2d: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
+
+
 def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
                        eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Normalize per channel with batch statistics over (N, H, W).
@@ -733,12 +730,8 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
     for the dependence of the batch statistics on the input, and recomputes
     the normalized input from ``x.data`` rather than keeping it on the tape.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"batch_norm2d: input must be 4-D, got rank {x.data.ndim}")
+    _check_batch_norm_inputs(x, gamma, beta)
     n, c, h, w = x.shape
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"batch_norm2d: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
     m = n * h * w
     mean = x.data.mean(axis=(0, 2, 3))
     var = x.data.var(axis=(0, 2, 3))
@@ -776,12 +769,7 @@ def batch_norm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
     ``x.data`` as `out`, but it is written only when no graph records the
     op (eval and ``predict``) and already has the result's element type;
     otherwise the result is a new array."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"batch_norm2d: input must be 4-D, got rank {x.data.ndim}")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"batch_norm2d: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
+    _check_batch_norm_inputs(x, gamma, beta)
     mean = running_mean.copy()  # a train-mode forward updates the stats in place
     inv_std = 1.0 / np.sqrt(running_var + eps)
     inputs = (x, gamma, beta)
@@ -841,20 +829,15 @@ def _relative_error(a: float, n: float) -> float:
     return abs(a - n) / max(1e-8, abs(a) + abs(n))
 
 
-def grad_check(f: Callable[..., Tensor], inputs) -> GradCheckReport:
+def grad_check(f: Callable[..., Tensor],
+               named: Sequence[tuple[str, Tensor]]) -> GradCheckReport:
     """Compare analytic gradients of scalar f(*tensors) with central differences.
 
-    `inputs` is a sequence of tensors or (name, tensor) pairs; every tensor is
-    perturbed elementwise by +-`GRADCHECK_EPSILON` in float64.  Relative error
-    per element is |a - n| / max(1e-8, |a| + |n|); an input fails when its
+    `named` is a sequence of (name, tensor) pairs; every tensor is perturbed
+    elementwise by +-`GRADCHECK_EPSILON` in float64.  Relative error per
+    element is |a - n| / max(1e-8, |a| + |n|); an input fails when its
     maximum exceeds `GRADCHECK_TOL`.  f must be deterministic.
     """
-    named: list[tuple[str, Tensor]] = []
-    for i, item in enumerate(inputs):
-        if isinstance(item, Tensor):
-            named.append((f"input{i}", item))
-        else:
-            named.append((item[0], item[1]))
     for name, t in named:
         if t.data.dtype != np.float64:
             raise ValueError(f"grad_check: '{name}' must be float64, got {t.data.dtype}")

@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 # `build_model` is not called here, but stays a name of this module:
 # perfbench's span tracer wraps `checkpoint.build_model`
 from .model import ModelConfig, ResEmoteNetModel, build_model  # noqa: F401
@@ -47,13 +47,10 @@ _DTYPE_CODES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
 
 
 def _little_endian(arr: np.ndarray) -> tuple[np.ndarray, str]:
-    if arr.dtype == np.float64:
-        code = "<f8"
-    elif arr.dtype == np.float32:
-        code = "<f4"
-    else:
+    code = arr.dtype.newbyteorder("<").str
+    if code not in _DTYPE_CODES:
         raise CheckpointError(f"unsupported tensor dtype {arr.dtype}")
-    return np.ascontiguousarray(arr, dtype=np.dtype(code)), code
+    return np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]), code
 
 
 def _bytes_of(arr: np.ndarray) -> memoryview:
@@ -174,12 +171,22 @@ def _section(state, field_names) -> dict | None:
             for key in field_names}
 
 
-def _from_section(section: dict | None, cls, field_names):
+def _built(cls, values: dict, section: str, path: Path):
+    """`cls(**values)`; a value it rejects is reported with the file and the
+    header section it came from."""
+    try:
+        return cls(**values)
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: header field '{section}': {err}") from None
+
+
+def _from_section(header: dict, section: str, cls, field_names, path: Path):
     """The inverse of `_section`: null reads back as -inf."""
-    if section is None:
+    values = header[section]
+    if values is None:
         return None
-    return cls(**{key: -np.inf if section[key] is None else section[key]
-                  for key in field_names})
+    return _built(cls, {key: -np.inf if values[key] is None else values[key]
+                        for key in field_names}, section, path)
 
 
 def _is(value, kinds: tuple) -> bool:
@@ -216,6 +223,11 @@ def _check_header(header, path: Path) -> None:
                      f"got {_JSON_NAMES[type(obj[key])]}")
 
     check_fields(header, _HEADER_FIELDS, "")
+    if header["epoch"] < 0:
+        fail("epoch", f"must be >= 0, got {header['epoch']}")
+    best = header["best_metric"]
+    if best is not None and not -math.inf < best < math.inf:  # false for NaN too
+        fail("best_metric", f"must be finite or null, got {best}")
     config = header["config"]
     for f in dataclasses.fields(ModelConfig):
         if f.name not in config:
@@ -345,8 +357,9 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
     directory = header["tensors"]
     _validate_directory(directory, file_size - payload_start, path)
 
-    file_config = ModelConfig(**{f.name: header["config"][f.name]
-                                 for f in dataclasses.fields(ModelConfig)})
+    file_config = _built(ModelConfig, {f.name: header["config"][f.name]
+                                       for f in dataclasses.fields(ModelConfig)},
+                         "config", path)
     if expected_config is not None:
         for field in dataclasses.fields(ModelConfig):
             a = getattr(file_config, field.name)
@@ -356,9 +369,9 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
                     f"{path}: config field '{field.name}' is {a!r} in the "
                     f"file but {b!r} was expected")
 
-    optimizer = _from_section(header["optimizer"], SgdState, _OPTIMIZER_FIELDS)
-    scheduler = _from_section(header["scheduler"], PlateauScheduler,
-                              _SCHEDULER_FIELDS)
+    optimizer = _from_section(header, "optimizer", SgdState, _OPTIMIZER_FIELDS, path)
+    scheduler = _from_section(header, "scheduler", PlateauScheduler,
+                              _SCHEDULER_FIELDS, path)
 
     # no initial draw: the checks above and below run before any read, and
     # every model tensor must be in the file, so each one is overwritten

@@ -95,9 +95,10 @@ def cmd_train(args) -> int:
                              resume_from=args.checkpoint, log=print)
 
         # final report comes from the best checkpoint, not the last epoch; a
-        # resumed run's best may predate it, so its epoch comes from there too
+        # resumed run's best may predate it, so its epoch comes from there too.
+        # Every improving epoch writes it, so without one none improved
         best_path = out_dir / BEST_CHECKPOINT
-        best_epoch, best_accuracy = result.best_epoch, result.scheduler.best_metric
+        best_epoch, best_accuracy = 0, result.scheduler.best_metric
         if best_path.exists():
             # release the trained model and its velocity before the load, so
             # it does not hold a third copy of the parameters over them
@@ -232,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     g.add_argument("scale", choices=tuple(GRADCHECK_TRIALS),
-                   help="trials per component: tiny=50, small=150")
+                   help="trials per component: " + ", ".join(
+                       f"{scale}={n}" for scale, n in GRADCHECK_TRIALS.items()))
     g.add_argument("--seed", type=int, default=0, metavar="N")
     g.add_argument("--inject-fault", dest="inject_fault", metavar="OP",
                    help="corrupt the named op's backward pass; the audit "

@@ -4,7 +4,7 @@ precision/recall, with JSON and aligned-text report output."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -108,16 +108,7 @@ def report_json(cm: ConfusionMatrix) -> str:
     payload = {
         "accuracy": cm.accuracy(),
         "total": cm.total,
-        "classes": [
-            {
-                "name": r.name,
-                "precision": r.precision,
-                "recall": r.recall,
-                "support": r.support,
-                "precision_undefined": r.precision_undefined,
-            }
-            for r in cm.per_class()
-        ],
+        "classes": [asdict(r) for r in cm.per_class()],
         "matrix": cm.counts.tolist(),
         "matrix_normalized": [[round(v, 6) for v in row]
                               for row in cm.normalized()],

@@ -57,10 +57,9 @@ def cross_entropy(values: Tensor, labels) -> LossValue:
     probs = np.exp(log_probs)
 
     def backward_fn(gout: np.ndarray) -> None:
-        if values.requires_grad:
-            grad = probs.copy()
-            grad[np.arange(n), labels] -= 1.0
-            ad._accumulate(values, gout * grad / n)
+        grad = probs.copy()
+        grad[np.arange(n), labels] -= 1.0
+        ad._accumulate(values, gout * grad / n)
 
     loss = ad._finish("cross_entropy", (values,),
                       np.asarray(loss_value, dtype=values.data.dtype), backward_fn)
@@ -167,6 +166,13 @@ class PlateauScheduler:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.mode != "maximize":
             raise ConfigError(f"only 'maximize' mode is supported, got {self.mode!r}")
+        # -inf is the unset best, before the first epoch; NaN and +inf would
+        # never be beaten (the comparison is false for both)
+        if not self.best_metric < np.inf:
+            raise ConfigError(f"best_metric must be finite or -inf, got {self.best_metric}")
+        if self.epochs_since_improve < 0:
+            raise ConfigError(
+                f"epochs_since_improve must be >= 0, got {self.epochs_since_improve}")
 
 
 def scheduler_step(s: PlateauScheduler, epoch_metric: float, state: SgdState) -> bool:

@@ -53,7 +53,6 @@ class TrainResult:
     optimizer: SgdState
     scheduler: PlateauScheduler
     history: list[EpochRecord] = field(default_factory=list)
-    best_epoch: int = 0  # of this session; 0 when none of its epochs improved
 
 
 def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest) -> ConfusionMatrix:
@@ -166,8 +165,6 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
             result.history.append(record)
             emit(record.line())
 
-            if improved:
-                result.best_epoch = epoch
             if out_path is not None:
                 if improved:
                     checkpoint.save(model, optimizer, scheduler, epoch,

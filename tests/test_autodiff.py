@@ -394,6 +394,17 @@ class TestGraphSemantics:
         npt.assert_allclose(x.grad, [5.0])
         assert c.grad is None
 
+    @pytest.mark.parametrize("op", [ad.relu, ad.global_avg_pool])
+    def test_input_cleared_after_forward_receives_no_gradient(self, op):
+        """A single-input op's backward tests no ``requires_grad``:
+        `_accumulate` skips an input that no longer requires a gradient."""
+        x = t(rng.standard_normal((2, 3, 4, 4)))
+        with Graph():
+            loss = ad.tensor_sum(op(x))
+            x.requires_grad = False
+            loss.backward()
+        assert x.grad is None
+
 
 def _small_net(x, w, b, v):
     """conv -> relu -> pool -> linear -> sum: every saved-buffer kind."""
@@ -782,8 +793,12 @@ class TestDtypePolicy:
         assert Tensor([1.0]).dtype == np.float64
 
     def test_rejects_integer_dtype(self):
-        with pytest.raises(ValueError):
-            ad.set_default_dtype(np.int32)
+        with ad.using_dtype(np.float32):
+            with pytest.raises(ValueError, match="int32"):
+                with ad.using_dtype(np.int32):
+                    pass
+            assert ad.default_dtype() is np.float32
+        assert ad.default_dtype() is np.float64
 
 
 def test_dump_format():

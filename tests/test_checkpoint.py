@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from resemotenet import checkpoint as ckpt
 from resemotenet.autodiff import Tensor, using_dtype
-from resemotenet.errors import CheckpointError, ConfigError
+from resemotenet.errors import CheckpointError
 from resemotenet.layers import TRAIN
 from resemotenet.model import ModelConfig, build_model
 from resemotenet.optim import PlateauScheduler, SgdState
@@ -295,6 +296,10 @@ def _first_tensor(header, **changes):
     return header
 
 
+def _in_section(section, **changes):
+    return lambda h: {**h, section: {**h[section], **changes}}
+
+
 RNG_STATE = np.random.default_rng(0).bit_generator.state
 
 MALFORMED_HEADERS = {
@@ -320,6 +325,32 @@ MALFORMED_HEADERS = {
                             r"'rng_state' is not a PCG64 generator state \(ValueError"),
     "rng no state": (lambda h: {**h, "rng_state": _without(RNG_STATE, "state")},
                      r"'rng_state' is not a PCG64 generator state \(KeyError"),
+    # values of the right type but out of range: the error names the file
+    # and the field, or the section whose constructor rejected the value
+    "NaN best": (lambda h: {**h, "best_metric": math.nan},
+                 r"run\.ckpt: header field 'best_metric' must be finite or null, got nan"),
+    "infinite best": (lambda h: {**h, "best_metric": -math.inf},
+                      r"run\.ckpt: header field 'best_metric' must be finite or null, "
+                      r"got -inf"),
+    "negative epoch": (lambda h: {**h, "epoch": -7},
+                       r"run\.ckpt: header field 'epoch' must be >= 0, got -7"),
+    "scheduler NaN best": (_in_section("scheduler", best_metric=math.nan),
+                           r"run\.ckpt: header field 'scheduler': best_metric must be "
+                           r"finite or -inf, got nan"),
+    "scheduler infinite best": (_in_section("scheduler", best_metric=math.inf),
+                                r"run\.ckpt: header field 'scheduler': best_metric must "
+                                r"be finite or -inf, got inf"),
+    "negative staleness": (_in_section("scheduler", epochs_since_improve=-1),
+                           r"run\.ckpt: header field 'scheduler': epochs_since_improve "
+                           r"must be >= 0, got -1"),
+    "zero patience": (_in_section("scheduler", patience=0),
+                      r"run\.ckpt: header field 'scheduler': patience must be >= 1, got 0"),
+    "negative lr": (_in_section("optimizer", lr=-1.0),
+                    r"run\.ckpt: header field 'optimizer': learning rate must be > 0, "
+                    r"got -1\.0"),
+    "indivisible se_reduction": (_in_section("config", se_reduction=3),
+                                 r"run\.ckpt: header field 'config': stem output "
+                                 r"channels 4 must divide by se_reduction 3"),
 }
 
 
@@ -362,13 +393,13 @@ def training_file(tmp_path_factory):
 
 
 def _loads_or_fails_cleanly(blob, source):
-    """Load `blob`: it fails only with an error the CLI exits 2 on, or its
-    data-order state is one a fresh generator accepts."""
+    """Load `blob`: it fails only with `CheckpointError` (the CLI exits 2 on
+    it), or its data-order state is one a fresh generator accepts."""
     path = source.with_name("mutant.ckpt")
     path.write_bytes(blob)
     try:
         loaded = ckpt.load(path)
-    except (CheckpointError, ConfigError):
+    except CheckpointError:
         return
     if loaded.rng_state is not None:
         np.random.default_rng().bit_generator.state = loaded.rng_state
