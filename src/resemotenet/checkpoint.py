@@ -15,8 +15,8 @@ relative to the payload start.  Every buffer is CRC-checked on load, so any
 flipped byte surfaces as an integrity error naming the tensor.
 
 Saving is atomic: the bytes land in a temporary sibling file which is then
-renamed over the target.  A tensor holding NaN or infinity is refused before
-any file is created.
+renamed over the target.  A tensor holding NaN or infinity, or a header value
+`load` would refuse, is refused before any file is created.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
          scheduler: PlateauScheduler | None, epoch: int, path,
          rng_state: dict | None = None, best_metric: float | None = None) -> None:
     """Write the full training state (or just the model, for inference
-    checkpoints) to `path` atomically.  A non-finite tensor (model or
-    velocity) raises `CheckpointError` naming it and its first bad flat index;
-    nothing is written then."""
+    checkpoints) to `path` atomically.  Nothing is written when a tensor is
+    non-finite or a header value is one `load` refuses: `CheckpointError`
+    names the tensor and its first bad flat index, or the field."""
     path = Path(path)
     tensors: list[tuple[str, np.ndarray]] = [
         (f"model.{name}", arr) for name, arr in model.state_tensors().items()
@@ -114,15 +114,17 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
         offset += view.nbytes
 
     header: dict[str, Any] = {
-        "config": dataclasses.asdict(model.config),
+        "config": _section(model.config),
         "epoch": int(epoch),
-        "best_metric": float(best_metric) if best_metric is not None else None,
-        "optimizer": _section(optimizer, _OPTIMIZER_FIELDS),
-        "scheduler": _section(scheduler, _SCHEDULER_FIELDS),
+        "best_metric": None if best_metric in (None, -math.inf) else float(best_metric),
+        "optimizer": _section(optimizer),
+        "scheduler": _section(scheduler),
         "rng_state": rng_state,
         "tensors": directory,
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    # what is written is what `load` accepts
+    _header_values(json.loads(header_bytes), path, offset)
 
     try:
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
@@ -145,112 +147,117 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
         raise CheckpointError(f"cannot write checkpoint {path}: {err}") from None
 
 
-# JSON types a header field may take; true/false never count as integers
-_INT, _STR, _LIST, _NUMBER = (int,), (str,), (list,), (int, float)
-_OBJECT_OR_NULL, _NUMBER_OR_NULL = (dict, type(None)), (int, float, type(None))
+# The header's fields and each tensor entry's, with the default that shows
+# each one's JSON kind (see `_like`).  The sections' fields are those of
+# their dataclasses; optimizer and scheduler may be null.
+_HEADER_FIELDS = {"config": {}, "epoch": 0, "best_metric": -math.inf,
+                  "optimizer": None, "scheduler": None, "rng_state": None,
+                  "tensors": []}
+_TENSOR_FIELDS = {"name": "", "dtype": "", "shape": [], "offset": 0, "length": 0,
+                  "crc32": 0}
+_SECTIONS = (("config", ModelConfig), ("optimizer", SgdState),
+             ("scheduler", PlateauScheduler))
 _JSON_NAMES = {dict: "an object", list: "an array", int: "an integer",
                float: "a number", str: "a string", bool: "a boolean",
                type(None): "null"}
-_HEADER_FIELDS = {"config": (dict,), "epoch": _INT, "best_metric": _NUMBER_OR_NULL,
-                  "optimizer": _OBJECT_OR_NULL, "scheduler": _OBJECT_OR_NULL,
-                  "rng_state": _OBJECT_OR_NULL, "tensors": _LIST}
-_OPTIMIZER_FIELDS = {"lr": _NUMBER, "momentum": _NUMBER, "weight_decay": _NUMBER}
-_SCHEDULER_FIELDS = {"factor": _NUMBER, "patience": _INT, "min_lr": _NUMBER,
-                     "mode": _STR, "best_metric": _NUMBER_OR_NULL,
-                     "epochs_since_improve": _INT}
-_TENSOR_FIELDS = {"name": _STR, "dtype": _STR, "shape": _LIST, "offset": _INT,
-                  "length": _INT, "crc32": _INT}
 
 
-def _section(state, field_names) -> dict | None:
-    """An optimizer or scheduler as its header object (None stays null);
-    an unset scheduler best metric (-inf) is written as null."""
+def _defaults(cls) -> dict:
+    """A section's keys and defaults: the fields of `cls` with a plain default."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+def _section(state) -> dict | None:
+    """A dataclass as its header object (None stays null); a -inf value (the
+    scheduler's unset best metric) is written as null."""
     if state is None:
         return None
-    return {key: None if getattr(state, key) == -np.inf else getattr(state, key)
-            for key in field_names}
-
-
-def _built(cls, values: dict, section: str, path: Path):
-    """`cls(**values)`; a value it rejects is reported with the file and the
-    header section it came from."""
-    try:
-        return cls(**values)
-    except ConfigError as err:
-        raise CheckpointError(f"{path}: header field '{section}': {err}") from None
-
-
-def _from_section(header: dict, section: str, cls, field_names, path: Path):
-    """The inverse of `_section`: null reads back as -inf."""
-    values = header[section]
-    if values is None:
-        return None
-    return _built(cls, {key: -np.inf if values[key] is None else values[key]
-                        for key in field_names}, section, path)
-
-
-def _is(value, kinds: tuple) -> bool:
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    return {key: None if getattr(state, key) == -math.inf else getattr(state, key)
+            for key in _defaults(type(state))}
 
 
 def _like(value, default, nested: bool = False) -> bool:
-    """Whether a JSON value has the form of a config default: an integer, or
-    an array of values like the default's first item.  An array inside an
-    array (a residual triple) must also have that item's length."""
+    """Whether a JSON value has the kind of `default`: a value of its type
+    (any number for a float; true/false never count), null too where it is
+    -inf, an object or null where it is None, and for a tuple an array of
+    values like its first item.  An array inside an array (a residual
+    triple) must also have that item's length."""
     if isinstance(default, tuple):
         return (isinstance(value, list)
                 and (not nested or len(value) == len(default))
                 and all(_like(v, default[0], nested=True) for v in value))
-    return _is(value, _INT)
+    if default is None:
+        return value is None or isinstance(value, dict)
+    if value is None:
+        return default == -math.inf
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _check_header(header, path: Path) -> None:
-    """Reject a header of the wrong form before any of its fields is used;
-    each error names the offending field."""
+def _form(default) -> str:
+    """The kind `_like` asks for, in words."""
+    if isinstance(default, tuple):
+        return f"an array like {json.dumps(default)}"
+    if default is None:
+        return "an object or null"
+    return _JSON_NAMES[type(default)] + (" or null" if default == -math.inf else "")
+
+
+def _header_values(header, path: Path, payload_size: int) -> dict:
+    """The values of a parsed JSON header, every header rule checked:
+    `config`, `optimizer` and `scheduler` as their dataclasses (the last two
+    None when null), numbers as floats and a null `best_metric` as -inf.  A
+    broken rule raises `CheckpointError` naming the file and the first bad
+    field, or the section whose dataclass refused a value."""
     def fail(field: str, problem: str):
         raise CheckpointError(f"{path}: header field '{field}' {problem}")
 
-    def check_fields(obj, fields: dict, where: str) -> None:
+    def read(obj, defaults: dict, where: str) -> dict:
         if not isinstance(obj, dict):
             what = f"header field '{where[:-1]}'" if where else "header"
             raise CheckpointError(
                 f"{path}: {what} must be a JSON object, got {_JSON_NAMES[type(obj)]}")
-        for key, kinds in fields.items():
+        values = {}
+        for key, default in defaults.items():
             if key not in obj:
                 fail(where + key, "is missing")
-            if not _is(obj[key], kinds):
-                fail(where + key, f"must be {' or '.join(_JSON_NAMES[k] for k in kinds)}, "
-                     f"got {_JSON_NAMES[type(obj[key])]}")
+            value = values[key] = obj[key]
+            if not _like(value, default):
+                fail(where + key, f"must be {_form(default)}, got {json.dumps(value)}")
+            if isinstance(default, float):
+                try:
+                    values[key] = -math.inf if value is None else float(value)
+                except OverflowError:
+                    fail(where + key, "must be finite, got an integer beyond float64")
+        return values
 
-    check_fields(header, _HEADER_FIELDS, "")
-    if header["epoch"] < 0:
-        fail("epoch", f"must be >= 0, got {header['epoch']}")
-    best = header["best_metric"]
-    if best is not None and not -math.inf < best < math.inf:  # false for NaN too
-        fail("best_metric", f"must be finite or null, got {best}")
-    config = header["config"]
-    for f in dataclasses.fields(ModelConfig):
-        if f.name not in config:
-            fail(f"config.{f.name}", "is missing")
-        if not _like(config[f.name], f.default):
-            form = (f"an array like {json.dumps(f.default)}"
-                    if isinstance(f.default, tuple) else "an integer")
-            fail(f"config.{f.name}", f"must be {form}, got {json.dumps(config[f.name])}")
-    for section, fields in (("optimizer", _OPTIMIZER_FIELDS),
-                            ("scheduler", _SCHEDULER_FIELDS)):
-        if header[section] is not None:
-            check_fields(header[section], fields, f"{section}.")
-    if header["rng_state"] is not None:
+    values = read(header, _HEADER_FIELDS, "")
+    if values["epoch"] < 0:
+        fail("epoch", f"must be >= 0, got {values['epoch']}")
+    if header["best_metric"] is not None and not abs(values["best_metric"]) < math.inf:
+        fail("best_metric", f"must be finite or null, got {values['best_metric']}")
+    for section, cls in _SECTIONS:
+        if values[section] is not None:
+            try:
+                values[section] = cls(**read(values[section], _defaults(cls),
+                                             section + "."))
+            except ConfigError as err:
+                raise CheckpointError(
+                    f"{path}: header field '{section}': {err}") from None
+    if values["rng_state"] is not None:
         try:  # training restores it into a PCG64 generator
-            np.random.PCG64().state = header["rng_state"]
+            np.random.PCG64().state = values["rng_state"]
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             fail("rng_state", f"is not a PCG64 generator state "
                  f"({type(err).__name__}: {err})")
-    for i, entry in enumerate(header["tensors"]):
-        check_fields(entry, _TENSOR_FIELDS, f"tensors[{i}].")
-        if not all(_is(d, _INT) and d >= 0 for d in entry["shape"]):
+    for i, entry in enumerate(values["tensors"]):
+        read(entry, _TENSOR_FIELDS, f"tensors[{i}].")
+        if not all(_like(d, 0) and d >= 0 for d in entry["shape"]):
             fail(f"tensors[{i}].shape", "must list non-negative integers, got "
                  f"{json.dumps(entry['shape'])}")
+    _validate_directory(values["tensors"], payload_size, path)
+    return values
 
 
 def _validate_directory(directory: list[dict], payload_size: int, path: Path) -> None:
@@ -351,15 +358,11 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(fh.read(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except ValueError as err:  # bad UTF-8 or JSON, or an integer too long to read
         raise CheckpointError(f"{path}: corrupt header: {err}") from None
-    _check_header(header, path)
+    values = _header_values(header, path, file_size - payload_start)
     directory = header["tensors"]
-    _validate_directory(directory, file_size - payload_start, path)
-
-    file_config = _built(ModelConfig, {f.name: header["config"][f.name]
-                                       for f in dataclasses.fields(ModelConfig)},
-                         "config", path)
+    file_config, optimizer, scheduler = (values[section] for section, _ in _SECTIONS)
     if expected_config is not None:
         for field in dataclasses.fields(ModelConfig):
             a = getattr(file_config, field.name)
@@ -368,10 +371,6 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
                 raise CheckpointError(
                     f"{path}: config field '{field.name}' is {a!r} in the "
                     f"file but {b!r} was expected")
-
-    optimizer = _from_section(header, "optimizer", SgdState, _OPTIMIZER_FIELDS, path)
-    scheduler = _from_section(header, "scheduler", PlateauScheduler,
-                              _SCHEDULER_FIELDS, path)
 
     # no initial draw: the checks above and below run before any read, and
     # every model tensor must be in the file, so each one is overwritten
@@ -407,12 +406,11 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
             dest = optimizer.velocity[name[len("velocity."):]] = np.empty_like(dest)
         _read_tensor(fh, payload_start, entry, dest, path)
 
-    best = header["best_metric"]
     return LoadedCheckpoint(
         model=model,
         optimizer=optimizer,
         scheduler=scheduler,
-        epoch=header["epoch"],
-        best_metric=-np.inf if best is None else float(best),
-        rng_state=header["rng_state"],
+        epoch=values["epoch"],
+        best_metric=values["best_metric"],
+        rng_state=values["rng_state"],
     )

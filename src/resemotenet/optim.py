@@ -4,6 +4,7 @@ reduce-on-plateau driven by evaluation accuracy."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +69,7 @@ def cross_entropy(values: Tensor, labels) -> LossValue:
 
 def _require_finite(**values) -> None:
     for name, value in values.items():
-        if not np.isfinite(value):
+        if not abs(value) <= sys.float_info.max:  # NaN, inf or beyond float range
             raise ConfigError(f"{name} must be finite, got {value}")
 
 

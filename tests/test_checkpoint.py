@@ -1,10 +1,13 @@
 """Checkpoint serialization: roundtrips, integrity, and validation."""
 
+import copy
 import dataclasses
 import json
 import math
 import os
+import re
 import struct
+import sys
 import tracemalloc
 import zlib
 
@@ -43,11 +46,17 @@ def trained_state(config=TINY):
 
 
 def rewrite_header(path, transform):
-    """Replace a saved file's JSON header by `transform(header)`."""
+    """Replace a saved file's JSON header by `transform(header)`, writing
+    integers of any length."""
     blob = path.read_bytes()
     header_len = struct.unpack("<Q", blob[8:16])[0]
     header = transform(json.loads(blob[16:16 + header_len].decode()))
-    new_header = json.dumps(header, separators=(",", ":")).encode()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        new_header = json.dumps(header, separators=(",", ":")).encode()
+    finally:
+        sys.set_int_max_str_digits(limit)
     path.write_bytes(blob[:8] + struct.pack("<Q", len(new_header)) + new_header
                      + blob[16 + header_len:])
 
@@ -351,6 +360,18 @@ MALFORMED_HEADERS = {
     "indivisible se_reduction": (_in_section("config", se_reduction=3),
                                  r"run\.ckpt: header field 'config': stem output "
                                  r"channels 4 must divide by se_reduction 3"),
+    # integers beyond float64, and one too long for json to read
+    "huge lr": (_in_section("optimizer", lr=10**400),
+                r"run\.ckpt: header field 'optimizer\.lr' must be finite, got an "
+                r"integer beyond float64"),
+    "huge best": (lambda h: {**h, "best_metric": 10**400},
+                  r"run\.ckpt: header field 'best_metric' must be finite, got an "
+                  r"integer beyond float64"),
+    "scheduler huge best": (_in_section("scheduler", best_metric=10**400),
+                            r"run\.ckpt: header field 'scheduler\.best_metric' must be "
+                            r"finite, got an integer beyond float64"),
+    "5000-digit epoch": (lambda h: {**h, "epoch": 10**4999},
+                         r"run\.ckpt: corrupt header: Exceeds the limit \(4300 digits\)"),
 }
 
 
@@ -380,6 +401,51 @@ class TestHeaderSchema:
         last = sorted(optimizer.velocity)[-1]
         with pytest.raises(CheckpointError, match=f"'velocity.{last}' is truncated"):
             ckpt.load(path)
+
+
+# ordinary values with NaN, the infinities and negatives among them
+ODD_VALUES = (st.sampled_from([math.nan, math.inf, -math.inf, -1, -0.5, 0, 3])
+              | st.floats(-2.0, 2.0))
+SGD_FIELDS = ["lr", "momentum", "weight_decay"]
+PLATEAU_FIELDS = ["factor", "patience", "min_lr", "best_metric", "epochs_since_improve"]
+
+
+class TestSaveHeader:
+    @pytest.fixture(scope="class")
+    def state(self, tmp_path_factory):
+        return trained_state(), tmp_path_factory.mktemp("save")
+
+    @settings(max_examples=200, deadline=None)
+    @given(epoch=st.integers(-3, 9), best_metric=st.none() | ODD_VALUES,
+           sgd=st.dictionaries(st.sampled_from(SGD_FIELDS), ODD_VALUES, max_size=2),
+           plateau=st.dictionaries(st.sampled_from(PLATEAU_FIELDS), ODD_VALUES,
+                                   max_size=2))
+    def test_save_refuses_what_load_refuses(self, state, epoch, best_metric, sgd,
+                                            plateau):
+        """Save either refuses the header, naming the field and leaving the
+        directory as it was, or writes a file that loads the same values."""
+        (model, optimizer, scheduler), directory = state
+        optimizer, scheduler = copy.copy(optimizer), copy.copy(scheduler)
+        for obj, changes in ((optimizer, sgd), (scheduler, plateau)):
+            for key, value in changes.items():
+                setattr(obj, key, value)
+        path = directory / "run.ckpt"
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        try:
+            ckpt.save(model, optimizer, scheduler, epoch, path, best_metric=best_metric)
+        except CheckpointError as err:
+            named = ["epoch", "best_metric"] + ["optimizer"] * bool(sgd)
+            named += ["scheduler"] * bool(plateau)
+            assert re.match(rf"{re.escape(str(path))}: header field "
+                            rf"'({'|'.join(named)})[.']", str(err))
+            assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+            return
+        loaded = ckpt.load(path, TINY)
+        assert loaded.epoch == epoch
+        assert loaded.best_metric == (-math.inf if best_metric is None else best_metric)
+        for fields, saved, back in ((SGD_FIELDS, optimizer, loaded.optimizer),
+                                    (PLATEAU_FIELDS, scheduler, loaded.scheduler)):
+            assert [getattr(back, f) for f in fields] == [getattr(saved, f) for f in fields]
 
 
 @pytest.fixture(scope="module")

@@ -560,6 +560,12 @@ EXIT_CODES = [
                  2, r"lr must be finite", id="non-finite-lr"),
     pytest.param(_malformed_header, 2, r"'tensors' is missing", id="malformed-header"),
     pytest.param(lambda memorize_run, tmp_path: [
+        "eval", "--checkpoint", str(_tampered(
+            memorize_run["out"] / "best.ckpt", tmp_path / "huge_lr.ckpt",
+            lambda header: header["optimizer"].update(lr=10**400)))],
+        2, r"huge_lr\.ckpt: header field 'optimizer\.lr' must be finite",
+        id="huge-header-lr"),
+    pytest.param(lambda memorize_run, tmp_path: [
         "predict", str(_one_image(memorize_run)),
         "--checkpoint", str(tmp_path / "absent.ckpt")],
         2, r"cannot read checkpoint .*absent\.ckpt", id="missing-checkpoint"),

@@ -171,8 +171,8 @@ class TestSgd:
         with pytest.raises(ConfigError):
             SgdState(weight_decay=-0.1)
         # NaN fails every comparison, so range checks alone let it through
-        for bad in (dict(lr=np.nan), dict(lr=np.inf), dict(weight_decay=np.nan),
-                    dict(weight_decay=np.inf)):
+        for bad in (dict(lr=np.nan), dict(lr=np.inf), dict(lr=10**400),
+                    dict(weight_decay=np.nan), dict(weight_decay=np.inf)):
             with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be finite"):
                 SgdState(**bad)
 
