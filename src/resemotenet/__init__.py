@@ -5,13 +5,7 @@ the squeeze-excitation residual classifier, training utilities, dataset
 loaders, evaluation metrics, binary checkpoints, and a command-line front end.
 """
 
-from .autodiff import (
-    Graph,
-    Tensor,
-    grad_check,
-    inject_gradient_fault,
-    using_dtype,
-)
+from .autodiff import Graph, Tensor, using_dtype
 from .config import RunConfig, load_run_config
 from .data import CLASS_NAMES, DatasetManifest, Sample, make_batches
 from .errors import (
@@ -27,6 +21,7 @@ from .model import ModelConfig, ResEmoteNetModel, build_model
 from .optim import PlateauScheduler, SgdState, cross_entropy, sgd_step
 from .synthetic import make_synthetic_manifest
 from .training import TrainResult, evaluate_model, train_model
+from .verification import grad_check, inject_gradient_fault
 
 __version__ = "0.1.0"
 

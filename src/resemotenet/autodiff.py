@@ -25,11 +25,11 @@ reader of ``Tensor.grad`` gets the full array, computed from the same
 blocks on first read.
 
 Forward buffers follow the same rule.  A public op never writes into its
-arguments' arrays (``grad_check`` perturbs leaves and re-runs ``f``), except
-where a caller hands one over with ``out=``: ``relu`` and ``add`` then write
-their result there, and ``batch_norm2d_eval`` normalizes in place when no
-graph records it (its backward reads its input) and the element type
-matches.  Only a caller that owns the array and knows nothing reads it
+arguments' arrays (``verification.grad_check`` perturbs leaves and re-runs
+``f``), except where a caller hands one over with ``out=``: ``relu`` and
+``add`` then write their result there, and ``batch_norm2d_eval`` normalizes
+in place when no graph records it (its backward reads its input) and the
+element type matches.  Only a caller that owns the array and knows nothing reads it
 again passes ``out``: ``layers`` hands over a batch norm's input (the conv
 output) and output (read by no backward, as batch norm recomputes x-hat
 from its input and ``add`` reads no data).  ``relu``'s backward then reads
@@ -47,6 +47,8 @@ disjoint and adds it, last tap first, where they overlap.
 
 Element type is a build-wide choice: float64 for verification (finite
 differences are unreliable in float32), float32 permitted for training speed.
+Every backward pass here is audited against central differences by
+``verification``, which owns ``grad_check`` and its fault injection.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ import numpy as np
 from .errors import GraphError, ShapeError
 
 _default_dtype = np.float64
-
-GRADCHECK_EPSILON = 1e-5
-GRADCHECK_TOL = 1e-4
 
 
 def default_dtype():
@@ -149,8 +148,6 @@ class Tensor:
             # output's gradient as soon as they have been consumed
             node.out._grad = None
             if out_grad is not None:  # else not reachable from the loss
-                if _fault_op is not None and node.op == _fault_op:
-                    out_grad = out_grad * 2.0  # debug fault: corrupt analytic path
                 node.backward_fn(out_grad)
             inputs = node.inputs
             node.out = node.backward_fn = None
@@ -162,16 +159,6 @@ class Tensor:
                         # after its last consumer a leaf's gradient is final
                         if uses[id(t)] == 0 and t._grad is not None:
                             graph.on_grad(t)
-
-    def dump(self) -> str:
-        """Debug text form: `shape: d0 d1 ...` then row-major values,
-        9 significant digits, one innermost row per line."""
-        lines = ["shape: " + " ".join(str(d) for d in self.shape)]
-        flat = self.data.reshape(-1)
-        row = self.shape[-1] if self.shape else 1
-        for start in range(0, flat.size, row):
-            lines.append(" ".join(f"{v:.9g}" for v in flat[start:start + row]))
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -221,25 +208,10 @@ class Graph:
 
 
 _graph_stack: list[Graph] = []
-_fault_op: str | None = None
 
 
 def active_graph() -> Graph | None:
     return _graph_stack[-1] if _graph_stack else None
-
-
-@contextlib.contextmanager
-def inject_gradient_fault(op: str):
-    """Double the output gradient flowing through `op` during backward.
-
-    Verification hook only: a correct checker must detect the corruption.
-    """
-    global _fault_op
-    _fault_op = op
-    try:
-        yield
-    finally:
-        _fault_op = None
 
 
 def _leaf_uses(graph: Graph) -> dict[int, int]:
@@ -786,99 +758,3 @@ def batch_norm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
             _accumulate(x, gout * (gamma.data * inv_std)[None, :, None, None])
 
     return _finish("batch_norm2d_eval", inputs, out_data, backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-class GradCheckEntry:
-    __slots__ = ("name", "max_rel_err", "ok")
-
-    def __init__(self, name: str, max_rel_err: float, ok: bool):
-        self.name = name
-        self.max_rel_err = max_rel_err
-        self.ok = ok
-
-    def __repr__(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        return f"{self.name}: max_rel_err={self.max_rel_err:.3e} {status}"
-
-
-class GradCheckReport:
-    def __init__(self, entries: list[GradCheckEntry]):
-        self.entries = entries
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    @property
-    def failures(self) -> list[GradCheckEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((e.max_rel_err for e in self.entries), default=0.0)
-
-    def __repr__(self) -> str:
-        return "\n".join(repr(e) for e in self.entries)
-
-
-def _relative_error(a: float, n: float) -> float:
-    return abs(a - n) / max(1e-8, abs(a) + abs(n))
-
-
-def grad_check(f: Callable[..., Tensor],
-               named: Sequence[tuple[str, Tensor]]) -> GradCheckReport:
-    """Compare analytic gradients of scalar f(*tensors) with central differences.
-
-    `named` is a sequence of (name, tensor) pairs; every tensor is perturbed
-    elementwise by +-`GRADCHECK_EPSILON` in float64.  Relative error per
-    element is |a - n| / max(1e-8, |a| + |n|); an input fails when its
-    maximum exceeds `GRADCHECK_TOL`.  f must be deterministic.
-    """
-    for name, t in named:
-        if t.data.dtype != np.float64:
-            raise ValueError(f"grad_check: '{name}' must be float64, got {t.data.dtype}")
-        if not np.all(np.isfinite(t.data)):
-            idx = int(np.flatnonzero(~np.isfinite(t.data.reshape(-1)))[0])
-            raise ValueError(f"grad_check: non-finite value in '{name}' at flat index {idx}")
-
-    tensors = [t for _, t in named]
-    for t in tensors:
-        t.grad = None
-    with Graph():
-        out = f(*tensors)
-        if out.size != 1:
-            raise GraphError(f"grad_check: f must return a scalar, got shape {out.shape}")
-        if not np.isfinite(out.item()):
-            raise ValueError("grad_check: f returned a non-finite value")
-        out.backward()
-    analytic = [
-        t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors
-    ]
-
-    def evaluate() -> float:
-        value = f(*tensors)
-        v = value.item()
-        if not np.isfinite(v):
-            raise ValueError("grad_check: f returned a non-finite value during perturbation")
-        return v
-
-    entries = []
-    for (name, t), a_grad in zip(named, analytic):
-        flat = t.data.reshape(-1)
-        a_flat = a_grad.reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + GRADCHECK_EPSILON
-            f_plus = evaluate()
-            flat[i] = original - GRADCHECK_EPSILON
-            f_minus = evaluate()
-            flat[i] = original
-            numeric = (f_plus - f_minus) / (2.0 * GRADCHECK_EPSILON)
-            worst = max(worst, _relative_error(float(a_flat[i]), numeric))
-        entries.append(GradCheckEntry(name, worst, worst <= GRADCHECK_TOL))
-    return GradCheckReport(entries)

@@ -21,16 +21,18 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as checkpoint_io
-from .autodiff import GRADCHECK_TOL, Tensor, inject_gradient_fault, using_dtype
+from .autodiff import Tensor, using_dtype
 from .config import DATASET_KINDS, RunConfig, load_run_config
-from .data import (DatasetManifest, adapt_manifest, class_names_for, count_report,
-                   load_fer_csv, load_image_dir, load_single_image)
+from .data import (CLASS_NAMES, DatasetManifest, adapt_manifest, class_names_for,
+                   count_report, load_fer_csv, load_image_dir, load_single_image)
 from .errors import CheckpointError, ConfigError, DataError
 from .layers import EVAL
 from .metrics import report_json, report_text
+from .model import ModelConfig
 from .optim import softmax
 from .training import BEST_CHECKPOINT, evaluate_model, train_model
-from .verification import recorded_ops, run_gradient_checks
+from .verification import (GRADCHECK_TOL, inject_gradient_fault, recorded_ops,
+                           run_gradient_checks)
 
 GRADCHECK_TRIALS = {"tiny": 50, "small": 150}
 #: largest |--logit-shift|: ulp(1e6) is 1.2e-10, so a shift this large moves
@@ -52,8 +54,9 @@ def _echo_config(cfg: RunConfig) -> None:
 
 
 def _load_split(dataset: str, data_root: str, split: str,
-                input_size: int, input_channels: int) -> DatasetManifest:
-    """Materialize one split of the configured corpus at model geometry.
+                config: ModelConfig) -> DatasetManifest:
+    """Materialize one split of the configured corpus at model geometry,
+    refusing a label the model has no output for.
 
     ``fer2013`` reads the single CSV (``data_root`` may be the file itself or
     a directory holding ``fer2013.csv``).  The directory layouts (``rafdb``,
@@ -65,14 +68,21 @@ def _load_split(dataset: str, data_root: str, split: str,
             "--data-root")
     root = Path(data_root)
     if dataset == "fer2013":
-        csv_path = root if root.suffix == ".csv" else root / "fer2013.csv"
-        manifest = load_fer_csv(csv_path, split)
-        manifest = adapt_manifest(manifest, input_size, input_channels)
+        source = root if root.suffix == ".csv" else root / "fer2013.csv"
+        manifest = load_fer_csv(source, split)
+        manifest = adapt_manifest(manifest, config.input_size, config.input_channels)
     else:
-        split_root = root / split
-        manifest = load_image_dir(split_root, split_root / "manifest.tsv",
-                                  split, target_size=input_size,
-                                  channels=input_channels)
+        source = root / split
+        manifest = load_image_dir(source, source / "manifest.tsv",
+                                  split, target_size=config.input_size,
+                                  channels=config.input_channels)
+    beyond = np.flatnonzero(manifest.class_counts[config.num_classes:])
+    if beyond.size:
+        label = config.num_classes + int(beyond[0])
+        raise DataError(
+            f"{source} ({split} split): {manifest.class_counts[label]} samples of "
+            f"class {CLASS_NAMES[label]!r} (label {label}), which a "
+            f"{config.num_classes}-class model cannot output")
     name = dataset if dataset != "dir" else (root.name or "dir")
     return dataclasses.replace(manifest, name=name)
 
@@ -82,10 +92,9 @@ def cmd_train(args) -> int:
     _echo_config(cfg)
     # splits load in the training dtype: no float64 copy, no per-batch cast
     with using_dtype(cfg.dtype):
-        train_manifest = _load_split(cfg.dataset, cfg.data_root, "train",
-                                     cfg.input_size, cfg.input_channels)
-        eval_manifest = _load_split(cfg.dataset, cfg.data_root, "test",
-                                    cfg.input_size, cfg.input_channels)
+        geometry = cfg.model_config()
+        train_manifest = _load_split(cfg.dataset, cfg.data_root, "train", geometry)
+        eval_manifest = _load_split(cfg.dataset, cfg.data_root, "test", geometry)
         for manifest in (train_manifest, eval_manifest):
             for line in count_report(manifest):
                 print(line)
@@ -103,7 +112,7 @@ def cmd_train(args) -> int:
             # release the trained model and its velocity before the load, so
             # it does not hold a third copy of the parameters over them
             result.model = result.optimizer = None
-            best = checkpoint_io.load(best_path, expected_config=cfg.model_config())
+            best = checkpoint_io.load(best_path, expected_config=geometry)
             model, best_epoch, best_accuracy = best.model, best.epoch, best.best_metric
             del best  # with the velocity it loaded, before the report's forwards
         else:
@@ -129,9 +138,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, _overrides_from(args))
     model = checkpoint_io.load(args.checkpoint, model_only=True).model
-    geometry = model.config
-    manifest = _load_split(cfg.dataset, cfg.data_root, args.split,
-                           geometry.input_size, geometry.input_channels)
+    manifest = _load_split(cfg.dataset, cfg.data_root, args.split, model.config)
     confusion = evaluate_model(model, manifest)
     print(f"accuracy: {confusion.accuracy():.2f}")
     print(report_text(confusion))

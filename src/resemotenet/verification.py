@@ -1,4 +1,10 @@
-"""Gradient-integrity battery: re-derive every backward pass numerically.
+"""Gradient audit: re-derive every backward pass numerically.
+
+``grad_check`` compares one scalar function's analytic gradients with
+central finite differences and returns each input's largest relative
+error; ``inject_gradient_fault`` corrupts one op's backward inside it, so
+the audit can be shown to catch a wrong gradient.  The battery below runs
+it over every component, and ``run_gradient_checks`` holds the pass rule.
 
 Each differentiable primitive and each assembled layer (conv+BN block,
 channel gate, residual block, classifier head, cross-entropy) is checked
@@ -17,18 +23,99 @@ parameters, and bias handling is covered by the eval-mode passes.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, Tensor, grad_check, using_dtype
+from .autodiff import Graph, Tensor, using_dtype
+from .errors import GraphError
 from .layers import (EVAL, TRAIN, BatchNorm2d, Conv2dLayer, LinearLayer,
                      ResidualBlock, SEBlock, conv_block_forward, residual_forward,
                      se_forward)
 from .optim import cross_entropy
+
+GRADCHECK_EPSILON = 1e-5
+GRADCHECK_TOL = 1e-4
+
+_injected_fault: str | None = None
+
+
+@contextlib.contextmanager
+def inject_gradient_fault(op: str):
+    """Inside the block, ``grad_check`` doubles the output gradient of every
+    node recorded as `op` before its backward runs: a correct audit must
+    then fail.  No other backward is touched."""
+    global _injected_fault
+    _injected_fault = op
+    try:
+        yield
+    finally:
+        _injected_fault = None
+
+
+def _doubled(backward_fn):
+    return lambda gout: backward_fn(gout * 2.0)
+
+
+def grad_check(f: Callable[..., Tensor],
+               named: Sequence[tuple[str, Tensor]]) -> dict[str, float]:
+    """Each input's largest relative error between the analytic gradient of
+    scalar f(*tensors) and central differences, by name.
+
+    `named` is a sequence of (name, tensor) pairs; every tensor is perturbed
+    elementwise by +-`GRADCHECK_EPSILON` in float64.  Relative error per
+    element is |a - n| / max(1e-8, |a| + |n|), and a NaN or infinite analytic
+    gradient makes it NaN.  f must be deterministic.
+    """
+    for name, t in named:
+        if t.data.dtype != np.float64:
+            raise ValueError(f"grad_check: '{name}' must be float64, got {t.data.dtype}")
+        if not np.all(np.isfinite(t.data)):
+            idx = int(np.flatnonzero(~np.isfinite(t.data.reshape(-1)))[0])
+            raise ValueError(f"grad_check: non-finite value in '{name}' at flat index {idx}")
+
+    tensors = [t for _, t in named]
+    for t in tensors:
+        t.grad = None
+    with Graph() as graph:
+        out = f(*tensors)
+        if out.size != 1:
+            raise GraphError(f"grad_check: f must return a scalar, got shape {out.shape}")
+        if not np.isfinite(out.item()):
+            raise ValueError("grad_check: f returned a non-finite value")
+        for node in graph.nodes:
+            if node.op == _injected_fault:
+                node.backward_fn = _doubled(node.backward_fn)
+        out.backward()
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad for t in tensors]
+
+    def evaluate() -> float:
+        v = f(*tensors).item()
+        if not np.isfinite(v):
+            raise ValueError("grad_check: f returned a non-finite value during perturbation")
+        return v
+
+    errors = {}
+    for (name, t), a_grad in zip(named, analytic):
+        flat = t.data.reshape(-1)
+        numeric = np.empty(flat.size)
+        for i in range(flat.size):
+            original = flat[i]
+            flat[i] = original + GRADCHECK_EPSILON
+            f_plus = evaluate()
+            flat[i] = original - GRADCHECK_EPSILON
+            f_minus = evaluate()
+            flat[i] = original
+            numeric[i] = (f_plus - f_minus) / (2.0 * GRADCHECK_EPSILON)
+        a = a_grad.reshape(-1)
+        with np.errstate(invalid="ignore"):  # an infinite `a` gives inf / inf
+            rel = np.abs(a - numeric) / np.maximum(1e-8, np.abs(a) + np.abs(numeric))
+        errors[name] = float(np.max(rel, initial=0.0))
+    return errors
 
 
 def _signed_uniform(rng, shape, low=0.2, high=1.0):
@@ -306,7 +393,7 @@ class VerificationReport:
 
     @property
     def max_rel_err(self) -> float:
-        return max((r.max_rel_err for r in self.results), default=0.0)
+        return float(np.max([r.max_rel_err for r in self.results], initial=0.0))
 
 
 def recorded_ops() -> set[str]:
@@ -330,16 +417,16 @@ def run_gradient_checks(seed: int = 0, trials_per_component: int = 50,
     with using_dtype(np.float64):
         for name, sampler in COMPONENTS.items():
             rng = np.random.default_rng([seed, len(name), *name.encode()])
-            worst = 0.0
+            errors = []
             failures = []
             for trial in range(trials_per_component):
                 f, inputs = sampler(rng)
-                report = grad_check(_read_out(f, inputs, rng), inputs)
-                worst = max(worst, report.max_rel_err)
-                for entry in report.failures:
-                    failures.append(
-                        f"trial {trial}: {entry.name} rel_err={entry.max_rel_err:.3e}")
-            result = ComponentResult(name, trials_per_component, worst, failures)
+                for input_name, err in grad_check(_read_out(f, inputs, rng), inputs).items():
+                    errors.append(err)
+                    if not err <= GRADCHECK_TOL:  # NaN fails too
+                        failures.append(f"trial {trial}: {input_name} rel_err={err:.3e}")
+            result = ComponentResult(name, trials_per_component,
+                                     float(np.max(errors, initial=0.0)), failures)
             results.append(result)
             emit(result.line())
     elapsed = time.perf_counter() - started

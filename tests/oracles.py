@@ -1,9 +1,34 @@
 """Deliberately naive reference implementations used to cross-check the
 vectorized library code.  Everything here is written as explicit Python loops
 over the defining formulas — slow, obvious, and independent of the strided /
-BLAS-backed routes in the package."""
+BLAS-backed routes in the package.  Gradients have one more oracle, central
+differences: ``assert_gradients_match`` is the suite's one pass rule for
+``grad_check``."""
 
 import numpy as np
+
+from resemotenet import autodiff as ad
+from resemotenet.verification import GRADCHECK_TOL, grad_check
+
+
+def assert_gradients_match(f, named):
+    """Fail unless every input's relative error is within `GRADCHECK_TOL`;
+    a NaN error fails."""
+    errors = grad_check(f, named)
+    failing = {name: err for name, err in errors.items() if not err <= GRADCHECK_TOL}
+    assert not failing, f"relative error above {GRADCHECK_TOL:g}: {failing}"
+
+
+def poisoned(x, value):
+    """x, recorded as an op whose backward writes `value` (NaN, inf) into
+    the first element of the gradient it passes on: a wrong backward that
+    the audit must catch."""
+    def backward_fn(gout):
+        grad = gout.copy()
+        grad.reshape(-1)[0] = value
+        ad._accumulate(x, grad)
+
+    return ad._finish("poisoned", (x,), x.data.copy(), backward_fn)
 
 
 def conv2d_loops(x, weight, bias=None, stride=1, padding=1):

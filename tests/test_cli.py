@@ -21,14 +21,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resemotenet import checkpoint, cli
-from resemotenet.autodiff import using_dtype
+from resemotenet import autodiff as ad
+from resemotenet import checkpoint, cli, verification
+from resemotenet.autodiff import Tensor, using_dtype
 from resemotenet.config import RunConfig
 from resemotenet.data import CLASS_NAMES, DatasetManifest, Sample
 from resemotenet.model import ModelConfig, ResEmoteNetModel, build_model
 from resemotenet.optim import PlateauScheduler, SgdState
 from resemotenet.synthetic import (class_pattern, make_synthetic_manifest,
                                    write_fer_csv, write_pixmap_dir)
+
+import oracles
 
 EPOCH_LINE = re.compile(
     r"^epoch=(\d+) train_loss=(\d+\.\d{6}) eval_acc=(\d+\.\d{2}) lr=(\S+)$")
@@ -518,6 +521,27 @@ def test_gradcheck_injected_fault_fails_naming_the_op(one_trial_gradcheck, capsy
     assert re.search(r"FAIL max_pool2d", stderr), stderr
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_gradcheck_prints_nan_for_a_non_finite_gradient(value, monkeypatch, capsys):
+    # trial 0 is correct, so a smaller earlier error is there to be kept
+    ops = iter([lambda x: x, lambda x: oracles.poisoned(x, value)])
+
+    def sample(rng):
+        op = next(ops)
+        x = Tensor(rng.uniform(1.0, 2.0, (2, 3)), requires_grad=True)
+        return lambda x: ad.tensor_sum(ad.mul(op(x), x)), [("x", x)]
+
+    monkeypatch.setattr(verification, "COMPONENTS", {"poisoned": sample})
+    monkeypatch.setitem(cli.GRADCHECK_TRIALS, "tiny", 2)
+    code = cli.main(["gradcheck", "tiny"])
+    stdout, stderr = capsys.readouterr()
+    assert code == 1
+    assert re.search(r"^poisoned +trials=2 max_rel_err=nan FAIL \(1 trials\)$",
+                     stdout, re.M), stdout
+    assert re.search(r"max_rel_err: nan  tol: ", stdout), stdout
+    assert stderr == "FAIL poisoned: trial 1: x rel_err=nan\n"
+
+
 # --- exit codes ------------------------------------------------------------
 
 def _config(tmp_path, text) -> str:
@@ -586,6 +610,12 @@ EXIT_CODES = [
     pytest.param(lambda memorize_run: [
         "eval", "--checkpoint", str(memorize_run["out"] / "best.ckpt"), "--seed", "1"],
         2, r"unrecognized arguments: --seed 1", id="eval-seed"),
+    pytest.param(lambda dir_fixture, tmp_path: [
+        "train", "--config",
+        _config(tmp_path, dir_fixture["cfg"].read_text() + "num_classes = 3\n"),
+        "--epochs", "1", "--out", str(tmp_path / "run")],
+        2, r"\Aerror: \S*data[/\\]train \(train split\): 3 samples of class 'Happy' "
+        r"\(label 3\), which a 3-class model cannot output$", id="label-beyond-num-classes"),
     pytest.param(lambda: ["gradcheck", "tiny", "--seed", "-1"],
                  2, r"\Aerror: seed must be >= 0, got -1$", id="gradcheck-negative-seed"),
     pytest.param(lambda: ["gradcheck", "tiny", "--inject-fault", "nosuchop"],

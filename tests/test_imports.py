@@ -3,11 +3,15 @@
 
 An import stays when its statement carries ``# noqa`` (one kept for a
 caller outside the module) or when the module lists the name in
-``__all__``.  Names in quoted annotations count as uses.
+``__all__``.  Names in quoted annotations count as uses.  Since an
+``__all__`` entry counts as a use, a last test checks that every entry of
+the package's ``__all__`` resolves.
 """
 
 import ast
 from pathlib import Path
+
+import resemotenet
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py"))
@@ -79,3 +83,8 @@ def test_guard_flags_unused_and_honours_noqa_and_all():
               "def f(x: 'Sequence[int]') -> None:\n"
               "    return None\n")
     assert unused_imports(source) == ["line 1: os", "line 3: Iterable"]
+
+
+def test_every_name_in_the_package_all_resolves():
+    # the guard counts `__all__` entries as uses, so a stale one passes it
+    assert [name for name in resemotenet.__all__ if not hasattr(resemotenet, name)] == []
