@@ -10,9 +10,9 @@ Layout (documented byte-exactly in docs/checkpoint-format.md):
 
 The JSON header carries the architecture config snapshot, epoch counter, best
 metric, optimizer/scheduler state, the data-order RNG state, and a tensor
-directory of (name, dtype, shape, offset, length, crc32) entries.  Offsets are
-relative to the payload start.  Every buffer is CRC-checked on load, so any
-flipped byte surfaces as an integrity error naming the tensor.
+directory of (name, dtype, shape, offset, length, crc32) entries, all of one
+dtype.  Offsets are relative to the payload start.  Every buffer is CRC-checked
+on load, so any flipped byte surfaces as an integrity error naming the tensor.
 
 Saving is atomic: the bytes land in a temporary sibling file which is then
 renamed over the target.  A tensor holding NaN or infinity, or a header value
@@ -34,6 +34,7 @@ from typing import Any
 
 import numpy as np
 
+from .autodiff import using_dtype
 from .errors import CheckpointError, ConfigError
 # `build_model` is not called here, but stays a name of this module:
 # perfbench's span tracer wraps `checkpoint.build_model`
@@ -272,6 +273,9 @@ def _validate_directory(directory: list[dict], payload_size: int, path: Path) ->
         if dtype is None:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has unsupported dtype {entry['dtype']!r}")
+        if entry["dtype"] != directory[0]["dtype"]:  # load builds the model in one type
+            raise CheckpointError(f"{path}: tensor {name!r} has dtype {entry['dtype']!r} but "
+                                  f"{directory[0]['name']!r} has {directory[0]['dtype']!r}")
         shape = tuple(entry["shape"])
         if math.prod(shape) * dtype.itemsize != entry["length"]:
             raise CheckpointError(
@@ -292,16 +296,10 @@ def _validate_directory(directory: list[dict], payload_size: int, path: Path) ->
 
 def _read_tensor(fh, payload_start: int, entry: dict, dest: np.ndarray,
                  path: Path) -> None:
-    """Stream one tensor from the file into `dest`, checking its CRC.
-
-    The bytes land in `dest` itself when it is contiguous in the file's
-    dtype, else in a fresh array of that dtype which is then converted into
-    `dest`."""
+    """Stream one tensor from the file straight into `dest`, a contiguous
+    array of the file's element type, checking its CRC."""
     name = entry["name"]
-    dtype = _DTYPE_CODES[entry["dtype"]]
-    in_place = dest.dtype == dtype and dest.flags.c_contiguous
-    buf = dest if in_place else np.empty(dest.shape, dtype=dtype)
-    view = _bytes_of(buf)
+    view = _bytes_of(dest)
     fh.seek(payload_start + entry["offset"])
     got = fh.readinto(view)
     if got != entry["length"]:
@@ -310,8 +308,6 @@ def _read_tensor(fh, payload_start: int, entry: dict, dest: np.ndarray,
             f"{entry['length']} bytes")
     if (zlib.crc32(view) & 0xFFFFFFFF) != entry["crc32"]:
         raise CheckpointError(f"{path}: checksum mismatch for tensor {name!r}")
-    if not in_place:
-        dest[...] = buf
 
 
 def load(path, expected_config: ModelConfig | None = None, *,
@@ -326,8 +322,8 @@ def load(path, expected_config: ModelConfig | None = None, *,
     Only the preamble and header are read before validation: the header's
     form, the tensor directory, and every tensor's name and shape against the
     model built from the embedded config.  That model's weights are not
-    drawn, only allocated.  Tensors then stream straight into the model's
-    own arrays (velocity into fresh ones, in the parameter's dtype), each
+    drawn, only allocated, in the file's element type.  Tensors then stream
+    straight into the model's own arrays (velocity into fresh ones), each
     CRC-checked as it lands; no model is returned unless every check passes.
 
     With `model_only` (inference) the velocity is seeked past, unread and
@@ -373,8 +369,10 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
                     f"file but {b!r} was expected")
 
     # no initial draw: the checks above and below run before any read, and
-    # every model tensor must be in the file, so each one is overwritten
-    model = ResEmoteNetModel(file_config, rng=None)
+    # every model tensor must be in the file, so each one is overwritten.  It
+    # takes the file's one element type; an empty directory fails below
+    with using_dtype(_DTYPE_CODES[directory[0]["dtype"] if directory else "<f8"]):
+        model = ResEmoteNetModel(file_config, rng=None)
     # where each stored tensor goes; velocity only when there is an optimizer
     slots = {f"model.{name}": arr for name, arr in model.state_tensors().items()}
     expected_names = set(slots)

@@ -112,9 +112,9 @@ def cmd_train(args) -> int:
             # release the trained model and its velocity before the load, so
             # it does not hold a third copy of the parameters over them
             result.model = result.optimizer = None
-            best = checkpoint_io.load(best_path, expected_config=geometry)
+            best = checkpoint_io.load(best_path, expected_config=geometry,
+                                      model_only=True)
             model, best_epoch, best_accuracy = best.model, best.epoch, best.best_metric
-            del best  # with the velocity it loaded, before the report's forwards
         else:
             model = result.model
         confusion = evaluate_model(model, eval_manifest)
@@ -138,8 +138,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, _overrides_from(args))
     model = checkpoint_io.load(args.checkpoint, model_only=True).model
-    manifest = _load_split(cfg.dataset, cfg.data_root, args.split, model.config)
-    confusion = evaluate_model(model, manifest)
+    with using_dtype(model.dtype):  # the pixels `train` scored it on
+        manifest = _load_split(cfg.dataset, cfg.data_root, args.split, model.config)
+        confusion = evaluate_model(model, manifest)
     print(f"accuracy: {confusion.accuracy():.2f}")
     print(report_text(confusion))
     if args.out is not None:
@@ -160,13 +161,13 @@ def cmd_predict(args) -> int:
                           f"got {args.logit_shift}")
     model = checkpoint_io.load(args.checkpoint, model_only=True).model
     geometry = model.config
-    sample = load_single_image(args.image, geometry.input_size,
-                               geometry.input_channels)
-    x = Tensor(sample.pixels[None, ...])
-    logits = model.forward(x, mode=EVAL).values.data[0]
+    with using_dtype(model.dtype):
+        sample = load_single_image(args.image, geometry.input_size,
+                                   geometry.input_channels)
+        logits = model.forward(Tensor(sample.pixels[None, ...]), mode=EVAL).values.data[0]
     # softmax is shift-invariant; the flag exists so that invariance is
-    # checkable from the outside
-    probabilities = softmax((logits + args.logit_shift)[None, :])[0]
+    # checkable from the outside; added in float64, as LOGIT_SHIFT_BOUND assumes
+    probabilities = softmax((logits.astype(np.float64) + args.logit_shift)[None, :])[0]
     names = class_names_for(geometry.num_classes)
     # 8 decimals: the printed row must still sum to 1 within 1e-6
     for name, p in zip(names, probabilities):

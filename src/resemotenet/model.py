@@ -187,6 +187,11 @@ class ResEmoteNetModel:
         for name, dest in slots.items():
             dest[...] = state[name]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The element type of every state tensor."""
+        return self.classifier.weight.data.dtype
+
     def parameter_count(self) -> int:
         return sum(t.size for _, t in self.named_parameters())
 

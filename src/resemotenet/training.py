@@ -21,7 +21,7 @@ from . import checkpoint
 from .autodiff import Graph, Tensor, using_dtype
 from .config import RunConfig
 from .data import DatasetManifest, make_batches, random_horizontal_flip
-from .errors import OptimizerError
+from .errors import ConfigError, OptimizerError
 from .layers import EVAL, TRAIN
 from .metrics import ConfusionMatrix, predict_labels
 from .model import ResEmoteNetModel, build_model
@@ -135,6 +135,14 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
                 raise checkpoint.CheckpointError(
                     f"{resume_from}: inference-only checkpoint cannot resume "
                     f"training (no optimizer state)")
+            if model.dtype != np.dtype(cfg.dtype):
+                raise checkpoint.CheckpointError(
+                    f"{resume_from}: checkpoint holds {model.dtype} tensors but "
+                    f"the run's dtype is {cfg.dtype}")
+            if cfg.epochs <= loaded.epoch:
+                raise ConfigError(
+                    f"epochs = {cfg.epochs} leaves nothing to run after "
+                    f"{resume_from}, which ends at epoch {loaded.epoch}")
             if loaded.rng_state is not None:
                 rng.bit_generator.state = loaded.rng_state
             start_epoch = loaded.epoch + 1

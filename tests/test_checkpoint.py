@@ -136,6 +136,54 @@ class TestRoundTrip:
                 npt.assert_array_equal(loaded.model.state_tensors()[name], arr)
 
 
+    @pytest.mark.parametrize("stored, ambient", [(np.float32, np.float64),
+                                                 (np.float64, np.float32)])
+    def test_load_builds_the_model_in_the_stored_element_type(self, tmp_path, stored,
+                                                              ambient):
+        with using_dtype(stored):
+            model, optimizer, scheduler = trained_state()
+        optimizer.velocity = {n: v.astype(stored) for n, v in optimizer.velocity.items()}
+        path = tmp_path / "run.ckpt"
+        ckpt.save(model, optimizer, scheduler, 1, path)
+        with using_dtype(ambient):
+            loaded = ckpt.load(path, TINY)
+        pairs = [(model.state_tensors(), loaded.model.state_tensors()),
+                 (optimizer.velocity, loaded.optimizer.velocity)]
+        for saved, back in pairs:
+            for name, arr in saved.items():
+                assert back[name].dtype == stored, name
+                assert back[name].tobytes() == arr.tobytes(), name
+
+
+class TestOneElementType:
+    """A file holds one element type: save refuses to write a mixed state
+    and load refuses a mixed file, naming the first tensor of another type."""
+
+    def test_save_refuses_a_velocity_of_another_type(self, tmp_path):
+        with using_dtype(np.float32):
+            model, optimizer, scheduler = trained_state()
+        assert all(v.dtype == np.float64 for v in optimizer.velocity.values())
+        path = tmp_path / "run.ckpt"
+        first = min(optimizer.velocity)
+        with pytest.raises(CheckpointError, match=(
+                rf"^{re.escape(str(path))}: tensor 'velocity\.{re.escape(first)}' has "
+                r"dtype '<f8' but 'model\.stem\.0\.conv\.weight' has '<f4'$")):
+            ckpt.save(model, optimizer, scheduler, 1, path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("model_only", [False, True])
+    def test_load_refuses_a_mixed_type_file(self, tmp_path, model_only):
+        with using_dtype(np.float32):
+            model, optimizer, scheduler = trained_state()
+        path = tmp_path / "mixed.ckpt"
+        path.write_bytes(reference_v1_bytes(model, optimizer, scheduler, 1))
+        first = min(optimizer.velocity)
+        with pytest.raises(CheckpointError, match=(
+                rf"^{re.escape(str(path))}: tensor 'velocity\.{re.escape(first)}' has "
+                r"dtype '<f8' but 'model\.stem\.0\.conv\.weight' has '<f4'$")):
+            ckpt.load(path, model_only=model_only)
+
+
 class TestIntegrity:
     def test_payload_bit_flip_detected(self, tmp_path):
         model, optimizer, scheduler = trained_state()
@@ -584,6 +632,17 @@ class TestStreamingMemory:
             _, alloc = _traced_alloc(lambda: ckpt.load(path, FER48, model_only=True))
         # the file holds the model and a velocity about as large
         assert alloc <= 1.25 * model_bytes < 0.7 * path.stat().st_size
+
+    def test_float32_model_only_load_under_the_float64_default(self, fer48_state):
+        """No float64 model is built and no staging copy is made: the
+        file's float32 tensors land in a float32 model."""
+        model, optimizer, path = fer48_state
+        ckpt.save(model, optimizer, PlateauScheduler(), 1, path)
+        model_bytes = sum(a.nbytes for a in model.state_tensors().values())
+        loaded, alloc = _traced_alloc(lambda: ckpt.load(path, FER48, model_only=True))
+        assert alloc <= 1.25 * model_bytes, f"{alloc / model_bytes:.2f} x the model"
+        for name, arr in model.state_tensors().items():
+            assert loaded.model.state_tensors()[name].tobytes() == arr.tobytes(), name
 
     def test_load_allocates_about_the_file_size(self, fer48_state):
         model, optimizer, path = fer48_state

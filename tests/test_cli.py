@@ -427,6 +427,33 @@ def test_eval_writes_reports_under_out(trained_run, tmp_path):
     assert "accuracy" in payload
 
 
+def test_eval_scores_in_the_checkpoint_dtype(trained_run, monkeypatch):
+    """A float32 checkpoint is scored on float32 pixels by a float32 model,
+    as `train` scored it, whatever the element type in effect."""
+    evaluate_model = cli.evaluate_model
+    seen = []
+
+    def spy(model, manifest):
+        seen.append(({s.pixels.dtype for s in manifest.samples},
+                     {p.data.dtype for _, p in model.named_parameters()}))
+        return evaluate_model(model, manifest)
+
+    monkeypatch.setattr(cli, "evaluate_model", spy)
+    code = cli.main(["eval", "--checkpoint", str(trained_run["out"] / "best.ckpt"),
+                     "--config", str(trained_run["cfg"])])
+    assert code == 0
+    assert seen == [({np.dtype(np.float32)}, {np.dtype(np.float32)})]
+
+
+def test_eval_writes_the_report_train_wrote(trained_run, tmp_path):
+    out = tmp_path / "evalout"
+    code, _, stderr = run_cli("eval", "--checkpoint", str(trained_run["out"] / "best.ckpt"),
+                              "--config", str(trained_run["cfg"]), "--out", str(out))
+    assert code == 0, stderr
+    assert (out / "confusion.txt").read_bytes() == \
+        (trained_run["out"] / "confusion.txt").read_bytes()
+
+
 def test_eval_missing_dataset_exits_2(trained_run, tmp_path):
     code, _, stderr = run_cli(
         "eval", "--checkpoint", str(trained_run["out"] / "best.ckpt"),
@@ -477,6 +504,20 @@ def test_predict_argmax_survives_logit_shift(memorize_run):
     _, shifted, _ = run_cli("predict", image, "--checkpoint", ckpt,
                             "--logit-shift", "42.5")
     assert base.splitlines()[-1] == shifted.splitlines()[-1]
+
+
+def test_predict_logit_shift_moves_no_probability_of_a_float32_checkpoint(memorize_run):
+    """The float32 model's logits are shifted in float64: a shift of 1e6
+    rounded in float32 (ulp 0.0625) would move the printed digits."""
+    ckpt = memorize_run["out"] / "best.ckpt"
+    assert checkpoint.load(ckpt, model_only=True).model.dtype == np.float32
+    rows = []
+    for shift in ("0", "1e6"):
+        code, stdout, stderr = run_cli("predict", str(_one_image(memorize_run)),
+                                       "--checkpoint", str(ckpt), "--logit-shift", shift)
+        assert code == 0, stderr
+        rows.append([float(line.split()[1]) for line in stdout.splitlines()[:-1]])
+    np.testing.assert_allclose(rows[1], rows[0], rtol=0, atol=1e-7)
 
 
 def test_predict_agrees_with_eval_on_singleton_manifest(memorize_run, tmp_path):
@@ -589,6 +630,19 @@ EXIT_CODES = [
             lambda header: header["optimizer"].update(lr=10**400)))],
         2, r"huge_lr\.ckpt: header field 'optimizer\.lr' must be finite",
         id="huge-header-lr"),
+    pytest.param(lambda trained_run, tmp_path: [
+        "train", "--config", _config(tmp_path, trained_run["cfg"].read_text()
+                                     + "dtype = float64\n"),
+        "--epochs", "3", "--checkpoint", str(trained_run["out"] / "last.ckpt"),
+        "--out", str(tmp_path / "run")],
+        2, r"\Aerror: \S*last\.ckpt: checkpoint holds float32 tensors but the run's "
+        r"dtype is float64$", id="cross-type-resume"),
+    pytest.param(lambda trained_run, tmp_path: [
+        "train", "--config", str(trained_run["cfg"]), "--epochs", "2",
+        "--checkpoint", str(trained_run["out"] / "last.ckpt"),
+        "--out", str(tmp_path / "run")],
+        2, r"\Aerror: epochs = 2 leaves nothing to run after \S*last\.ckpt, which ends "
+        r"at epoch 2$", id="resume-with-no-epoch-left"),
     pytest.param(lambda memorize_run, tmp_path: [
         "predict", str(_one_image(memorize_run)),
         "--checkpoint", str(tmp_path / "absent.ckpt")],
