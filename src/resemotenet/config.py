@@ -10,6 +10,8 @@ a list of triples separates each triple's items by colons
 override the defaults below.  The defaults are the full training recipe:
 batch 16, 80 epochs, horizontal-flip augmentation on, and the optimizer and
 plateau-schedule defaults that `SgdState` and `PlateauScheduler` declare.
+A `RunConfig` is checked when it is built (a bad value raises `ConfigError`
+naming its key) and is frozen, so it cannot be changed afterwards.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .optim import PlateauScheduler, SgdState
 DATASET_KINDS = ("fer2013", "rafdb", "affectnet", "dir")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Recipe:
     """The run settings that are not architecture: data, optimizer, schedule,
     element type, and the seed shared with `ModelConfig`."""
@@ -46,7 +48,7 @@ class _Recipe:
     dtype: str = "float32"
     seed: int = 0
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self) -> None:
         if self.dataset not in DATASET_KINDS:
             raise ConfigError(
                 f"dataset must be one of {', '.join(DATASET_KINDS)}; got "
@@ -60,7 +62,6 @@ class _Recipe:
         self.model_config()  # architecture invariants
         self.sgd_state()     # optimizer invariants
         self.scheduler()     # schedule invariants
-        return self
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name)
@@ -89,7 +90,7 @@ RunConfig = make_dataclass(
     "RunConfig",
     [(f.name, f.type, field(default=f.default))
      for f in fields(ModelConfig) if f.name != "seed"],
-    bases=(_Recipe,), namespace={"__module__": __name__})
+    bases=(_Recipe,), frozen=True, namespace={"__module__": __name__})
 
 
 def _format_value(value) -> str:
@@ -165,7 +166,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
 
 def load_run_config(config_path=None, overrides: dict[str, object] | None = None
                     ) -> RunConfig:
-    """Defaults <- config file <- overrides, validated as a whole."""
+    """Defaults <- config file <- overrides, checked as a whole when built."""
     merged: dict[str, object] = {}
     if config_path is not None:
         path = Path(config_path)
@@ -174,13 +175,8 @@ def load_run_config(config_path=None, overrides: dict[str, object] | None = None
         except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}") from None
         merged.update(parse_config_text(text, source=str(path)))
-    if overrides:
-        for key, value in overrides.items():
-            if key not in _PARSERS:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = value
+    merged.update(overrides or {})
     try:
-        cfg = RunConfig(**merged)
+        return RunConfig(**merged)
     except TypeError as err:
         raise ConfigError(str(err)) from None
-    return cfg.validate()

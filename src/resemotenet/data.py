@@ -243,7 +243,9 @@ def _fit_planes(planes: np.ndarray, target_size: int, channels: int,
                 source: str, dtype) -> np.ndarray:
     """(C, H, W) planes -> (channels, target, target) in `dtype`.  Each plane
     is resized once, in float64; grayscale is then replicated when color is
-    asked."""
+    asked.  Planes that already fit are returned uncopied: nothing writes
+    sample pixels in place (the flip builds a new array, `make_batches`
+    stacks copies)."""
     if channels not in (1, 3):
         raise ConfigError(f"channels must be 1 or 3, got {channels}")
     if planes.shape[0] == 3 and channels == 1:
@@ -253,7 +255,7 @@ def _fit_planes(planes: np.ndarray, target_size: int, channels: int,
             bilinear_resize(plane.astype(np.float64), target_size, target_size)
             for plane in planes
         ])
-    pixels = planes.astype(dtype, order="C")
+    pixels = planes.astype(dtype, order="C", copy=False)
     if len(pixels) < channels:
         pixels = np.repeat(pixels, channels, axis=0)
     return pixels
@@ -318,7 +320,8 @@ def load_single_image(path, target_size: int, channels: int) -> Sample:
 def adapt_manifest(manifest: DatasetManifest, target_size: int,
                    channels: int) -> DatasetManifest:
     """Re-fit loaded samples to a model's input geometry (resize + channel
-    replication), leaving labels and provenance untouched."""
+    replication), leaving labels and provenance untouched; a sample that
+    already fits shares its pixel array with `manifest`."""
     dtype = ad.default_dtype()
     samples = [Sample(pixels=_fit_planes(s.pixels, target_size, channels,
                                          s.source_id, dtype),

@@ -23,8 +23,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LossValue:
-    """Scalar loss plus the softmax probabilities it was computed from,
-    cached so metrics and prediction reuse them without a second pass."""
+    """Scalar loss plus the softmax probabilities it was computed from."""
 
     loss: Tensor
     probabilities: np.ndarray  # (N, K), rows sum to 1

@@ -36,12 +36,12 @@ def class_pattern(label: int, size: int) -> np.ndarray:
 
 def make_synthetic_manifest(per_class: int = 8, size: int = 64, channels: int = 3,
                             num_classes: int = 7, seed: int = 0,
-                            noise: float = 0.04, split: str = "train",
+                            split: str = "train",
                             name: str = "synthetic") -> DatasetManifest:
     """Build an in-memory dataset of radial-pattern classes.
 
-    Per-sample variation is additive seeded noise plus a small brightness
-    offset, clipped back into [0, 1].
+    Per-sample variation is additive seeded noise (sigma 0.04) plus a small
+    brightness offset, clipped back into [0, 1].
     """
     if num_classes < 2 or num_classes > len(CLASS_NAMES):
         raise ValueError(f"num_classes must be in [2, {len(CLASS_NAMES)}]")
@@ -51,7 +51,7 @@ def make_synthetic_manifest(per_class: int = 8, size: int = 64, channels: int = 
     for label in range(num_classes):
         base = class_pattern(label, size)
         for k in range(per_class):
-            image = base + noise * rng.standard_normal((size, size))
+            image = base + 0.04 * rng.standard_normal((size, size))
             image += rng.uniform(-0.05, 0.05)
             image = np.clip(image, 0.0, 1.0)
             pixels = np.repeat(image[None, :, :], channels, axis=0).astype(dtype)

@@ -1,7 +1,7 @@
 """Run-config keys, parsers and echo: the architecture keys come from
 `ModelConfig`, and every key's echo parses back to the same value."""
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -44,7 +44,7 @@ def readme_config_example() -> str:
 def test_readme_config_example_names_every_key():
     values = parse_config_text(readme_config_example(), source=str(README))
     assert set(values) == {f.name for f in fields(RunConfig)}
-    RunConfig(**values).validate()
+    RunConfig(**values)
 
 
 @pytest.mark.parametrize("entry", [(256, 512), (256, 512, 2, 1)])
@@ -67,13 +67,28 @@ def test_non_finite_hyperparameter_line_is_rejected_naming_its_key(line):
     key = line.split(" = ")[0]
     values = parse_config_text(line + "\n")
     with pytest.raises(ConfigError, match=f"^{key} must be finite"):
-        RunConfig(**values).validate()
+        RunConfig(**values)
+
+
+@pytest.mark.parametrize("key, value", [("epochs", 0), ("epochs", -3),
+                                        ("dataset", "bogus"), ("dtype", "float16")])
+def test_bad_recipe_value_fails_when_built_naming_its_key(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        RunConfig(**{key: value})
+
+
+def test_built_config_cannot_be_changed():
+    cfg = RunConfig()
+    for f in fields(RunConfig):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, f.name, getattr(ALL_CHANGED, f.name))
+    assert cfg == RunConfig()
 
 
 def test_negative_seed_is_rejected():
     # numpy's generators take no negative seed; build_model would fail later
     with pytest.raises(ConfigError, match="^seed must be >= 0, got -21"):
-        RunConfig(**parse_config_text("seed = -21\n")).validate()
+        RunConfig(**parse_config_text("seed = -21\n"))
 
 
 def test_config_file_that_is_not_utf8_is_rejected(tmp_path):
@@ -96,6 +111,6 @@ CONFIG_VALUE = st.lists(CONFIG_FRAGMENT, max_size=6).map("".join) | st.text(max_
 def test_any_text_for_any_key_raises_only_config_error(lines):
     text = "".join(f"{key} = {value}\n" for key, value in lines)
     try:
-        RunConfig(**parse_config_text(text)).validate()
+        RunConfig(**parse_config_text(text))
     except ConfigError:
         pass

@@ -1,6 +1,8 @@
 """Loader, augmentation, and batching behavior, including the on-disk
 layout round trips."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resemotenet import data as D
+from resemotenet.autodiff import using_dtype
 from resemotenet.data import (
     CLASS_NAMES,
     FER_NATIVE_REMAP,
@@ -294,6 +297,26 @@ class TestAdaptManifest:
                                        num_classes=2, seed=3)
         adapted = adapt_manifest(made, target_size=16, channels=3)
         for a, b in zip(made.samples, adapted.samples):
+            npt.assert_array_equal(a.pixels, b.pixels)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fitting_csv_samples_are_not_copied(self, tmp_path, dtype):
+        # a 48-px grayscale CSV feeding a 48/1 model: a copy here held the
+        # whole split twice during the load
+        made = make_synthetic_manifest(per_class=30, size=48, channels=1, seed=4)
+        path = write_fer_csv(tmp_path / "fer.csv", {"train": made})
+        with using_dtype(dtype):
+            loaded = load_fer_csv(path, "train")
+            tracemalloc.start()
+            try:
+                adapted = adapt_manifest(loaded, target_size=48, channels=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        dataset_bytes = sum(s.pixels.nbytes for s in loaded.samples)
+        assert peak <= 0.05 * dataset_bytes
+        for a, b in zip(loaded.samples, adapted.samples):
+            assert b.pixels.dtype == dtype
             npt.assert_array_equal(a.pixels, b.pixels)
 
 

@@ -99,7 +99,7 @@ def test_unreached_parameter_raises_the_named_optimizer_error():
 def test_divergent_rate_stops_at_the_first_non_finite_loss(monkeypatch):
     # lr=1e30 on TINY once trained four epochs of nan loss and then wrote
     # checkpoints of non-finite weights
-    cfg = RunConfig(**{**TINY, "lr": 1e30, "epochs": 4}).validate()
+    cfg = RunConfig(**{**TINY, "lr": 1e30, "epochs": 4})
     train = _manifest(TINY_MODEL, per_class=8, seed=1)
     test = make_synthetic_manifest(per_class=2, size=16, channels=3, seed=2,
                                    split="test")
@@ -114,7 +114,7 @@ def test_divergent_rate_stops_at_the_first_non_finite_loss(monkeypatch):
 def test_non_finite_weights_after_a_finite_loss_write_no_checkpoint(monkeypatch, tmp_path):
     # the last update of an epoch can leave inf weights after every loss of
     # the epoch was finite; no checkpoint of them may be written
-    cfg = RunConfig(**{**TINY, "epochs": 2}).validate()
+    cfg = RunConfig(**{**TINY, "epochs": 2})
     train = _manifest(TINY_MODEL, per_class=2, seed=1)  # 14 samples: 2 batches
     test = make_synthetic_manifest(per_class=1, size=16, channels=3, seed=2,
                                    split="test")
