@@ -492,18 +492,6 @@ def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
     return _finish("max_pool2d", (x,), out_data, backward_fn)
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Per-channel spatial mean: (N, C, H, W) -> (N, C)."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"global_avg_pool: input must be 4-D, got rank {x.data.ndim}")
-    n, c, h, w = x.shape
-
-    def backward_fn(gout: np.ndarray) -> None:
-        _accumulate(x, np.broadcast_to(gout[:, :, None, None] / (h * w), x.shape).copy())
-
-    return _finish("global_avg_pool", (x,), x.data.mean(axis=(2, 3)), backward_fn)
-
-
 def _pool_region(i: int, in_size: int, out_size: int) -> tuple[int, int]:
     # region [floor(i*in/out), ceil((i+1)*in/out))
     lo = (i * in_size) // out_size
@@ -614,36 +602,20 @@ def add(a: Tensor, b: Tensor, *, out: np.ndarray | None = None) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
+    """a * b elementwise, where `b` may broadcast: it has a's rank and each
+    of its axes is a's extent or 1 (an (N, C, 1, 1) channel scale, say).
+    b's gradient sums over the axes it is stretched along."""
+    if b.data.ndim != a.data.ndim or any(m not in (n, 1) for n, m in zip(a.shape, b.shape)):
+        raise ShapeError(f"mul: shape {b.shape} does not broadcast to {a.shape}")
+    stretched = tuple(i for i, (n, m) in enumerate(zip(a.shape, b.shape)) if n != m)
 
     def backward_fn(gout: np.ndarray) -> None:
         if a.requires_grad:
             _accumulate(a, gout * b.data)
         if b.requires_grad:
-            _accumulate(b, gout * a.data)
+            _accumulate(b, (gout * a.data).sum(axis=stretched, keepdims=True))
 
     return _finish("mul", (a, b), a.data * b.data, backward_fn)
-
-
-def mul_broadcast_channel(x: Tensor, s: Tensor) -> Tensor:
-    """Scale every spatial element of channel c by s[:, c]: (N,C,H,W) * (N,C)."""
-    if x.data.ndim != 4 or s.data.ndim != 2:
-        raise ShapeError(
-            f"mul_broadcast_channel: expected ranks 4 and 2, got "
-            f"{x.data.ndim} and {s.data.ndim}")
-    if x.shape[:2] != s.shape:
-        raise ShapeError(
-            f"mul_broadcast_channel: batch/channel {x.shape[:2]} != {s.shape}")
-    s4 = s.data[:, :, None, None]
-
-    def backward_fn(gout: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, gout * s4)
-        if s.requires_grad:
-            _accumulate(s, (gout * x.data).sum(axis=(2, 3)))
-
-    return _finish("mul_broadcast_channel", (x, s), x.data * s4, backward_fn)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -36,9 +36,7 @@ import numpy as np
 
 from .autodiff import using_dtype
 from .errors import CheckpointError, ConfigError
-# `build_model` is not called here, but stays a name of this module:
-# perfbench's span tracer wraps `checkpoint.build_model`
-from .model import ModelConfig, ResEmoteNetModel, build_model  # noqa: F401
+from .model import ModelConfig, ResEmoteNetModel, build_model
 from .optim import PlateauScheduler, SgdState
 
 MAGIC = b"REMN"
@@ -372,7 +370,7 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
     # every model tensor must be in the file, so each one is overwritten.  It
     # takes the file's one element type; an empty directory fails below
     with using_dtype(_DTYPE_CODES[directory[0]["dtype"] if directory else "<f8"]):
-        model = ResEmoteNetModel(file_config, rng=None)
+        model = build_model(file_config, draw=False)
     # where each stored tensor goes; velocity only when there is an optimizer
     slots = {f"model.{name}": arr for name, arr in model.state_tensors().items()}
     expected_names = set(slots)

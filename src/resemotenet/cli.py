@@ -104,10 +104,8 @@ def cmd_train(args) -> int:
                              resume_from=args.checkpoint, log=print)
 
         # final report comes from the best checkpoint, not the last epoch; a
-        # resumed run's best may predate it, so its epoch comes from there too.
-        # Every improving epoch writes it, so without one none improved
+        # resumed run's best may predate it, so its epoch comes from there too
         best_path = out_dir / BEST_CHECKPOINT
-        best_epoch, best_accuracy = 0, result.scheduler.best_metric
         if best_path.exists():
             # release the trained model and its velocity before the load, so
             # it does not hold a third copy of the parameters over them
@@ -115,8 +113,12 @@ def cmd_train(args) -> int:
             best = checkpoint_io.load(best_path, expected_config=geometry,
                                       model_only=True)
             model, best_epoch, best_accuracy = best.model, best.epoch, best.best_metric
-        else:
-            model = result.model
+            summary = f"best epoch {best_epoch} accuracy {best_accuracy:.2f}"
+        else:  # every improving epoch writes one: this (resumed) run had none
+            model, best_epoch, best_accuracy = result.model, None, result.scheduler.best_metric
+            last = result.history[-1]
+            summary = (f"last epoch {last.epoch} accuracy {last.eval_accuracy:.2f}; no epoch "
+                       f"of this run improved on the resumed best accuracy {best_accuracy:.2f}")
         confusion = evaluate_model(model, eval_manifest)
     (out_dir / "confusion.txt").write_text(report_text(confusion),
                                            encoding="utf-8")
@@ -131,7 +133,7 @@ def cmd_train(args) -> int:
     }
     (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n",
                                           encoding="utf-8")
-    print(f"best epoch {best_epoch} accuracy {best_accuracy:.2f}")
+    print(summary)
     return 0
 
 

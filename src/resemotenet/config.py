@@ -59,7 +59,9 @@ class _Recipe:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        self.model_config()  # architecture invariants
+        model = self.model_config()  # architecture invariants; lists become tuples
+        for f in fields(ModelConfig):
+            object.__setattr__(self, f.name, getattr(model, f.name))
         self.sgd_state()     # optimizer invariants
         self.scheduler()     # schedule invariants
 

@@ -384,13 +384,11 @@ def make_batches(manifest: DatasetManifest, batch_size: int,
 # Published-count reporting
 # ---------------------------------------------------------------------------
 
-def normalize_dataset_name(name: str) -> str:
-    return "".join(ch for ch in name.lower() if ch.isalnum())
-
-
 def published_counts(name: str, split: str) -> tuple[int, ...] | None:
-    """Reference per-class counts for a known corpus/split, if any."""
-    return PUBLISHED_CLASS_COUNTS.get((normalize_dataset_name(name), split))
+    """Reference per-class counts for a known corpus/split, if any; a name
+    matches by its lowercased letters and digits ("RAF-DB" is "rafdb")."""
+    key = "".join(ch for ch in name.lower() if ch.isalnum())
+    return PUBLISHED_CLASS_COUNTS.get((key, split))
 
 
 def count_report(manifest: DatasetManifest) -> list[str]:

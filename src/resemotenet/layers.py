@@ -207,15 +207,16 @@ def conv_block_forward(layer: Conv2dLayer, bn: BatchNorm2d, x: Tensor,
 def se_forward(se: SEBlock, x: Tensor) -> Tensor:
     """Gate each channel of x by its squeeze-excitation score.
 
-    z = per-channel spatial mean; s = sigmoid(w2 @ relu(w1 @ z)); out = s * x
-    broadcast over the spatial grid.  s lies strictly inside (0, 1), so the
-    output never exceeds the input in magnitude.
+    z = per-channel spatial mean (a 1x1 adaptive pool); s = sigmoid(w2 @
+    relu(w1 @ z)); out = x * s, s broadcast over the spatial grid as an
+    (N, C, 1, 1) factor.  s lies strictly inside (0, 1), so the output never
+    exceeds the input in magnitude.
     """
-    z = ad.global_avg_pool(x)                      # (N, C)
+    pooled = ad.adaptive_avg_pool(x, 1, 1)         # (N, C, 1, 1)
+    z = ad.reshape(pooled, pooled.shape[:2])       # (N, C)
     hidden = ad.relu(ad.linear(z, se.w1, None))    # (N, C/r)
-    scores = ad.linear(hidden, se.w2, None)        # (N, C)
-    gate = ad.sigmoid(scores)
-    return ad.mul_broadcast_channel(x, gate)
+    gate = ad.sigmoid(ad.linear(hidden, se.w2, None))
+    return ad.mul(x, ad.reshape(gate, pooled.shape))
 
 
 def residual_forward(block: ResidualBlock, x: Tensor, mode: str) -> Tensor:

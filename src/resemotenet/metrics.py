@@ -80,9 +80,7 @@ class ConfusionMatrix:
     def normalized(self) -> np.ndarray:
         """Rows rescaled to fractions; all-zero rows stay zero."""
         rows = self.counts.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            out = np.where(rows > 0, self.counts / np.maximum(rows, 1), 0.0)
-        return out
+        return np.where(rows > 0, self.counts / np.maximum(rows, 1), 0.0)
 
     def one_vs_rest(self, k: int) -> dict[str, int]:
         """Binary reduction for class k: TP, FP, FN, TN (sums to total)."""

@@ -232,13 +232,13 @@ def _staged(stage: str, fn, *args):
         raise ShapeError(f"{stage}: {err}") from None
 
 
-def build_model(config: ModelConfig) -> ResEmoteNetModel:
+def build_model(config: ModelConfig, *, draw: bool = True) -> ResEmoteNetModel:
     """Construct and deterministically initialize a model from its config.
 
     The same config (including seed) always yields bitwise-identical
     parameters: conv and linear weights are fan-in-scaled normal draws from a
     single seeded generator consumed in declaration order, biases start at
-    zero, batch-norm scale/shift at one/zero.
+    zero, batch-norm scale/shift at one/zero.  ``draw=False`` makes no
+    generator and builds with ``rng=None`` (see `ResEmoteNetModel`).
     """
-    rng = np.random.default_rng(config.seed)
-    return ResEmoteNetModel(config, rng)
+    return ResEmoteNetModel(config, np.random.default_rng(config.seed) if draw else None)

@@ -166,12 +166,6 @@ def _sample_max_pool2d(rng):
     return lambda x: ad.max_pool2d(x, k, k), [("x", x)]
 
 
-def _sample_global_avg_pool(rng):
-    n, ch, size = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
-    x = Tensor(rng.standard_normal((n, ch, size, size)), requires_grad=True)
-    return ad.global_avg_pool, [("x", x)]
-
-
 def _sample_adaptive_avg_pool(rng):
     n, ch = int(rng.integers(1, 3)), int(rng.integers(1, 3))
     size = int(rng.integers(2, 7))
@@ -210,11 +204,11 @@ def _sample_binary(op, ndim):
     return sample
 
 
-def _sample_mul_broadcast_channel(rng):
+def _sample_mul_broadcast(rng):
     n, ch, size = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
     x = Tensor(rng.standard_normal((n, ch, size, size)), requires_grad=True)
-    s = Tensor(rng.standard_normal((n, ch)), requires_grad=True)
-    return ad.mul_broadcast_channel, [("x", x), ("gate", s)]
+    s = Tensor(rng.standard_normal((n, ch, 1, 1)), requires_grad=True)
+    return ad.mul, [("x", x), ("gate", s)]
 
 
 def _sample_reshape(rng):
@@ -342,14 +336,13 @@ def _sample_classifier(rng):
 COMPONENTS: dict[str, Callable] = {
     "conv2d": _sample_conv2d,
     "max_pool2d": _sample_max_pool2d,
-    "global_avg_pool": _sample_global_avg_pool,
     "adaptive_avg_pool": _sample_adaptive_avg_pool,
     "linear": _sample_linear,
     "relu": _sample_relu,
     "sigmoid": _sample_sigmoid,
     "add": _sample_binary(ad.add, 3),
     "mul": _sample_binary(ad.mul, 2),
-    "mul_broadcast_channel": _sample_mul_broadcast_channel,
+    "mul_broadcast": _sample_mul_broadcast,
     "reshape": _sample_reshape,
     "sum": _sample_sum,
     "batch_norm_train": _sample_batch_norm_train,

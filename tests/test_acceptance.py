@@ -32,7 +32,7 @@ from resemotenet.data import (
     published_counts,
     random_horizontal_flip,
 )
-from resemotenet.layers import TRAIN, ResidualBlock, SEBlock, residual_forward, se_forward
+from resemotenet.layers import EVAL, TRAIN, ResidualBlock, SEBlock, residual_forward, se_forward
 from resemotenet.metrics import ConfusionMatrix
 from resemotenet.model import build_model
 from resemotenet.optim import (
@@ -43,7 +43,7 @@ from resemotenet.optim import (
 )
 from resemotenet.synthetic import make_synthetic_manifest
 from resemotenet.training import evaluate_model, train_model
-from resemotenet.verification import run_gradient_checks
+from resemotenet.verification import recorded_ops, run_gradient_checks
 
 # architecture small enough to train in seconds, used where the criterion
 # constrains behavior rather than scale
@@ -72,12 +72,26 @@ def test_c02_gradient_battery_covers_every_component():
     assert report.elapsed_seconds < 60.0
     assert all(r.trials >= 50 for r in report.results)
     covered = {r.name for r in report.results}
-    for required in ("conv2d", "max_pool2d", "global_avg_pool",
+    for required in ("conv2d", "max_pool2d",
                      "adaptive_avg_pool", "linear", "relu", "sigmoid",
                      "batch_norm_train", "cross_entropy", "conv_bn_block",
                      "se_block", "residual_identity", "residual_projection",
                      "classifier"):
         assert required in covered, required
+
+
+def test_c02_battery_audits_every_op_the_network_records():
+    """The ops are read off the tapes of a TRAIN and an EVAL forward plus the
+    loss, so a new op in the network needs a battery component."""
+    model = build_model(RunConfig(**TINY).model_config())
+    x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 16, 16)))
+    recorded = set()
+    for mode in (TRAIN, EVAL):
+        with ad.Graph() as graph:
+            cross_entropy(model.forward(x, mode).values, np.array([0, 1]))
+        recorded |= {node.op for node in graph.nodes}
+    assert {"conv2d", "batch_norm2d_train", "batch_norm2d_eval", "mul"} <= recorded
+    assert recorded <= recorded_ops(), recorded - recorded_ops()
 
 
 def test_c03_vectorized_ops_match_loop_oracles():

@@ -114,11 +114,6 @@ class TestForwardAgainstOracles:
         npt.assert_allclose(mean, x.mean(axis=(0, 2, 3)), atol=1e-12)
         npt.assert_allclose(var, x.var(axis=(0, 2, 3)), atol=1e-12)
 
-    def test_global_avg_pool_value(self):
-        x = rng.standard_normal((2, 3, 5, 5))
-        got = ad.global_avg_pool(t(x))
-        npt.assert_allclose(got.data, x.mean(axis=(2, 3)), atol=1e-12)
-
     def test_sigmoid_extremes_are_finite(self):
         x = t(np.array([[-1000.0, -30.0, 0.0, 30.0, 1000.0]]))
         s = ad.sigmoid(x)
@@ -272,11 +267,6 @@ class TestGradients:
         npt.assert_array_equal(grad, [[[[0, 30, 30, 40, 0], [0, 0, 0, 0, 0]]]])
         assert not np.signbit(grad).any()
 
-    def test_global_avg_pool(self):
-        x = t(rng.standard_normal((2, 3, 4, 4)))
-        self.check(lambda x: ad.tensor_sum(ad.mul(ad.global_avg_pool(x),
-                                                  ad.global_avg_pool(x))), [("x", x)])
-
     def test_adaptive_avg_pool(self):
         x = t(rng.standard_normal((1, 2, 7, 5)))
         self.check(lambda x: ad.tensor_sum(ad.mul(ad.adaptive_avg_pool(x, 3, 2),
@@ -307,12 +297,17 @@ class TestGradients:
         self.check(lambda a, b: ad.tensor_sum(ad.mul(ad.add(a, b), ad.mul(a, b))),
                    [("a", a), ("b", b)])
 
-    def test_mul_broadcast_channel(self):
+    def test_mul_broadcast(self):
         x = t(rng.standard_normal((2, 3, 4, 4)))
-        s = t(rng.standard_normal((2, 3)))
-        self.check(lambda x, s: ad.tensor_sum(
-            ad.mul(ad.mul_broadcast_channel(x, s), ad.mul_broadcast_channel(x, s))),
-            [("x", x), ("s", s)])
+        s = t(rng.standard_normal((2, 3, 1, 1)))
+        self.check(lambda x, s: ad.tensor_sum(ad.mul(ad.mul(x, s), ad.mul(x, s))),
+                   [("x", x), ("s", s)])
+
+    def test_mul_broadcast_along_any_axes(self):
+        a = t(rng.standard_normal((2, 3, 4, 5)))
+        b = t(rng.standard_normal((1, 3, 1, 5)))
+        self.check(lambda a, b: ad.tensor_sum(ad.mul(ad.mul(a, b), ad.mul(a, b))),
+                   [("a", a), ("b", b)])
 
     def test_reshape(self):
         x = t(rng.standard_normal((2, 3, 4)))
@@ -394,7 +389,7 @@ class TestGraphSemantics:
         npt.assert_allclose(x.grad, [5.0])
         assert c.grad is None
 
-    @pytest.mark.parametrize("op", [ad.relu, ad.global_avg_pool])
+    @pytest.mark.parametrize("op", [ad.relu, lambda x: ad.adaptive_avg_pool(x, 1, 1)])
     def test_input_cleared_after_forward_receives_no_gradient(self, op):
         """A single-input op's backward tests no ``requires_grad``:
         `_accumulate` skips an input that no longer requires a gradient."""
@@ -668,7 +663,8 @@ def _leaf_fed_net():
     def leaf(*shape):
         return t(r.standard_normal(shape))
 
-    a, b, m1, m2, s = (leaf(2, 3) for _ in range(5))
+    a, b, m1, m2 = (leaf(2, 3) for _ in range(4))
+    s = leaf(2, 3, 1, 1)
     scaled, pooled, adaptive, conv_in = (leaf(2, 3, 4, 4) for _ in range(4))
     flat, squashed, logits = leaf(2, 3), leaf(2, 3), leaf(2, 7)
     norm_train, norm_eval = leaf(2, 3, 4, 4), leaf(2, 3, 4, 4)
@@ -677,10 +673,10 @@ def _leaf_fed_net():
     parts = [
         ad.add(a, b),
         ad.mul(m1, m2),
-        ad.mul_broadcast_channel(scaled, s),
+        ad.mul(scaled, s),
         ad.reshape(flat, (6,)),
         ad.sigmoid(squashed),
-        ad.global_avg_pool(pooled),
+        ad.adaptive_avg_pool(pooled, 1, 1),
         ad.adaptive_avg_pool(adaptive, 2, 2),
         ad.batch_norm2d_train(norm_train, gamma_t, beta_t, 1e-5)[0],
         ad.batch_norm2d_eval(norm_eval, gamma_e, beta_e, np.zeros(3), np.ones(3), 1e-5),
@@ -753,8 +749,17 @@ class TestShapeErrors:
 
     def test_channel_scale_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.mul_broadcast_channel(Tensor(np.zeros((2, 3, 4, 4))),
-                                     Tensor(np.zeros((2, 4))))
+            ad.mul(Tensor(np.zeros((2, 3, 4, 4))), Tensor(np.zeros((2, 4))))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4, 4), (2, 4, 1, 1)),     # an extent neither a's nor 1
+        ((2, 3, 4, 4), (3, 1, 1)),        # rank below a's
+        ((2, 3, 4, 4), (2, 3, 4, 4, 1)),  # rank above a's
+        ((2, 3, 1, 1), (2, 3, 4, 4)),     # stretching a, not b
+    ])
+    def test_mul_factor_that_does_not_broadcast(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match="does not broadcast"):
+            ad.mul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
 
     def test_pool_window_too_large(self):
         with pytest.raises(ShapeError):

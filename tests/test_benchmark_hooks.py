@@ -9,9 +9,13 @@ traced benchmark run.
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from resemotenet import autodiff
+from resemotenet import autodiff, checkpoint
+from resemotenet.autodiff import Tensor
+from resemotenet.layers import EVAL
+from resemotenet.model import ModelConfig, build_model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: ops with their own per-layer metric in BENCHMARK.json
@@ -39,3 +43,22 @@ def test_tracer_installs_and_uninstalls_every_patch(spans):
         tracer.uninstall()
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
+
+
+def test_a_loaded_model_names_its_conv_spans(spans, tmp_path):
+    """`checkpoint.load` builds its model with `build_model`, which the
+    tracer wraps to name each conv, so a reloaded model's conv spans carry
+    parameter names."""
+    path = tmp_path / "model.ckpt"
+    checkpoint.save(build_model(ModelConfig(input_size=16, stem_channels=(4, 8, 8),
+                                            se_reduction=4, residual_channels=((8, 8, 1),))),
+                    None, None, 0, path)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        model = checkpoint.load(path).model
+        model.forward(Tensor(np.zeros((1, 3, 16, 16))), mode=EVAL)
+    finally:
+        tracer.uninstall()
+    convs = [span.name for span in tracer.spans if span.name.startswith("layers.conv.")]
+    assert convs and not [name for name in convs if ".unnamed." in name], convs

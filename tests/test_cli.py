@@ -366,6 +366,38 @@ def test_resumed_run_reports_the_best_checkpoint_it_kept(dir_fixture, tmp_path):
         f"best epoch {best.epoch} accuracy {best.best_metric:.2f}"
 
 
+def test_resume_that_improves_on_nothing_reports_its_last_epoch(dir_fixture, tmp_path):
+    """Resumed into a new --out at a rate too small to change a prediction,
+    no epoch improves, so the run writes no best.ckpt: it reports its last
+    epoch, keeps the resumed best accuracy, and names no best epoch."""
+    train = ["train", "--config", str(dir_fixture["cfg"]), "--lr", "1e-9"]
+    code, _, stderr = run_cli(*train, "--epochs", "2", "--out", str(tmp_path / "first"))
+    assert code == 0, stderr
+    resumed = tmp_path / "first" / "last.ckpt"
+    out = tmp_path / "second"
+    code, stdout, stderr = run_cli(*train, "--epochs", "4", "--checkpoint", str(resumed),
+                                   "--out", str(out))
+    assert code == 0, stderr
+    assert not (out / "best.ckpt").exists()
+    resumed_best = checkpoint.load(resumed).best_metric
+    payload = json.loads((out / "metrics.json").read_text())
+    last = payload["history"][-1]
+    assert last["epoch"] == 4
+    assert payload["best_epoch"] is None
+    assert payload["best_accuracy"] == resumed_best
+    assert payload["report"]["accuracy"] == last["eval_accuracy"]
+    code, _, stderr = run_cli("eval", "--checkpoint", str(out / "last.ckpt"),
+                              "--config", str(dir_fixture["cfg"]),
+                              "--out", str(tmp_path / "evalout"))
+    assert code == 0, stderr
+    assert (out / "confusion.txt").read_bytes() == \
+        (tmp_path / "evalout" / "confusion.txt").read_bytes()
+    assert stdout.splitlines()[-1] == (
+        f"last epoch 4 accuracy {last['eval_accuracy']:.2f}; no epoch of this run "
+        f"improved on the resumed best accuracy {resumed_best:.2f}")
+    assert "epoch 0" not in stdout
+
+
 def test_plateau_cuts_lr_by_factor_ten(plateau_run):
     rates = [float(EPOCH_LINE.match(line).group(4))
              for line in epoch_lines(plateau_run["stdout"])]

@@ -61,6 +61,14 @@ def test_model_config_turns_json_arrays_into_tuples():
     assert hash(cfg) == hash(ModelConfig())
 
 
+def test_run_config_holds_sequence_fields_as_its_model_config_does():
+    cfg = RunConfig(stem_channels=[64, 128, 256], aap_output=[1, 1],
+                    residual_channels=[[256, 512, 2], [512, 1024, 2],
+                                       [1024, 2048, 2]])
+    assert cfg == RunConfig()
+    assert hash(cfg) == hash(RunConfig())
+
+
 @pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "weight_decay = nan",
                                   "min_lr = nan"])
 def test_non_finite_hyperparameter_line_is_rejected_naming_its_key(line):
