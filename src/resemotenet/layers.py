@@ -1,15 +1,20 @@
 """Parameterized building blocks: convolution, batch norm, squeeze-excitation,
 residual blocks, and the linear classifier head.
 
-Each class owns its tensors and initialization; the forward computations are
-free functions (`conv_block_forward`, `se_forward`, `residual_forward`) so the
-data flow stays readable and the recorded graph mirrors the published
-composition exactly.  Batch norm's mode (`TRAIN` or `EVAL`) is passed to
-each call that reaches one; no layer stores it, and batch norm rejects any
-other value.
+Each class owns its tensors.  Weights are allocated uninitialized, and
+`draw_he_normal` draws them (`build_model` does so for a whole model); the
+forward computations are free functions (`conv_block_forward`,
+`se_forward`, `residual_forward`) so the data flow stays readable and the
+recorded graph mirrors the published composition exactly.  Batch norm's
+mode (`TRAIN` or `EVAL`) is passed to each call that reaches one; no layer
+stores it, and batch norm rejects any other value.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -25,41 +30,95 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-#: elements per block of `he_normal`'s float64 draw
-INIT_BLOCK = 1 << 16
+#: elements per chunk of the initial-weight draw.  Chunk k has its own
+#: seeded stream, so the values depend on this and on the seed, not on the
+#: thread count.
+INIT_CHUNK = 1 << 18
+#: elements per float64 work array of a chunk's draw (128 KB), small enough
+#: for malloc to reuse; drawn block by block, a chunk holds the values of
+#: one whole draw.
+INIT_BLOCK = 1 << 14
 
 
-def he_normal(rng: np.random.Generator | None, shape: tuple[int, ...],
-              fan_in: int) -> Tensor:
-    """Fan-in-scaled normal init (std = sqrt(2 / fan_in)) in the default
-    element type.  The draw is made in blocks through one float64 work
-    buffer, each scaled and then converted, so the values are those of one
-    whole float64 draw times the scale.  With no `rng` the values are left
-    uninitialized, for a caller that overwrites every one."""
-    data = np.empty(shape, dtype=ad.default_dtype())
-    if rng is not None:
-        flat = data.reshape(-1)
-        scale = np.sqrt(2.0 / fan_in)
-        work = np.empty(min(INIT_BLOCK, flat.size))
-        for start in range(0, flat.size, INIT_BLOCK):
-            block = work[:min(INIT_BLOCK, flat.size - start)]
-            rng.standard_normal(out=block)
-            block *= scale
-            flat[start:start + block.size] = block
-    return Tensor(data, requires_grad=True)
+def _weight(shape: tuple[int, ...]) -> Tensor:
+    """An uninitialized learnable weight in the default element type, for
+    `draw_he_normal` or a loaded state to fill."""
+    return Tensor(np.empty(shape, dtype=ad.default_dtype()), requires_grad=True)
+
+
+def draw_he_normal(named: Iterable[tuple[str, Tensor]], seed: int) -> None:
+    """Fill every tensor of rank >= 2 among the (name, tensor) pairs `named`
+    with fan-in-scaled normal values: std = sqrt(2 / fan_in), fan_in being
+    the product of the trailing dimensions.
+
+    The tensors, in the given order, are cut into chunks of `INIT_CHUNK`
+    elements; chunk k is drawn in float64 from the k-th child of
+    ``SeedSequence(seed)``, scaled, and cast to the tensor's type.  The
+    chunks are shared out among one thread per usable CPU, so the values do
+    not depend on the CPU count.  A failed chunk raises here once every
+    thread has stopped."""
+    chunks = []
+    for _, tensor in named:
+        if tensor.data.ndim < 2:
+            continue
+        flat = tensor.data.reshape(-1)
+        scale = np.sqrt(2.0 / (flat.size // tensor.shape[0]))
+        chunks += [(flat[i:i + INIT_CHUNK], scale) for i in range(0, flat.size, INIT_CHUNK)]
+    seqs = np.random.SeedSequence(seed).spawn(len(chunks))
+    jobs = [(seq, out, scale) for seq, (out, scale) in zip(seqs, chunks)]
+    count = max(1, min(_usable_cpus(), len(jobs)))
+    errors: list[Exception] = []
+    helpers = [threading.Thread(target=_draw_chunks, args=(jobs[i::count], errors))
+               for i in range(1, count)]
+    try:
+        for helper in helpers:
+            helper.start()
+        _draw_chunks(jobs[::count], errors)
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:
+                helper.join()
+    if errors:
+        raise errors[0]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_chunks(jobs, errors: list[Exception]) -> None:
+    """Draw `jobs` in turn until one fails, recording its error, or another
+    thread has recorded one."""
+    try:
+        for job in jobs:
+            if errors:
+                return
+            _draw_chunk(*job)
+    except Exception as err:
+        errors.append(err)
+
+
+def _draw_chunk(seq: np.random.SeedSequence, out: np.ndarray, scale: float) -> None:
+    """`out` = scale * the first out.size normals of seq's stream, cast."""
+    generator = np.random.Generator(np.random.PCG64(seq))
+    for i in range(0, out.size, INIT_BLOCK):
+        block = out[i:i + INIT_BLOCK]
+        np.multiply(generator.standard_normal(block.size), scale, out=block)
 
 
 class Conv2dLayer:
     """2-D convolution with learnable kernel and per-output-channel bias."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0, *, rng: np.random.Generator | None):
+                 stride: int = 1, padding: int = 0):
         if in_channels < 1 or out_channels < 1 or kernel_size < 1:
             raise ConfigError(
                 f"conv layer needs positive channels/kernel, got "
                 f"{in_channels}/{out_channels}/k{kernel_size}")
-        fan_in = in_channels * kernel_size * kernel_size
-        self.weight = he_normal(rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in)
+        self.weight = _weight((out_channels, in_channels, kernel_size, kernel_size))
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
         self.stride = stride
         self.padding = padding
@@ -114,8 +173,7 @@ class SEBlock:
     bottleneck (reduce by `reduction_ratio`, ReLU, expand, sigmoid), then
     rescale each channel.  The two projections carry no bias terms."""
 
-    def __init__(self, channels: int, reduction_ratio: int = 16, *,
-                 rng: np.random.Generator | None):
+    def __init__(self, channels: int, reduction_ratio: int = 16):
         if reduction_ratio < 1:
             raise ConfigError(f"reduction ratio must be >= 1, got {reduction_ratio}")
         if channels % reduction_ratio != 0:
@@ -123,8 +181,8 @@ class SEBlock:
                 f"channel count {channels} not divisible by reduction ratio "
                 f"{reduction_ratio}")
         reduced = channels // reduction_ratio
-        self.w1 = he_normal(rng, (reduced, channels), channels)
-        self.w2 = he_normal(rng, (channels, reduced), reduced)
+        self.w1 = _weight((reduced, channels))
+        self.w2 = _weight((channels, reduced))
 
     def named_parameters(self):
         return [("w1", self.w1), ("w2", self.w2)]
@@ -138,18 +196,17 @@ class ResidualBlock:
     1x1 strided convolution plus BN projects the input.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, stride: int = 1, *,
-                 rng: np.random.Generator | None):
+    def __init__(self, in_channels: int, out_channels: int, stride: int = 1):
         if in_channels < 1 or out_channels < 1 or stride < 1:
             raise ConfigError(
                 f"residual block needs positive channels/stride, got "
                 f"{in_channels}->{out_channels} stride {stride}")
-        self.conv_a = Conv2dLayer(in_channels, out_channels, 3, stride, 1, rng=rng)
+        self.conv_a = Conv2dLayer(in_channels, out_channels, 3, stride, 1)
         self.bn_a = BatchNorm2d(out_channels)
-        self.conv_b = Conv2dLayer(out_channels, out_channels, 3, 1, 1, rng=rng)
+        self.conv_b = Conv2dLayer(out_channels, out_channels, 3, 1, 1)
         self.bn_b = BatchNorm2d(out_channels)
         if in_channels != out_channels or stride != 1:
-            self.shortcut_conv = Conv2dLayer(in_channels, out_channels, 1, stride, 0, rng=rng)
+            self.shortcut_conv = Conv2dLayer(in_channels, out_channels, 1, stride, 0)
             self.shortcut_bn = BatchNorm2d(out_channels)
         else:
             self.shortcut_conv = None
@@ -172,12 +229,11 @@ class ResidualBlock:
 class LinearLayer:
     """Dense projection with learnable weight and bias."""
 
-    def __init__(self, in_features: int, out_features: int, *,
-                 rng: np.random.Generator | None):
+    def __init__(self, in_features: int, out_features: int):
         if in_features < 1 or out_features < 1:
             raise ConfigError(
                 f"linear layer needs positive sizes, got {in_features}->{out_features}")
-        self.weight = he_normal(rng, (out_features, in_features), in_features)
+        self.weight = _weight((out_features, in_features))
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:

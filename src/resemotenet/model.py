@@ -18,6 +18,7 @@ from .layers import (
     ResidualBlock,
     SEBlock,
     conv_block_forward,
+    draw_he_normal,
     residual_forward,
     se_forward,
 )
@@ -125,24 +126,23 @@ class Logits:
 class ResEmoteNetModel:
     """The assembled network.  Build with `build_model`; run with `forward`.
 
-    With ``rng=None`` the conv and linear weights are left uninitialized,
-    for a caller that overwrites every state tensor (`checkpoint.load`).
+    The constructor leaves the conv, linear and gate weights uninitialized:
+    `build_model` draws them, or a caller overwrites every state tensor
+    (`checkpoint.load`).
     """
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
+    def __init__(self, config: ModelConfig):
         self.config = config
         self.stem: list[tuple[Conv2dLayer, BatchNorm2d]] = []
         cin = config.input_channels
         for cout in config.stem_channels:
-            conv = Conv2dLayer(cin, cout, 3, stride=1, padding=1, rng=rng)
+            conv = Conv2dLayer(cin, cout, 3, stride=1, padding=1)
             self.stem.append((conv, BatchNorm2d(cout)))
             cin = cout
-        self.se = SEBlock(config.stem_channels[-1], config.se_reduction, rng=rng)
-        self.residuals = [
-            ResidualBlock(a, b, stride, rng=rng)
-            for a, b, stride in config.residual_channels
-        ]
-        self.classifier = LinearLayer(config.classifier_inputs, config.num_classes, rng=rng)
+        self.se = SEBlock(config.stem_channels[-1], config.se_reduction)
+        self.residuals = [ResidualBlock(a, b, stride)
+                          for a, b, stride in config.residual_channels]
+        self.classifier = LinearLayer(config.classifier_inputs, config.num_classes)
 
     # -- traversal ---------------------------------------------------------
 
@@ -236,9 +236,14 @@ def build_model(config: ModelConfig, *, draw: bool = True) -> ResEmoteNetModel:
     """Construct and deterministically initialize a model from its config.
 
     The same config (including seed) always yields bitwise-identical
-    parameters: conv and linear weights are fan-in-scaled normal draws from a
-    single seeded generator consumed in declaration order, biases start at
-    zero, batch-norm scale/shift at one/zero.  ``draw=False`` makes no
-    generator and builds with ``rng=None`` (see `ResEmoteNetModel`).
+    parameters on any number of CPUs: every weight of rank >= 2 (conv,
+    linear, gate) is a fan-in-scaled normal draw made by `draw_he_normal`
+    from per-chunk streams of ``config.seed``, in `named_parameters` order;
+    biases start at zero, batch-norm scale/shift at one/zero.  With
+    ``draw=False`` the weights stay uninitialized, for a caller that
+    overwrites every state tensor (`checkpoint.load`).
     """
-    return ResEmoteNetModel(config, np.random.default_rng(config.seed) if draw else None)
+    model = ResEmoteNetModel(config)
+    if draw:
+        draw_he_normal(model.named_parameters(), config.seed)
+    return model

@@ -1,18 +1,18 @@
 """Gradient audit: re-derive every backward pass numerically.
 
-``grad_check`` compares one scalar function's analytic gradients with
-central finite differences and returns each input's largest relative
-error; ``inject_gradient_fault`` corrupts one op's backward inside it, so
-the audit can be shown to catch a wrong gradient.  The battery below runs
+``grad_check`` compares one function's analytic gradients with central
+finite differences and returns each input's largest relative error;
+``inject_gradient_fault`` corrupts one op's backward inside the function,
+so the audit can be shown to catch a wrong gradient.  The battery below runs
 it over every component, and ``run_gradient_checks`` holds the pass rule.
 
 Each differentiable primitive and each assembled layer (conv+BN block,
 channel gate, residual block, classifier head, cross-entropy) is checked
 against central finite differences on freshly sampled shapes, many trials
-per component, all in float64.  Non-scalar outputs are read out through a
-fixed random projection ``sum(out * c)`` — a plain sum has zero sensitivity
-to some inputs (e.g. anything upstream of train-mode batch norm), which
-would starve the numeric side.
+per component, all in float64.  ``grad_check`` reads a non-scalar output
+out through a fixed random projection ``sum(out * c)`` — a plain sum has
+zero sensitivity to some inputs (e.g. anything upstream of train-mode
+batch norm), which would starve the numeric side.
 
 Composite blocks run with eval-mode batch norm.  In train mode a conv bias
 feeding batch norm has an *exactly zero* true gradient (batch statistics
@@ -32,7 +32,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, using_dtype
-from .errors import GraphError
 from .layers import (EVAL, TRAIN, BatchNorm2d, Conv2dLayer, LinearLayer,
                      ResidualBlock, SEBlock, conv_block_forward, residual_forward,
                      se_forward)
@@ -64,12 +63,16 @@ def _doubled(backward_fn):
 def grad_check(f: Callable[..., Tensor],
                named: Sequence[tuple[str, Tensor]]) -> dict[str, float]:
     """Each input's largest relative error between the analytic gradient of
-    scalar f(*tensors) and central differences, by name.
+    f(*tensors) and central differences, by name.
 
     `named` is a sequence of (name, tensor) pairs; every tensor is perturbed
-    elementwise by +-`GRADCHECK_EPSILON` in float64.  Relative error per
-    element is |a - n| / max(1e-8, |a| + |n|), and a NaN or infinite analytic
-    gradient makes it NaN.  f must be deterministic.
+    elementwise by +-`GRADCHECK_EPSILON` in float64.  A scalar f is checked
+    as it is; any other output is read out as ``sum(f * c)`` through a fixed
+    random projection ``c`` bounded away from zero, so every output element
+    contributes.  Relative error per element is |a - n| / max(1e-8, |a| +
+    |n|), and a NaN or infinite analytic gradient makes it NaN.  f must be
+    deterministic.  An injected fault doubles only the nodes f records, not
+    the read-out's.
     """
     for name, t in named:
         if t.data.dtype != np.float64:
@@ -83,18 +86,18 @@ def grad_check(f: Callable[..., Tensor],
         t.grad = None
     with Graph() as graph:
         out = f(*tensors)
-        if out.size != 1:
-            raise GraphError(f"grad_check: f must return a scalar, got shape {out.shape}")
-        if not np.isfinite(out.item()):
-            raise ValueError("grad_check: f returned a non-finite value")
         for node in graph.nodes:
             if node.op == _injected_fault:
                 node.backward_fn = _doubled(node.backward_fn)
-        out.backward()
+        read_out = _read_out(out.shape)
+        value = read_out(out)
+        if not np.isfinite(value.item()):
+            raise ValueError("grad_check: f returned a non-finite value")
+        value.backward()
     analytic = [np.zeros_like(t.data) if t.grad is None else t.grad for t in tensors]
 
     def evaluate() -> float:
-        v = f(*tensors).item()
+        v = read_out(f(*tensors)).item()
         if not np.isfinite(v):
             raise ValueError("grad_check: f returned a non-finite value during perturbation")
         return v
@@ -118,6 +121,16 @@ def grad_check(f: Callable[..., Tensor],
     return errors
 
 
+def _read_out(shape: tuple[int, ...]) -> Callable[[Tensor], Tensor]:
+    """The reduction of an output of `shape` to the checked scalar: the
+    identity for one element, else ``sum(out * c)`` with ``c`` drawn from a
+    fixed seed."""
+    if int(np.prod(shape)) == 1:
+        return lambda out: out
+    c = Tensor(_signed_uniform(np.random.default_rng(0), shape, 0.5, 1.5))
+    return lambda out: ad.tensor_sum(ad.mul(out, c))
+
+
 def _signed_uniform(rng, shape, low=0.2, high=1.0):
     """Magnitudes bounded away from zero, random signs: keeps relu/max-pool
     arguments clear of kinks and ties at finite-difference scale."""
@@ -126,20 +139,8 @@ def _signed_uniform(rng, shape, low=0.2, high=1.0):
     return magnitude * sign
 
 
-def _read_out(f: Callable, inputs, rng):
-    """Reduce a sampler's f to the scalar grad_check needs: ``sum(f * c)``
-    through a fixed random projection ``c``, drawn after the sampler's own
-    draws and bounded away from zero so every output element contributes.
-    A scalar f (a loss, a sum) is checked as it is."""
-    out = f(*(t for _, t in inputs))
-    if out.data.ndim == 0:
-        return f
-    c = Tensor(_signed_uniform(rng, out.shape, 0.5, 1.5))
-    return lambda *args: ad.tensor_sum(ad.mul(f(*args), c))
-
-
 # --- samplers: name -> rng -> (f, named inputs) ----------------------------
-# f returns the op's raw output; `_read_out` reduces it to the checked scalar.
+# f returns the op's raw output; `grad_check` reduces it to the checked scalar.
 
 def _sample_conv2d(rng):
     n, ci, co = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
@@ -270,7 +271,7 @@ def _randomize_residual(block: ResidualBlock, rng, mode: str) -> None:
 
 def _sample_conv_bn_block(rng, mode=EVAL, include_bias=True):
     n, ci, co, size = 2, 2, 2, 4
-    conv = Conv2dLayer(ci, co, 3, stride=1, padding=1, rng=rng)
+    conv = Conv2dLayer(ci, co, 3, stride=1, padding=1)
     bn = BatchNorm2d(co)
     conv.weight.data[...] = rng.standard_normal(conv.weight.shape) * 0.5
     conv.bias.data[...] = rng.standard_normal(conv.bias.shape) * 0.1
@@ -289,7 +290,7 @@ def _sample_conv_bn_block_train(rng):
 
 def _sample_se_block(rng):
     n, ch, size = 2, 4, 3
-    se = SEBlock(ch, reduction_ratio=2, rng=rng)
+    se = SEBlock(ch, reduction_ratio=2)
     se.w1.data[...] = rng.standard_normal(se.w1.shape)
     se.w2.data[...] = rng.standard_normal(se.w2.shape)
     x = Tensor(rng.standard_normal((n, ch, size, size)), requires_grad=True)
@@ -303,7 +304,7 @@ def _residual_inputs(block: ResidualBlock, x: Tensor, include_bias=True):
 
 def _sample_residual_identity(rng, mode=EVAL, include_bias=True):
     n, ch, size = 2, 2, 4
-    block = ResidualBlock(ch, ch, stride=1, rng=rng)
+    block = ResidualBlock(ch, ch, stride=1)
     _randomize_residual(block, rng, mode)
     x = Tensor(_signed_uniform(rng, (n, ch, size, size)), requires_grad=True)
     return (lambda *_: residual_forward(block, x, mode),
@@ -316,7 +317,7 @@ def _sample_residual_identity_train(rng):
 
 def _sample_residual_projection(rng):
     n, cin, cout, size = 2, 2, 4, 4
-    block = ResidualBlock(cin, cout, stride=2, rng=rng)
+    block = ResidualBlock(cin, cout, stride=2)
     _randomize_residual(block, rng, EVAL)
     x = Tensor(rng.standard_normal((n, cin, size, size)), requires_grad=True)
     return lambda *_: residual_forward(block, x, EVAL), _residual_inputs(block, x)
@@ -324,7 +325,7 @@ def _sample_residual_projection(rng):
 
 def _sample_classifier(rng):
     n, din, k = 3, 6, 4
-    head = LinearLayer(din, k, rng=rng)
+    head = LinearLayer(din, k)
     head.weight.data[...] = rng.standard_normal(head.weight.shape)
     head.bias.data[...] = rng.standard_normal(head.bias.shape)
     x = Tensor(rng.standard_normal((n, din)), requires_grad=True)
@@ -395,7 +396,7 @@ def recorded_ops() -> set[str]:
         for sampler in COMPONENTS.values():
             rng = np.random.default_rng(0)
             f, inputs = sampler(rng)
-            _read_out(f, inputs, rng)(*(t for _, t in inputs))
+            f(*(t for _, t in inputs))
     return {node.op for node in graph.nodes}
 
 
@@ -414,7 +415,7 @@ def run_gradient_checks(seed: int = 0, trials_per_component: int = 50,
             failures = []
             for trial in range(trials_per_component):
                 f, inputs = sampler(rng)
-                for input_name, err in grad_check(_read_out(f, inputs, rng), inputs).items():
+                for input_name, err in grad_check(f, inputs).items():
                     errors.append(err)
                     if not err <= GRADCHECK_TOL:  # NaN fails too
                         failures.append(f"trial {trial}: {input_name} rel_err={err:.3e}")

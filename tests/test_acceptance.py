@@ -32,7 +32,8 @@ from resemotenet.data import (
     published_counts,
     random_horizontal_flip,
 )
-from resemotenet.layers import EVAL, TRAIN, ResidualBlock, SEBlock, residual_forward, se_forward
+from resemotenet.layers import (EVAL, TRAIN, ResidualBlock, SEBlock, draw_he_normal,
+                                residual_forward, se_forward)
 from resemotenet.metrics import ConfusionMatrix
 from resemotenet.model import build_model
 from resemotenet.optim import (
@@ -146,7 +147,8 @@ def test_c04_channel_gate_matches_explicit_recomposition():
     with ad.using_dtype(np.float64):
         for seed in range(20):
             rng = np.random.default_rng(400 + seed)
-            se = SEBlock(8, reduction_ratio=4, rng=rng)
+            se = SEBlock(8, reduction_ratio=4)
+            draw_he_normal(se.named_parameters(), 400 + seed)
             x = rng.standard_normal((3, 8, 5, 5))
             out = se_forward(se, Tensor(x))
             # squeeze -> bottleneck -> expand -> sigmoid -> per-channel scale,
@@ -166,7 +168,7 @@ def test_c04_channel_gate_matches_explicit_recomposition():
 
 def test_c05_zeroed_residual_branch_reduces_to_relu_shortcut():
     with ad.using_dtype(np.float64):
-        block = ResidualBlock(4, 4, stride=1, rng=np.random.default_rng(5))
+        block = ResidualBlock(4, 4, stride=1)
         assert block.shortcut_conv is None
         for conv in (block.conv_a, block.conv_b):
             conv.weight.data[:] = 0.0

@@ -139,7 +139,7 @@ dataset = dir
 data_root = {data}
 batch_size = 8
 lr = 0.03
-epochs = 14
+epochs = 19
 seed = 13
 input_size = 16
 stem_channels = 4,8,8
@@ -592,6 +592,21 @@ def test_gradcheck_injected_fault_fails_naming_the_op(one_trial_gradcheck, capsy
     _, stderr = capsys.readouterr()
     assert code == 1
     assert re.search(r"FAIL max_pool2d", stderr), stderr
+
+
+@pytest.mark.parametrize("op,failing", [
+    ("mul", {"mul", "mul_broadcast", "se_block"}),
+    ("sum", {"sum"}),
+])
+def test_gradcheck_fault_fails_only_the_components_that_record_the_op(
+        op, failing, one_trial_gradcheck, capsys):
+    """The projection that reads a component's output out to a scalar is
+    itself a mul and a sum; a fault in those ops leaves it alone."""
+    code = cli.main(["gradcheck", "tiny", "--inject-fault", op])
+    stdout, _ = capsys.readouterr()
+    failed = {line.split()[0] for line in stdout.splitlines() if "FAIL" in line}
+    assert code == 1
+    assert failed == failing
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -33,10 +33,16 @@ def make_rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def drawn(layer, seed=0):
+    """`layer` with its weights drawn as `build_model` draws a model's."""
+    layers.draw_he_normal(layer.named_parameters(), seed)
+    return layer
+
+
 class TestConvBlock:
     def test_constant_input_normalizes_to_zero(self):
         # every channel constant -> batch stats remove everything -> relu(0)
-        conv = Conv2dLayer(2, 3, 3, padding=1, rng=make_rng())
+        conv = Conv2dLayer(2, 3, 3, padding=1)
         conv.weight.data[:] = 0.0
         conv.bias.data[:] = 5.0  # constant pre-BN activations
         bn = BatchNorm2d(3)
@@ -45,7 +51,7 @@ class TestConvBlock:
         npt.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_eval_with_unit_stats_is_identity_up_to_eps(self):
-        conv = Conv2dLayer(1, 1, 1, rng=make_rng())
+        conv = Conv2dLayer(1, 1, 1)
         conv.weight.data[:] = 1.0
         conv.bias.data[:] = 0.0
         bn = BatchNorm2d(1)
@@ -109,7 +115,7 @@ class TestConvBlock:
 
 class TestSEBlock:
     def test_zero_weights_give_half_gate(self):
-        se = SEBlock(8, reduction_ratio=4, rng=make_rng())
+        se = SEBlock(8, reduction_ratio=4)
         se.w1.data[:] = 0.0
         se.w2.data[:] = 0.0
         x = Tensor(rng.standard_normal((2, 8, 3, 3)))
@@ -117,13 +123,13 @@ class TestSEBlock:
         npt.assert_allclose(out.data, 0.5 * x.data, atol=1e-12)
 
     def test_zero_input_stays_zero(self):
-        se = SEBlock(8, reduction_ratio=2, rng=make_rng(3))
+        se = drawn(SEBlock(8, reduction_ratio=2), 3)
         x = Tensor(np.zeros((2, 8, 4, 4)))
         out = se_forward(se, x)
         npt.assert_array_equal(out.data, 0.0)
 
     def test_matches_step_by_step_composition(self):
-        se = SEBlock(16, reduction_ratio=4, rng=make_rng(5))
+        se = drawn(SEBlock(16, reduction_ratio=4), 5)
         x = Tensor(rng.standard_normal((2, 16, 4, 4)))
         out = se_forward(se, x)
         # recompose from the constituent primitives one step at a time
@@ -134,17 +140,17 @@ class TestSEBlock:
         npt.assert_allclose(out.data, x.data * gate[:, :, None, None], atol=1e-12)
 
     def test_gate_bounds_output(self):
-        se = SEBlock(8, reduction_ratio=2, rng=make_rng(9))
+        se = drawn(SEBlock(8, reduction_ratio=2), 9)
         x = Tensor(rng.standard_normal((3, 8, 5, 5)) * 10.0)
         out = se_forward(se, x)
         assert np.max(np.abs(out.data)) <= np.max(np.abs(x.data))
 
     def test_rejects_indivisible_reduction(self):
         with pytest.raises(ConfigError, match="divisible"):
-            SEBlock(10, reduction_ratio=4, rng=make_rng())
+            SEBlock(10, reduction_ratio=4)
 
     def test_channel_mismatch_raises(self):
-        se = SEBlock(8, reduction_ratio=2, rng=make_rng())
+        se = drawn(SEBlock(8, reduction_ratio=2))
         with pytest.raises(ShapeError):
             se_forward(se, Tensor(np.zeros((1, 6, 3, 3))))
 
@@ -152,7 +158,7 @@ class TestSEBlock:
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 3), st.integers(2, 5), st.integers(2, 6), st.floats(0.1, 10.0))
 def test_se_gate_strictly_inside_unit_interval(n, h, w, scale):
-    se = SEBlock(4, reduction_ratio=2, rng=make_rng(11))
+    se = drawn(SEBlock(4, reduction_ratio=2), 11)
     x = np.full((n, 4, h, w), scale)
     out = se_forward(se, Tensor(x))
     ratio = out.data / x
@@ -161,7 +167,7 @@ def test_se_gate_strictly_inside_unit_interval(n, h, w, scale):
 
 class TestResidualBlock:
     def test_zero_residual_branch_acts_as_relu(self):
-        block = ResidualBlock(4, 4, stride=1, rng=make_rng())
+        block = ResidualBlock(4, 4, stride=1)
         assert block.shortcut_conv is None
         for conv in (block.conv_a, block.conv_b):
             conv.weight.data[:] = 0.0
@@ -174,7 +180,7 @@ class TestResidualBlock:
         npt.assert_array_equal(out.data, x.data)
 
     def test_zero_branch_in_train_mode_also_exact(self):
-        block = ResidualBlock(4, 4, stride=1, rng=make_rng(1))
+        block = ResidualBlock(4, 4, stride=1)
         for conv in (block.conv_a, block.conv_b):
             conv.weight.data[:] = 0.0
             conv.bias.data[:] = 0.0
@@ -183,7 +189,7 @@ class TestResidualBlock:
         npt.assert_array_equal(out.data, x.data)
 
     def test_downsampling_block_shape_and_composition(self):
-        block = ResidualBlock(16, 32, stride=2, rng=make_rng(4))
+        block = drawn(ResidualBlock(16, 32, stride=2), 4)
         x = Tensor(rng.standard_normal((2, 16, 8, 8)))
         out = residual_forward(block, x, layers.EVAL)
         assert out.shape == (2, 32, 4, 4)
@@ -195,14 +201,14 @@ class TestResidualBlock:
         npt.assert_allclose(out.data, want, atol=1e-12)
 
     def test_auto_shortcut_selection(self):
-        assert ResidualBlock(8, 8, 1, rng=make_rng()).shortcut_conv is None
-        assert ResidualBlock(8, 16, 1, rng=make_rng()).shortcut_conv is not None
-        assert ResidualBlock(8, 8, 2, rng=make_rng()).shortcut_conv is not None
+        assert ResidualBlock(8, 8, 1).shortcut_conv is None
+        assert ResidualBlock(8, 16, 1).shortcut_conv is not None
+        assert ResidualBlock(8, 8, 2).shortcut_conv is not None
 
     def test_layers_list_the_projection_only_when_it_projects(self):
         plain = ["conv_a", "bn_a", "conv_b", "bn_b"]
-        identity = ResidualBlock(8, 8, 1, rng=make_rng())
-        projecting = ResidualBlock(8, 16, 2, rng=make_rng())
+        identity = ResidualBlock(8, 8, 1)
+        projecting = ResidualBlock(8, 16, 2)
         assert [n for n, _ in identity.layers()] == plain
         assert [n for n, _ in projecting.layers()] == plain + ["shortcut_conv", "shortcut_bn"]
         assert dict(projecting.layers())["shortcut_bn"] is projecting.shortcut_bn
@@ -213,7 +219,7 @@ class TestLayerGradients:
         # eval mode so the conv bias has gradient signal; train-mode batch
         # statistics absorb per-channel constants, making the true bias
         # gradient identically zero (nothing finite differences can resolve)
-        conv = Conv2dLayer(2, 3, 3, padding=1, rng=make_rng(6))
+        conv = drawn(Conv2dLayer(2, 3, 3, padding=1), 6)
         bn = BatchNorm2d(3)
         x = Tensor(rng.standard_normal((2, 2, 4, 4)))
         c = Tensor(rng.standard_normal((2, 3, 2, 2)))
@@ -227,7 +233,7 @@ class TestLayerGradients:
 
     def test_conv_block_parameters_train_mode(self):
         # the composed train-mode path, minus the bias (see above)
-        conv = Conv2dLayer(2, 3, 3, padding=1, rng=make_rng(6))
+        conv = drawn(Conv2dLayer(2, 3, 3, padding=1), 6)
         bn = BatchNorm2d(3)
         x = Tensor(rng.standard_normal((2, 2, 4, 4)))
         c = Tensor(rng.standard_normal((2, 3, 4, 4)))
@@ -241,7 +247,7 @@ class TestLayerGradients:
     def test_conv_bias_before_train_bn_has_zero_gradient(self):
         # document the invariance directly: the analytic bias gradient under
         # train-mode normalization vanishes to accumulation roundoff
-        conv = Conv2dLayer(2, 3, 3, padding=1, rng=make_rng(6))
+        conv = drawn(Conv2dLayer(2, 3, 3, padding=1), 6)
         bn = BatchNorm2d(3)
         x = Tensor(rng.standard_normal((2, 2, 4, 4)))
         with Graph():
@@ -250,7 +256,7 @@ class TestLayerGradients:
         assert np.max(np.abs(conv.bias.grad)) < 1e-10
 
     def test_se_block_parameters(self):
-        se = SEBlock(8, reduction_ratio=4, rng=make_rng(8))
+        se = drawn(SEBlock(8, reduction_ratio=4), 8)
         x = Tensor(rng.standard_normal((2, 8, 3, 3)))
         c = Tensor(rng.standard_normal((2, 8, 3, 3)))
         oracles.assert_gradients_match(
@@ -259,7 +265,7 @@ class TestLayerGradients:
 
     def test_residual_block_parameters_projection(self):
         # eval mode: see the conv-bias note above
-        block = ResidualBlock(3, 4, stride=2, rng=make_rng(10))
+        block = drawn(ResidualBlock(3, 4, stride=2), 10)
         x = Tensor(rng.standard_normal((2, 3, 6, 6)))
         c = Tensor(rng.standard_normal((2, 4, 3, 3)))
         named = [(n, t) for n, t in block.named_parameters()]
@@ -269,7 +275,7 @@ class TestLayerGradients:
             named)
 
     def test_linear_layer_parameters(self):
-        lin = LinearLayer(5, 3, rng=make_rng(12))
+        lin = drawn(LinearLayer(5, 3), 12)
         x = Tensor(rng.standard_normal((4, 5)))
         c = Tensor(rng.standard_normal((4, 3)))
         oracles.assert_gradients_match(
@@ -279,14 +285,14 @@ class TestLayerGradients:
 
 class TestInitialization:
     def test_he_scale(self):
-        big = Conv2dLayer(32, 64, 3, rng=make_rng(0))
+        big = drawn(Conv2dLayer(32, 64, 3))
         fan_in = 32 * 9
         std = big.weight.data.std()
         npt.assert_allclose(std, np.sqrt(2.0 / fan_in), rtol=0.1)
 
     def test_biases_start_at_zero(self):
-        conv = Conv2dLayer(2, 3, 3, rng=make_rng())
-        lin = LinearLayer(4, 2, rng=make_rng())
+        conv = drawn(Conv2dLayer(2, 3, 3))
+        lin = drawn(LinearLayer(4, 2))
         npt.assert_array_equal(conv.bias.data, 0.0)
         npt.assert_array_equal(lin.bias.data, 0.0)
 
@@ -298,13 +304,22 @@ class TestInitialization:
         npt.assert_array_equal(bn.running_var, 1.0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_blocked_draw_equals_one_whole_draw(self, dtype):
-        shape = (3, layers.INIT_BLOCK // 2 + 5)  # two whole blocks and a part
+    def test_each_chunk_is_drawn_from_its_own_child_stream(self, dtype):
+        # the linear weight spans two chunks; the conv weight is the third
         with ad.using_dtype(dtype):
-            got = layers.he_normal(make_rng(4), shape, fan_in=27)
-        want = (make_rng(4).standard_normal(shape) * np.sqrt(2.0 / 27)).astype(dtype)
-        assert got.data.dtype == dtype and got.data.shape == shape
-        assert got.data.tobytes() == want.tobytes()
+            lin = LinearLayer(32, layers.INIT_CHUNK // 32 + 1)
+            conv = Conv2dLayer(2, 3, 3)
+        layers.draw_he_normal(lin.named_parameters() + conv.named_parameters(), seed=4)
+        children = np.random.SeedSequence(4).spawn(3)
+
+        def chunk(k, n, fan_in):
+            normals = np.random.Generator(np.random.PCG64(children[k])).standard_normal(n)
+            return (normals * np.sqrt(2.0 / fan_in)).astype(dtype)
+
+        want = np.concatenate([chunk(0, layers.INIT_CHUNK, 32), chunk(1, 32, 32)])
+        assert lin.weight.data.dtype == dtype
+        assert lin.weight.data.reshape(-1).tobytes() == want.tobytes()
+        assert conv.weight.data.reshape(-1).tobytes() == chunk(2, 54, 18).tobytes()
 
 
 def _out_of_place_block(conv, bn, x, mode):
@@ -332,11 +347,11 @@ class TestHandOver:
         defaults, and their (name, layer) pairs."""
         with ad.using_dtype(dtype):
             if kind == "block":
-                conv, bn = Conv2dLayer(3, 4, 3, padding=1, rng=make_rng(21)), BatchNorm2d(4)
+                conv, bn = drawn(Conv2dLayer(3, 4, 3, padding=1), 21), BatchNorm2d(4)
                 units, named = (conv, bn), [("conv", conv), ("bn", bn)]
             else:
                 stride, cout = (2, 6) if kind == "projecting" else (1, 3)
-                block = ResidualBlock(3, cout, stride, rng=make_rng(23))
+                block = drawn(ResidualBlock(3, cout, stride), 23)
                 units, named = (block,), block.layers()
         r = make_rng(24)
         for _, bn in named:

@@ -1,5 +1,7 @@
 """End-to-end behavior of the assembled network and its configuration."""
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from resemotenet import autodiff as ad
+from resemotenet import layers
 from resemotenet.autodiff import Tensor
 from resemotenet.data import DatasetManifest, Sample
 from resemotenet.errors import ConfigError, ShapeError
@@ -118,6 +121,59 @@ class TestBuild:
         model = build_model(cfg)
         out = model.forward(Tensor(rng.standard_normal((2, 3, 16, 16))), EVAL)
         assert out.values.shape == (2, 2)
+
+
+class TestDraw:
+    """`build_model` draws every weight from per-chunk streams of the seed,
+    on one thread per usable CPU."""
+
+    def _cpus(self, monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+    def test_state_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(layers, "INIT_CHUNK", 64)  # many chunks per weight
+        states = []
+        for count in (1, 4):
+            self._cpus(monkeypatch, count)
+            states.append({k: v.tobytes() for k, v in build_model(TINY).state_tensors().items()})
+        assert states[0] == states[1]
+
+    def test_every_drawn_tensor_of_the_default_net_is_he_normal(self):
+        with ad.using_dtype(np.float32):
+            model = build_model(ModelConfig())
+        drawn = [(n, t.data) for n, t in model.named_parameters() if t.data.ndim >= 2]
+        assert len(drawn) == 3 + 2 + 3 * 3 + 1  # stem convs, gate, residual convs, head
+        for name, w in drawn:
+            n, std = w.size, np.sqrt(2.0 / (w.size // w.shape[0]))
+            values = w.astype(np.float64)
+            # five standard errors of the mean and of the standard deviation
+            assert abs(values.mean()) <= 5 * std / np.sqrt(n), name
+            assert abs(values.std() / std - 1) <= 5 / np.sqrt(2 * n), name
+
+    def test_float32_and_float64_models_agree_to_float32_rounding(self):
+        with ad.using_dtype(np.float32):
+            single = build_model(TINY).state_tensors()
+        double = build_model(TINY).state_tensors()
+        for name, arr in single.items():
+            assert arr.dtype == np.float32 and double[name].dtype == np.float64
+            assert arr.tobytes() == double[name].astype(np.float32).tobytes(), name
+
+    def test_a_failed_chunk_raises_once_every_thread_has_stopped(self, monkeypatch):
+        self._cpus(monkeypatch, 4)
+        monkeypatch.setattr(layers, "INIT_CHUNK", 64)
+        draw_chunk = layers._draw_chunk
+
+        def failing(seq, out, scale):
+            if seq.spawn_key == (5,):  # a helper thread's chunk
+                raise MemoryError("chunk 5")
+            draw_chunk(seq, out, scale)
+
+        monkeypatch.setattr(layers, "_draw_chunk", failing)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="chunk 5"):
+            build_model(TINY)
+        assert threading.active_count() == threads
 
 
 class TestForward:
