@@ -21,7 +21,7 @@ from .model import ModelConfig, ResEmoteNetModel, build_model
 from .optim import PlateauScheduler, SgdState, cross_entropy, sgd_step
 from .synthetic import make_synthetic_manifest
 from .training import TrainResult, evaluate_model, train_model
-from .verification import grad_check, inject_gradient_fault
+from .verification import grad_check
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "Graph",
     "Tensor",
     "grad_check",
-    "inject_gradient_fault",
     "using_dtype",
     "RunConfig",
     "load_run_config",

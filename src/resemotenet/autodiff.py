@@ -125,9 +125,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self._grad = None
-
     def backward(self) -> None:
         """Reverse-mode pass from this scalar through its recorded graph."""
         if self.node is None:

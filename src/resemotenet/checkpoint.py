@@ -369,8 +369,11 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
     # no initial draw: the checks above and below run before any read, and
     # every model tensor must be in the file, so each one is overwritten.  It
     # takes the file's one element type; an empty directory fails below
-    with using_dtype(_DTYPE_CODES[directory[0]["dtype"] if directory else "<f8"]):
-        model = build_model(file_config, draw=False)
+    try:
+        with using_dtype(_DTYPE_CODES[directory[0]["dtype"] if directory else "<f8"]):
+            model = build_model(file_config, draw=False)
+    except ConfigError as err:  # a config too large to allocate
+        raise CheckpointError(f"{path}: header field 'config': {err}") from None
     # where each stored tensor goes; velocity only when there is an optimizer
     slots = {f"model.{name}": arr for name, arr in model.state_tensors().items()}
     expected_names = set(slots)

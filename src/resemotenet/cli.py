@@ -12,7 +12,6 @@ unreadable config, malformed datasets, corrupt checkpoints).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import sys
@@ -31,8 +30,7 @@ from .metrics import report_json, report_text
 from .model import ModelConfig
 from .optim import softmax
 from .training import BEST_CHECKPOINT, evaluate_model, train_model
-from .verification import (GRADCHECK_TOL, inject_gradient_fault, recorded_ops,
-                           run_gradient_checks)
+from .verification import GRADCHECK_TOL, recorded_ops, run_gradient_checks
 
 GRADCHECK_TRIALS = {"tiny": 50, "small": 150}
 #: largest |--logit-shift|: ulp(1e6) is 1.2e-10, so a shift this large moves
@@ -184,10 +182,8 @@ def cmd_gradcheck(args) -> int:
     if args.inject_fault and args.inject_fault not in (ops := recorded_ops()):
         raise ConfigError(f"--inject-fault: the battery records no op "
                           f"{args.inject_fault!r}; it records {', '.join(sorted(ops))}")
-    fault = (inject_gradient_fault(args.inject_fault)
-             if args.inject_fault else contextlib.nullcontext())
-    with fault:
-        report = run_gradient_checks(args.seed, GRADCHECK_TRIALS[args.scale], log=print)
+    report = run_gradient_checks(args.seed, GRADCHECK_TRIALS[args.scale], log=print,
+                                 fault=args.inject_fault)
     print(f"elapsed: {report.elapsed_seconds:.1f}s  "
           f"max_rel_err: {report.max_rel_err:.3e}  tol: {GRADCHECK_TOL:g}")
     if not report.passed:

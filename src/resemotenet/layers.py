@@ -8,6 +8,9 @@ forward computations are free functions (`conv_block_forward`,
 recorded graph mirrors the published composition exactly.  Batch norm's
 mode (`TRAIN` or `EVAL`) is passed to each call that reaches one; no layer
 stores it, and batch norm rejects any other value.
+
+Constructors take their sizes on trust: `ResEmoteNetModel` builds its
+layers from a `ModelConfig`, which has checked every size when it was built.
 """
 
 from __future__ import annotations
@@ -114,10 +117,6 @@ class Conv2dLayer:
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0):
-        if in_channels < 1 or out_channels < 1 or kernel_size < 1:
-            raise ConfigError(
-                f"conv layer needs positive channels/kernel, got "
-                f"{in_channels}/{out_channels}/k{kernel_size}")
         self.weight = _weight((out_channels, in_channels, kernel_size, kernel_size))
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
         self.stride = stride
@@ -142,8 +141,6 @@ class BatchNorm2d:
     """
 
     def __init__(self, channels: int):
-        if channels < 1:
-            raise ConfigError(f"batch norm needs positive channel count, got {channels}")
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=ad.default_dtype())
@@ -173,13 +170,7 @@ class SEBlock:
     bottleneck (reduce by `reduction_ratio`, ReLU, expand, sigmoid), then
     rescale each channel.  The two projections carry no bias terms."""
 
-    def __init__(self, channels: int, reduction_ratio: int = 16):
-        if reduction_ratio < 1:
-            raise ConfigError(f"reduction ratio must be >= 1, got {reduction_ratio}")
-        if channels % reduction_ratio != 0:
-            raise ConfigError(
-                f"channel count {channels} not divisible by reduction ratio "
-                f"{reduction_ratio}")
+    def __init__(self, channels: int, reduction_ratio: int):
         reduced = channels // reduction_ratio
         self.w1 = _weight((reduced, channels))
         self.w2 = _weight((channels, reduced))
@@ -197,10 +188,6 @@ class ResidualBlock:
     """
 
     def __init__(self, in_channels: int, out_channels: int, stride: int = 1):
-        if in_channels < 1 or out_channels < 1 or stride < 1:
-            raise ConfigError(
-                f"residual block needs positive channels/stride, got "
-                f"{in_channels}->{out_channels} stride {stride}")
         self.conv_a = Conv2dLayer(in_channels, out_channels, 3, stride, 1)
         self.bn_a = BatchNorm2d(out_channels)
         self.conv_b = Conv2dLayer(out_channels, out_channels, 3, 1, 1)
@@ -230,9 +217,6 @@ class LinearLayer:
     """Dense projection with learnable weight and bias."""
 
     def __init__(self, in_features: int, out_features: int):
-        if in_features < 1 or out_features < 1:
-            raise ConfigError(
-                f"linear layer needs positive sizes, got {in_features}->{out_features}")
         self.weight = _weight((out_features, in_features))
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 

@@ -56,6 +56,8 @@ class ModelConfig:
             raise ConfigError(f"input_channels must be >= 1, got {self.input_channels}")
         if not self.stem_channels:
             raise ConfigError("stem_channels must name at least one stage")
+        if min(self.stem_channels) < 1:
+            raise ConfigError(f"stem_channels must all be >= 1, got {self.stem_channels}")
         pool_factor = 2 ** len(self.stem_channels)
         if self.input_size < pool_factor or self.input_size % pool_factor != 0:
             raise ConfigError(
@@ -192,9 +194,6 @@ class ResEmoteNetModel:
         """The element type of every state tensor."""
         return self.classifier.weight.data.dtype
 
-    def parameter_count(self) -> int:
-        return sum(t.size for _, t in self.named_parameters())
-
     # -- forward -----------------------------------------------------------
 
     def forward(self, x: Tensor, mode: str = EVAL) -> Logits:
@@ -241,9 +240,13 @@ def build_model(config: ModelConfig, *, draw: bool = True) -> ResEmoteNetModel:
     from per-chunk streams of ``config.seed``, in `named_parameters` order;
     biases start at zero, batch-norm scale/shift at one/zero.  With
     ``draw=False`` the weights stay uninitialized, for a caller that
-    overwrites every state tensor (`checkpoint.load`).
+    overwrites every state tensor (`checkpoint.load`).  A config whose
+    arrays numpy refuses to allocate raises `ConfigError`.
     """
-    model = ResEmoteNetModel(config)
+    try:
+        model = ResEmoteNetModel(config)
+    except (ValueError, MemoryError) as err:  # numpy's refusal of an array size
+        raise ConfigError(f"cannot allocate the model of {config}: {err}") from None
     if draw:
         draw_he_normal(model.named_parameters(), config.seed)
     return model

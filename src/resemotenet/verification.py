@@ -1,10 +1,10 @@
 """Gradient audit: re-derive every backward pass numerically.
 
 ``grad_check`` compares one function's analytic gradients with central
-finite differences and returns each input's largest relative error;
-``inject_gradient_fault`` corrupts one op's backward inside the function,
-so the audit can be shown to catch a wrong gradient.  The battery below runs
-it over every component, and ``run_gradient_checks`` holds the pass rule.
+finite differences and returns each input's largest relative error; its
+`fault` argument corrupts one op's backward inside the function, so the
+audit can be shown to catch a wrong gradient.  The battery below runs it
+over every component, and ``run_gradient_checks`` holds the pass rule.
 
 Each differentiable primitive and each assembled layer (conv+BN block,
 channel gate, residual block, classifier head, cross-entropy) is checked
@@ -23,7 +23,6 @@ parameters, and bias handling is covered by the eval-mode passes.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,28 +39,12 @@ from .optim import cross_entropy
 GRADCHECK_EPSILON = 1e-5
 GRADCHECK_TOL = 1e-4
 
-_injected_fault: str | None = None
-
-
-@contextlib.contextmanager
-def inject_gradient_fault(op: str):
-    """Inside the block, ``grad_check`` doubles the output gradient of every
-    node recorded as `op` before its backward runs: a correct audit must
-    then fail.  No other backward is touched."""
-    global _injected_fault
-    _injected_fault = op
-    try:
-        yield
-    finally:
-        _injected_fault = None
-
-
 def _doubled(backward_fn):
     return lambda gout: backward_fn(gout * 2.0)
 
 
-def grad_check(f: Callable[..., Tensor],
-               named: Sequence[tuple[str, Tensor]]) -> dict[str, float]:
+def grad_check(f: Callable[..., Tensor], named: Sequence[tuple[str, Tensor]], *,
+               fault: str | None = None) -> dict[str, float]:
     """Each input's largest relative error between the analytic gradient of
     f(*tensors) and central differences, by name.
 
@@ -71,8 +54,9 @@ def grad_check(f: Callable[..., Tensor],
     random projection ``c`` bounded away from zero, so every output element
     contributes.  Relative error per element is |a - n| / max(1e-8, |a| +
     |n|), and a NaN or infinite analytic gradient makes it NaN.  f must be
-    deterministic.  An injected fault doubles only the nodes f records, not
-    the read-out's.
+    deterministic.  A `fault` op name doubles the output gradient of every
+    node f records as that op before its backward runs, so a correct audit
+    must then fail; the read-out's nodes are not touched.
     """
     for name, t in named:
         if t.data.dtype != np.float64:
@@ -87,7 +71,7 @@ def grad_check(f: Callable[..., Tensor],
     with Graph() as graph:
         out = f(*tensors)
         for node in graph.nodes:
-            if node.op == _injected_fault:
+            if node.op == fault:
                 node.backward_fn = _doubled(node.backward_fn)
         read_out = _read_out(out.shape)
         value = read_out(out)
@@ -401,10 +385,11 @@ def recorded_ops() -> set[str]:
 
 
 def run_gradient_checks(seed: int = 0, trials_per_component: int = 50,
-                        log: Callable[[str], None] | None = None
-                        ) -> VerificationReport:
+                        log: Callable[[str], None] | None = None,
+                        fault: str | None = None) -> VerificationReport:
     """Run the whole battery and report per-component maximum relative error
-    against `GRADCHECK_TOL`.  Deterministic for a given seed."""
+    against `GRADCHECK_TOL`.  Deterministic for a given seed.  `fault` is
+    passed to every `grad_check`."""
     emit = log if log is not None else lambda line: None
     started = time.perf_counter()
     results = []
@@ -415,7 +400,7 @@ def run_gradient_checks(seed: int = 0, trials_per_component: int = 50,
             failures = []
             for trial in range(trials_per_component):
                 f, inputs = sampler(rng)
-                for input_name, err in grad_check(f, inputs).items():
+                for input_name, err in grad_check(f, inputs, fault=fault).items():
                     errors.append(err)
                     if not err <= GRADCHECK_TOL:  # NaN fails too
                         failures.append(f"trial {trial}: {input_name} rel_err={err:.3e}")

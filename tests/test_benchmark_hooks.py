@@ -1,23 +1,26 @@
 """The library names the benchmark's span tracer patches still exist.
 
 ``perfbench/spans.py`` wraps library functions and methods by name
-(``checkpoint.build_model``, ``model._staged``, ``training.sgd_step``, ...).
+(``checkpoint.build_model``, ``model._staged``, ``training.sgd_step``, ...),
+and names each stage's metric after the label or parameter prefix it sees.
 A rename under ``src/`` then fails here, in Tier-1, instead of in the first
 traced benchmark run.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from resemotenet import autodiff, checkpoint
+from resemotenet import autodiff, checkpoint, model
 from resemotenet.autodiff import Tensor
 from resemotenet.layers import EVAL
 from resemotenet.model import ModelConfig, build_model
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 #: ops with their own per-layer metric in BENCHMARK.json
 MEASURED_OPS = ("conv2d", "max_pool2d", "batch_norm2d_train", "batch_norm2d_eval")
 
@@ -62,3 +65,24 @@ def test_a_loaded_model_names_its_conv_spans(spans, tmp_path):
         tracer.uninstall()
     convs = [span.name for span in tracer.spans if span.name.startswith("layers.conv.")]
     assert convs and not [name for name in convs if ".unnamed." in name], convs
+
+
+def test_every_stage_span_names_a_declared_metric(spans):
+    """Each stage and conv span of a forward pass gives its time under the
+    span's name plus ``_ms``; a changed `_staged` label or conv prefix would
+    otherwise drop that per-layer metric from BENCHMARK.json silently."""
+    declared = {m["name"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]}
+    config = ModelConfig(input_size=16, stem_channels=(4, 8, 8), se_reduction=4,
+                         residual_channels=((8, 16, 2),))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        model.build_model(config).forward(Tensor(np.zeros((1, 3, 16, 16))), mode=EVAL)
+    finally:
+        tracer.uninstall()
+    stages = {span.name for span in tracer.spans if span.name.endswith(".fwd")
+              and span.name.startswith(("model.", "layers.conv."))}
+    # 3 stem stages and their pools, the gate, the block, the head; 6 convs
+    assert len(stages) == 9 + 6, sorted(stages)
+    assert sorted(name for name in stages if name + "_ms" not in declared) == []

@@ -408,6 +408,17 @@ MALFORMED_HEADERS = {
     "indivisible se_reduction": (_in_section("config", se_reduction=3),
                                  r"run\.ckpt: header field 'config': stem output "
                                  r"channels 4 must divide by se_reduction 3"),
+    "zero stem width": (_in_section("config", stem_channels=[0, 4, 4]),
+                        r"run\.ckpt: header field 'config': stem_channels must all be "
+                        r">= 1, got \(0, 4, 4\)"),
+    "negative stem width": (_in_section("config", stem_channels=[-2, 4, 4]),
+                            r"run\.ckpt: header field 'config': stem_channels must all "
+                            r"be >= 1, got \(-2, 4, 4\)"),
+    # a valid config whose arrays no host can allocate
+    "unallocatable stem width": (_in_section("config", stem_channels=[2, 4, 10**20],
+                                             residual_channels=[[10**20, 4, 1]]),
+                                 r"run\.ckpt: header field 'config': cannot allocate "
+                                 r"the model of ModelConfig\("),
     # integers beyond float64, and one too long for json to read
     "huge lr": (_in_section("optimizer", lr=10**400),
                 r"run\.ckpt: header field 'optimizer\.lr' must be finite, got an "

@@ -139,7 +139,7 @@ dataset = dir
 data_root = {data}
 batch_size = 8
 lr = 0.03
-epochs = 19
+epochs = 25
 seed = 13
 input_size = 16
 stem_channels = 4,8,8
@@ -150,6 +150,7 @@ aap_output = 1,1
     out = root / "run"
     code, stdout, stderr = run_cli("train", "--config", str(cfg), "--out", str(out))
     assert code == 0, stderr
+    assert "eval_acc=100.00" in stdout, "the run never memorized its data:\n" + stdout
     return {"out": out, "stdout": stdout, "data": data}
 
 
@@ -670,7 +671,19 @@ EXIT_CODES = [
                  2, r"run\.cfg: line 1: expected 'key = value'", id="config-parse-error"),
     pytest.param(lambda tmp_path: ["train", "--config", _config(tmp_path, "lr = nan\n")],
                  2, r"lr must be finite", id="non-finite-lr"),
+    pytest.param(lambda tmp_path: [
+        "train", "--config", _config(tmp_path, "stem_channels = 0,8,8\n"),
+        "--dataset", "dir", "--data-root", str(tmp_path / "absent")],
+        2, r"\Aerror: stem_channels must all be >= 1, got \(0, 8, 8\)$",
+        id="zero-stem-width"),
     pytest.param(_malformed_header, 2, r"'tensors' is missing", id="malformed-header"),
+    pytest.param(lambda memorize_run, tmp_path: [
+        "predict", str(_one_image(memorize_run)), "--checkpoint", str(_tampered(
+            memorize_run["out"] / "best.ckpt", tmp_path / "huge_width.ckpt",
+            lambda header: header["config"].update(
+                stem_channels=[4, 8, 10**20], residual_channels=[[10**20, 8, 1]])))],
+        2, r"\Aerror: \S*huge_width\.ckpt: header field 'config': cannot allocate the "
+        r"model of ModelConfig\(", id="unallocatable-header-width"),
     pytest.param(lambda memorize_run, tmp_path: [
         "eval", "--checkpoint", str(_tampered(
             memorize_run["out"] / "best.ckpt", tmp_path / "huge_lr.ckpt",

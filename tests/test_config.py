@@ -53,6 +53,13 @@ def test_model_config_rejects_a_residual_entry_that_is_not_a_triple(entry):
         ModelConfig(residual_channels=(entry,))
 
 
+@pytest.mark.parametrize("cls", [ModelConfig, RunConfig])
+@pytest.mark.parametrize("widths", [(0, 8, 8), (-4, 8, 8), (4, 8, 0)])
+def test_a_stem_width_below_one_fails_when_the_config_is_built(cls, widths):
+    with pytest.raises(ConfigError, match=r"^stem_channels must all be >= 1"):
+        cls(stem_channels=widths)
+
+
 def test_model_config_turns_json_arrays_into_tuples():
     cfg = ModelConfig(stem_channels=[64, 128, 256], aap_output=[1, 1],
                       residual_channels=[[256, 512, 2], [512, 1024, 2],

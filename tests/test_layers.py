@@ -145,10 +145,6 @@ class TestSEBlock:
         out = se_forward(se, x)
         assert np.max(np.abs(out.data)) <= np.max(np.abs(x.data))
 
-    def test_rejects_indivisible_reduction(self):
-        with pytest.raises(ConfigError, match="divisible"):
-            SEBlock(10, reduction_ratio=4)
-
     def test_channel_mismatch_raises(self):
         se = drawn(SEBlock(8, reduction_ratio=2))
         with pytest.raises(ShapeError):

@@ -105,7 +105,7 @@ class TestBuild:
 
     def test_default_parameter_count_matches_closed_form(self):
         model = build_model(ModelConfig())
-        assert model.parameter_count() == DEFAULT_PARAMETER_COUNT
+        assert sum(t.size for _, t in model.named_parameters()) == DEFAULT_PARAMETER_COUNT
 
     def test_tiny_parameter_count_matches_closed_form(self):
         # stem: (4*3*9+4 + 8) + (8*4*9+8 + 16) + (8*8*9+8 + 16)
@@ -114,7 +114,7 @@ class TestBuild:
         res = (8 * 8 * 9 + 8 + 16) * 2
         cls = 3 * 8 + 3
         model = build_model(TINY)
-        assert model.parameter_count() == stem + se + res + cls
+        assert sum(t.size for _, t in model.named_parameters()) == stem + se + res + cls
 
     def test_num_classes_plumbs_through(self):
         cfg = ModelConfig(**{**TINY.__dict__, "num_classes": 2})

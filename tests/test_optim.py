@@ -188,7 +188,7 @@ def _out_of_place_sgd_step(state, params):
         v = state.momentum * v + grad
         state.velocity[name] = v
         p.data -= state.lr * v
-        p.zero_grad()
+        p.grad = None
 
 
 def _bits(arr):
