@@ -58,7 +58,7 @@ def _load_split(dataset: str, data_root: str, split: str,
 
     ``fer2013`` reads the single CSV (``data_root`` may be the file itself or
     a directory holding ``fer2013.csv``).  The directory layouts (``rafdb``,
-    ``affectnet``, ``dir``) read ``<data_root>/<split>/manifest.tsv``.
+    ``affectnet``, ``dir``) read the `MANIFEST` of ``<data_root>/<split>``.
     """
     if not data_root:
         raise DataError(
@@ -71,9 +71,7 @@ def _load_split(dataset: str, data_root: str, split: str,
         manifest = adapt_manifest(manifest, config.input_size, config.input_channels)
     else:
         source = root / split
-        manifest = load_image_dir(source, source / "manifest.tsv",
-                                  split, target_size=config.input_size,
-                                  channels=config.input_channels)
+        manifest = load_image_dir(source, split, config.input_size, config.input_channels)
     beyond = np.flatnonzero(manifest.class_counts[config.num_classes:])
     if beyond.size:
         label = config.num_classes + int(beyond[0])

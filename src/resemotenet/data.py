@@ -5,7 +5,7 @@ Three corpus schemas are supported through two loaders:
 * `load_fer_csv` — the single-file CSV layout (header ``emotion,pixels,Usage``,
   2304 space-separated 8-bit pixels per row forming a 48x48 grayscale image).
 * `load_image_dir` — a directory of binary portable pixmaps (P5 grayscale /
-  P6 color, maxval 255) indexed by a tab-separated manifest of
+  P6 color, maxval 255) indexed by a tab-separated `MANIFEST` file of
   ``relative-path<TAB>class-name`` lines.
 
 Every loader emits samples with pixels scaled to [0, 1] under the canonical
@@ -43,6 +43,8 @@ FER_NATIVE_REMAP = {0: 0, 1: 1, 2: 2, 3: 3, 4: 5, 5: 6, 6: 4}
 
 FER_HEADER = "emotion,pixels,Usage"
 FER_PIXELS = 48 * 48
+#: The index file at the root of a pixmap directory (`load_image_dir`).
+MANIFEST = "manifest.tsv"
 
 #: Published per-class train/test counts for the three reference corpora,
 #: in canonical class order.  Loaders report agreement; they never enforce it.
@@ -96,7 +98,7 @@ def _check_split(split: str) -> str:
 # CSV corpus
 # ---------------------------------------------------------------------------
 
-def load_fer_csv(path, split_filter: str = "train") -> DatasetManifest:
+def load_fer_csv(path, split_filter: str) -> DatasetManifest:
     """Load one split of the CSV corpus.
 
     Rows carry ``native-label,pixel-string,usage``; usage ``Training`` feeds
@@ -246,8 +248,6 @@ def _fit_planes(planes: np.ndarray, target_size: int, channels: int,
     asked.  Planes that already fit are returned uncopied: nothing writes
     sample pixels in place (the flip builds a new array, `make_batches`
     stacks copies)."""
-    if channels not in (1, 3):
-        raise ConfigError(f"channels must be 1 or 3, got {channels}")
     if planes.shape[0] == 3 and channels == 1:
         raise DataError(f"{source}: color image cannot feed a single-channel model")
     if planes.shape[1:] != (target_size, target_size):
@@ -272,9 +272,8 @@ def _read_image(path: Path, target_size: int, channels: int, dtype) -> np.ndarra
     return _fit_planes(planes, target_size, channels, str(path), dtype)
 
 
-def load_image_dir(root, manifest_file, split: str = "train",
-                   target_size: int = 64, channels: int = 3) -> DatasetManifest:
-    """Load pixmap samples listed in a tab-separated manifest.
+def load_image_dir(root, split: str, target_size: int, channels: int) -> DatasetManifest:
+    """Load the pixmap samples listed in ``root / MANIFEST``.
 
     Each manifest line is ``relative-path<TAB>class-name`` (UTF-8, LF).
     Images are decoded in manifest order, rescaled to [0, 1], bilinearly
@@ -283,7 +282,7 @@ def load_image_dir(root, manifest_file, split: str = "train",
     """
     _check_split(split)
     root = Path(root)
-    manifest_file = Path(manifest_file)
+    manifest_file = root / MANIFEST
     try:
         lines = manifest_file.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as err:

@@ -52,8 +52,8 @@ class ModelConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.input_channels < 1:
-            raise ConfigError(f"input_channels must be >= 1, got {self.input_channels}")
+        if self.input_channels not in (1, 3):  # grayscale or color pixmaps
+            raise ConfigError(f"input_channels must be 1 or 3, got {self.input_channels}")
         if not self.stem_channels:
             raise ConfigError("stem_channels must name at least one stage")
         if min(self.stem_channels) < 1:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import CLASS_NAMES, FER_NATIVE_REMAP, DatasetManifest, Sample
+from .data import CLASS_NAMES, FER_NATIVE_REMAP, MANIFEST, DatasetManifest, Sample
 
 #: canonical -> native CSV label (inverse of the loader's remap table)
 _CANONICAL_TO_NATIVE = {canon: native for native, canon in FER_NATIVE_REMAP.items()}
@@ -89,7 +89,7 @@ def write_pixmap_dir(root, manifest: DatasetManifest, color: bool = True) -> Pat
     """Serialize a manifest into a pixmap directory plus index file.
 
     Writes one binary P6 (or P5 when ``color=False``) file per sample under
-    per-class subdirectories, and a tab-separated ``manifest.tsv`` mapping
+    per-class subdirectories, and a tab-separated `MANIFEST` file mapping
     each relative path to its class name.  Returns the index path.
     """
     root = Path(root)
@@ -115,6 +115,6 @@ def write_pixmap_dir(root, manifest: DatasetManifest, color: bool = True) -> Pat
             header = f"P5\n{w} {h}\n255\n".encode()
         (root / rel).write_bytes(header + body)
         index_lines.append(f"{rel}\t{class_name}")
-    index = root / "manifest.tsv"
+    index = root / MANIFEST
     index.write_text("\n".join(index_lines) + "\n", encoding="utf-8")
     return index

@@ -414,6 +414,9 @@ MALFORMED_HEADERS = {
     "negative stem width": (_in_section("config", stem_channels=[-2, 4, 4]),
                             r"run\.ckpt: header field 'config': stem_channels must all "
                             r"be >= 1, got \(-2, 4, 4\)"),
+    "two input channels": (_in_section("config", input_channels=2),
+                           r"run\.ckpt: header field 'config': input_channels must be "
+                           r"1 or 3, got 2$"),
     # a valid config whose arrays no host can allocate
     "unallocatable stem width": (_in_section("config", stem_channels=[2, 4, 10**20],
                                              residual_channels=[[10**20, 4, 1]]),

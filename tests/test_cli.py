@@ -676,6 +676,10 @@ EXIT_CODES = [
         "--dataset", "dir", "--data-root", str(tmp_path / "absent")],
         2, r"\Aerror: stem_channels must all be >= 1, got \(0, 8, 8\)$",
         id="zero-stem-width"),
+    pytest.param(lambda tmp_path: [
+        "train", "--config", _config(tmp_path, "input_channels = 2\n"),
+        "--dataset", "dir", "--data-root", str(tmp_path / "absent")],
+        2, r"\Aerror: input_channels must be 1 or 3, got 2$", id="two-input-channels"),
     pytest.param(_malformed_header, 2, r"'tensors' is missing", id="malformed-header"),
     pytest.param(lambda memorize_run, tmp_path: [
         "predict", str(_one_image(memorize_run)), "--checkpoint", str(_tampered(

@@ -60,6 +60,14 @@ def test_a_stem_width_below_one_fails_when_the_config_is_built(cls, widths):
         cls(stem_channels=widths)
 
 
+@pytest.mark.parametrize("cls", [ModelConfig, RunConfig])
+@pytest.mark.parametrize("channels", [0, 2, 4])
+def test_a_channel_count_other_than_one_or_three_fails_when_built(cls, channels):
+    with pytest.raises(ConfigError,
+                       match=rf"^input_channels must be 1 or 3, got {channels}$"):
+        cls(input_channels=channels)
+
+
 def test_model_config_turns_json_arrays_into_tuples():
     cfg = ModelConfig(stem_channels=[64, 128, 256], aap_output=[1, 1],
                       residual_channels=[[256, 512, 2], [512, 1024, 2],

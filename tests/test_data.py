@@ -14,6 +14,7 @@ from resemotenet.autodiff import using_dtype
 from resemotenet.data import (
     CLASS_NAMES,
     FER_NATIVE_REMAP,
+    MANIFEST,
     DatasetManifest,
     Sample,
     adapt_manifest,
@@ -226,7 +227,7 @@ class TestImageDir:
 
     def test_loads_and_resizes(self, tmp_path):
         made, index = self._write_fixture(tmp_path)
-        loaded = load_image_dir(tmp_path / "imgs", index, target_size=16)
+        loaded = load_image_dir(tmp_path / "imgs", "train", 16, 3)
         assert len(loaded) == len(made)
         for sample in loaded.samples:
             assert sample.pixels.shape == (3, 16, 16)
@@ -235,48 +236,36 @@ class TestImageDir:
 
     def test_grayscale_replicates_to_three_channels(self, tmp_path):
         _, index = self._write_fixture(tmp_path, color=False)
-        loaded = load_image_dir(tmp_path / "imgs", index, target_size=10)
+        loaded = load_image_dir(tmp_path / "imgs", "train", 10, 3)
         for sample in loaded.samples:
             npt.assert_array_equal(sample.pixels[0], sample.pixels[1])
             npt.assert_array_equal(sample.pixels[0], sample.pixels[2])
 
     def test_order_follows_manifest(self, tmp_path):
         made, index = self._write_fixture(tmp_path)
-        loaded = load_image_dir(tmp_path / "imgs", index, target_size=10)
+        loaded = load_image_dir(tmp_path / "imgs", "train", 10, 3)
         listed = [line.split("\t")[0] for line in
                   index.read_text().strip().splitlines()]
         assert [s.source_id for s in loaded.samples] == listed
 
     def test_unknown_class_names_line(self, tmp_path):
-        index = tmp_path / "m.tsv"
-        index.write_text("a.pgm\tHappiness\n")
+        (tmp_path / MANIFEST).write_text("a.pgm\tHappiness\n")
         with pytest.raises(DataError, match="line 1.*Happiness"):
-            load_image_dir(tmp_path, index)
+            load_image_dir(tmp_path, "train", 64, 3)
 
     def test_manifest_that_is_not_utf8_rejected(self, tmp_path):
-        index = tmp_path / "m.tsv"
-        index.write_bytes(b"a\xff.pgm\tHappy\n")
+        (tmp_path / MANIFEST).write_bytes(b"a\xff.pgm\tHappy\n")
         with pytest.raises(DataError, match="cannot read manifest.*utf-8"):
-            load_image_dir(tmp_path, index)
+            load_image_dir(tmp_path, "train", 64, 3)
 
     def test_missing_tab_names_line(self, tmp_path):
-        index = tmp_path / "m.tsv"
-        index.write_text("a.pgm Happy\n")
+        (tmp_path / MANIFEST).write_text("a.pgm Happy\n")
         with pytest.raises(DataError, match="line 1"):
-            load_image_dir(tmp_path, index)
-
-    def test_channel_count_other_than_one_or_three_rejected(self, tmp_path):
-        made, index = self._write_fixture(tmp_path)
-        first = tmp_path / "imgs" / index.read_text().split("\t")[0]
-        for load in (lambda: load_image_dir(tmp_path / "imgs", index, channels=2),
-                     lambda: D.load_single_image(first, 10, 2),
-                     lambda: adapt_manifest(made, 10, 2)):
-            with pytest.raises(ConfigError, match="channels must be 1 or 3, got 2"):
-                load()
+            load_image_dir(tmp_path, "train", 64, 3)
 
     def test_round_trip_pixel_fidelity(self, tmp_path):
         made, index = self._write_fixture(tmp_path)
-        loaded = load_image_dir(tmp_path / "imgs", index, target_size=10)
+        loaded = load_image_dir(tmp_path / "imgs", "train", 10, 3)
         for a, b in zip(made.samples, loaded.samples):
             npt.assert_allclose(a.pixels, b.pixels, atol=0.5 / 255 + 1e-12)
 
