@@ -9,7 +9,9 @@ Three corpus schemas are supported through two loaders:
   ``relative-path<TAB>class-name`` lines.
 
 Every loader emits samples with pixels scaled to [0, 1] under the canonical
-seven-class label order; batching is deterministic given an RNG seed.
+seven-class label order; batching is deterministic given an RNG seed.  The
+loaders trust a checked `ModelConfig` for the geometry they fit samples to
+(its `input_size`, and an `input_channels` of 1 or 3) and re-check neither.
 """
 
 from __future__ import annotations
@@ -247,14 +249,20 @@ def _fit_planes(planes: np.ndarray, target_size: int, channels: int,
     is resized once, in float64; grayscale is then replicated when color is
     asked.  Planes that already fit are returned uncopied: nothing writes
     sample pixels in place (the flip builds a new array, `make_batches`
-    stacks copies)."""
+    stacks copies).  A target size numpy refuses to allocate is a `DataError`."""
     if planes.shape[0] == 3 and channels == 1:
         raise DataError(f"{source}: color image cannot feed a single-channel model")
     if planes.shape[1:] != (target_size, target_size):
-        planes = np.stack([
-            bilinear_resize(plane.astype(np.float64), target_size, target_size)
-            for plane in planes
-        ])
+        try:
+            planes = np.stack([
+                bilinear_resize(plane.astype(np.float64), target_size, target_size)
+                for plane in planes
+            ])
+        except DataError:
+            raise
+        except (ValueError, MemoryError) as err:  # numpy's refusal of an array size
+            raise DataError(f"{source}: cannot resize to {target_size}x{target_size}: "
+                            f"{err}") from None
     pixels = planes.astype(dtype, order="C", copy=False)
     if len(pixels) < channels:
         pixels = np.repeat(pixels, channels, axis=0)

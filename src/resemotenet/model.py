@@ -11,7 +11,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 from .layers import (
-    EVAL,
     BatchNorm2d,
     Conv2dLayer,
     LinearLayer,
@@ -71,17 +70,17 @@ class ModelConfig:
         for i, triple in enumerate(self.residual_channels):
             if not isinstance(triple, tuple) or len(triple) != 3:
                 raise ConfigError(
-                    f"residual block {i} needs an in:out:stride triple, got "
-                    f"{triple}")
+                    f"residual_channels: residual block {i} needs an in:out:stride "
+                    f"triple, got {triple}")
             cin, cout, stride = triple
             if cin != chain:
                 raise ConfigError(
-                    f"channel chain breaks at residual block {i}: expects input "
-                    f"{cin} but receives {chain}")
+                    f"residual_channels: channel chain breaks at residual block {i}: "
+                    f"expects input {cin} but receives {chain}")
             if cout < 1 or stride < 1:
                 raise ConfigError(
-                    f"residual block {i} needs positive width/stride, got "
-                    f"{cout}/{stride}")
+                    f"residual_channels: residual block {i} needs positive "
+                    f"width/stride, got {cout}/{stride}")
             chain = cout
         if len(self.aap_output) != 2 or min(self.aap_output) < 1:
             raise ConfigError(f"aap_output must be two positive ints, got {self.aap_output}")
@@ -196,7 +195,7 @@ class ResEmoteNetModel:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, x: Tensor, mode: str = EVAL) -> Logits:
+    def forward(self, x: Tensor, mode: str) -> Logits:
         """Run the full pipeline to raw logits.
 
         Stages: each stem block is conv+BN+ReLU then a 2x2 max-pool; the

@@ -84,11 +84,12 @@ class SgdState:
     def __post_init__(self):
         _require_finite(lr=self.lr, weight_decay=self.weight_decay)
         if self.lr <= 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.lr}")
+            raise ConfigError(f"lr: learning rate must be > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
-            raise ConfigError(f"weight decay must be >= 0, got {self.weight_decay}")
+            raise ConfigError(
+                f"weight_decay: weight decay must be >= 0, got {self.weight_decay}")
 
 
 #: elements per block of `sgd_step`: the block's slices of parameter,

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from resemotenet import checkpoint as ckpt
 from resemotenet.autodiff import Tensor, using_dtype
 from resemotenet.errors import CheckpointError
-from resemotenet.layers import TRAIN
+from resemotenet.layers import EVAL, TRAIN
 from resemotenet.model import ModelConfig, build_model
 from resemotenet.optim import PlateauScheduler, SgdState
 
@@ -121,8 +121,8 @@ class TestRoundTrip:
         loaded = ckpt.load(path, expected_config=TINY)
         assert loaded.optimizer is None and loaded.scheduler is None
         x = Tensor(rng.standard_normal((2, 1, 8, 8)))
-        npt.assert_array_equal(loaded.model.forward(x).values.data,
-                               model.forward(x).values.data)
+        npt.assert_array_equal(loaded.model.forward(x, EVAL).values.data,
+                               model.forward(x, EVAL).values.data)
 
     def test_float32_tensors_roundtrip(self, tmp_path):
         from resemotenet.autodiff import using_dtype
@@ -315,6 +315,15 @@ class TestDirectoryValidation:
         with pytest.raises(CheckpointError, match="classifier"):
             ckpt.load(path)
 
+    def test_save_onto_a_directory_fails_and_leaves_no_temp_file(self, tmp_path):
+        model, _, _ = trained_state()
+        path = tmp_path / "run.ckpt"
+        path.mkdir()
+        with pytest.raises(CheckpointError, match=r"^cannot write checkpoint \S*run\.ckpt: "):
+            ckpt.save(model, None, None, 0, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
+        assert list(path.iterdir()) == []
+
     def test_atomic_save_leaves_no_temp_files(self, tmp_path):
         model, _, _ = trained_state()
         path = tmp_path / "run.ckpt"
@@ -371,6 +380,10 @@ MALFORMED_HEADERS = {
                      r"'tensors\[0\]\.offset' must be an integer"),
     "string length": (lambda h: _first_tensor(h, length="216"),
                       r"'tensors\[0\]\.length' must be an integer"),
+    "negative dimension": (lambda h: _first_tensor(h, shape=[4, -1, 3, 3]),
+                           r"'tensors\[0\]\.shape' must list non-negative integers"),
+    "half-precision tensor": (lambda h: _first_tensor(h, dtype="<f2"),
+                              r"tensor 'model\.\S+' has unsupported dtype '<f2'"),
     "residual pair": (lambda h: {**h, "config": {**h["config"],
                                                  "residual_channels": [[4, 8]]}},
                       r"'config\.residual_channels' must be an array like"),
@@ -403,8 +416,8 @@ MALFORMED_HEADERS = {
     "zero patience": (_in_section("scheduler", patience=0),
                       r"run\.ckpt: header field 'scheduler': patience must be >= 1, got 0"),
     "negative lr": (_in_section("optimizer", lr=-1.0),
-                    r"run\.ckpt: header field 'optimizer': learning rate must be > 0, "
-                    r"got -1\.0"),
+                    r"run\.ckpt: header field 'optimizer': lr: learning rate must be "
+                    r"> 0, got -1\.0"),
     "indivisible se_reduction": (_in_section("config", se_reduction=3),
                                  r"run\.ckpt: header field 'config': stem output "
                                  r"channels 4 must divide by se_reduction 3"),

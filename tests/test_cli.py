@@ -25,7 +25,7 @@ from resemotenet import autodiff as ad
 from resemotenet import checkpoint, cli, verification
 from resemotenet.autodiff import Tensor, using_dtype
 from resemotenet.config import RunConfig
-from resemotenet.data import CLASS_NAMES, DatasetManifest, Sample
+from resemotenet.data import CLASS_NAMES, MANIFEST, DatasetManifest, Sample
 from resemotenet.model import ModelConfig, ResEmoteNetModel, build_model
 from resemotenet.optim import PlateauScheduler, SgdState
 from resemotenet.synthetic import (class_pattern, make_synthetic_manifest,
@@ -563,7 +563,7 @@ def test_predict_agrees_with_eval_on_singleton_manifest(memorize_run, tmp_path):
     singleton = tmp_path / "single" / "test"
     singleton.mkdir(parents=True)
     (singleton / image.name).write_bytes(image.read_bytes())
-    (singleton / "manifest.tsv").write_text(f"{image.name}\t{predicted}\n",
+    (singleton / MANIFEST).write_text(f"{image.name}\t{predicted}\n",
                                             encoding="utf-8")
     code, stdout, stderr = run_cli("eval", "--checkpoint", ckpt,
                                    "--dataset", "dir",
@@ -645,6 +645,13 @@ def _malformed_header(memorize_run, tmp_path):
     return ["predict", str(_one_image(memorize_run)), "--checkpoint", str(bad)]
 
 
+def _huge_input_size(memorize_run, tmp_path) -> str:
+    """best.ckpt with a header `input_size` no image can be resized to; the
+    model itself builds, since no weight depends on the input size."""
+    return str(_tampered(memorize_run["out"] / "best.ckpt", tmp_path / "huge_size.ckpt",
+                         lambda header: header["config"].update(input_size=10**20)))
+
+
 def _not_a_pixmap(memorize_run, tmp_path):
     image = tmp_path / "photo.png"
     image.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(32))
@@ -688,6 +695,16 @@ EXIT_CODES = [
                 stem_channels=[4, 8, 10**20], residual_channels=[[10**20, 8, 1]])))],
         2, r"\Aerror: \S*huge_width\.ckpt: header field 'config': cannot allocate the "
         r"model of ModelConfig\(", id="unallocatable-header-width"),
+    pytest.param(lambda memorize_run, tmp_path: [
+        "predict", str(_one_image(memorize_run)),
+        "--checkpoint", _huge_input_size(memorize_run, tmp_path)],
+        2, r"\Aerror: \S*\.ppm: cannot resize to 10{20}x10{20}: ",
+        id="unresizable-header-size-predict"),
+    pytest.param(lambda memorize_run, tmp_path: [
+        "eval", "--checkpoint", _huge_input_size(memorize_run, tmp_path),
+        "--dataset", "dir", "--data-root", str(memorize_run["data"])],
+        2, r"\Aerror: \S*\.ppm: cannot resize to 10{20}x10{20}: ",
+        id="unresizable-header-size-eval"),
     pytest.param(lambda memorize_run, tmp_path: [
         "eval", "--checkpoint", str(_tampered(
             memorize_run["out"] / "best.ckpt", tmp_path / "huge_lr.ckpt",

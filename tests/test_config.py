@@ -1,6 +1,8 @@
 """Run-config keys, parsers and echo: the architecture keys come from
 `ModelConfig`, and every key's echo parses back to the same value."""
 
+import math
+import re
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -98,6 +100,29 @@ def test_non_finite_hyperparameter_line_is_rejected_naming_its_key(line):
 def test_bad_recipe_value_fails_when_built_naming_its_key(key, value):
     with pytest.raises(ConfigError, match=f"^{key} must be"):
         RunConfig(**{key: value})
+
+
+#: one bad value for every key a RunConfig checks (a key may have several)
+REFUSED_VALUES = [
+    ("dataset", "bogus"), ("batch_size", 0), ("epochs", 0), ("lr", -1.0),
+    ("momentum", 1.0), ("weight_decay", -1.0), ("factor", 1.0), ("patience", 0),
+    ("min_lr", math.nan), ("dtype", "float16"), ("seed", -1),
+    ("input_channels", 2), ("input_size", 12), ("stem_channels", (0, 8, 8)),
+    ("se_reduction", 3), ("residual_channels", ((256, 512),)),
+    ("residual_channels", ((128, 512, 2),)), ("residual_channels", ((256, 0, 2),)),
+    ("num_classes", 1), ("aap_output", (0, 1)),
+]
+
+
+def test_every_model_config_field_has_a_refused_value():
+    assert {f.name for f in fields(ModelConfig)} <= {key for key, _ in REFUSED_VALUES}
+
+
+@pytest.mark.parametrize("key, value", REFUSED_VALUES)
+def test_every_refusal_names_its_key(key, value):
+    with pytest.raises(ConfigError) as err:
+        RunConfig(**{key: value})
+    assert re.search(rf"\b{key}\b", str(err.value)), str(err.value)
 
 
 def test_built_config_cannot_be_changed():

@@ -1,6 +1,7 @@
 """Loader, augmentation, and batching behavior, including the on-disk
 layout round trips."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -263,11 +264,59 @@ class TestImageDir:
         with pytest.raises(DataError, match="line 1"):
             load_image_dir(tmp_path, "train", 64, 3)
 
+    def test_color_image_for_a_single_channel_model_rejected(self, tmp_path):
+        _, index = self._write_fixture(tmp_path)
+        first = tmp_path / "imgs" / index.read_text().split("\t")[0]
+        for load in (lambda: load_image_dir(tmp_path / "imgs", "train", 10, 1),
+                     lambda: D.load_single_image(first, 10, 1)):
+            with pytest.raises(DataError, match=r"\.ppm: color image cannot feed a "
+                               r"single-channel model$"):
+                load()
+
+    def test_missing_image_names_the_file(self, tmp_path):
+        (tmp_path / MANIFEST).write_text("Happy/absent.pgm\tHappy\n")
+        with pytest.raises(DataError, match=r"^cannot read image \S*absent\.pgm: "):
+            load_image_dir(tmp_path, "train", 16, 3)
+
     def test_round_trip_pixel_fidelity(self, tmp_path):
         made, index = self._write_fixture(tmp_path)
         loaded = load_image_dir(tmp_path / "imgs", "train", 10, 3)
         for a, b in zip(made.samples, loaded.samples):
             npt.assert_allclose(a.pixels, b.pixels, atol=0.5 / 255 + 1e-12)
+
+
+class TestResizeRefusal:
+    """A target size numpy cannot allocate is a data error naming the
+    source; `bilinear_resize`'s own refusals pass through unchanged."""
+
+    def _image(self, tmp_path):
+        made = make_synthetic_manifest(per_class=1, size=10, num_classes=2, seed=5)
+        index = write_pixmap_dir(tmp_path, made)
+        return made, tmp_path / index.read_text().split("\t")[0]
+
+    def test_a_size_beyond_numpy_is_a_data_error(self, tmp_path):
+        made, image = self._image(tmp_path)
+        refusal = r": cannot resize to 10{20}x10{20}: "
+        with pytest.raises(DataError, match=rf"^\S*\.ppm{refusal}"):
+            D.load_single_image(image, 10**20, 3)
+        with pytest.raises(DataError, match=re.escape(made.samples[0].source_id) + refusal):
+            adapt_manifest(made, 10**20, 3)
+
+    def test_numpy_out_of_memory_is_a_data_error(self, tmp_path, monkeypatch):
+        _, image = self._image(tmp_path)
+
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(D, "bilinear_resize", out_of_memory)
+        with pytest.raises(DataError, match=r"\.ppm: cannot resize to 16x16: Unable to "
+                           r"allocate 8\.00 TiB$"):
+            D.load_single_image(image, 16, 3)
+
+    def test_the_resizer_refusal_is_not_rewrapped(self, tmp_path):
+        _, image = self._image(tmp_path)
+        with pytest.raises(DataError, match=r"^bilinear_resize target must be positive"):
+            D.load_single_image(image, 0, 3)
 
 
 class TestAdaptManifest:

@@ -139,6 +139,15 @@ class TestDraw:
             states.append({k: v.tobytes() for k, v in build_model(TINY).state_tensors().items()})
         assert states[0] == states[1]
 
+    def test_without_an_affinity_call_the_cpu_count_sets_the_threads(self, monkeypatch):
+        monkeypatch.setattr(layers, "INIT_CHUNK", 64)
+        want = {k: v.tobytes() for k, v in build_model(TINY).state_tensors().items()}
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert layers._usable_cpus() == 3
+        got = {k: v.tobytes() for k, v in build_model(TINY).state_tensors().items()}
+        assert got == want
+
     def test_every_drawn_tensor_of_the_default_net_is_he_normal(self):
         with ad.using_dtype(np.float32):
             model = build_model(ModelConfig())
@@ -244,6 +253,13 @@ class TestForward:
             model.forward(Tensor(np.zeros((1, 3, 20, 20))), EVAL)
         with pytest.raises(ShapeError, match="stem"):
             model.forward(Tensor(np.zeros((1, 1, 16, 16))), EVAL)
+
+    def test_a_stage_shape_error_names_the_stage(self):
+        model = build_model(TINY)
+        model.residuals[0].conv_a.weight = Tensor(np.zeros((8, 5, 3, 3)), requires_grad=True)
+        with pytest.raises(ShapeError, match=r"^residual block 0: conv2d: input "
+                           r"channels 8 != weight input channels 5$"):
+            model.forward(Tensor(np.zeros((1, 3, 16, 16))), EVAL)
 
     def test_train_mode_updates_running_stats(self):
         model = build_model(TINY)

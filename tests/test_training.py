@@ -15,7 +15,7 @@ from resemotenet.autodiff import Graph, Tensor, using_dtype
 from resemotenet.config import RunConfig
 from resemotenet.data import DatasetManifest
 from resemotenet.errors import CheckpointError, OptimizerError
-from resemotenet.layers import TRAIN
+from resemotenet.layers import EVAL, TRAIN
 from resemotenet.model import ModelConfig, build_model
 from resemotenet.optim import SgdState, cross_entropy, sgd_step
 from resemotenet.synthetic import make_synthetic_manifest
@@ -286,7 +286,7 @@ def _budget_run(dtype, state, pixels, labels, steps=3):
         losses.append(loss.item())
         sgd_step(optimizer, model.named_parameters())
     params = {name: p.data for name, p in model.named_parameters()}
-    return (*first, np.array(losses), params, model.forward(x).values.data)
+    return (*first, np.array(losses), params, model.forward(x, EVAL).values.data)
 
 
 def test_float32_stays_within_the_error_budget_of_float64():
