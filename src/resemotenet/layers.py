@@ -16,8 +16,8 @@ layers from a `ModelConfig`, which has checked every size when it was built.
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,9 +57,12 @@ def draw_he_normal(named: Iterable[tuple[str, Tensor]], seed: int) -> None:
     The tensors, in the given order, are cut into chunks of `INIT_CHUNK`
     elements; chunk k is drawn in float64 from the k-th child of
     ``SeedSequence(seed)``, scaled, and cast to the tensor's type.  The
-    chunks are shared out among one thread per usable CPU, so the values do
-    not depend on the CPU count.  A failed chunk raises here once every
-    thread has stopped."""
+    chunks run on one thread pool with a worker per usable CPU (at most one
+    per chunk), so the values do not depend on the CPU count.  The results
+    are read in chunk order; the first failed chunk read cancels every chunk
+    not yet started, and its error is raised once every worker has stopped.
+    Workers may start further chunks between the failure and that read, but
+    no model is returned half drawn."""
     chunks = []
     for _, tensor in named:
         if tensor.data.ndim < 2:
@@ -68,21 +71,13 @@ def draw_he_normal(named: Iterable[tuple[str, Tensor]], seed: int) -> None:
         scale = np.sqrt(2.0 / (flat.size // tensor.shape[0]))
         chunks += [(flat[i:i + INIT_CHUNK], scale) for i in range(0, flat.size, INIT_CHUNK)]
     seqs = np.random.SeedSequence(seed).spawn(len(chunks))
-    jobs = [(seq, out, scale) for seq, (out, scale) in zip(seqs, chunks)]
-    count = max(1, min(_usable_cpus(), len(jobs)))
-    errors: list[Exception] = []
-    helpers = [threading.Thread(target=_draw_chunks, args=(jobs[i::count], errors))
-               for i in range(1, count)]
+    pool = ThreadPoolExecutor(max(1, min(_usable_cpus(), len(chunks))))
     try:
-        for helper in helpers:
-            helper.start()
-        _draw_chunks(jobs[::count], errors)
+        for future in [pool.submit(_draw_chunk, seq, out, scale)
+                       for seq, (out, scale) in zip(seqs, chunks)]:
+            future.result()
     finally:
-        for helper in helpers:
-            if helper.ident is not None:
-                helper.join()
-    if errors:
-        raise errors[0]
+        pool.shutdown(cancel_futures=True)
 
 
 def _usable_cpus() -> int:
@@ -90,18 +85,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _draw_chunks(jobs, errors: list[Exception]) -> None:
-    """Draw `jobs` in turn until one fails, recording its error, or another
-    thread has recorded one."""
-    try:
-        for job in jobs:
-            if errors:
-                return
-            _draw_chunk(*job)
-    except Exception as err:
-        errors.append(err)
 
 
 def _draw_chunk(seq: np.random.SeedSequence, out: np.ndarray, scale: float) -> None:
