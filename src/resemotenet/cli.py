@@ -26,10 +26,11 @@ from .data import (CLASS_NAMES, DatasetManifest, adapt_manifest, class_names_for
                    count_report, load_fer_csv, load_image_dir, load_single_image)
 from .errors import CheckpointError, ConfigError, DataError
 from .layers import EVAL
-from .metrics import report_json, report_text
+from .metrics import report_dict, report_text
 from .model import ModelConfig
 from .optim import softmax
-from .training import BEST_CHECKPOINT, evaluate_model, train_model
+from .training import (BEST_CHECKPOINT, LAST_CHECKPOINT, evaluate_model, make_out_dir,
+                       train_model)
 from .verification import GRADCHECK_TOL, recorded_ops, run_gradient_checks
 
 GRADCHECK_TRIALS = {"tiny": 50, "small": 150}
@@ -98,24 +99,25 @@ def cmd_train(args) -> int:
         out_dir = Path(cfg.out_dir)
         result = train_model(cfg, train_manifest, eval_manifest, out_dir=out_dir,
                              resume_from=args.checkpoint, log=print)
-
-        # final report comes from the best checkpoint, not the last epoch; a
-        # resumed run's best may predate it, so its epoch comes from there too
+        # release the trained model and its velocity first, so the load below
+        # does not stack more copies of the parameters on them
+        result.model = result.optimizer = None
+        # the report scores best.ckpt (a resumed run's best may predate the
+        # run, so its epoch comes from there too); a resumed run none of whose
+        # epochs improved writes none and scores last.ckpt, the trained model
         best_path = out_dir / BEST_CHECKPOINT
-        if best_path.exists():
-            # release the trained model and its velocity before the load, so
-            # it does not hold a third copy of the parameters over them
-            result.model = result.optimizer = None
-            best = checkpoint_io.load(best_path, expected_config=geometry,
-                                      model_only=True)
-            model, best_epoch, best_accuracy = best.model, best.epoch, best.best_metric
+        improved = best_path.exists()
+        final = checkpoint_io.load(best_path if improved else out_dir / LAST_CHECKPOINT,
+                                   expected_config=geometry, model_only=True)
+        best_accuracy = final.best_metric
+        if improved:
+            best_epoch = final.epoch
             summary = f"best epoch {best_epoch} accuracy {best_accuracy:.2f}"
-        else:  # every improving epoch writes one: this (resumed) run had none
-            model, best_epoch, best_accuracy = result.model, None, result.scheduler.best_metric
-            last = result.history[-1]
+        else:
+            best_epoch, last = None, result.history[-1]
             summary = (f"last epoch {last.epoch} accuracy {last.eval_accuracy:.2f}; no epoch "
                        f"of this run improved on the resumed best accuracy {best_accuracy:.2f}")
-        confusion = evaluate_model(model, eval_manifest)
+        confusion = evaluate_model(final.model, eval_manifest)
     (out_dir / "confusion.txt").write_text(report_text(confusion),
                                            encoding="utf-8")
     payload = {
@@ -125,7 +127,7 @@ def cmd_train(args) -> int:
         "best_epoch": best_epoch,
         "best_accuracy": best_accuracy,
         "history": [dataclasses.asdict(record) for record in result.history],
-        "report": json.loads(report_json(confusion)),
+        "report": report_dict(confusion),
     }
     (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n",
                                           encoding="utf-8")
@@ -142,12 +144,11 @@ def cmd_eval(args) -> int:
     print(f"accuracy: {confusion.accuracy():.2f}")
     print(report_text(confusion))
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = make_out_dir(args.out, "--out")
         (out_dir / "confusion.txt").write_text(report_text(confusion),
                                                encoding="utf-8")
-        (out_dir / "metrics.json").write_text(report_json(confusion) + "\n",
-                                              encoding="utf-8")
+        (out_dir / "metrics.json").write_text(
+            json.dumps(report_dict(confusion), indent=2) + "\n", encoding="utf-8")
     return 0
 
 

@@ -1,9 +1,8 @@
 """Evaluation accounting: confusion matrix, accuracy, and per-class
-precision/recall, with JSON and aligned-text report output."""
+precision/recall, with JSON-ready and aligned-text report output."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -100,10 +99,10 @@ class ClassReport:
     precision_undefined: bool = False
 
 
-def report_json(cm: ConfusionMatrix) -> str:
-    """The full evaluation as one JSON object: accuracy, per-class table,
-    raw counts, and row-normalized fractions."""
-    payload = {
+def report_dict(cm: ConfusionMatrix) -> dict:
+    """The full evaluation as one JSON-ready dict: accuracy, per-class
+    table, raw counts, and row-normalized fractions."""
+    return {
         "accuracy": cm.accuracy(),
         "total": cm.total,
         "classes": [asdict(r) for r in cm.per_class()],
@@ -111,7 +110,6 @@ def report_json(cm: ConfusionMatrix) -> str:
         "matrix_normalized": [[round(v, 6) for v in row]
                               for row in cm.normalized()],
     }
-    return json.dumps(payload, indent=2)
 
 
 def report_text(cm: ConfusionMatrix) -> str:

@@ -149,7 +149,8 @@ class PlateauScheduler:
 
     An epoch improves when its metric exceeds the best seen by more than
     1e-12; otherwise a staleness counter grows, and once it passes
-    `patience` the rate is multiplied by `factor` (never below `min_lr`).
+    `patience` the rate is multiplied by `factor`, never below `min_lr`; a
+    rate already at or below `min_lr` is left where it is, never raised.
     """
 
     factor: float = 0.1
@@ -161,6 +162,8 @@ class PlateauScheduler:
 
     def __post_init__(self):
         _require_finite(min_lr=self.min_lr)
+        if self.min_lr <= 0.0:
+            raise ConfigError(f"min_lr must be > 0, got {self.min_lr}")
         if not 0.0 < self.factor < 1.0:
             raise ConfigError(f"plateau factor must be in (0, 1), got {self.factor}")
         if self.patience < 1:
@@ -187,6 +190,8 @@ def scheduler_step(s: PlateauScheduler, epoch_metric: float, state: SgdState) ->
     s.epochs_since_improve += 1
     if s.epochs_since_improve > s.patience:
         s.epochs_since_improve = 0
+        if state.lr <= s.min_lr:  # a cut never raises the rate to the floor
+            return False
         new_lr = max(s.min_lr, state.lr * s.factor)
         # relative comparison: rounding in lr*factor must not make a
         # floor-clamped rate look like a fresh reduction

@@ -55,6 +55,17 @@ class TrainResult:
     history: list[EpochRecord] = field(default_factory=list)
 
 
+def make_out_dir(path, key: str) -> Path:
+    """`path` as a directory, made with its parents if absent; a path that
+    cannot be one is a `ConfigError` naming `key` and the path."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"{key}: cannot make a directory at {path}: {err.strerror}") from err
+    return path
+
+
 def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest) -> ConfusionMatrix:
     """Tally a confusion matrix over a manifest in eval mode: fixed order,
     no augmentation, running statistics untouched."""
@@ -153,9 +164,7 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
             start_epoch = 1
 
         result = TrainResult(model=model, optimizer=optimizer, scheduler=scheduler)
-        out_path = Path(out_dir) if out_dir is not None else None
-        if out_path is not None:
-            out_path.mkdir(parents=True, exist_ok=True)
+        out_path = make_out_dir(out_dir, "out_dir") if out_dir is not None else None
 
         for epoch in range(start_epoch, cfg.epochs + 1):
             try:

@@ -415,6 +415,8 @@ MALFORMED_HEADERS = {
                            r"must be >= 0, got -1"),
     "zero patience": (_in_section("scheduler", patience=0),
                       r"run\.ckpt: header field 'scheduler': patience must be >= 1, got 0"),
+    "zero min_lr": (_in_section("scheduler", min_lr=0.0),
+                    r"run\.ckpt: header field 'scheduler': min_lr must be > 0, got 0\.0"),
     "negative lr": (_in_section("optimizer", lr=-1.0),
                     r"run\.ckpt: header field 'optimizer': lr: learning rate must be "
                     r"> 0, got -1\.0"),

@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -399,6 +400,35 @@ def test_resume_that_improves_on_nothing_reports_its_last_epoch(dir_fixture, tmp
     assert "epoch 0" not in stdout
 
 
+def test_final_report_of_a_run_without_best_frees_the_optimizer_first(dir_fixture, tmp_path,
+                                                                     monkeypatch):
+    """With no best.ckpt, the report scores last.ckpt once the run's velocity
+    is gone, as it does best.ckpt."""
+    train = ["train", "--config", str(dir_fixture["cfg"]), "--lr", "1e-9"]
+    code, _, stderr = run_cli(*train, "--epochs", "1", "--out", str(tmp_path / "first"))
+    assert code == 0, stderr
+    train_model, evaluate_model = cli.train_model, cli.evaluate_model
+    optimizers, alive = [], []
+
+    def train_spy(*args, **kwargs):
+        result = train_model(*args, **kwargs)
+        optimizers.append(weakref.ref(result.optimizer))
+        return result
+
+    def evaluate_spy(*args, **kwargs):
+        alive.append(optimizers[0]() is not None)
+        return evaluate_model(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_model", train_spy)
+    monkeypatch.setattr(cli, "evaluate_model", evaluate_spy)
+    out = tmp_path / "second"
+    code = cli.main([*train, "--epochs", "2", "--out", str(out),
+                     "--checkpoint", str(tmp_path / "first" / "last.ckpt")])
+    assert code == 0
+    assert not (out / "best.ckpt").exists()
+    assert alive == [False]
+
+
 def test_plateau_cuts_lr_by_factor_ten(plateau_run):
     rates = [float(EPOCH_LINE.match(line).group(4))
              for line in epoch_lines(plateau_run["stdout"])]
@@ -658,6 +688,12 @@ def _not_a_pixmap(memorize_run, tmp_path):
     return ["predict", str(image), "--checkpoint", str(memorize_run["out"] / "best.ckpt")]
 
 
+def _regular_file(tmp_path) -> Path:
+    path = tmp_path / "taken"
+    path.write_text("not a directory\n", encoding="utf-8")
+    return path
+
+
 # Each row builds its argv from the fixtures its builder's parameters name.
 # 0 success, 1 internal failure (divergence, a failed audit), 2 usage or data.
 EXIT_CODES = [
@@ -751,6 +787,14 @@ EXIT_CODES = [
         "--epochs", "1", "--out", str(tmp_path / "run")],
         2, r"\Aerror: \S*data[/\\]train \(train split\): 3 samples of class 'Happy' "
         r"\(label 3\), which a 3-class model cannot output$", id="label-beyond-num-classes"),
+    pytest.param(lambda dir_fixture, tmp_path: [
+        "train", "--config", str(dir_fixture["cfg"]), "--epochs", "1",
+        "--out", str(_regular_file(tmp_path))],
+        2, r"\Aerror: out_dir: cannot make a directory at \S*taken: ", id="train-out-is-a-file"),
+    pytest.param(lambda memorize_run, tmp_path: [
+        "eval", "--checkpoint", str(memorize_run["out"] / "best.ckpt"), "--dataset", "dir",
+        "--data-root", str(memorize_run["data"]), "--out", str(_regular_file(tmp_path))],
+        2, r"\Aerror: --out: cannot make a directory at \S*taken: ", id="eval-out-is-a-file"),
     pytest.param(lambda: ["gradcheck", "tiny", "--seed", "-1"],
                  2, r"\Aerror: seed must be >= 0, got -1$", id="gradcheck-negative-seed"),
     pytest.param(lambda: ["gradcheck", "tiny", "--inject-fault", "nosuchop"],

@@ -106,7 +106,8 @@ def test_bad_recipe_value_fails_when_built_naming_its_key(key, value):
 REFUSED_VALUES = [
     ("dataset", "bogus"), ("batch_size", 0), ("epochs", 0), ("lr", -1.0),
     ("momentum", 1.0), ("weight_decay", -1.0), ("factor", 1.0), ("patience", 0),
-    ("min_lr", math.nan), ("dtype", "float16"), ("seed", -1),
+    ("min_lr", math.nan), ("min_lr", 0.0), ("min_lr", -1.0), ("dtype", "float16"),
+    ("seed", -1),
     ("input_channels", 2), ("input_size", 12), ("stem_channels", (0, 8, 8)),
     ("se_reduction", 3), ("residual_channels", ((256, 512),)),
     ("residual_channels", ((128, 512, 2),)), ("residual_channels", ((256, 0, 2),)),

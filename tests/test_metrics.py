@@ -12,7 +12,7 @@ from resemotenet.errors import DataError
 from resemotenet.metrics import (
     ConfusionMatrix,
     predict_labels,
-    report_json,
+    report_dict,
     report_text,
 )
 
@@ -162,7 +162,7 @@ class TestReports:
 
     def test_json_report_structure(self):
         cm = self._filled()
-        payload = json.loads(report_json(cm))
+        payload = json.loads(json.dumps(report_dict(cm)))  # JSON-ready
         assert set(payload) == {"accuracy", "total", "classes", "matrix",
                                 "matrix_normalized"}
         assert payload["total"] == 120

@@ -393,6 +393,14 @@ class TestPlateauScheduler:
         assert not scheduler_step(s, 9.0, state)  # already at the floor
         assert state.lr == 1e-6
 
+    def test_rate_below_the_floor_is_never_raised(self):
+        s = PlateauScheduler(factor=0.1, patience=1, min_lr=1e-6)
+        state = SgdState(lr=1e-9)
+        scheduler_step(s, 10.0, state)
+        for _ in range(50):  # 25 cuts' worth of stale epochs
+            assert not scheduler_step(s, 9.0, state)
+            assert state.lr == 1e-9
+
     def test_improvement_resets_counter(self):
         s = PlateauScheduler(patience=2)
         state = SgdState(lr=1e-3)
