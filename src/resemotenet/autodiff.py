@@ -16,13 +16,15 @@ updated, and its gradient freed, while backward is still running.
 
 Gradient ownership: each op hands ``_accumulate`` a writable array that
 nothing else will read or write, which a first gradient adopts uncopied;
-``add``, sending one array to both inputs, copies it for the second.  The
-one exception is a conv weight's first gradient: ``conv2d`` stores it as a
-:class:`DeferredGrad`, the product ``go_t @ patches`` not yet computed.
-The optimizer computes it row block by row block and applies each block as
-it goes, so the whole gradient of a large kernel is never held; any other
-reader of ``Tensor.grad`` gets the full array, computed from the same
-blocks on first read.
+``add``, sending one array to both inputs, copies it for the second.  A
+conv weight's gradient is held in the smaller of two forms.  Where it is
+smaller than its (N*L, C*k*k) patch matrix (Cout < N*L), ``conv2d`` sums
+it eagerly, a few samples' patches at a time.  Otherwise its first
+gradient is a :class:`DeferredGrad`, the product ``go_t @ patches`` not
+yet computed: the optimizer computes it row block by row block and applies
+each block as it goes, so the whole gradient of a large kernel is never
+held, and any other reader of ``Tensor.grad`` gets the full array,
+computed from the same blocks on first read.
 
 Forward buffers follow the same rule.  A public op never writes into its
 arguments' arrays (``verification.grad_check`` perturbs leaves and re-runs
@@ -187,7 +189,8 @@ class Graph:
     after that, so the callback may update ``leaf.data`` in place and
     consume ``leaf.grad``.  A leaf the loss does not reach has no gradient
     and is not reported.  ``on_grad`` decides only when a gradient is
-    consumed, not its form: a conv weight's is deferred in any graph (see
+    consumed, not its form: a conv weight whose gradient is at least as
+    large as its patches has it deferred in any graph (see
     :class:`DeferredGrad`), and ``sgd_step`` consumes it in row blocks.
     """
 
@@ -246,13 +249,16 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
 
 
 #: elements per block of a blocked kernel: the rows of a deferred gradient,
-#: the samples of a conv forward's patches (4 MiB in float32)
+#: the samples of a conv's forward and eager weight-gradient patches (4 MiB
+#: in float32)
 GRAD_BLOCK = 1 << 20
 
 
 class DeferredGrad:
     """A weight gradient kept as the product ``go_t @ patches`` of a
     (rows, M) and an (M, cols) matrix, computed only when consumed.
+    ``conv2d`` defers only a gradient no smaller than its patches (Cout >=
+    N*L); a smaller one it sums eagerly.
 
     ``go_t`` may also be a (rows, ...) array, a view included, whose rows
     each hold M elements: ``conv2d`` passes the (Cout, N, L) transposed view
@@ -417,20 +423,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
         # weight gradient's patches are built
         if x.requires_grad:
             _accumulate(x, input_grad(go))
-        if weight.requires_grad:
-            # one GEMM over (batch, position): (Cout, N*L) @ (N*L, CKK), the
-            # output gradient kept as its (Cout, N, L) view; the patches are
-            # filled in the forward's sample blocks, so each block's taps
-            # write a cache-sized slice of them
-            patches = np.empty((n, out_h, out_w, cin, taps), dtype=x.data.dtype)
+        if not weight.requires_grad:
+            return
+        # hold the smaller of the (Cout, CKK) gradient and its (N*L, CKK)
+        # patches; each sample block's taps write a cache-sized slice of them
+        if cout < n * positions:
+            # eager: each sample's (Cout, L) @ (L, CKK) product is added in
+            # sample order, so the bits do not depend on the block size
+            gw = np.zeros((cout, ckk), dtype=np.result_type(go, x.data))
+            patches = np.empty((min(step, n), out_h, out_w, cin, taps), dtype=x.data.dtype)
             for s0 in range(0, n, step):
-                unfold(s0, patches[s0:s0 + step].transpose(0, 3, 4, 1, 2))
-            product = DeferredGrad(go.transpose(1, 0, 2), patches.reshape(n * positions, ckk),
-                                   weight.shape, weight.data.dtype)
-            if weight._grad is None:
-                weight._grad = product  # computed when consumed or read
-            else:
-                _accumulate(weight, product.materialize())
+                block = patches[:min(step, n - s0)]
+                unfold(s0, block.transpose(0, 3, 4, 1, 2))
+                for prod in np.matmul(go[s0:s0 + step], block.reshape(-1, positions, ckk)):
+                    gw += prod
+            _accumulate(weight, gw.reshape(weight.shape))
+            return
+        # deferred: one GEMM over (batch, position), (Cout, N*L) @ (N*L, CKK),
+        # the output gradient kept as its (Cout, N, L) view
+        patches = np.empty((n, out_h, out_w, cin, taps), dtype=x.data.dtype)
+        for s0 in range(0, n, step):
+            unfold(s0, patches[s0:s0 + step].transpose(0, 3, 4, 1, 2))
+        product = DeferredGrad(go.transpose(1, 0, 2), patches.reshape(n * positions, ckk),
+                               weight.shape, weight.data.dtype)
+        if weight._grad is None:
+            weight._grad = product  # computed when consumed or read
+        else:
+            _accumulate(weight, product.materialize())
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _finish("conv2d", inputs, out_data, backward_fn)
@@ -680,17 +699,24 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
     out_data = _normalized(x.data, mean, inv_std, gamma.data, beta.data)
 
     def backward_fn(gout: np.ndarray) -> None:
-        x_hat = _normalized(x.data, mean, inv_std)
-        if gamma.requires_grad:
-            _accumulate(gamma, (gout * x_hat).sum(axis=(0, 2, 3)))
+        # one whole-size scratch array beside gout: x-hat is recomputed into
+        # it before each use, and each product is taken in place there
         if beta.requires_grad:
             _accumulate(beta, gout.sum(axis=(0, 2, 3)))
+        x_hat = None
+        if gamma.requires_grad:
+            x_hat = _normalized(x.data, mean, inv_std)
+            x_hat *= gout
+            _accumulate(gamma, x_hat.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             t = gout  # handed over to this op alone, and read above for the last time
             t *= gamma.data[None, :, None, None]
             t_mean = t.sum(axis=(0, 2, 3)) / m
-            tx_mean = (t * x_hat).sum(axis=(0, 2, 3)) / m
+            x_hat = _normalized(x.data, mean, inv_std, out=x_hat)
+            x_hat *= t
+            tx_mean = x_hat.sum(axis=(0, 2, 3)) / m
             # inv_std * (t - t_mean - x_hat * tx_mean), in place in t
+            x_hat = _normalized(x.data, mean, inv_std, out=x_hat)
             t -= t_mean[None, :, None, None]
             x_hat *= tx_mean[None, :, None, None]
             t -= x_hat

@@ -186,6 +186,26 @@ def batch_norm_loops(x, gamma, beta, eps):
     return out
 
 
+def batch_norm_train_backward_formula(x, gamma, gout, eps):
+    """(x, gamma, beta) gradients of a train-mode batch norm for the output
+    gradient `gout`, by the whole-array formula: each elementwise product in
+    its own full-size temporary, each reduction over (N, H, W).  Not a loop
+    oracle but a bitwise one: it fixes the order of every rounding."""
+    n, c, h, w = x.shape
+    m = n * h * w
+    axes, per_channel = (0, 2, 3), (None, slice(None), None, None)
+    mean = x.mean(axis=axes)
+    inv_std = 1.0 / np.sqrt(x.var(axis=axes) + eps)
+    x_hat = (x - mean[per_channel]) * inv_std[per_channel]
+    g_gamma = (gout * x_hat).sum(axis=axes)
+    g_beta = gout.sum(axis=axes)
+    t = gout * gamma[per_channel]
+    t_mean = t.sum(axis=axes) / m
+    tx_mean = (t * x_hat).sum(axis=axes) / m
+    g_x = (t - t_mean[per_channel] - x_hat * tx_mean[per_channel]) * inv_std[per_channel]
+    return g_x, g_gamma, g_beta
+
+
 def softmax_cross_entropy_loops(logits, labels):
     """Mean negative log-softmax probability of the true class."""
     n, k = logits.shape

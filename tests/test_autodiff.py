@@ -591,24 +591,56 @@ class TestOnGrad:
             assert leaf.grad is None
 
 
+def _wide_leaves():
+    """`_small_net`'s leaves with a conv of Cout = N*L = 8, whose weight
+    gradient is as large as its patches."""
+    r = np.random.default_rng(7)
+    return (t(r.standard_normal((2, 2, 2, 2))), t(r.standard_normal((8, 2, 3, 3))),
+            t(r.standard_normal(8)), t(r.standard_normal((5, 8))))
+
+
+def _assert_shared_weight_summed_once(x0, w0):
+    """A weight used by two convs is reported once, holding the summed
+    gradient as an array, with a plain backward's bits."""
+    def net(x, w):
+        a = ad.conv2d(x, w, None, stride=1, padding=1)
+        b = ad.conv2d(ad.relu(a), w, None, stride=1, padding=1)
+        return ad.tensor_sum(ad.mul(b, b))
+
+    x, w = t(x0), t(w0)
+    with Graph():
+        net(x, w).backward()
+    calls = []
+    x2, w2 = t(x0), t(w0)
+    with Graph(on_grad=lambda leaf: calls.append((leaf, type(leaf._grad),
+                                                  leaf.grad.copy()))):
+        net(x2, w2).backward()
+    got = dict((id(leaf), (kind, grad)) for leaf, kind, grad in calls)
+    assert len(calls) == 2
+    assert got[id(w2)][0] is np.ndarray  # a second use adds a whole array
+    assert got[id(w2)][1].tobytes() == w.grad.tobytes()
+    assert got[id(x2)][1].tobytes() == x.grad.tobytes()
+
+
 class TestDeferredConvWeightGrad:
-    """In every graph a conv weight's first gradient is stored as a
-    `DeferredGrad`; reading ``.grad`` gives the eager product's bits."""
+    """In every graph the first gradient of a conv weight with Cout >= N*L
+    is stored as a `DeferredGrad`; reading ``.grad`` gives the eager
+    product's bits."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        # two rows of a (C, 2, 3, 3) weight per block, one of a (C, 3, 3, 3)
+        # two rows of a (C, 2, 3, 3) weight per block, one of a (C, 8, 3, 3)
         monkeypatch.setattr(ad, "GRAD_BLOCK", 40)
 
     @pytest.mark.parametrize("with_callback", [False, True])
     def test_weight_gradient_is_deferred_with_the_eager_bits(self, with_callback):
         # a weight that already holds a gradient gets the product added at
         # once; starting from zeros, that is the eager product
-        eager = _small_leaves()
+        eager = _wide_leaves()
         eager[1].grad = np.zeros(eager[1].shape)
         with Graph():
             _small_net(*eager)[0].backward()
-        leaves = _small_leaves()
+        leaves = _wide_leaves()
         seen = {}
 
         def on_grad(leaf):
@@ -635,24 +667,87 @@ class TestDeferredConvWeightGrad:
 
     def test_shared_weight_gets_the_summed_gradient_once(self):
         r = np.random.default_rng(5)
+        # 2 samples of a 2x2 output: N*L = 8 = Cout
+        _assert_shared_weight_summed_once(r.standard_normal((2, 8, 2, 2)),
+                                          r.standard_normal((8, 8, 3, 3)))
 
-        def net(x, w):
-            a = ad.conv2d(x, w, None, stride=1, padding=1)
-            b = ad.conv2d(ad.relu(a), w, None, stride=1, padding=1)
-            return ad.tensor_sum(ad.mul(b, b))
 
-        x0, w0 = r.standard_normal((2, 3, 4, 4)), r.standard_normal((3, 3, 3, 3))
+class TestEagerConvWeightGrad:
+    """A conv weight with Cout < N*L, whose gradient is smaller than its
+    patches, gets that gradient as one array, summed sample by sample in
+    blocks of at most `GRAD_BLOCK` patch elements."""
+
+    @pytest.mark.parametrize("with_callback", [False, True])
+    def test_gradient_is_an_array_matching_the_loop_oracle(self, monkeypatch,
+                                                           with_callback):
+        monkeypatch.setattr(ad, "GRAD_BLOCK", 2 * 18 * 16)  # two samples a block
+        r = np.random.default_rng(17)
+        x0, w0 = r.standard_normal((5, 2, 4, 4)), r.standard_normal((3, 2, 3, 3))
         x, w = t(x0), t(w0)
+        seen = []
+        with Graph(on_grad=(lambda leaf: seen.append(type(leaf._grad)))
+                   if with_callback else None):
+            out = ad.conv2d(x, w, None, stride=1, padding=1)
+            g = r.standard_normal(out.shape)
+            ad.tensor_sum(ad.mul(out, t(g, req=False))).backward()
+        assert type(w._grad) is np.ndarray
+        assert seen == ([np.ndarray, np.ndarray] if with_callback else [])
+        want_x, want_w = oracles.conv2d_backward_loops(x0, w0, g, 1, 1)
+        npt.assert_allclose(w.grad, want_w, rtol=0, atol=1e-12)
+        npt.assert_allclose(x.grad, want_x, rtol=0, atol=1e-12)
+
+    def test_shared_weight_gets_the_summed_gradient_once(self):
+        r = np.random.default_rng(5)
+        _assert_shared_weight_summed_once(r.standard_normal((2, 3, 4, 4)),
+                                          r.standard_normal((3, 3, 3, 3)))
+
+    def test_backward_never_holds_the_whole_patch_matrix(self, monkeypatch):
+        monkeypatch.setattr(ad, "GRAD_BLOCK", 1 << 14)  # one sample a block
+        r = np.random.default_rng(19)
+        x = Tensor(r.standard_normal((8, 16, 32, 32)), requires_grad=True, dtype=np.float32)
+        w = Tensor(r.standard_normal((32, 16, 3, 3)), requires_grad=True, dtype=np.float32)
         with Graph():
-            net(x, w).backward()
-        calls = []
-        x2, w2 = t(x0), t(w0)
-        with Graph(on_grad=lambda leaf: calls.append((leaf, leaf.grad.copy()))):
-            net(x2, w2).backward()
-        got = dict((id(leaf), grad) for leaf, grad in calls)
-        assert len(calls) == 2
-        assert got[id(w2)].tobytes() == w.grad.tobytes()
-        assert got[id(x2)].tobytes() == x.grad.tobytes()
+            out = ad.conv2d(x, w, None, stride=1, padding=1)
+        gout = r.standard_normal(out.shape).astype(np.float32)
+        whole = 8 * 32 * 32 * 16 * 9 * 4  # the (N*L, CKK) float32 patch matrix
+        tracemalloc.start()
+        try:
+            out.node.backward_fn(gout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole, (peak, whole)
+        assert type(w._grad) is np.ndarray
+
+
+class TestBatchNormTrainBackward:
+    """The train-mode batch-norm backward, which recomputes x-hat into one
+    scratch array, gives the whole-array formula's bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 6), (2, 4, 16, 24)])
+    @pytest.mark.parametrize("needs", [("x", "gamma", "beta"), ("x",), ("gamma",)])
+    def test_bitwise_equal_to_the_whole_array_formula(self, dtype, shape, needs):
+        r = np.random.default_rng(23)
+        c = shape[1]
+        arrays = {"x": 3.0 * r.standard_normal(shape) + 1.0,
+                  "gamma": r.uniform(0.5, 1.5, c), "beta": r.standard_normal(c)}
+        leaves = {name: Tensor(a, requires_grad=name in needs, dtype=dtype)
+                  for name, a in arrays.items()}
+        with Graph():
+            out = ad.batch_norm2d_train(leaves["x"], leaves["gamma"], leaves["beta"],
+                                        1e-5)[0]
+        gout = r.standard_normal(shape).astype(dtype)
+        want = oracles.batch_norm_train_backward_formula(
+            leaves["x"].data, leaves["gamma"].data, gout, 1e-5)
+        out.node.backward_fn(gout.copy())
+        for name, expected in zip(("x", "gamma", "beta"), want):
+            leaf = leaves[name]
+            if name in needs:
+                assert leaf.grad.dtype == dtype
+                assert leaf.grad.tobytes() == expected.tobytes(), name
+            else:
+                assert leaf.grad is None
 
 
 def _leaf_fed_net():
