@@ -87,6 +87,7 @@ def _load_split(dataset: str, data_root: str, split: str,
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, _overrides_from(args))
     _echo_config(cfg)
+    out_dir = make_out_dir(cfg.out_dir, "out_dir")  # before any data is read
     # splits load in the training dtype: no float64 copy, no per-batch cast
     with using_dtype(cfg.dtype):
         geometry = cfg.model_config()
@@ -96,7 +97,6 @@ def cmd_train(args) -> int:
             for line in count_report(manifest):
                 print(line)
 
-        out_dir = Path(cfg.out_dir)
         result = train_model(cfg, train_manifest, eval_manifest, out_dir=out_dir,
                              resume_from=args.checkpoint, log=print)
         # release the trained model and its velocity first, so the load below
@@ -137,14 +137,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, _overrides_from(args))
+    out_dir = None if args.out is None else make_out_dir(args.out, "--out")
     model = checkpoint_io.load(args.checkpoint, model_only=True).model
     with using_dtype(model.dtype):  # the pixels `train` scored it on
         manifest = _load_split(cfg.dataset, cfg.data_root, args.split, model.config)
         confusion = evaluate_model(model, manifest)
     print(f"accuracy: {confusion.accuracy():.2f}")
     print(report_text(confusion))
-    if args.out is not None:
-        out_dir = make_out_dir(args.out, "--out")
+    if out_dir is not None:
         (out_dir / "confusion.txt").write_text(report_text(confusion),
                                                encoding="utf-8")
         (out_dir / "metrics.json").write_text(

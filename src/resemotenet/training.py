@@ -11,6 +11,7 @@ epochs bit for bit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -64,6 +65,19 @@ def make_out_dir(path, key: str) -> Path:
     except OSError as err:
         raise ConfigError(f"{key}: cannot make a directory at {path}: {err.strerror}") from err
     return path
+
+
+def _note_resumed_values(cfg: RunConfig, optimizer: SgdState, scheduler: PlateauScheduler,
+                         path) -> None:
+    """Tell stderr which run settings a resume from `path` replaces with the
+    checkpoint's own; not an error, as a plateau cut changes ``lr``."""
+    replaced = [f"{key} = {getattr(source, key)} (run: {getattr(cfg, key)})"
+                for source, keys in ((optimizer, ("lr", "momentum", "weight_decay")),
+                                     (scheduler, ("factor", "patience", "min_lr")))
+                for key in keys if getattr(source, key) != getattr(cfg, key)]
+    if replaced:
+        print(f"note: resuming from {path} with its own {', '.join(replaced)}",
+              file=sys.stderr)
 
 
 def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest) -> ConfusionMatrix:
@@ -133,6 +147,8 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
     `out_dir` is set — refresh ``last.ckpt`` (full state incl. the data-order
     RNG) plus ``best.ckpt`` whenever accuracy improves.  `stop_when` lets
     callers end early once a target is met; otherwise all epochs run.
+    A resume takes the rate, momentum, weight decay and plateau settings
+    from its checkpoint, and notes on stderr each that differs from `cfg`.
     """
     emit = log if log is not None else lambda line: None
     with using_dtype(cfg.dtype):
@@ -156,6 +172,7 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
                     f"{resume_from}, which ends at epoch {loaded.epoch}")
             if loaded.rng_state is not None:
                 rng.bit_generator.state = loaded.rng_state
+            _note_resumed_values(cfg, optimizer, scheduler, resume_from)
             start_epoch = loaded.epoch + 1
         else:
             model = build_model(cfg.model_config())

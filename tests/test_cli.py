@@ -429,6 +429,38 @@ def test_final_report_of_a_run_without_best_frees_the_optimizer_first(dir_fixtur
     assert alive == [False]
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_unusable_out_leaves_nothing_on_stdout_but_the_config_echo(command, dir_fixture,
+                                                                       tmp_path):
+    """`train` echoes its configuration and stops; `eval` prints nothing."""
+    argv = (["train", "--config", str(dir_fixture["cfg"])] if command == "train" else
+            ["eval", "--config", str(dir_fixture["cfg"]),
+             "--checkpoint", str(tmp_path / "absent.ckpt")])
+    code, stdout, stderr = run_cli(*argv, "--out", str(_regular_file(tmp_path)))
+    assert code == 2, stderr
+    assert "cannot make a directory at" in stderr
+    if command == "eval":
+        assert stdout == ""
+    else:
+        head, *echo = stdout.splitlines()
+        assert head == "effective configuration:"
+        assert all(re.fullmatch(r"  \w+ = .*", line) for line in echo)
+
+
+def test_resume_notes_each_run_value_the_checkpoint_replaces(trained_run, tmp_path):
+    resume = ["train", "--config", str(trained_run["cfg"]), "--epochs", "3",
+              "--checkpoint", str(trained_run["out"] / "last.ckpt")]
+    code, _, stderr = run_cli(*resume, "--out", str(tmp_path / "same"))
+    assert code == 0, stderr
+    assert stderr == ""
+    code, stdout, stderr = run_cli(*resume, "--lr", "0.5", "--out", str(tmp_path / "other"))
+    assert code == 0, stderr
+    assert stderr == (f"note: resuming from {trained_run['out'] / 'last.ckpt'} with its "
+                      f"own lr = 0.01 (run: 0.5)\n")
+    assert "  lr = 0.5" in stdout  # the echo still shows the run's value
+    assert float(EPOCH_LINE.match(epoch_lines(stdout)[0]).group(4)) == 0.01
+
+
 def test_plateau_cuts_lr_by_factor_ten(plateau_run):
     rates = [float(EPOCH_LINE.match(line).group(4))
              for line in epoch_lines(plateau_run["stdout"])]
@@ -787,13 +819,14 @@ EXIT_CODES = [
         "--epochs", "1", "--out", str(tmp_path / "run")],
         2, r"\Aerror: \S*data[/\\]train \(train split\): 3 samples of class 'Happy' "
         r"\(label 3\), which a 3-class model cannot output$", id="label-beyond-num-classes"),
+    # refused before the absent data and checkpoint are read
     pytest.param(lambda dir_fixture, tmp_path: [
         "train", "--config", str(dir_fixture["cfg"]), "--epochs", "1",
-        "--out", str(_regular_file(tmp_path))],
+        "--data-root", str(tmp_path / "absent"), "--out", str(_regular_file(tmp_path))],
         2, r"\Aerror: out_dir: cannot make a directory at \S*taken: ", id="train-out-is-a-file"),
     pytest.param(lambda memorize_run, tmp_path: [
-        "eval", "--checkpoint", str(memorize_run["out"] / "best.ckpt"), "--dataset", "dir",
-        "--data-root", str(memorize_run["data"]), "--out", str(_regular_file(tmp_path))],
+        "eval", "--checkpoint", str(tmp_path / "absent.ckpt"), "--dataset", "dir",
+        "--data-root", str(tmp_path / "absent"), "--out", str(_regular_file(tmp_path))],
         2, r"\Aerror: --out: cannot make a directory at \S*taken: ", id="eval-out-is-a-file"),
     pytest.param(lambda: ["gradcheck", "tiny", "--seed", "-1"],
                  2, r"\Aerror: seed must be >= 0, got -1$", id="gradcheck-negative-seed"),
