@@ -1,0 +1,64 @@
+"""`scripts/ab.py`'s summary of paired benchmark runs, on canned output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).resolve().parents[1] / "scripts" / "ab.py")
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+
+def _output(rss, setup, rate, failed=0, with_rate=True):
+    """What `perfbench/run.py` prints: stray lines, the report, the result."""
+    named = {"setup_s": {"value": setup, "unit": "s"},
+             "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    if with_rate:
+        named["train.samples_per_s"] = {"value": rate, "unit": "1/s"}
+    report = {"report": {"workload": "train_default", "named": named}}
+    result = {"correct": failed == 0, "attempted": 4, "failed": failed,
+              "metrics": {"setup_s": {"value": setup, "unit": "s"},
+                          "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    return "warming up\n" + json.dumps(report) + "\n" + json.dumps(result) + "\n"
+
+
+def test_parse_run_reads_the_last_two_lines():
+    run = ab.parse_run(_output(700.0, 1.5, 12.0, failed=1))
+    assert run == {"failed": 1, "gated": ["peak_rss_mb", "setup_s"],
+                   "values": {"setup_s": 1.5, "peak_rss_mb": 700.0,
+                              "train.samples_per_s": 12.0},
+                   "units": {"setup_s": "s", "peak_rss_mb": "MB",
+                             "train.samples_per_s": "1/s"}}
+
+
+def test_summary_has_each_sides_values_medians_and_failures():
+    base = [(800.0, 1.0, 12.0), (796.0, 1.4, 13.0), (798.0, 1.2, 11.0), (797.0, 1.1, 12.5)]
+    change = [(750.0, 1.1, 13.0), (745.0, 1.3, 13.5), (799.0, 1.2, 11.5), (746.0, 1.0, 12.0)]
+    pairs = [{"base": ab.parse_run(_output(*b)),
+              "change": ab.parse_run(_output(*c, failed=int(i == 2)))}
+             for i, (b, c) in enumerate(zip(base, change))]
+    summary = ab.summarize(pairs)
+    assert summary["pairs"] == 4
+    assert summary["failed"] == {"base": 0, "change": 1}
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert rss["gated"] and rss["unit"] == "MB"
+    assert rss["base"] == [800.0, 796.0, 798.0, 797.0]
+    assert rss["change"] == [750.0, 745.0, 799.0, 746.0]
+    assert rss["base_median"] == 797.5 and rss["change_median"] == 748.0
+    assert rss["base_iqr"] == pytest.approx(798.5 - 796.75)
+    assert rss["change_lower_in"] == 3
+    rate = summary["metrics"]["train.samples_per_s"]
+    assert not rate["gated"]
+    assert rate["base_median"] == 12.25 and rate["change_median"] == 12.5
+    assert rate["change_lower_in"] == 1
+
+
+def test_a_metric_missing_from_any_run_is_left_out():
+    pairs = [{"base": ab.parse_run(_output(1.0, 1.0, 1.0)),
+              "change": ab.parse_run(_output(1.0, 1.0, 1.0, with_rate=False))}]
+    summary = ab.summarize(pairs)
+    assert sorted(summary["metrics"]) == ["peak_rss_mb", "setup_s"]
+    assert summary["metrics"]["setup_s"]["base_iqr"] == 0.0
