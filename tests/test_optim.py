@@ -282,8 +282,9 @@ STREAMED = ModelConfig(input_channels=1, input_size=8, stem_channels=(4, 8, 16),
 
 
 class TestStreamedWeightGradient:
-    """Training streams each conv weight gradient into `sgd_step` row block
-    by row block (`autodiff.DeferredGrad`)."""
+    """Training streams each conv weight gradient no smaller than its
+    patches (Cout >= N*L) into `sgd_step` row block by row block
+    (`autodiff.DeferredGrad`)."""
 
     @staticmethod
     def _fixture():
@@ -308,8 +309,8 @@ class TestStreamedWeightGradient:
         assert peak < 0.5 * weight.data.nbytes, (peak, weight.data.nbytes)
 
     def test_plain_backward_holds_no_whole_large_weight_gradient(self):
-        # with no optimizer in backward, each conv weight gradient waits,
-        # unread, as its factors: a few activation-sized arrays
+        # with no optimizer in backward, each large conv weight gradient
+        # waits, unread, as its factors: a few activation-sized arrays
         with ad.using_dtype(np.float32):
             model = build_model(STREAMED)
             weight = model.residuals[0].conv_b.weight
