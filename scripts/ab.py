@@ -8,8 +8,9 @@ named in the output by its commit (``-dirty`` when it holds uncommitted
 edits).  The base revision is exported with
 ``git archive`` into a temporary directory.  Each pair runs untraced
 ``perfbench/run.py`` once in each tree with the same seed (the first seed,
-then one more per pair); odd pairs run the base first, even pairs this
-checkout first, so drift on the host falls on both sides alike.
+then one more per pair) and the spec's nominal ``--seconds 10``, for every
+workload ``perfbench/spec.json`` lists; odd pairs run the base first, even
+pairs this checkout first, so drift on the host falls on both sides alike.
 
 The output JSON holds, per workload, the ``failed`` check counts of each
 side and, per metric (the gated end-to-end metrics and every metric the
@@ -27,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("train_default", "train_fer48", "infer_default")
+SECONDS = 10
 SIDES = ("base", "change")
 
 
@@ -74,9 +75,9 @@ def summarize(pairs: list) -> dict:
             "metrics": metrics}
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"ab: {' '.join(argv[1:])} in {tree} exited "
@@ -99,25 +100,24 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, metavar="REV",
                         help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10, metavar="N")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1, metavar="N", help="first pair's seed")
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--out", type=Path, required=True, metavar="PATH")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     head = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
                           cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+    workloads = json.loads((ROOT / "perfbench" / "spec.json").read_text())["workloads"]
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         trees = {"base": Path(tmp), "change": ROOT}
         base = export(args.base, trees["base"])
-        summary = {"base": base, "change": head, "seconds": args.seconds,
+        summary = {"base": base, "change": head, "seconds": SECONDS,
                    "seeds": [args.seed + i for i in range(args.pairs)], "workloads": {}}
-        for workload in args.workloads:
+        for workload in workloads:
             pairs = []
             for i, seed in enumerate(summary["seeds"]):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pairs.append({side: run_once(trees[side], workload, seed, args.seconds)
+                pairs.append({side: run_once(trees[side], workload, seed)
                               for side in order})
                 print(f"ab: {workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
             summary["workloads"][workload] = summarize(pairs)

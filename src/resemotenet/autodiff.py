@@ -17,9 +17,11 @@ updated, and its gradient freed, while backward is still running.
 Gradient ownership: each op hands ``_accumulate`` a writable array that
 nothing else will read or write, which a first gradient adopts uncopied;
 ``add``, sending one array to both inputs, copies it for the second.  A
-conv weight's gradient is held in the smaller of two forms.  Where it is
-smaller than its (N*L, C*k*k) patch matrix (Cout < N*L), ``conv2d`` sums
-it eagerly, a few samples' patches at a time.  Otherwise its first
+conv weight's gradient is held in the smaller of two forms.  Where the
+gradient, one per-sample product of its size and one sample's patches are
+together smaller than the whole (N*L, C*k*k) patch matrix (2*Cout + L <
+N*L), ``conv2d`` sums it eagerly, one sample's product at a time, from
+blocks of as many samples' patches as keep it so.  Otherwise its first
 gradient is a :class:`DeferredGrad`, the product ``go_t @ patches`` not
 yet computed: the optimizer computes it row block by row block and applies
 each block as it goes, so the whole gradient of a large kernel is never
@@ -257,8 +259,9 @@ GRAD_BLOCK = 1 << 20
 class DeferredGrad:
     """A weight gradient kept as the product ``go_t @ patches`` of a
     (rows, M) and an (M, cols) matrix, computed only when consumed.
-    ``conv2d`` defers only a gradient no smaller than its patches (Cout >=
-    N*L); a smaller one it sums eagerly.
+    ``conv2d`` defers a gradient only where summing it eagerly would hold
+    no less than its whole patch matrix (2*Cout + L >= N*L); otherwise it
+    sums it eagerly.
 
     ``go_t`` may also be a (rows, ...) array, a view included, whose rows
     each hold M elements: ``conv2d`` passes the (Cout, N, L) transposed view
@@ -425,17 +428,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
             _accumulate(x, input_grad(go))
         if not weight.requires_grad:
             return
-        # hold the smaller of the (Cout, CKK) gradient and its (N*L, CKK)
-        # patches; each sample block's taps write a cache-sized slice of them
-        if cout < n * positions:
+        # hold the smaller of what each way needs, counted in CKK-long rows:
+        # eager, the (Cout, CKK) gradient, one product and a block of `fit`
+        # samples' patches at most; deferred, all (N*L, CKK) patches.  Each
+        # sample block's taps write a cache-sized slice of them
+        fit = (n * positions - 2 * cout - 1) // positions
+        if fit >= 1:
             # eager: each sample's (Cout, L) @ (L, CKK) product is added in
             # sample order, so the bits do not depend on the block size
-            gw = np.zeros((cout, ckk), dtype=np.result_type(go, x.data))
-            patches = np.empty((min(step, n), out_h, out_w, cin, taps), dtype=x.data.dtype)
-            for s0 in range(0, n, step):
-                block = patches[:min(step, n - s0)]
+            b = min(step, fit)
+            dtype = np.result_type(go, x.data)
+            gw, prod = np.zeros((cout, ckk), dtype=dtype), np.empty((cout, ckk), dtype=dtype)
+            patches = np.empty((b, out_h, out_w, cin, taps), dtype=x.data.dtype)
+            for s0 in range(0, n, b):
+                block = patches[:min(b, n - s0)]
                 unfold(s0, block.transpose(0, 3, 4, 1, 2))
-                for prod in np.matmul(go[s0:s0 + step], block.reshape(-1, positions, ckk)):
+                for i, rows in enumerate(block.reshape(-1, positions, ckk)):
+                    np.matmul(go[s0 + i], rows, out=prod)
                     gw += prod
             _accumulate(weight, gw.reshape(weight.shape))
             return

@@ -673,9 +673,10 @@ class TestDeferredConvWeightGrad:
 
 
 class TestEagerConvWeightGrad:
-    """A conv weight with Cout < N*L, whose gradient is smaller than its
-    patches, gets that gradient as one array, summed sample by sample in
-    blocks of at most `GRAD_BLOCK` patch elements."""
+    """A conv weight whose gradient, one product of its size and one
+    sample's patches are smaller than its whole patch matrix (2*Cout + L <
+    N*L) gets that gradient as one array, summed sample by sample in blocks
+    of at most `GRAD_BLOCK` patch elements that keep it so."""
 
     @pytest.mark.parametrize("with_callback", [False, True])
     def test_gradient_is_an_array_matching_the_loop_oracle(self, monkeypatch,
@@ -701,15 +702,22 @@ class TestEagerConvWeightGrad:
         _assert_shared_weight_summed_once(r.standard_normal((2, 3, 4, 4)),
                                           r.standard_normal((3, 3, 3, 3)))
 
-    def test_backward_never_holds_the_whole_patch_matrix(self, monkeypatch):
-        monkeypatch.setattr(ad, "GRAD_BLOCK", 1 << 14)  # one sample a block
+    @pytest.mark.parametrize("x_shape, cout, block", [
+        ((8, 16, 32, 32), 32, 1 << 14),        # Cout < L: one sample a block
+        ((32, 64, 3, 3), 64, 8 * 9 * 576),     # L < Cout < N*L: eight samples a block
+    ])
+    def test_backward_never_holds_the_whole_patch_matrix(self, monkeypatch, x_shape,
+                                                         cout, block):
+        monkeypatch.setattr(ad, "GRAD_BLOCK", block)
         r = np.random.default_rng(19)
-        x = Tensor(r.standard_normal((8, 16, 32, 32)), requires_grad=True, dtype=np.float32)
-        w = Tensor(r.standard_normal((32, 16, 3, 3)), requires_grad=True, dtype=np.float32)
+        n, cin, h, w_ = x_shape
+        x = Tensor(r.standard_normal(x_shape), requires_grad=True, dtype=np.float32)
+        w = Tensor(r.standard_normal((cout, cin, 3, 3)), requires_grad=True,
+                   dtype=np.float32)
         with Graph():
             out = ad.conv2d(x, w, None, stride=1, padding=1)
         gout = r.standard_normal(out.shape).astype(np.float32)
-        whole = 8 * 32 * 32 * 16 * 9 * 4  # the (N*L, CKK) float32 patch matrix
+        whole = n * h * w_ * cin * 9 * 4  # the (N*L, CKK) float32 patch matrix
         tracemalloc.start()
         try:
             out.node.backward_fn(gout)
@@ -718,6 +726,15 @@ class TestEagerConvWeightGrad:
             tracemalloc.stop()
         assert peak < whole, (peak, whole)
         assert type(w._grad) is np.ndarray
+
+    def test_a_gradient_whose_sum_would_hold_more_is_deferred(self):
+        # Cout = 16 < N*L = 36, but two gradient-sized arrays and one
+        # sample's patches (2*16 + 9 rows) are more than all 36 patch rows
+        x, w = t(np.ones((4, 8, 3, 3))), t(np.ones((16, 8, 3, 3)))
+        with Graph():
+            out = ad.conv2d(x, w, None, stride=1, padding=1)
+        out.node.backward_fn(np.ones(out.shape))
+        assert isinstance(w._grad, ad.DeferredGrad)
 
 
 class TestBatchNormTrainBackward:

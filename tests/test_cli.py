@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import weakref
 from dataclasses import fields
@@ -43,10 +44,13 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args):
+    """Run the CLI in a fresh empty working directory, removed after, so a
+    default `--out` (runs/default) lands nowhere a later run sees."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "resemotenet", *args],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-m", "resemotenet", *args],
+                              capture_output=True, text=True, cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 

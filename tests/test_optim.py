@@ -282,9 +282,9 @@ STREAMED = ModelConfig(input_channels=1, input_size=8, stem_channels=(4, 8, 16),
 
 
 class TestStreamedWeightGradient:
-    """Training streams each conv weight gradient no smaller than its
-    patches (Cout >= N*L) into `sgd_step` row block by row block
-    (`autodiff.DeferredGrad`)."""
+    """Training streams each conv weight gradient whose eager sum would
+    hold no less than its patches (2*Cout + L >= N*L) into `sgd_step` row
+    block by row block (`autodiff.DeferredGrad`)."""
 
     @staticmethod
     def _fixture():
