@@ -104,8 +104,9 @@ def sgd_step(state: SgdState, params: list[tuple[str, Tensor]]) -> None:
     the first step) and parameters are updated in place, one cache-sized
     block at a time, through one small work buffer; each element sees the
     same operations in the same order as the whole-array formula.  A deferred
-    gradient (`autodiff.DeferredGrad`, a conv weight's gradient no smaller
-    than its patches) is computed one row block at a time, each block
+    gradient (`autodiff.DeferredGrad`, a conv weight's gradient whose
+    eager sum would hold no less than its patches) is computed one row
+    block at a time, each block
     applied before the next is computed.  Gradients are consumed
     (cleared) so the next accumulation starts fresh."""
     for name, p in params:
