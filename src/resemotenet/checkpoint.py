@@ -22,6 +22,7 @@ renamed over the target.  A tensor holding NaN or infinity, or a header value
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from typing import Any
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import using_dtype
 from .errors import CheckpointError, ConfigError
 from .model import ModelConfig, ResEmoteNetModel, build_model
@@ -78,39 +80,55 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
     non-finite or a header value is one `load` refuses: `CheckpointError`
     names the tensor and its first bad flat index, or the field."""
     path = Path(path)
-    tensors: list[tuple[str, np.ndarray]] = [
-        (f"model.{name}", arr) for name, arr in model.state_tensors().items()
+    # (name, array, and for a velocity kept for its weight's live window
+    # alone, the weight's shape and that window)
+    tensors: list[tuple[str, np.ndarray, tuple | None]] = [
+        (f"model.{name}", arr, None) for name, arr in model.state_tensors().items()
     ]
     if optimizer is not None:
-        tensors.extend(
-            (f"velocity.{name}", arr) for name, arr in sorted(optimizer.velocity.items())
-        )
+        weights = dict(model.named_parameters())
+        windows = model.live_windows()
+        for name, arr in sorted(optimizer.velocity.items()):
+            window = windows.get(name)
+            live = window is not None and \
+                arr.shape == weights[name].data[(slice(None), slice(None), *window)].shape
+            tensors.append((f"velocity.{name}", arr,
+                            (weights[name].shape, window) if live else None))
 
     # each buffer is the tensor's own memory (copied only when it is not
     # contiguous little-endian), checked finite, checksummed and written
-    # through a memoryview
+    # through a memoryview; a velocity kept for its window is written whole,
+    # expanded block by block, with +0.0 outside the window
     directory = []
     buffers = []
     offset = 0
-    for name, arr in tensors:
+    for name, arr, whole in tensors:
         buf, code = _little_endian(arr)
+        shape, window = whole or (arr.shape, None)
         if not (np.isfinite(buf.min()) and np.isfinite(buf.max())):
-            flat = buf.reshape(-1)
-            bad = int(np.flatnonzero(~np.isfinite(flat))[0])
+            bad = np.unravel_index(int(np.flatnonzero(~np.isfinite(buf))[0]), buf.shape)
+            value = buf[bad]
+            if window is not None:  # its index in the whole tensor
+                bad = (*bad[:2], *(i + live.start for i, live in zip(bad[2:], window)))
             raise CheckpointError(
                 f"refusing to write checkpoint {path}: tensor {name!r} is "
-                f"non-finite (flat index {bad} is {flat[bad]})")
-        view = _bytes_of(buf)
+                f"non-finite (flat index {np.ravel_multi_index(bad, shape)} is {value})")
+        pieces = (functools.partial(iter, [_bytes_of(buf)]) if window is None
+                  else functools.partial(_whole_blocks, buf, shape, window))
+        crc = length = 0
+        for view in pieces():
+            crc = zlib.crc32(view, crc)
+            length += view.nbytes
         directory.append({
             "name": name,
             "dtype": code,
-            "shape": list(arr.shape),
+            "shape": list(shape),
             "offset": offset,
-            "length": view.nbytes,
-            "crc32": zlib.crc32(view) & 0xFFFFFFFF,
+            "length": length,
+            "crc32": crc & 0xFFFFFFFF,
         })
-        buffers.append(view)
-        offset += view.nbytes
+        buffers.append(pieces)
+        offset += length
 
     header: dict[str, Any] = {
         "config": _section(model.config),
@@ -133,8 +151,9 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
                 fh.write(struct.pack("<I", FORMAT_VERSION))
                 fh.write(struct.pack("<Q", len(header_bytes)))
                 fh.write(header_bytes)
-                for view in buffers:
-                    fh.write(view)
+                for pieces in buffers:
+                    for view in pieces():
+                        fh.write(view)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -292,6 +311,53 @@ def _validate_directory(directory: list[dict], payload_size: int, path: Path) ->
                 f"{path}: tensors {name_a!r} and {name_b!r} overlap in the payload")
 
 
+def _whole_blocks(live: np.ndarray, shape: tuple, window: tuple[slice, slice]):
+    """The bytes of the `shape` array that holds `live` on its last two
+    axes' (rows, cols) `window` and +0.0 elsewhere, a block of rows at a
+    time through one buffer of at most `GRAD_BLOCK` elements (or one row)."""
+    rows = max(1, autodiff.GRAD_BLOCK // math.prod(shape[1:]))
+    buf = np.zeros((min(rows, shape[0]), *shape[1:]), dtype=live.dtype)
+    for r0 in range(0, shape[0], rows):
+        block = buf[:min(rows, shape[0] - r0)]
+        block[(slice(None), slice(None), *window)] = live[r0:r0 + len(block)]
+        yield _bytes_of(block)
+
+
+def _read_live(fh, payload_start: int, entry: dict, dtype, shape: tuple,
+               window: tuple[slice, slice], path: Path) -> np.ndarray | None:
+    """Stream a whole (Cout, Cin, kh, kw) tensor from the file a block of
+    rows at a time (at most `GRAD_BLOCK` elements, or one row), checking
+    its CRC, and keep only its (rows, cols) `window`: the (Cout, Cin, r, c)
+    array, or None once an element outside the window is not +0.0, compared
+    bit by bit, so that -0.0 counts too."""
+    rows_, cols_ = window
+    live = np.empty((*shape[:2], rows_.stop - rows_.start, cols_.stop - cols_.start),
+                    dtype=dtype)
+    rows = max(1, autodiff.GRAD_BLOCK // math.prod(shape[1:]))
+    buf = np.empty((min(rows, shape[0]), *shape[1:]), dtype=dtype)
+    bits = f"u{buf.itemsize}"
+    fh.seek(payload_start + entry["offset"])
+    crc = got = 0
+    for r0 in range(0, shape[0], rows):
+        block = buf[:min(rows, shape[0] - r0)]
+        view = _bytes_of(block)
+        n = fh.readinto(view)
+        got += n
+        if n != view.nbytes:
+            raise CheckpointError(
+                f"{path}: tensor {entry['name']!r} is truncated: read {got} of "
+                f"{entry['length']} bytes")
+        crc = zlib.crc32(view, crc)
+        inside = block[(slice(None), slice(None), *window)]
+        live[r0:r0 + len(block)] = inside
+        inside[...] = 0
+        if block.view(bits).any():
+            return None
+    if (crc & 0xFFFFFFFF) != entry["crc32"]:
+        raise CheckpointError(f"{path}: checksum mismatch for tensor {entry['name']!r}")
+    return live
+
+
 def _read_tensor(fh, payload_start: int, entry: dict, dest: np.ndarray,
                  path: Path) -> None:
     """Stream one tensor from the file straight into `dest`, a contiguous
@@ -396,13 +462,24 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
 
     if model_only:
         optimizer = scheduler = None
+    # with no weight decay, a velocity whose taps outside its weight's live
+    # window are all +0.0 stays so in training: it is kept for the window
+    windows = model.live_windows() if optimizer is not None and not optimizer.weight_decay \
+        else {}
     for entry in directory:
         name = entry["name"]
         dest = slots[name]
         if name.startswith("velocity."):
             if model_only:
                 continue
-            dest = optimizer.velocity[name[len("velocity."):]] = np.empty_like(dest)
+            param = name[len("velocity."):]
+            if param in windows:
+                live = _read_live(fh, payload_start, entry, dest.dtype, dest.shape,
+                                  windows[param], path)
+                if live is not None:
+                    optimizer.velocity[param] = live
+                    continue
+            dest = optimizer.velocity[param] = np.empty_like(dest)
         _read_tensor(fh, payload_start, entry, dest, path)
 
     return LoadedCheckpoint(

@@ -108,6 +108,12 @@ class Conv2dLayer:
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
+    def live_window(self, in_size: int) -> tuple[slice, slice]:
+        """The taps of the kernel that read an element of an in_size x
+        in_size input (`autodiff.live_taps` of each axis)."""
+        taps = ad.live_taps(in_size, self.weight.shape[2], self.stride, self.padding)
+        return taps, taps
+
     def named_parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
 

@@ -165,6 +165,26 @@ class ResEmoteNetModel:
         return [(f"{prefix}.{n}", t) for prefix, layer in self.layers()
                 for n, t in layer.named_parameters()]
 
+    def live_windows(self) -> dict[str, tuple[slice, slice]]:
+        """Each conv weight with taps that read only padding at the
+        configured input size, by parameter name, with the (rows, cols)
+        window of its other taps: the window ``conv2d`` gives its gradient
+        in training.  At the default sizes these are `residual.2`'s
+        `conv_a` and `conv_b`."""
+        plan, s = self.config.spatial_plan(), len(self.stem)
+        sized = [(f"stem.{i}.conv", conv, plan[i]) for i, (conv, _) in enumerate(self.stem)]
+        for i, block in enumerate(self.residuals):
+            sized += [(f"residual.{i}.conv_a", block.conv_a, plan[s + i]),
+                      (f"residual.{i}.conv_b", block.conv_b, plan[s + i + 1])]
+            if block.shortcut_conv is not None:
+                sized.append((f"residual.{i}.shortcut_conv", block.shortcut_conv, plan[s + i]))
+        windows = {}
+        for name, conv, size in sized:
+            window = conv.live_window(size)
+            if window != (slice(0, conv.weight.shape[2]), slice(0, conv.weight.shape[3])):
+                windows[f"{name}.weight"] = window
+        return windows
+
     def batch_norms(self) -> list[tuple[str, BatchNorm2d]]:
         return [(name, layer) for name, layer in self.layers()
                 if isinstance(layer, BatchNorm2d)]

@@ -191,6 +191,19 @@ def _out_of_place_sgd_step(state, params):
         p.grad = None
 
 
+def _whole_velocity(state, model):
+    """(name, velocity) pairs, a velocity kept for a weight's live window
+    expanded to the whole weight with +0.0 outside the window."""
+    windows = model.live_windows()
+    for name, p in model.named_parameters():
+        v = state.velocity[name]
+        if v.shape != p.shape:
+            whole = np.zeros(p.shape, dtype=v.dtype)
+            whole[(slice(None), slice(None), *windows[name])] = v
+            v = whole
+        yield name, v
+
+
 def _bits(arr):
     # byte comparison: unlike ==, it tells -0.0 from +0.0
     return arr.dtype, arr.shape, arr.tobytes()
@@ -351,9 +364,14 @@ class TestStreamedWeightGradient:
                             logits = model.forward(pixels, mode=TRAIN)
                             cross_entropy(logits.values, labels).loss.backward()
                         _out_of_place_sgd_step(state, model.named_parameters())
+            if streamed:  # conv_a and conv_b see a 1x1 input: their centre taps
+                kept = {k: v.shape for k, v in state.velocity.items()}
             runs.append(([(k, _bits(v)) for k, v in model.state_tensors().items()],
-                         sorted((k, _bits(v)) for k, v in state.velocity.items())))
+                         sorted((k, _bits(v)) for k, v in _whole_velocity(state, model))))
         assert runs[0] == runs[1]
+        live = (64, 16, 1, 1) if weight_decay == 0 else (64, 16, 3, 3)
+        assert kept["residual.0.conv_a.weight"] == live
+        assert kept["residual.0.conv_b.weight"] == (64, 64) + live[2:]
 
 
 class TestPlateauScheduler:
