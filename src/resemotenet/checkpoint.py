@@ -13,6 +13,9 @@ metric, optimizer/scheduler state, the data-order RNG state, and a tensor
 directory of (name, dtype, shape, offset, length, crc32) entries, all of one
 dtype.  Offsets are relative to the payload start.  Every buffer is CRC-checked
 on load, so any flipped byte surfaces as an integrity error naming the tensor.
+Velocity is always stored whole: one that training keeps for a conv weight's
+live window alone (`ResEmoteNetModel.live_windows`) is written with +0.0 on
+the other taps, so the bytes do not depend on the form held in memory.
 
 Saving is atomic: the bytes land in a temporary sibling file which is then
 renamed over the target.  A tensor holding NaN or infinity, or a header value
@@ -389,6 +392,10 @@ def load(path, expected_config: ModelConfig | None = None, *,
     drawn, only allocated, in the file's element type.  Tensors then stream
     straight into the model's own arrays (velocity into fresh ones), each
     CRC-checked as it lands; no model is returned unless every check passes.
+    A velocity of a conv weight with a live window is streamed in blocks
+    and kept for the window alone when the file's weight decay is 0 and
+    every element outside the window is +0.0, bit for bit; otherwise it is
+    read again and kept whole.
 
     With `model_only` (inference) the velocity is seeked past, unread and
     so not CRC-checked, and `optimizer` and `scheduler` are None.

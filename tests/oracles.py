@@ -57,6 +57,14 @@ def conv2d_loops(x, weight, bias=None, stride=1, padding=1):
     return out
 
 
+def live_taps_loops(in_size, k, stride, padding):
+    """For each tap of a k-tap kernel axis: whether any output position of
+    the padded, strided slide reads a non-padding input element there."""
+    out = (in_size + 2 * padding - k) // stride + 1
+    return [any(0 <= o * stride + i - padding < in_size for o in range(out))
+            for i in range(k)]
+
+
 def conv2d_backward_loops(x, weight, gout, stride=1, padding=1):
     """Input and weight gradients of `conv2d_loops` for the output gradient
     `gout`: each product x[..] * weight[..] of the forward sends

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resemotenet import autodiff as ad
 from resemotenet import checkpoint as ckpt
 from resemotenet.autodiff import Tensor, using_dtype
 from resemotenet.errors import CheckpointError
@@ -683,3 +684,132 @@ class TestStreamingMemory:
             npt.assert_array_equal(loaded.model.state_tensors()[name], arr)
         for name, v in optimizer.velocity.items():
             npt.assert_array_equal(loaded.optimizer.velocity[name], v)
+
+
+def _live_velocity(model, r, dtype=np.float32):
+    """Random velocity for every parameter, kept for the live window alone
+    where the weight has one (the form training keeps with no decay)."""
+    windows = model.live_windows()
+    return {name: r.standard_normal(
+                p.data[(..., *windows[name])].shape if name in windows else p.shape
+            ).astype(dtype) for name, p in model.named_parameters()}
+
+
+def _whole_velocity(model, velocity):
+    windows = model.live_windows()
+    whole = {}
+    for name, p in model.named_parameters():
+        whole[name] = velocity[name]
+        if name in windows:
+            whole[name] = np.zeros(p.shape, dtype=velocity[name].dtype)
+            whole[name][(..., *windows[name])] = velocity[name]
+    return whole
+
+
+#: an 8x8 input leaves the stem a 1x1 map, so the residual block's convs
+#: read it through their centre tap alone; conv_b's whole (768, 768, 3, 3)
+#: float32 velocity spans five `GRAD_BLOCK` blocks
+CENTRE_ONLY = ModelConfig(input_channels=1, input_size=8, stem_channels=(4, 8, 16),
+                          se_reduction=4, residual_channels=((16, 768, 1),), seed=3)
+
+
+class TestLiveWindowVelocity:
+    """A velocity kept for its weight's live window is written whole, with
+    +0.0 outside the window, and loads back in the window alone when the
+    file's weight decay is 0 and every element outside it is +0.0."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_file_matches_the_reference_writer_on_whole_velocity(self, tmp_path, dtype):
+        with using_dtype(dtype):
+            model, optimizer, scheduler = trained_state()
+        assert model.live_windows()  # TINY's residual convs see a 1x1 map
+        optimizer.weight_decay = 0.0
+        optimizer.velocity = _live_velocity(model, np.random.default_rng(3), dtype)
+        path = tmp_path / "run.ckpt"
+        ckpt.save(model, optimizer, scheduler, 4, path, best_metric=61.25)
+        whole = dataclasses.replace(optimizer, velocity=_whole_velocity(model,
+                                                                        optimizer.velocity))
+        assert path.read_bytes() == reference_v1_bytes(model, whole, scheduler, 4,
+                                                       best_metric=61.25)
+        loaded = ckpt.load(path)
+        for name, v in optimizer.velocity.items():
+            got = loaded.optimizer.velocity[name]
+            assert (got.dtype, got.shape, got.tobytes()) == (v.dtype, v.shape, v.tobytes())
+
+    def test_non_finite_velocity_names_its_index_in_the_whole_tensor(self, tmp_path):
+        model, optimizer, scheduler = trained_state()
+        name = "residual.0.conv_b.weight"
+        optimizer.velocity = _live_velocity(model, np.random.default_rng(3), np.float64)
+        assert optimizer.velocity[name].shape == (4, 4, 1, 1)
+        optimizer.velocity[name][1, 2, 0, 0] = np.nan  # whole (1, 2, 1, 1)
+        with pytest.raises(CheckpointError, match=(
+                rf"tensor 'velocity\.{re.escape(name)}' is non-finite "
+                rf"\(flat index {(1 * 4 + 2) * 9 + 4} is nan\)$")):
+            ckpt.save(model, optimizer, scheduler, 1, tmp_path / "run.ckpt")
+
+    @pytest.fixture(scope="class")
+    def centre_state(self, tmp_path_factory):
+        with using_dtype(np.float32):
+            model = build_model(CENTRE_ONLY)
+        optimizer = SgdState(lr=0.01, momentum=0.9)
+        optimizer.velocity = _live_velocity(model, np.random.default_rng(4))
+        return model, optimizer, tmp_path_factory.mktemp("centre") / "run.ckpt"
+
+    def test_save_expands_one_block_at_a_time(self, centre_state):
+        model, optimizer, path = centre_state
+        weight = dict(model.named_parameters())["residual.0.conv_b.weight"]
+        assert optimizer.velocity["residual.0.conv_b.weight"].shape == (768, 768, 1, 1)
+        _, alloc = _traced_alloc(
+            lambda: ckpt.save(model, optimizer, PlateauScheduler(), 1, path))
+        row = 768 * 9
+        block = (ad.GRAD_BLOCK // row) * row * 4
+        assert block < 0.25 * weight.data.nbytes
+        # plus the header and file bookkeeping: 150 KiB for this model with
+        # whole velocity, which is written uncopied
+        assert alloc <= block + (256 << 10), (alloc, block)
+
+    def test_load_keeps_the_live_taps_in_bounded_blocks(self, centre_state):
+        model, optimizer, path = centre_state
+        ckpt.save(model, optimizer, PlateauScheduler(), 1, path)
+        with using_dtype(np.float32):
+            loaded, alloc = _traced_alloc(lambda: ckpt.load(path, CENTRE_ONLY))
+        got = loaded.optimizer.velocity["residual.0.conv_b.weight"]
+        assert got.shape == (768, 768, 1, 1) and got.nbytes == 768 * 768 * 4
+        kept = sum(a.nbytes for a in loaded.model.state_tensors().values()) + sum(
+            v.nbytes for v in loaded.optimizer.velocity.values())
+        block = (ad.GRAD_BLOCK // (768 * 9)) * 768 * 9 * 4
+        assert alloc <= kept + block + (256 << 10), (alloc, kept, block)
+        for name, v in optimizer.velocity.items():
+            assert loaded.optimizer.velocity[name].tobytes() == v.tobytes(), name
+
+    @pytest.mark.parametrize("value", [1e-30, -0.0])
+    def test_a_tap_outside_the_window_that_is_not_positive_zero_loads_whole(
+            self, tmp_path, value):
+        model, optimizer, scheduler = trained_state()
+        optimizer.weight_decay = 0.0
+        optimizer.velocity = _whole_velocity(
+            model, _live_velocity(model, np.random.default_rng(5), np.float64))
+        name = "residual.0.conv_a.weight"
+        optimizer.velocity[name][3, 0, 2, 1] = value
+        path = tmp_path / "run.ckpt"
+        ckpt.save(model, optimizer, scheduler, 1, path)
+        loaded = ckpt.load(path).optimizer.velocity
+        assert loaded[name].tobytes() == optimizer.velocity[name].tobytes()
+        assert loaded["residual.0.conv_b.weight"].shape == (4, 4, 1, 1)
+
+    def test_a_damaged_byte_outside_the_window_is_still_caught(self, tmp_path):
+        model, optimizer, scheduler = trained_state()
+        optimizer.weight_decay = 0.0
+        optimizer.velocity = _live_velocity(model, np.random.default_rng(6), np.float64)
+        path = tmp_path / "run.ckpt"
+        ckpt.save(model, optimizer, scheduler, 1, path)
+        for at in (0, 4 * 8):  # a tap outside the window, then the centre tap
+            blob = bytearray(path.read_bytes())
+            header_len = struct.unpack("<Q", blob[8:16])[0]
+            entry = next(e for e in json.loads(blob[16:16 + header_len])["tensors"]
+                         if e["name"] == "velocity.residual.0.conv_b.weight")
+            blob[16 + header_len + entry["offset"] + at] ^= 0x01
+            (tmp_path / "bad.ckpt").write_bytes(bytes(blob))
+            with pytest.raises(CheckpointError, match="checksum mismatch for tensor "
+                                                      "'velocity.residual.0.conv_b.weight'"):
+                ckpt.load(tmp_path / "bad.ckpt")

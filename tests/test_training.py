@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resemotenet import autodiff, training
+from resemotenet import autodiff, checkpoint, training
 from resemotenet.autodiff import Graph, Tensor, using_dtype
 from resemotenet.config import RunConfig
 from resemotenet.data import DatasetManifest
@@ -319,3 +319,117 @@ def test_float32_stays_within_the_error_budget_of_float64():
                                         for n in p]) for p in (params64, params32))
     assert _normwise(moved32, moved64) <= FLOAT32_BUDGET
     assert _normwise(eval32, eval64) <= FLOAT32_BUDGET
+
+
+#: TINY's recipe on BUDGET_NET's geometry: the last block's conv_a reads a
+#: 2x2 map at stride 2 and its conv_b a 1x1 map, so their outer taps read
+#: only padding
+DEAD_TAP_RUN = {**TINY, "stem_channels": BUDGET_NET.stem_channels,
+                "residual_channels": BUDGET_NET.residual_channels}
+#: the live windows conv2d finds in `residual.2` at the default sizes, and
+#: in the last block of BUDGET_NET and FER-48 alike
+LAST_BLOCK_WINDOWS = {"conv_a.weight": (slice(1, 3), slice(1, 3)),
+                      "conv_b.weight": (slice(1, 2), slice(1, 2))}
+
+
+def _whole(model, velocity):
+    """Each velocity expanded to its parameter's shape, with +0.0 outside a
+    live window it is kept for."""
+    windows = model.live_windows()
+    whole = {}
+    for name, p in model.named_parameters():
+        v = velocity[name]
+        if v.shape != p.shape:
+            whole[name] = np.zeros(p.shape, dtype=v.dtype)
+            whole[name][(..., *windows[name])] = v
+        else:
+            whole[name] = v
+    return whole
+
+
+def _run_bits(result):
+    """Bytes, dtype and shape of every state tensor and whole velocity."""
+    velocity = _whole(result.model, result.optimizer.velocity)
+    tensors = {**{f"model.{k}": v for k, v in result.model.state_tensors().items()},
+               **{f"velocity.{k}": v for k, v in velocity.items()}}
+    return {k: (v.dtype, v.shape, v.tobytes()) for k, v in tensors.items()}
+
+
+def _every_tap(monkeypatch):
+    """Make conv2d, the model and checkpoints treat every tap as live."""
+    monkeypatch.setattr(autodiff, "live_taps", lambda in_size, k, stride, padding: slice(0, k))
+
+
+class TestDeadTapVelocity:
+    """With no weight decay, a conv weight whose outer taps read only
+    padding keeps its velocity for its live window; files hold it whole."""
+
+    @pytest.mark.parametrize("config", [
+        ModelConfig(),
+        ModelConfig(input_channels=1, input_size=48, stem_channels=(8, 16, 32),
+                    se_reduction=8,
+                    residual_channels=((32, 64, 2), (64, 128, 2), (128, 256, 2))),
+    ], ids=["default", "fer48"])
+    def test_the_last_block_keeps_its_inner_taps(self, config):
+        windows = build_model(config, draw=False).live_windows()
+        assert windows == {f"residual.2.{k}": w for k, w in LAST_BLOCK_WINDOWS.items()}
+
+    def test_tiny_model_has_no_dead_taps(self):
+        assert build_model(TINY_MODEL, draw=False).live_windows() == {}
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_resume_equals_straight_run_and_load_save_is_byte_identical(self, tmp_path,
+                                                                          dtype):
+        fixture = make_synthetic_manifest(per_class=2, size=16, channels=3, seed=21)
+        straight = training.train_model(RunConfig(epochs=3, dtype=dtype, **DEAD_TAP_RUN),
+                               fixture, fixture)
+        shapes = {k: v.shape for k, v in straight.optimizer.velocity.items()}
+        assert shapes["residual.1.conv_a.weight"] == (32, 32, 2, 2)
+        assert shapes["residual.1.conv_b.weight"] == (32, 32, 1, 1)
+        assert build_model(straight.model.config, draw=False).live_windows() == {
+            f"residual.1.{k}": w for k, w in LAST_BLOCK_WINDOWS.items()}
+
+        out = tmp_path / "run"
+        training.train_model(RunConfig(epochs=2, dtype=dtype, **DEAD_TAP_RUN), fixture, fixture,
+                    out_dir=out)
+        resumed = training.train_model(RunConfig(epochs=3, dtype=dtype, **DEAD_TAP_RUN), fixture,
+                              fixture, resume_from=out / "last.ckpt")
+        assert [r.epoch for r in resumed.history] == [3]
+        assert {k: v.shape for k, v in resumed.optimizer.velocity.items()} == shapes
+        assert _run_bits(resumed) == _run_bits(straight)
+
+        path = out / "last.ckpt"
+        loaded = checkpoint.load(path)
+        assert {k: v.shape for k, v in loaded.optimizer.velocity.items()} == shapes
+        checkpoint.save(loaded.model, loaded.optimizer, loaded.scheduler, loaded.epoch,
+                        tmp_path / "again.ckpt", rng_state=loaded.rng_state,
+                        best_metric=loaded.best_metric)
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("case", ["nonzero", "negative zero", "weight decay"])
+    def test_a_velocity_moving_outside_the_window_stays_whole(self, tmp_path, monkeypatch,
+                                                              case):
+        # a file whose velocity outside the window is not all +0.0, or one
+        # from a run with weight decay, loads whole and resumes with the bits
+        # of a run that computes every tap
+        fixture = make_synthetic_manifest(per_class=2, size=16, channels=3, seed=21)
+        decay = 5e-4 if case == "weight decay" else 0.0
+        run = {**DEAD_TAP_RUN, "weight_decay": decay}
+        out = tmp_path / "run"
+        training.train_model(RunConfig(epochs=2, **run), fixture, fixture, out_dir=out)
+        path, name = out / "last.ckpt", "residual.1.conv_b.weight"
+        if not decay:
+            loaded = checkpoint.load(path)
+            whole = _whole(loaded.model, loaded.optimizer.velocity)[name]
+            whole[3, 1, 0, 2] = 1e-3 if case == "nonzero" else -0.0
+            loaded.optimizer.velocity[name] = whole
+            checkpoint.save(loaded.model, loaded.optimizer, loaded.scheduler, loaded.epoch,
+                            path, rng_state=loaded.rng_state, best_metric=loaded.best_metric)
+        assert checkpoint.load(path).optimizer.velocity[name].shape == (32, 32, 3, 3)
+        cfg = RunConfig(epochs=3, **run)
+        resumed = training.train_model(cfg, fixture, fixture, resume_from=path)
+        assert resumed.optimizer.velocity[name].shape == (32, 32, 3, 3)
+        bits = _run_bits(resumed)
+        _every_tap(monkeypatch)
+        reference = training.train_model(cfg, fixture, fixture, resume_from=path)
+        assert bits == _run_bits(reference)
