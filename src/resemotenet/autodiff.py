@@ -41,9 +41,10 @@ in place when no graph records it (its backward reads its input) and the
 element type matches.  Only a caller that owns the array and knows nothing reads it
 again passes ``out``: ``layers`` hands over a batch norm's input (the conv
 output) and output (read by no backward, as batch norm recomputes x-hat
-from its input and ``add`` reads no data).  ``relu``'s backward then reads
-its own output as its input, and ``relu(x) > 0`` holds exactly where
-``x > 0`` does.
+from its input and ``add`` reads no data), and ``model`` a stem max-pool's
+output to the ReLU after it (max-pool's backward reads only its window
+offsets).  ``relu``'s backward then reads its own output as its input,
+and ``relu(x) > 0`` holds exactly where ``x > 0`` does.
 
 Windowed kernels reach a kernel tap one way: ``_windows`` gives, for each
 tap (i, j) of a kh x kw window, the plain basic slice of an (N, C, H, W)

@@ -3,9 +3,9 @@ residual blocks, and the linear classifier head.
 
 Each class owns its tensors.  Weights are allocated uninitialized, and
 `draw_he_normal` draws them (`build_model` does so for a whole model); the
-forward computations are free functions (`conv_block_forward`,
-`se_forward`, `residual_forward`) so the data flow stays readable and the
-recorded graph mirrors the published composition exactly.  Batch norm's
+forward computations are free functions (`conv_bn_forward`, `se_forward`,
+`residual_forward`) so the data flow stays readable and the recorded graph
+mirrors the published composition exactly.  Batch norm's
 mode (`TRAIN` or `EVAL`) is passed to each call that reaches one; no layer
 stores it, and batch norm rejects any other value.
 
@@ -107,12 +107,6 @@ class Conv2dLayer:
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding)
-
-    def live_window(self, in_size: int) -> tuple[slice, slice]:
-        """The taps of the kernel that read an element of an in_size x
-        in_size input (`autodiff.live_taps` of each axis)."""
-        taps = ad.live_taps(in_size, self.weight.shape[2], self.stride, self.padding)
-        return taps, taps
 
     def named_parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -216,21 +210,13 @@ class LinearLayer:
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-def _conv_bn(layer: Conv2dLayer, bn: BatchNorm2d, x: Tensor, mode: str) -> Tensor:
-    """bn(conv(x)); eval BN may normalize in the handed-over conv output."""
+def conv_bn_forward(layer: Conv2dLayer, bn: BatchNorm2d, x: Tensor, mode: str) -> Tensor:
+    """bn(conv(x)), the unit the stem stages and residual blocks repeat.
+
+    The conv output is this function's own and nothing reads it afterwards,
+    so it is handed over: eval BN may normalize in it."""
     h = layer.forward(x)
     return bn.forward(h, mode, out=h.data)
-
-
-def conv_block_forward(layer: Conv2dLayer, bn: BatchNorm2d, x: Tensor,
-                       mode: str) -> Tensor:
-    """relu(bn(conv(x))) — the repeated unit of the feature-extraction stem.
-
-    The conv and BN outputs are this function's own and nothing reads them
-    afterwards, so each is handed over: eval BN may normalize in the conv
-    output, and ReLU writes over the BN output."""
-    h = _conv_bn(layer, bn, x, mode)
-    return ad.relu(h, out=h.data)
 
 
 def se_forward(se: SEBlock, x: Tensor) -> Tensor:
@@ -251,12 +237,14 @@ def se_forward(se: SEBlock, x: Tensor) -> Tensor:
 def residual_forward(block: ResidualBlock, x: Tensor, mode: str) -> Tensor:
     """relu(H(x) + shortcut(x)) with H = bn_b(conv_b(relu(bn_a(conv_a(x))))).
 
-    As in `conv_block_forward`, each conv and BN output is handed over to
-    the op after it; the sum is written over H's output, never over x."""
-    h = conv_block_forward(block.conv_a, block.bn_a, x, mode)
-    h = _conv_bn(block.conv_b, block.bn_b, h, mode)
+    As in `conv_bn_forward`, each conv and BN output is handed over to the
+    op after it: ReLU writes over bn_a's output, and the sum over H's output,
+    never over x."""
+    h = conv_bn_forward(block.conv_a, block.bn_a, x, mode)
+    h = ad.relu(h, out=h.data)
+    h = conv_bn_forward(block.conv_b, block.bn_b, h, mode)
     shortcut = x
     if block.shortcut_conv is not None:
-        shortcut = _conv_bn(block.shortcut_conv, block.shortcut_bn, x, mode)
+        shortcut = conv_bn_forward(block.shortcut_conv, block.shortcut_bn, x, mode)
     h = ad.add(h, shortcut, out=h.data)
     return ad.relu(h, out=h.data)

@@ -16,7 +16,7 @@ from .layers import (
     LinearLayer,
     ResidualBlock,
     SEBlock,
-    conv_block_forward,
+    conv_bn_forward,
     draw_he_normal,
     residual_forward,
     se_forward,
@@ -180,9 +180,10 @@ class ResEmoteNetModel:
                 sized.append((f"residual.{i}.shortcut_conv", block.shortcut_conv, plan[s + i]))
         windows = {}
         for name, conv, size in sized:
-            window = conv.live_window(size)
-            if window != (slice(0, conv.weight.shape[2]), slice(0, conv.weight.shape[3])):
-                windows[f"{name}.weight"] = window
+            k = conv.weight.shape[2]
+            taps = ad.live_taps(size, k, conv.stride, conv.padding)
+            if taps != slice(0, k):
+                windows[f"{name}.weight"] = (taps, taps)
         return windows
 
     def batch_norms(self) -> list[tuple[str, BatchNorm2d]]:
@@ -218,7 +219,9 @@ class ResEmoteNetModel:
     def forward(self, x: Tensor, mode: str) -> Logits:
         """Run the full pipeline to raw logits.
 
-        Stages: each stem block is conv+BN+ReLU then a 2x2 max-pool; the
+        Stages: each stem block is conv+BN+ReLU then a 2x2 max-pool, run as
+        conv+BN, the pool, then ReLU: ReLU is monotone, so it commutes with the
+        window maximum and runs on the pooled map, a quarter the size; the
         channel gate rescales the stem output; residual blocks downsample;
         adaptive average pooling collapses the grid; the flattened features
         feed the linear head.  `mode` is passed to every batch-norm layer,
@@ -232,8 +235,9 @@ class ResEmoteNetModel:
                 f"{cfg.input_size}), got {x.shape}")
         out = x
         for i, (conv, bn) in enumerate(self.stem):
-            out = _staged(f"stem stage {i}", conv_block_forward, conv, bn, out, mode)
+            out = _staged(f"stem stage {i}", conv_bn_forward, conv, bn, out, mode)
             out = _staged(f"stem stage {i} pool", ad.max_pool2d, out, 2, 2)
+            out = ad.relu(out, out=out.data)
         out = _staged("channel gate", se_forward, self.se, out)
         for i, block in enumerate(self.residuals):
             out = _staged(f"residual block {i}", residual_forward, block, out, mode)

@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, using_dtype
 from .layers import (EVAL, TRAIN, BatchNorm2d, Conv2dLayer, LinearLayer,
-                     ResidualBlock, SEBlock, conv_block_forward, residual_forward,
+                     ResidualBlock, SEBlock, conv_bn_forward, residual_forward,
                      se_forward)
 from .optim import cross_entropy
 
@@ -265,7 +265,7 @@ def _sample_conv_bn_block(rng, mode=EVAL, include_bias=True):
     if include_bias:
         inputs.append(("conv.bias", conv.bias))
     inputs += [("bn.gamma", bn.gamma), ("bn.beta", bn.beta)]
-    return lambda *_: conv_block_forward(conv, bn, x, mode), inputs
+    return lambda *_: ad.relu(conv_bn_forward(conv, bn, x, mode)), inputs
 
 
 def _sample_conv_bn_block_train(rng):

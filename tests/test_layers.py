@@ -1,4 +1,4 @@
-"""Behavioral tests for the architectural units: conv+BN blocks, the
+"""Behavioral tests for the architectural units: conv+BN pairs, the
 channel-attention gate, residual blocks, and the classifier head."""
 
 import contextlib
@@ -19,7 +19,7 @@ from resemotenet.layers import (
     LinearLayer,
     ResidualBlock,
     SEBlock,
-    conv_block_forward,
+    conv_bn_forward,
     residual_forward,
     se_forward,
 )
@@ -41,13 +41,13 @@ def drawn(layer, seed=0):
 
 class TestConvBlock:
     def test_constant_input_normalizes_to_zero(self):
-        # every channel constant -> batch stats remove everything -> relu(0)
+        # every channel constant -> batch stats remove everything
         conv = Conv2dLayer(2, 3, 3, padding=1)
         conv.weight.data[:] = 0.0
         conv.bias.data[:] = 5.0  # constant pre-BN activations
         bn = BatchNorm2d(3)
         x = Tensor(np.ones((2, 2, 4, 4)))
-        out = conv_block_forward(conv, bn, x, layers.TRAIN)
+        out = conv_bn_forward(conv, bn, x, layers.TRAIN)
         npt.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_eval_with_unit_stats_is_identity_up_to_eps(self):
@@ -56,7 +56,7 @@ class TestConvBlock:
         conv.bias.data[:] = 0.0
         bn = BatchNorm2d(1)
         x = Tensor(np.abs(rng.standard_normal((2, 1, 3, 3))))
-        out = conv_block_forward(conv, bn, x, layers.EVAL)
+        out = conv_bn_forward(conv, bn, x, layers.EVAL)
         npt.assert_allclose(out.data, x.data, rtol=1e-5)
 
     def test_train_mode_output_statistics(self):
@@ -221,8 +221,8 @@ class TestLayerGradients:
         c = Tensor(rng.standard_normal((2, 3, 2, 2)))
 
         def f(w, b, g, bt):
-            y = conv_block_forward(conv, bn, x, layers.EVAL)
-            return ad.tensor_sum(ad.mul(ad.max_pool2d(y, 2, 2), c))
+            y = ad.max_pool2d(conv_bn_forward(conv, bn, x, layers.EVAL), 2, 2)
+            return ad.tensor_sum(ad.mul(ad.relu(y), c))
 
         oracles.assert_gradients_match(f, [("w", conv.weight), ("b", conv.bias),
                                            ("g", bn.gamma), ("bt", bn.beta)])
@@ -235,7 +235,8 @@ class TestLayerGradients:
         c = Tensor(rng.standard_normal((2, 3, 4, 4)))
 
         def f(w, g, bt):
-            return ad.tensor_sum(ad.mul(conv_block_forward(conv, bn, x, layers.TRAIN), c))
+            y = ad.relu(conv_bn_forward(conv, bn, x, layers.TRAIN))
+            return ad.tensor_sum(ad.mul(y, c))
 
         oracles.assert_gradients_match(f, [("w", conv.weight), ("g", bn.gamma),
                                            ("bt", bn.beta)])
@@ -247,7 +248,7 @@ class TestLayerGradients:
         bn = BatchNorm2d(3)
         x = Tensor(rng.standard_normal((2, 2, 4, 4)))
         with Graph():
-            out = conv_block_forward(conv, bn, x, layers.TRAIN)
+            out = ad.relu(conv_bn_forward(conv, bn, x, layers.TRAIN))
             ad.tensor_sum(ad.mul(out, out)).backward()
         assert np.max(np.abs(conv.bias.grad)) < 1e-10
 
@@ -318,8 +319,8 @@ class TestInitialization:
         assert conv.weight.data.reshape(-1).tobytes() == chunk(2, 54, 18).tobytes()
 
 
-def _out_of_place_block(conv, bn, x, mode):
-    return ad.relu(bn.forward(conv.forward(x), mode))
+def _out_of_place_conv_bn(conv, bn, x, mode):
+    return bn.forward(conv.forward(x), mode)
 
 
 def _out_of_place_residual(block, x, mode):
@@ -332,7 +333,7 @@ def _out_of_place_residual(block, x, mode):
 
 
 class TestHandOver:
-    """`conv_block_forward` and `residual_forward` hand their conv and BN
+    """`conv_bn_forward` and `residual_forward` hand their conv and BN
     outputs over to the op after them; every output and gradient keeps the
     bits of the out-of-place composition."""
 
@@ -364,7 +365,7 @@ class TestHandOver:
         r = make_rng(25)
         x = Tensor(r.standard_normal((3, 3, 6, 6)), requires_grad=True, dtype=dtype)
         if kind == "block":
-            fn = conv_block_forward if handed_over else _out_of_place_block
+            fn = conv_bn_forward if handed_over else _out_of_place_conv_bn
         else:
             fn = residual_forward if handed_over else _out_of_place_residual
         if not graph:
@@ -391,7 +392,7 @@ class TestHandOver:
 
     @pytest.mark.parametrize("mode,graph", CASES)
     def test_only_an_unrecorded_block_keeps_one_buffer(self, monkeypatch, mode, graph):
-        """With no graph recording, BN and ReLU write in the conv output;
+        """With no graph recording, BN writes in the conv output;
         a recorded BN keeps the conv output for its backward."""
         convs = []
         forward = Conv2dLayer.forward
@@ -400,5 +401,5 @@ class TestHandOver:
         (conv, bn), _ = self._units("block", np.float64)
         x = Tensor(make_rng(26).standard_normal((2, 3, 6, 6)), requires_grad=True)
         with Graph() if graph else contextlib.nullcontext():
-            out = conv_block_forward(conv, bn, x, mode)
+            out = conv_bn_forward(conv, bn, x, mode)
         assert (out.data is convs[0].data) == (not graph)

@@ -10,10 +10,10 @@ import pytest
 
 from resemotenet import autodiff as ad
 from resemotenet import layers
-from resemotenet.autodiff import Tensor
+from resemotenet.autodiff import Graph, Tensor
 from resemotenet.data import DatasetManifest, Sample
 from resemotenet.errors import ConfigError, ShapeError
-from resemotenet.layers import EVAL, TRAIN, conv_block_forward, residual_forward, se_forward
+from resemotenet.layers import EVAL, TRAIN, conv_bn_forward, residual_forward, se_forward
 from resemotenet.model import ModelConfig, build_model
 from resemotenet.optim import SgdState, cross_entropy, sgd_step
 from resemotenet.training import train_one_epoch
@@ -28,6 +28,25 @@ TINY = ModelConfig(
     residual_channels=((8, 8, 1),), num_classes=3, seed=11)
 
 DEFAULT_PARAMETER_COUNT = 77_496_839
+
+
+def _replay(model, x, mode, relu_first=False):
+    """`model.forward`'s logits through the public stage functions, each op
+    making a new output; with `relu_first` each stem stage applies its ReLU
+    before the pool, as the published composition is written."""
+    out = x
+    for conv, bn in model.stem:
+        out = conv_bn_forward(conv, bn, out, mode)
+        if relu_first:
+            out = ad.max_pool2d(ad.relu(out), 2, 2)
+        else:
+            out = ad.relu(ad.max_pool2d(out, 2, 2))
+    out = se_forward(model.se, out)
+    for block in model.residuals:
+        out = residual_forward(block, out, mode)
+    out = ad.adaptive_avg_pool(out, *model.config.aap_output)
+    out = ad.reshape(out, (out.shape[0], model.config.classifier_inputs))
+    return model.classifier.forward(out)
 
 
 class TestConfigValidation:
@@ -235,17 +254,7 @@ class TestForward:
         model = build_model(TINY)
         x = Tensor(rng.standard_normal((1, 3, 16, 16)))
         got = model.forward(x, EVAL).values.data
-        # replay the pipeline through the public stage functions
-        out = x
-        for conv, bn in model.stem:
-            out = ad.max_pool2d(conv_block_forward(conv, bn, out, EVAL), 2, 2)
-        out = se_forward(model.se, out)
-        for block in model.residuals:
-            out = residual_forward(block, out, EVAL)
-        out = ad.adaptive_avg_pool(out, 1, 1)
-        out = ad.reshape(out, (1, model.config.classifier_inputs))
-        want = model.classifier.forward(out).data
-        npt.assert_allclose(got, want, atol=1e-12)
+        npt.assert_allclose(got, _replay(model, x, EVAL).data, atol=1e-12)
 
     def test_wrong_input_shape_names_stem(self):
         model = build_model(TINY)
@@ -273,6 +282,46 @@ class TestForward:
         logits = model.forward(x, EVAL).values.data
         shifted = logits + 7.5
         npt.assert_array_equal(np.argmax(logits, axis=1), np.argmax(shifted, axis=1))
+
+
+class TestStemOrder:
+    """Each stem stage runs its ReLU after the max-pool.  ReLU is monotone,
+    so this gives the bits of ReLU before the pool, forward and backward,
+    also on windows that are all negative, hold a +0.0/-0.0 tie, or hold
+    NaN."""
+
+    @staticmethod
+    def _run(dtype, case, relu_first):
+        with ad.using_dtype(dtype):
+            model = build_model(TINY)
+        r = np.random.default_rng(31)
+        pixels = r.standard_normal((2, 3, 16, 16))
+        mode = TRAIN
+        for conv, bn in model.stem:
+            if case == "negative":  # every window of channel 0 below zero
+                bn.gamma.data[0], bn.beta.data[0] = 0.1, -10.0
+            elif case == "signed_zero":  # channel 0 is +0.0 or -0.0 by x-hat's sign
+                bn.gamma.data[0], bn.beta.data[0] = 0.0, -0.0
+        if case == "nan":
+            # eval batch norm keeps the NaN to the windows the conv spreads it to
+            pixels[0, 0, 5, 5] = np.nan
+            mode = EVAL
+        x = Tensor(pixels, requires_grad=True, dtype=dtype)
+        with Graph():
+            if relu_first:
+                logits = _replay(model, x, mode, relu_first=True)
+            else:
+                logits = model.forward(x, mode).values
+            c = Tensor(r.standard_normal(logits.shape), dtype=dtype)
+            ad.tensor_sum(ad.mul(logits, c)).backward()
+        stats = [a for _, bn in model.batch_norms() for a in (bn.running_mean, bn.running_var)]
+        return [a.tobytes() for a in [logits.data, x.grad] + stats
+                + [p.grad for _, p in model.named_parameters()]]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["negative", "signed_zero", "nan"])
+    def test_bits_equal_relu_before_the_pool(self, case, dtype):
+        assert self._run(dtype, case, False) == self._run(dtype, case, True)
 
 
 class TestEndToEndGradient:
