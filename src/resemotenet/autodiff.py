@@ -771,8 +771,12 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Returns (output, batch_mean, batch_var); variance is the biased estimate
     and zero-variance channels are guarded by eps.  The backward pass accounts
-    for the dependence of the batch statistics on the input, and recomputes
-    the normalized input from ``x.data`` rather than keeping it on the tape.
+    for the dependence of the batch statistics on the input through two
+    per-channel sums over the m = N*H*W elements (Ioffe & Szegedy, 2015):
+    for the output gradient g, dbeta = sum(g), dgamma = sum(g * x_hat) and
+    dx = gamma * inv_std * (g - sum(g) / m - x_hat * sum(g * x_hat) / m).
+    It recomputes the normalized input x_hat from ``x.data`` rather than
+    keeping it on the tape.
     """
     _check_batch_norm_inputs(x, gamma, beta)
     n, c, h, w = x.shape
@@ -783,29 +787,21 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
     out_data = _normalized(x.data, mean, inv_std, gamma.data, beta.data)
 
     def backward_fn(gout: np.ndarray) -> None:
-        # one whole-size scratch array beside gout: x-hat is recomputed into
-        # it before each use, and each product is taken in place there
-        if beta.requires_grad:
-            _accumulate(beta, gout.sum(axis=(0, 2, 3)))
-        x_hat = None
-        if gamma.requires_grad:
-            x_hat = _normalized(x.data, mean, inv_std)
-            x_hat *= gout
-            _accumulate(gamma, x_hat.sum(axis=(0, 2, 3)))
+        # one whole-size scratch array beside gout: it holds x_hat * g, then
+        # x_hat * sum(g * x_hat) / m; dx is written in gout itself
+        g_sum = gout.sum(axis=(0, 2, 3))
+        scratch = _normalized(x.data, mean, inv_std)
+        scratch *= gout
+        gx_sum = scratch.sum(axis=(0, 2, 3))
         if x.requires_grad:
-            t = gout  # handed over to this op alone, and read above for the last time
-            t *= gamma.data[None, :, None, None]
-            t_mean = t.sum(axis=(0, 2, 3)) / m
-            x_hat = _normalized(x.data, mean, inv_std, out=x_hat)
-            x_hat *= t
-            tx_mean = x_hat.sum(axis=(0, 2, 3)) / m
-            # inv_std * (t - t_mean - x_hat * tx_mean), in place in t
-            x_hat = _normalized(x.data, mean, inv_std, out=x_hat)
-            t -= t_mean[None, :, None, None]
-            x_hat *= tx_mean[None, :, None, None]
-            t -= x_hat
-            t *= inv_std[None, :, None, None]
-            _accumulate(x, t)
+            x_hat = _normalized(x.data, mean, inv_std, out=scratch)
+            x_hat *= (gx_sum / m)[None, :, None, None]
+            gout -= (g_sum / m)[None, :, None, None]
+            gout -= x_hat
+            gout *= (gamma.data * inv_std)[None, :, None, None]
+            _accumulate(x, gout)
+        _accumulate(gamma, gx_sum)
+        _accumulate(beta, g_sum)
 
     return _finish("batch_norm2d_train", (x, gamma, beta), out_data, backward_fn), mean, var
 

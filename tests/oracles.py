@@ -196,8 +196,8 @@ def batch_norm_loops(x, gamma, beta, eps):
 
 def batch_norm_train_backward_formula(x, gamma, gout, eps):
     """(x, gamma, beta) gradients of a train-mode batch norm for the output
-    gradient `gout`, by the whole-array formula: each elementwise product in
-    its own full-size temporary, each reduction over (N, H, W).  Not a loop
+    gradient `gout`, by the two-sum formula: each elementwise product in its
+    own full-size temporary, each reduction over (N, H, W).  Not a loop
     oracle but a bitwise one: it fixes the order of every rounding."""
     n, c, h, w = x.shape
     m = n * h * w
@@ -205,12 +205,38 @@ def batch_norm_train_backward_formula(x, gamma, gout, eps):
     mean = x.mean(axis=axes)
     inv_std = 1.0 / np.sqrt(x.var(axis=axes) + eps)
     x_hat = (x - mean[per_channel]) * inv_std[per_channel]
-    g_gamma = (gout * x_hat).sum(axis=axes)
     g_beta = gout.sum(axis=axes)
-    t = gout * gamma[per_channel]
-    t_mean = t.sum(axis=axes) / m
-    tx_mean = (t * x_hat).sum(axis=axes) / m
-    g_x = (t - t_mean[per_channel] - x_hat * tx_mean[per_channel]) * inv_std[per_channel]
+    g_gamma = (x_hat * gout).sum(axis=axes)
+    g_x = ((gout - (g_beta / m)[per_channel] - x_hat * (g_gamma / m)[per_channel])
+           * (gamma * inv_std)[per_channel])
+    return g_x, g_gamma, g_beta
+
+
+def batch_norm_train_backward_loops(x, gamma, gout, eps):
+    """(x, gamma, beta) gradients of a train-mode batch norm, element by
+    element through the chain rule as Ioffe & Szegedy (2015) write it: the
+    gradient of x-hat, then of the batch variance and mean, then of x."""
+    n, c, h, w = x.shape
+    m = n * h * w
+    g_x, g_gamma, g_beta = np.empty(x.shape), np.zeros(c), np.zeros(c)
+    for ci in range(c):
+        xs = [(b, ii, jj) for b in range(n) for ii in range(h) for jj in range(w)]
+        mean = sum(x[b, ci, ii, jj] for b, ii, jj in xs) / m
+        var = sum((x[b, ci, ii, jj] - mean) ** 2 for b, ii, jj in xs) / m
+        inv = 1.0 / np.sqrt(var + eps)
+        d_var = d_mean = centred_sum = 0.0
+        for b, ii, jj in xs:
+            g, centred = gout[b, ci, ii, jj], x[b, ci, ii, jj] - mean
+            g_beta[ci] += g
+            g_gamma[ci] += g * centred * inv
+            d_var += g * gamma[ci] * centred * -0.5 * inv ** 3
+            d_mean -= g * gamma[ci] * inv
+            centred_sum += centred
+        d_mean += d_var * -2.0 * centred_sum / m
+        for b, ii, jj in xs:
+            centred = x[b, ci, ii, jj] - mean
+            g_x[b, ci, ii, jj] = (gout[b, ci, ii, jj] * gamma[ci] * inv
+                                  + d_var * 2.0 * centred / m + d_mean / m)
     return g_x, g_gamma, g_beta
 
 

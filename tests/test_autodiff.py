@@ -879,8 +879,10 @@ class TestDeadTapWeightGrad:
 
 
 class TestBatchNormTrainBackward:
-    """The train-mode batch-norm backward, which recomputes x-hat into one
-    scratch array, gives the whole-array formula's bits."""
+    """The train-mode batch-norm backward takes two per-channel sums, of g
+    and of g * x-hat, recomputing x-hat into one scratch array: it gives the
+    bits of the whole-array two-sum formula, matches the chain-rule loop
+    oracle and allocates no second input-sized array."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(4, 3, 5, 6), (2, 4, 16, 24)])
@@ -906,6 +908,40 @@ class TestBatchNormTrainBackward:
                 assert leaf.grad.tobytes() == expected.tobytes(), name
             else:
                 assert leaf.grad is None
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (3, 2, 1, 1)])
+    def test_matches_the_loop_oracle(self, shape):
+        r = np.random.default_rng(29)
+        x = t(3.0 * r.standard_normal(shape) + 1.0)
+        gamma, beta = t(r.uniform(0.5, 1.5, shape[1])), t(r.standard_normal(shape[1]))
+        gout = r.standard_normal(shape)
+        with Graph():
+            out = ad.batch_norm2d_train(x, gamma, beta, 1e-5)[0]
+        want = oracles.batch_norm_train_backward_loops(x.data, gamma.data, gout, 1e-5)
+        out.node.backward_fn(gout.copy())
+        for got, expected in zip((x.grad, gamma.grad, beta.grad), want):
+            npt.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_allocates_one_input_sized_array(self):
+        """The scratch array is the only input-sized allocation: bound one
+        input plus 64 KiB on a (16, 64, 64, 64) float32 batch (16 MiB)."""
+        r = np.random.default_rng(30)
+        shape = (16, 64, 64, 64)
+        x = Tensor(r.standard_normal(shape), requires_grad=True, dtype=np.float32)
+        gamma = Tensor(r.uniform(0.5, 1.5, 64), requires_grad=True, dtype=np.float32)
+        beta = Tensor(r.standard_normal(64), requires_grad=True, dtype=np.float32)
+        with Graph():
+            out = ad.batch_norm2d_train(x, gamma, beta, 1e-5)[0]
+        gout = r.standard_normal(shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out.node.backward_fn(gout)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert x.grad is gout
+        assert peak <= x.data.nbytes + 64 * 1024, f"peak {peak} bytes"
 
 
 def _leaf_fed_net():
