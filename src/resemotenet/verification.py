@@ -132,6 +132,11 @@ def _sample_conv2d(rng):
     stride = int(rng.integers(1, 3))
     padding = int(rng.integers(0, 2))
     size = int(rng.integers(k, k + 4))
+    if rng.random() < 0.25:
+        # a 3x3 pad-1 kernel over a 1x1 input, or a 2x2 one at stride 2:
+        # its outer taps read only padding, and the weight gradient covers
+        # the live window alone
+        k, padding, size = 3, 1, int(rng.integers(1, 3))
     x = Tensor(rng.standard_normal((n, ci, size, size)), requires_grad=True)
     w = Tensor(rng.standard_normal((co, ci, k, k)), requires_grad=True)
     b = Tensor(rng.standard_normal(co), requires_grad=True)
