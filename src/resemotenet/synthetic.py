@@ -18,10 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import CLASS_NAMES, FER_NATIVE_REMAP, MANIFEST, DatasetManifest, Sample
+from .data import (CLASS_NAMES, FER_HEADER, FER_NATIVE_REMAP, MANIFEST,
+                   DatasetManifest, Sample)
 
 #: canonical -> native CSV label (inverse of the loader's remap table)
 _CANONICAL_TO_NATIVE = {canon: native for native, canon in FER_NATIVE_REMAP.items()}
+#: the decimal text of every 8-bit pixel value, indexed by the value
+_PIXEL_TEXT = [str(v) for v in range(256)]
 
 
 def class_pattern(label: int, size: int) -> np.ndarray:
@@ -66,10 +69,16 @@ def write_fer_csv(path, manifests: dict[str, DatasetManifest]) -> Path:
     `manifests` maps split name to manifest; train rows get usage
     ``Training``, test rows ``PublicTest``.  Pixels are quantized to 8 bits;
     samples must be single-channel 48x48 (the layout's fixed geometry).
+
+    The text is UTF-8: the header ``emotion,pixels,Usage``, then one row
+    per sample, ``<native label>,<pixels>,<usage>``, where the pixels are
+    the 2304 values in row-major order, in decimal without padding, one
+    space apart.  Every line, the last included, ends in ``\n``.  A bad
+    sample raises `ValueError` before any file is written.
     """
     path = Path(path)
     usage_of = {"train": "Training", "test": "PublicTest"}
-    rows = ["emotion,pixels,Usage"]
+    rows = [FER_HEADER]
     for split, manifest in manifests.items():
         usage = usage_of[split]
         for sample in manifest.samples:
@@ -78,9 +87,9 @@ def write_fer_csv(path, manifests: dict[str, DatasetManifest]) -> Path:
                 raise ValueError(
                     f"CSV layout is 1x48x48; sample {sample.source_id} is "
                     f"{c}x{h}x{w}")
-            quantized = np.rint(sample.pixels[0] * 255).astype(np.uint8)
-            native = _CANONICAL_TO_NATIVE[sample.label]
-            rows.append(f"{native},{' '.join(map(str, quantized.reshape(-1)))},{usage}")
+            quantized = np.rint(sample.pixels * 255).astype(np.uint8).reshape(-1)
+            text = " ".join([_PIXEL_TEXT[v] for v in quantized.tolist()])
+            rows.append(f"{_CANONICAL_TO_NATIVE[sample.label]},{text},{usage}")
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return path
 
@@ -94,11 +103,12 @@ def write_pixmap_dir(root, manifest: DatasetManifest, color: bool = True) -> Pat
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
+    for label in {sample.label for sample in manifest.samples}:
+        (root / CLASS_NAMES[label]).mkdir(exist_ok=True)
     index_lines = []
     for i, sample in enumerate(manifest.samples):
         c, h, w = sample.pixels.shape
         class_name = CLASS_NAMES[sample.label]
-        (root / class_name).mkdir(exist_ok=True)
         if color:
             if c == 1:
                 planes = np.repeat(sample.pixels, 3, axis=0)

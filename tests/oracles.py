@@ -8,6 +8,7 @@ differences: ``assert_gradients_match`` is the suite's one pass rule for
 import numpy as np
 
 from resemotenet import autodiff as ad
+from resemotenet.data import FER_NATIVE_REMAP
 from resemotenet.verification import GRADCHECK_TOL, grad_check
 
 
@@ -269,3 +270,19 @@ def bilinear_resize_loops(img, out_h, out_w):
             bot = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
             out[i, j] = top * (1 - fy) + bot * fy
     return out
+
+
+def fer_csv_text(manifests):
+    """The CSV corpus text, one pixel at a time: each value is quantized
+    as ``uint8(rint(p * 255))`` in the sample's own type and printed with
+    ``str``."""
+    usage_of = {"train": "Training", "test": "PublicTest"}
+    native_of = {canon: native for native, canon in FER_NATIVE_REMAP.items()}
+    lines = ["emotion,pixels,Usage"]
+    for split, manifest in manifests.items():
+        for sample in manifest.samples:
+            values = []
+            for p in sample.pixels[0].reshape(-1):
+                values.append(str(np.uint8(np.rint(p * 255))))
+            lines.append(f"{native_of[sample.label]},{' '.join(values)},{usage_of[split]}")
+    return "\n".join(lines) + "\n"

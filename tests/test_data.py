@@ -147,6 +147,72 @@ class TestFerCsv:
             npt.assert_allclose(a.pixels, b.pixels, atol=0.5 / 255 + 1e-12)
 
 
+def _tie(k, dtype):
+    """A pixel value whose scaled value ``p * 255`` is exactly ``k + 0.5``
+    in `dtype`: a rounding tie, which `rint` sends to the even neighbour."""
+    target, p = dtype(k + 0.5), dtype((k + 0.5) / 255)
+    for _ in range(8):
+        if p * dtype(255) == target:
+            return p
+        p = np.nextafter(p, dtype(1) if p * dtype(255) < target else dtype(0))
+    raise AssertionError(f"no tie at {k} + 0.5 in {dtype.__name__}")
+
+
+def _edge_manifest(dtype, split="train"):
+    """Two 48x48 samples whose first pixels are the values 0, 9, 10, 99,
+    100, 254 and 255, then ties at k + 0.5, then each tie's neighbours; the
+    pattern repeats to fill the image."""
+    exact = [dtype(v) / dtype(255) for v in (0, 9, 10, 99, 100, 254, 255)]
+    ties = [_tie(k, dtype) for k in (0, 1, 9, 10, 99, 100, 253, 254)]
+    near = [np.nextafter(t, dtype(side)) for t in ties for side in (0, 1)]
+    row = np.array(exact + ties + near, dtype=dtype)
+    samples = [Sample(pixels=np.resize(row[::step], (1, 48, 48)), label=label,
+                      source_id=f"edge/{label}")
+               for step, label in ((1, 4), (-1, 6))]
+    return DatasetManifest.from_samples("edge", split, samples)
+
+
+class TestFerCsvWriter:
+    """`write_fer_csv`'s bytes against the per-value oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_per_value_oracle(self, tmp_path, dtype):
+        manifests = {"train": _edge_manifest(dtype),
+                     "test": _edge_manifest(dtype, "test")}
+        path = write_fer_csv(tmp_path / "edge.csv", manifests)
+        assert path.read_bytes() == oracles.fer_csv_text(manifests).encode()
+        pixels = path.read_text().splitlines()[1].split(",")[1].split()
+        assert pixels[:15] == ["0", "9", "10", "99", "100", "254", "255",
+                               "0", "2", "10", "10", "100", "100", "254", "254"]
+
+    def test_each_sample_is_quantized_in_its_own_type(self, tmp_path):
+        # a float32 tie is no tie once widened: rint(float64(p) * 255) differs
+        wide = _edge_manifest(np.float64).samples
+        manifests = {"train": DatasetManifest.from_samples(
+            "mixed", "train", _edge_manifest(np.float32).samples + wide)}
+        path = write_fer_csv(tmp_path / "mixed.csv", manifests)
+        assert path.read_bytes() == oracles.fer_csv_text(manifests).encode()
+
+    def test_an_empty_split_writes_no_rows(self, tmp_path):
+        empty = DatasetManifest.from_samples("none", "train", [])
+        path = write_fer_csv(tmp_path / "empty.csv", {"train": empty})
+        assert path.read_text() == "emotion,pixels,Usage\n"
+        manifests = {"train": empty, "test": _edge_manifest(np.float32, "test")}
+        path = write_fer_csv(tmp_path / "half.csv", manifests)
+        assert path.read_bytes() == oracles.fer_csv_text(manifests).encode()
+        assert len(load_fer_csv(path, "test")) == 2
+        assert len(load_fer_csv(path, "train")) == 0
+
+    def test_a_bad_sample_in_a_later_split_writes_no_file(self, tmp_path):
+        bad = Sample(pixels=np.zeros((1, 47, 48)), label=0, source_id="bad/0")
+        manifests = {"train": _edge_manifest(np.float32),
+                     "test": DatasetManifest.from_samples("bad", "test", [bad])}
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="bad/0 is 1x47x48"):
+            write_fer_csv(path, manifests)
+        assert not path.exists()
+
+
 class TestPixmaps:
     def test_p6_max_pixels_decode_to_ones(self, tmp_path):
         blob = b"P6\n2 2\n255\n" + bytes([255] * 12)
