@@ -236,8 +236,7 @@ class ResEmoteNetModel:
         out = x
         for i, (conv, bn) in enumerate(self.stem):
             out = _staged(f"stem stage {i}", conv_bn_forward, conv, bn, out, mode)
-            out = _staged(f"stem stage {i} pool", ad.max_pool2d, out, 2, 2)
-            out = ad.relu(out, out=out.data)
+            out = _staged(f"stem stage {i} pool", _pool_relu, out)
         out = _staged("channel gate", se_forward, self.se, out)
         for i, block in enumerate(self.residuals):
             out = _staged(f"residual block {i}", residual_forward, block, out, mode)
@@ -245,6 +244,12 @@ class ResEmoteNetModel:
         out = ad.reshape(out, (out.shape[0], cfg.classifier_inputs))
         out = _staged("classifier", self.classifier.forward, out)
         return Logits(out)
+
+
+def _pool_relu(x: Tensor) -> Tensor:
+    """A stem stage's 2x2 max-pool, then its ReLU in the pooled array."""
+    pooled = ad.max_pool2d(x, 2, 2)
+    return ad.relu(pooled, out=pooled.data)
 
 
 def _staged(stage: str, fn, *args):

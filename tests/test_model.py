@@ -10,6 +10,7 @@ import pytest
 
 from resemotenet import autodiff as ad
 from resemotenet import layers
+from resemotenet import model as model_module
 from resemotenet.autodiff import Graph, Tensor
 from resemotenet.data import DatasetManifest, Sample
 from resemotenet.errors import ConfigError, ShapeError
@@ -322,6 +323,25 @@ class TestStemOrder:
     @pytest.mark.parametrize("case", ["negative", "signed_zero", "nan"])
     def test_bits_equal_relu_before_the_pool(self, case, dtype):
         assert self._run(dtype, case, False) == self._run(dtype, case, True)
+
+    def test_the_pool_stage_records_the_pool_then_the_relu(self, monkeypatch):
+        # a traced run credits each stage the ops its `_staged` call records
+        staged, recorded = model_module._staged, {}
+
+        def spy(stage, fn, *args):
+            start = len(graph.nodes)
+            out = staged(stage, fn, *args)
+            recorded[stage] = [node.op for node in graph.nodes[start:]]
+            return out
+
+        monkeypatch.setattr(model_module, "_staged", spy)
+        model = build_model(TINY)
+        with Graph() as graph:
+            model.forward(Tensor(np.ones((2, 3, 16, 16))), TRAIN)
+        for i in range(len(TINY.stem_channels)):
+            assert recorded[f"stem stage {i} pool"] == ["max_pool2d", "relu"]
+        # only the flatten before the head runs outside every stage
+        assert sum(map(len, recorded.values())) == len(graph.nodes) - 1
 
 
 class TestEndToEndGradient:
