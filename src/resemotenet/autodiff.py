@@ -26,12 +26,7 @@ gradient is a :class:`DeferredGrad`, the product ``go_t @ patches`` not
 yet computed: the optimizer computes it row block by row block and applies
 each block as it goes, so the whole gradient of a large kernel is never
 held, and any other reader of ``Tensor.grad`` gets the full array,
-computed from the same blocks on first read.  Either way only the kernel's
-live window is computed (``live_taps``): a tap that reads nothing but zero
-padding at every output position (the outer taps of a 3x3 pad-1 conv over
-a 1x1 or 2x2 input) has gradient +0.0, and its patch columns are not
-built.  Where such taps exist the gradient is always a ``DeferredGrad``,
-which carries the window to the optimizer.
+computed from the same blocks on first read.
 
 Forward buffers follow the same rule.  A public op never writes into its
 arguments' arrays (``verification.grad_check`` perturbs leaves and re-runs
@@ -64,7 +59,6 @@ Every backward pass here is audited against central differences by
 from __future__ import annotations
 
 import contextlib
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -269,7 +263,7 @@ def live_taps(in_size: int, k: int, stride: int, padding: int) -> slice:
     read an input element at some output position: tap i reads elements
     o*stride + i - padding.  Between the first and the last such tap a
     tap may read only padding (when stride > in_size); it stays in the
-    window.  Where no tap reads the input, the window is every tap."""
+    span.  Where no tap reads the input, the span is every tap."""
     last = _conv_output_extent(in_size, k, stride, padding) - 1
     live = []
     for i in range(k):
@@ -281,18 +275,13 @@ def live_taps(in_size: int, k: int, stride: int, padding: int) -> slice:
 
 
 class DeferredGrad:
-    """A conv weight's gradient on its live window, computed only when
-    consumed.  ``window`` is a (rows, cols) pair of slices of the kernel's
-    taps (``live_taps`` of each axis; every tap by default): outside it the
-    gradient is +0.0, as every such tap reads only zero padding.  Inside
-    it the gradient is the (Cout, Cin*r*c) product ``go_t @ patches`` of a
-    (Cout, M) and an (M, Cin*r*c) matrix, the patches holding the window's
-    taps only.  ``conv2d`` defers a gradient where summing it eagerly would
-    hold no less than its whole patch matrix (2*Cout + L >= N*L); where it
-    sums it eagerly and taps lie outside the window, it passes that sum as
-    ``go_t`` with ``patches`` None.
+    """A weight gradient kept as the product ``go_t @ patches`` of a
+    (rows, M) and an (M, cols) matrix, computed only when consumed.
+    ``conv2d`` defers a gradient only where summing it eagerly would hold
+    no less than its whole patch matrix (2*Cout + L >= N*L); otherwise it
+    sums it eagerly.
 
-    ``go_t`` may also be a (Cout, ...) array, a view included, whose rows
+    ``go_t`` may also be a (rows, ...) array, a view included, whose rows
     each hold M elements: ``conv2d`` passes the (Cout, N, L) transposed view
     of its output gradient, and each row block is copied into (rows, M)
     form only when its product is computed.  ``blocks`` computes the
@@ -302,65 +291,33 @@ class DeferredGrad:
     both give the same bits.
     """
 
-    __slots__ = ("go_t", "patches", "shape", "dtype", "window")
+    __slots__ = ("go_t", "patches", "shape", "dtype")
 
-    def __init__(self, go_t: np.ndarray, patches: np.ndarray | None, shape: tuple, dtype,
-                 window: tuple[slice, slice] | None = None):
+    def __init__(self, go_t: np.ndarray, patches: np.ndarray, shape: tuple, dtype):
         self.go_t = go_t
         self.patches = patches
         self.shape = shape
         self.dtype = dtype
-        self.window = window or (slice(0, shape[2]), slice(0, shape[3]))
 
-    @property
-    def live_shape(self) -> tuple[int, int, int, int]:
-        """The (Cout, Cin, r, c) shape of the window."""
-        rows, cols = self.window
-        return (*self.shape[:2], rows.stop - rows.start, cols.stop - cols.start)
-
-    def blocks(self, whole: bool = False):
-        """(first flat index, flat block) pairs covering the gradient's
-        window in order, as (Cout, Cin, r, c) rows, or with `whole` the whole
-        gradient, with +0.0 outside the window; each block is a first
-        gradient of ``dtype`` and is overwritten when the next one is
-        computed.  A block's buffers (the product, its copy of ``go_t``'s
-        rows, the whole rows) hold at most `GRAD_BLOCK` elements, or one
+    def blocks(self):
+        """(first flat index, flat block) pairs covering the gradient in
+        order, each a first gradient of ``dtype`` and overwritten when the
+        next one is computed.  A block's buffers (the product and its copy
+        of ``go_t``'s rows) hold at most `GRAD_BLOCK` elements, or one
         row's worth."""
-        live = self.live_shape
-        n_rows, cols = live[0], math.prod(live[1:])
-        expand = whole and live != tuple(self.shape)
-        held = cols if self.patches is not None else 0
-        if self.patches is not None and not self.go_t[:1].flags.c_contiguous:
-            held += self.patches.shape[0]  # the reshape below copies go_t's rows
-        if expand:
-            held += math.prod(self.shape[1:])
-        rows = max(1, GRAD_BLOCK // max(1, held))
-        if self.patches is not None:
-            buf = np.empty((min(rows, n_rows), cols),
-                           dtype=np.result_type(self.go_t, self.patches))
-        if expand:
-            # zeros once: each block writes only the window
-            out = np.zeros((min(rows, n_rows), *self.shape[1:]), dtype=self.dtype)
+        n_rows, (m, cols) = len(self.go_t), self.patches.shape
+        held = cols + (0 if self.go_t[:1].flags.c_contiguous else m)  # the reshape copies
+        rows = max(1, GRAD_BLOCK // held)
+        buf = np.empty((min(rows, n_rows), cols), dtype=np.result_type(self.go_t, self.patches))
         for r0 in range(0, n_rows, rows):
-            if self.patches is None:  # the product itself, owned by this gradient
-                block = self.go_t[r0:r0 + rows]
-            else:
-                block = buf[:min(rows, n_rows - r0)]
-                np.matmul(self.go_t[r0:r0 + rows].reshape(len(block), -1), self.patches,
-                          out=block)
-            block = _adopted(block, self.dtype)
-            if not expand:
-                yield r0 * cols, block.reshape(-1)
-                continue
-            whole_rows = out[:len(block)]
-            whole_rows[(slice(None), slice(None), *self.window)] = block.reshape(
-                len(block), *live[1:])
-            yield r0 * whole_rows[0].size, whole_rows.reshape(-1)
+            block = buf[:min(rows, n_rows - r0)]
+            np.matmul(self.go_t[r0:r0 + rows].reshape(len(block), m), self.patches, out=block)
+            yield r0 * cols, _adopted(block, self.dtype).reshape(-1)
 
     def materialize(self) -> np.ndarray:
         full = np.empty(self.shape, dtype=self.dtype)
         flat = full.reshape(-1)
-        for start, block in self.blocks(whole=True):
+        for start, block in self.blocks():
             flat[start:start + block.size] = block
         return full
 
@@ -441,14 +398,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
         a_pad[:, :, padding:padding + h, padding:padding + w] = a
         return a_pad
 
-    def unfold(s0: int, patches: np.ndarray, window=(slice(0, kh), slice(0, kw))) -> None:
+    def unfold(s0: int, patches: np.ndarray) -> None:
         """Copy the patches of samples s0, s0 + 1, ... into `patches`, a
-        (b, Cin, r*c, out_h, out_w) array or view, one tap of the (rows,
-        cols) `window` at a time."""
+        (b, Cin, kh*kw, out_h, out_w) array or view, one tap at a time."""
         block = padded(x.data[s0:s0 + len(patches)])
-        taps = _windows(block, kh, kw, stride, out_h, out_w)
-        rows, cols = (range(k)[live] for k, live in zip((kh, kw), window))
-        np.stack([taps[i * kw + j] for i in rows for j in cols], axis=2, out=patches)
+        np.stack(_windows(block, kh, kw, stride, out_h, out_w), axis=2, out=patches)
 
     w_mat = weight.data.reshape(cout, -1)                        # (Cout, CKK)
     ckk, positions, taps = w_mat.shape[1], out_h * out_w, kh * kw
@@ -493,43 +447,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
             _accumulate(x, input_grad(go))
         if not weight.requires_grad:
             return
-        # only the live window's taps: the others read padding alone, so
-        # their gradient is +0.0, and their patch columns are not built
-        window = (live_taps(h, kh, stride, padding), live_taps(w, kw, stride, padding))
-        n_live = (window[0].stop - window[0].start) * (window[1].stop - window[1].start)
-        live_ckk = cin * n_live
-        # hold the smaller of what each way needs, counted in patch rows:
-        # eager, the (Cout, live CKK) gradient, one product and a block of
-        # `fit` samples' patches at most; deferred, all (N*L, live CKK)
-        # patches.  Each sample block's taps write a cache-sized slice of them
+        # hold the smaller of what each way needs, counted in CKK-long rows:
+        # eager, the (Cout, CKK) gradient, one product and a block of `fit`
+        # samples' patches at most; deferred, all (N*L, CKK) patches.  Each
+        # sample block's taps write a cache-sized slice of them
         fit = (n * positions - 2 * cout - 1) // positions
         if fit >= 1:
-            # eager: each sample's (Cout, L) @ (L, live CKK) product is added
-            # in sample order, so the bits do not depend on the block size
+            # eager: each sample's (Cout, L) @ (L, CKK) product is added in
+            # sample order, so the bits do not depend on the block size
             b = min(step, fit)
             dtype = np.result_type(go, x.data)
-            gw = np.zeros((cout, live_ckk), dtype=dtype)
-            prod = np.empty((cout, live_ckk), dtype=dtype)
-            patches = np.empty((b, out_h, out_w, cin, n_live), dtype=x.data.dtype)
+            gw, prod = np.zeros((cout, ckk), dtype=dtype), np.empty((cout, ckk), dtype=dtype)
+            patches = np.empty((b, out_h, out_w, cin, taps), dtype=x.data.dtype)
             for s0 in range(0, n, b):
                 block = patches[:min(b, n - s0)]
-                unfold(s0, block.transpose(0, 3, 4, 1, 2), window)
-                for i, rows in enumerate(block.reshape(-1, positions, live_ckk)):
+                unfold(s0, block.transpose(0, 3, 4, 1, 2))
+                for i, rows in enumerate(block.reshape(-1, positions, ckk)):
                     np.matmul(go[s0 + i], rows, out=prod)
                     gw += prod
-            if live_ckk == ckk:
-                _accumulate(weight, gw.reshape(weight.shape))
-                return
-            product = DeferredGrad(gw, None, weight.shape, weight.data.dtype, window)
-        else:
-            # deferred: one GEMM over (batch, position), (Cout, N*L) @ (N*L,
-            # live CKK), the output gradient kept as its (Cout, N, L) view
-            patches = np.empty((n, out_h, out_w, cin, n_live), dtype=x.data.dtype)
-            for s0 in range(0, n, step):
-                unfold(s0, patches[s0:s0 + step].transpose(0, 3, 4, 1, 2), window)
-            product = DeferredGrad(go.transpose(1, 0, 2),
-                                   patches.reshape(n * positions, live_ckk),
-                                   weight.shape, weight.data.dtype, window)
+            _accumulate(weight, gw.reshape(weight.shape))
+            return
+        # deferred: one GEMM over (batch, position), (Cout, N*L) @ (N*L, CKK),
+        # the output gradient kept as its (Cout, N, L) view
+        patches = np.empty((n, out_h, out_w, cin, taps), dtype=x.data.dtype)
+        for s0 in range(0, n, step):
+            unfold(s0, patches[s0:s0 + step].transpose(0, 3, 4, 1, 2))
+        product = DeferredGrad(go.transpose(1, 0, 2), patches.reshape(n * positions, ckk),
+                               weight.shape, weight.data.dtype)
         if weight._grad is None:
             weight._grad = product  # computed when consumed or read
         else:

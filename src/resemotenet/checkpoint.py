@@ -13,9 +13,11 @@ metric, optimizer/scheduler state, the data-order RNG state, and a tensor
 directory of (name, dtype, shape, offset, length, crc32) entries, all of one
 dtype.  Offsets are relative to the payload start.  Every buffer is CRC-checked
 on load, so any flipped byte surfaces as an integrity error naming the tensor.
-Velocity is always stored whole: one that training keeps for a conv weight's
-live window alone (`ResEmoteNetModel.live_windows`) is written with +0.0 on
-the other taps, so the bytes do not depend on the form held in memory.
+Tensors are stored in their declared shapes.  A conv whose outer taps read
+only padding at the configured input size is built as the smaller conv it
+computes (`ResEmoteNetModel.live_windows`); its weight and velocity are
+written as the declared (Cout, Cin, kh, kw) tensor, with +0.0 on the taps
+outside the window, and `load` keeps the window alone.
 
 Saving is atomic: the bytes land in a temporary sibling file which is then
 renamed over the target.  A tensor holding NaN or infinity, or a header value
@@ -38,7 +40,6 @@ from typing import Any
 
 import numpy as np
 
-from . import autodiff
 from .autodiff import using_dtype
 from .errors import CheckpointError, ConfigError
 from .model import ModelConfig, ResEmoteNetModel, build_model
@@ -48,6 +49,11 @@ MAGIC = b"REMN"
 FORMAT_VERSION = 1
 
 _DTYPE_CODES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
+
+#: elements per block of a tensor that `save` writes in its declared shape
+#: or `load` reads into its window (256 KiB in float32): small beside the
+#: model, so neither holds a second copy of a weight
+WINDOW_BLOCK = 1 << 16
 
 
 def _little_endian(arr: np.ndarray) -> tuple[np.ndarray, str]:
@@ -83,35 +89,28 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
     non-finite or a header value is one `load` refuses: `CheckpointError`
     names the tensor and its first bad flat index, or the field."""
     path = Path(path)
-    # (name, array, and for a velocity kept for its weight's live window
-    # alone, the weight's shape and that window)
-    tensors: list[tuple[str, np.ndarray, tuple | None]] = [
-        (f"model.{name}", arr, None) for name, arr in model.state_tensors().items()
-    ]
+    # (name, array, (declared shape, window of it the array holds)): the
+    # window is None but for a conv weight built smaller and its velocity
+    windows = model.live_windows()
+    tensors = [(f"model.{name}", arr, windows.get(name, (arr.shape, None)))
+               for name, arr in model.state_tensors().items()]
     if optimizer is not None:
-        weights = dict(model.named_parameters())
-        windows = model.live_windows()
-        for name, arr in sorted(optimizer.velocity.items()):
-            window = windows.get(name)
-            live = window is not None and \
-                arr.shape == weights[name].data[(slice(None), slice(None), *window)].shape
-            tensors.append((f"velocity.{name}", arr,
-                            (weights[name].shape, window) if live else None))
+        tensors += [(f"velocity.{name}", arr, windows.get(name, (arr.shape, None)))
+                    for name, arr in sorted(optimizer.velocity.items())]
 
     # each buffer is the tensor's own memory (copied only when it is not
     # contiguous little-endian), checked finite, checksummed and written
-    # through a memoryview; a velocity kept for its window is written whole,
+    # through a memoryview; one that holds a window is written whole,
     # expanded block by block, with +0.0 outside the window
     directory = []
     buffers = []
     offset = 0
-    for name, arr, whole in tensors:
+    for name, arr, (shape, window) in tensors:
         buf, code = _little_endian(arr)
-        shape, window = whole or (arr.shape, None)
         if not (np.isfinite(buf.min()) and np.isfinite(buf.max())):
             bad = np.unravel_index(int(np.flatnonzero(~np.isfinite(buf))[0]), buf.shape)
             value = buf[bad]
-            if window is not None:  # its index in the whole tensor
+            if window is not None:  # its index in the declared tensor
                 bad = (*bad[:2], *(i + live.start for i, live in zip(bad[2:], window)))
             raise CheckpointError(
                 f"refusing to write checkpoint {path}: tensor {name!r} is "
@@ -317,8 +316,9 @@ def _validate_directory(directory: list[dict], payload_size: int, path: Path) ->
 def _whole_blocks(live: np.ndarray, shape: tuple, window: tuple[slice, slice]):
     """The bytes of the `shape` array that holds `live` on its last two
     axes' (rows, cols) `window` and +0.0 elsewhere, a block of rows at a
-    time through one buffer of at most `GRAD_BLOCK` elements (or one row)."""
-    rows = max(1, autodiff.GRAD_BLOCK // math.prod(shape[1:]))
+    time through one buffer of at most `WINDOW_BLOCK` elements (or one
+    row)."""
+    rows = max(1, WINDOW_BLOCK // math.prod(shape[1:]))
     buf = np.zeros((min(rows, shape[0]), *shape[1:]), dtype=live.dtype)
     for r0 in range(0, shape[0], rows):
         block = buf[:min(rows, shape[0] - r0)]
@@ -326,19 +326,15 @@ def _whole_blocks(live: np.ndarray, shape: tuple, window: tuple[slice, slice]):
         yield _bytes_of(block)
 
 
-def _read_live(fh, payload_start: int, entry: dict, dtype, shape: tuple,
-               window: tuple[slice, slice], path: Path) -> np.ndarray | None:
+def _read_window(fh, payload_start: int, entry: dict, dest: np.ndarray,
+                 window: tuple[slice, slice], path: Path) -> None:
     """Stream a whole (Cout, Cin, kh, kw) tensor from the file a block of
-    rows at a time (at most `GRAD_BLOCK` elements, or one row), checking
-    its CRC, and keep only its (rows, cols) `window`: the (Cout, Cin, r, c)
-    array, or None once an element outside the window is not +0.0, compared
-    bit by bit, so that -0.0 counts too."""
-    rows_, cols_ = window
-    live = np.empty((*shape[:2], rows_.stop - rows_.start, cols_.stop - cols_.start),
-                    dtype=dtype)
-    rows = max(1, autodiff.GRAD_BLOCK // math.prod(shape[1:]))
-    buf = np.empty((min(rows, shape[0]), *shape[1:]), dtype=dtype)
-    bits = f"u{buf.itemsize}"
+    rows at a time (at most `WINDOW_BLOCK` elements, or one row), checking
+    the CRC of every byte, into `dest`, which holds its (rows, cols)
+    `window` alone."""
+    shape = tuple(entry["shape"])
+    rows = max(1, WINDOW_BLOCK // math.prod(shape[1:]))
+    buf = np.empty((min(rows, shape[0]), *shape[1:]), dtype=dest.dtype)
     fh.seek(payload_start + entry["offset"])
     crc = got = 0
     for r0 in range(0, shape[0], rows):
@@ -351,14 +347,9 @@ def _read_live(fh, payload_start: int, entry: dict, dtype, shape: tuple,
                 f"{path}: tensor {entry['name']!r} is truncated: read {got} of "
                 f"{entry['length']} bytes")
         crc = zlib.crc32(view, crc)
-        inside = block[(slice(None), slice(None), *window)]
-        live[r0:r0 + len(block)] = inside
-        inside[...] = 0
-        if block.view(bits).any():
-            return None
+        dest[r0:r0 + len(block)] = block[(slice(None), slice(None), *window)]
     if (crc & 0xFFFFFFFF) != entry["crc32"]:
         raise CheckpointError(f"{path}: checksum mismatch for tensor {entry['name']!r}")
-    return live
 
 
 def _read_tensor(fh, payload_start: int, entry: dict, dest: np.ndarray,
@@ -392,10 +383,11 @@ def load(path, expected_config: ModelConfig | None = None, *,
     drawn, only allocated, in the file's element type.  Tensors then stream
     straight into the model's own arrays (velocity into fresh ones), each
     CRC-checked as it lands; no model is returned unless every check passes.
-    A velocity of a conv weight with a live window is streamed in blocks
-    and kept for the window alone when the file's weight decay is 0 and
-    every element outside the window is +0.0, bit for bit; otherwise it is
-    read again and kept whole.
+    The weight and velocity of a conv built smaller are streamed in blocks
+    of their declared shape, every byte CRC-checked, and only their window
+    is kept: whatever the file holds on the other taps (a file from before
+    convs were built smaller holds drawn weights there) multiplies only
+    padding at the file's input size, and is dropped.
 
     With `model_only` (inference) the velocity is seeked past, unread and
     so not CRC-checked, and `optimizer` and `scheduler` are None.
@@ -447,20 +439,24 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
             model = build_model(file_config, draw=False)
     except ConfigError as err:  # a config too large to allocate
         raise CheckpointError(f"{path}: header field 'config': {err}") from None
-    # where each stored tensor goes; velocity only when there is an optimizer
+    # where each stored tensor goes (velocity only when there is an
+    # optimizer), and the declared shape and window of one built smaller
     slots = {f"model.{name}": arr for name, arr in model.state_tensors().items()}
     expected_names = set(slots)
     if optimizer is not None:
         slots.update((f"velocity.{name}", p.data) for name, p in model.named_parameters())
+    windows = model.live_windows()
+    declared = {name: windows.get(name.split(".", 1)[1], (arr.shape, None))
+                for name, arr in slots.items()}
     for entry in directory:
         name = entry["name"]
         if name not in slots:
             raise CheckpointError(f"{path}: unexpected tensor {name!r}")
         shape = tuple(entry["shape"])
-        if shape != slots[name].shape:
+        if shape != declared[name][0]:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {shape} but the "
-                f"model expects {slots[name].shape}")
+                f"model expects {declared[name][0]}")
     missing = expected_names - {entry["name"] for entry in directory}
     if missing:
         raise CheckpointError(
@@ -469,25 +465,18 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
 
     if model_only:
         optimizer = scheduler = None
-    # with no weight decay, a velocity whose taps outside its weight's live
-    # window are all +0.0 stays so in training: it is kept for the window
-    windows = model.live_windows() if optimizer is not None and not optimizer.weight_decay \
-        else {}
     for entry in directory:
         name = entry["name"]
         dest = slots[name]
         if name.startswith("velocity."):
             if model_only:
                 continue
-            param = name[len("velocity."):]
-            if param in windows:
-                live = _read_live(fh, payload_start, entry, dest.dtype, dest.shape,
-                                  windows[param], path)
-                if live is not None:
-                    optimizer.velocity[param] = live
-                    continue
-            dest = optimizer.velocity[param] = np.empty_like(dest)
-        _read_tensor(fh, payload_start, entry, dest, path)
+            dest = optimizer.velocity[name[len("velocity."):]] = np.empty_like(dest)
+        window = declared[name][1]
+        if window is None:
+            _read_tensor(fh, payload_start, entry, dest, path)
+        else:
+            _read_window(fh, payload_start, entry, dest, window, path)
 
     return LoadedCheckpoint(
         model=model,

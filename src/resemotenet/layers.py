@@ -15,6 +15,7 @@ layers from a `ModelConfig`, which has checked every size when it was built.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -49,32 +50,45 @@ def _weight(shape: tuple[int, ...]) -> Tensor:
     return Tensor(np.empty(shape, dtype=ad.default_dtype()), requires_grad=True)
 
 
-def draw_he_normal(named: Iterable[tuple[str, Tensor]], seed: int) -> None:
+def draw_he_normal(named: Iterable[tuple[str, Tensor]], seed: int,
+                   declared: dict[str, tuple[tuple[int, ...], tuple[slice, slice]]] | None = None
+                   ) -> None:
     """Fill every tensor of rank >= 2 among the (name, tensor) pairs `named`
     with fan-in-scaled normal values: std = sqrt(2 / fan_in), fan_in being
     the product of the trailing dimensions.
 
     The tensors, in the given order, are cut into chunks of `INIT_CHUNK`
     elements; chunk k is drawn in float64 from the k-th child of
-    ``SeedSequence(seed)``, scaled, and cast to the tensor's type.  The
-    chunks run on one thread pool with a worker per usable CPU (at most one
-    per chunk), so the values do not depend on the CPU count.  The results
-    are read in chunk order; the first failed chunk read cancels every chunk
-    not yet started, and its error is raised once every worker has stopped.
+    ``SeedSequence(seed)``, scaled, and cast to the tensor's type.  A conv
+    weight built as the smaller conv it computes is named in `declared`
+    with its declared (Cout, Cin, kh, kw) shape and the (rows, cols) window
+    of taps it holds (`ResEmoteNetModel.live_windows`): its chunks and
+    fan-in are the declared weight's, each chunk is drawn into a
+    chunk-sized scratch, and only the window's elements are kept, so it
+    holds the values the declared weight has there.  The chunks run on one
+    thread pool with a worker per usable CPU (at most one per chunk), so
+    the values do not depend on the CPU count.  The results are read in
+    chunk order; the first failed chunk read cancels every chunk not yet
+    started, and its error is raised once every worker has stopped.
     Workers may start further chunks between the failure and that read, but
     no model is returned half drawn."""
+    declared = declared or {}
     chunks = []
-    for _, tensor in named:
+    for name, tensor in named:
         if tensor.data.ndim < 2:
             continue
+        shape, window = declared.get(name, (tensor.shape, None))
+        size = math.prod(shape)
+        scale = np.sqrt(2.0 / (size // shape[0]))
         flat = tensor.data.reshape(-1)
-        scale = np.sqrt(2.0 / (flat.size // tensor.shape[0]))
-        chunks += [(flat[i:i + INIT_CHUNK], scale) for i in range(0, flat.size, INIT_CHUNK)]
+        chunks += [(_draw_chunk, flat[i:i + INIT_CHUNK], scale) if window is None else
+                   (_draw_live, (flat, shape, window, i, min(size, i + INIT_CHUNK)), scale)
+                   for i in range(0, size, INIT_CHUNK)]
     seqs = np.random.SeedSequence(seed).spawn(len(chunks))
     pool = ThreadPoolExecutor(max(1, min(_usable_cpus(), len(chunks))))
     try:
-        for future in [pool.submit(_draw_chunk, seq, out, scale)
-                       for seq, (out, scale) in zip(seqs, chunks)]:
+        for future in [pool.submit(draw, seq, out, scale)
+                       for seq, (draw, out, scale) in zip(seqs, chunks)]:
             future.result()
     finally:
         pool.shutdown(cancel_futures=True)
@@ -95,15 +109,47 @@ def _draw_chunk(seq: np.random.SeedSequence, out: np.ndarray, scale: float) -> N
         np.multiply(generator.standard_normal(block.size), scale, out=block)
 
 
+def _draw_live(seq: np.random.SeedSequence, chunk: tuple, scale: float) -> None:
+    """Declared elements [start, stop) of a (Cout, Cin, kh, kw) weight held
+    as its (rows, cols) `window` alone in `flat`, for `chunk` = (flat,
+    shape, window, start, stop): drawn into a scratch of the kernels they
+    touch, of which the window's elements are kept.  Those keep row-major
+    order, so they fill one range of `flat`."""
+    flat, shape, window, start, stop = chunk
+    taps = shape[2] * shape[3]
+    first, end = start // taps, -(-stop // taps)
+    planes = np.empty((end - first, *shape[2:]), dtype=flat.dtype)
+    _draw_chunk(seq, planes.reshape(-1)[start - first * taps:stop - first * taps], scale)
+    live = np.zeros(shape[2:], dtype=bool)
+    live[window] = True
+    before = np.concatenate(([0], np.cumsum(live)))  # window taps among a kernel's first i
+    lo = int(before[start - first * taps])
+    hi = int((end - 1 - first) * before[-1] + before[stop - (end - 1) * taps])
+    at = first * int(before[-1])
+    flat[at + lo:at + hi] = planes[(slice(None), *window)].reshape(-1)[lo:hi]
+
+
 class Conv2dLayer:
-    """2-D convolution with learnable kernel and per-output-channel bias."""
+    """2-D convolution with learnable kernel and per-output-channel bias.
+
+    Given `in_size`, the extent of its square input, a conv whose outer
+    taps read only padding there (`autodiff.live_taps`) is built as the
+    smaller conv it computes: the kernel is its live taps alone and the
+    padding is cut by the taps dropped before them, which gives the same
+    output.  `window` is then the (rows, cols) slices of the declared
+    `kernel_size` kernel that the weight holds, else None."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0):
-        self.weight = _weight((out_channels, in_channels, kernel_size, kernel_size))
+                 stride: int = 1, padding: int = 0, in_size: int | None = None):
+        taps = slice(0, kernel_size) if in_size is None else \
+            ad.live_taps(in_size, kernel_size, stride, padding)
+        self.kernel_size = kernel_size
+        self.window = None if taps == slice(0, kernel_size) else (taps, taps)
+        k = taps.stop - taps.start
+        self.weight = _weight((out_channels, in_channels, k, k))
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
         self.stride = stride
-        self.padding = padding
+        self.padding = padding - taps.start
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding)
@@ -167,13 +213,16 @@ class ResidualBlock:
     passed through a final ReLU.
 
     The shortcut is the identity when the block preserves shape; otherwise a
-    1x1 strided convolution plus BN projects the input.
+    1x1 strided convolution plus BN projects the input.  Given `in_size`,
+    the 3x3 convs are built for their input sizes (see `Conv2dLayer`).
     """
 
-    def __init__(self, in_channels: int, out_channels: int, stride: int = 1):
-        self.conv_a = Conv2dLayer(in_channels, out_channels, 3, stride, 1)
+    def __init__(self, in_channels: int, out_channels: int, stride: int = 1,
+                 in_size: int | None = None):
+        out_size = None if in_size is None else (in_size - 1) // stride + 1
+        self.conv_a = Conv2dLayer(in_channels, out_channels, 3, stride, 1, in_size)
         self.bn_a = BatchNorm2d(out_channels)
-        self.conv_b = Conv2dLayer(out_channels, out_channels, 3, 1, 1)
+        self.conv_b = Conv2dLayer(out_channels, out_channels, 3, 1, 1, out_size)
         self.bn_b = BatchNorm2d(out_channels)
         if in_channels != out_channels or stride != 1:
             self.shortcut_conv = Conv2dLayer(in_channels, out_channels, 1, stride, 0)

@@ -127,22 +127,24 @@ class Logits:
 class ResEmoteNetModel:
     """The assembled network.  Build with `build_model`; run with `forward`.
 
-    The constructor leaves the conv, linear and gate weights uninitialized:
-    `build_model` draws them, or a caller overwrites every state tensor
-    (`checkpoint.load`).
+    Each conv is built for its input size in ``config.spatial_plan()``, so
+    one whose outer taps read only padding there holds its live taps alone
+    (`Conv2dLayer`, `live_windows`).  The constructor leaves the conv,
+    linear and gate weights uninitialized: `build_model` draws them, or a
+    caller overwrites every state tensor (`checkpoint.load`).
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
         self.stem: list[tuple[Conv2dLayer, BatchNorm2d]] = []
-        cin = config.input_channels
-        for cout in config.stem_channels:
-            conv = Conv2dLayer(cin, cout, 3, stride=1, padding=1)
+        cin, plan = config.input_channels, config.spatial_plan()
+        for cout, size in zip(config.stem_channels, plan):
+            conv = Conv2dLayer(cin, cout, 3, stride=1, padding=1, in_size=size)
             self.stem.append((conv, BatchNorm2d(cout)))
             cin = cout
         self.se = SEBlock(config.stem_channels[-1], config.se_reduction)
-        self.residuals = [ResidualBlock(a, b, stride)
-                          for a, b, stride in config.residual_channels]
+        self.residuals = [ResidualBlock(a, b, stride, size) for (a, b, stride), size
+                          in zip(config.residual_channels, plan[len(self.stem):])]
         self.classifier = LinearLayer(config.classifier_inputs, config.num_classes)
 
     # -- traversal ---------------------------------------------------------
@@ -165,26 +167,17 @@ class ResEmoteNetModel:
         return [(f"{prefix}.{n}", t) for prefix, layer in self.layers()
                 for n, t in layer.named_parameters()]
 
-    def live_windows(self) -> dict[str, tuple[slice, slice]]:
-        """Each conv weight with taps that read only padding at the
-        configured input size, by parameter name, with the (rows, cols)
-        window of its other taps: the window ``conv2d`` gives its gradient
-        in training.  At the default sizes these are `residual.2`'s
-        `conv_a` and `conv_b`."""
-        plan, s = self.config.spatial_plan(), len(self.stem)
-        sized = [(f"stem.{i}.conv", conv, plan[i]) for i, (conv, _) in enumerate(self.stem)]
-        for i, block in enumerate(self.residuals):
-            sized += [(f"residual.{i}.conv_a", block.conv_a, plan[s + i]),
-                      (f"residual.{i}.conv_b", block.conv_b, plan[s + i + 1])]
-            if block.shortcut_conv is not None:
-                sized.append((f"residual.{i}.shortcut_conv", block.shortcut_conv, plan[s + i]))
-        windows = {}
-        for name, conv, size in sized:
-            k = conv.weight.shape[2]
-            taps = ad.live_taps(size, k, conv.stride, conv.padding)
-            if taps != slice(0, k):
-                windows[f"{name}.weight"] = (taps, taps)
-        return windows
+    def live_windows(self) -> dict[str, tuple[tuple[int, ...], tuple[slice, slice]]]:
+        """Each conv weight built as the smaller conv it computes (its outer
+        taps read only padding at the configured input size; see
+        `Conv2dLayer`), by parameter name, with its declared (Cout, Cin, kh,
+        kw) shape and the (rows, cols) window of that kernel it holds.  At
+        the default sizes these are `residual.2`'s `conv_a`, held as its
+        2x2 window, and `conv_b`, held as its centre tap."""
+        return {f"{name}.weight": ((*layer.weight.shape[:2], layer.kernel_size,
+                                    layer.kernel_size), layer.window)
+                for name, layer in self.layers()
+                if isinstance(layer, Conv2dLayer) and layer.window is not None}
 
     def batch_norms(self) -> list[tuple[str, BatchNorm2d]]:
         return [(name, layer) for name, layer in self.layers()
@@ -265,7 +258,8 @@ def build_model(config: ModelConfig, *, draw: bool = True) -> ResEmoteNetModel:
     The same config (including seed) always yields bitwise-identical
     parameters on any number of CPUs: every weight of rank >= 2 (conv,
     linear, gate) is a fan-in-scaled normal draw made by `draw_he_normal`
-    from per-chunk streams of ``config.seed``, in `named_parameters` order;
+    from per-chunk streams of ``config.seed``, in `named_parameters` order,
+    a conv built smaller keeping its declared kernel's values on its window;
     biases start at zero, batch-norm scale/shift at one/zero.  With
     ``draw=False`` the weights stay uninitialized, for a caller that
     overwrites every state tensor (`checkpoint.load`).  A config whose
@@ -276,5 +270,5 @@ def build_model(config: ModelConfig, *, draw: bool = True) -> ResEmoteNetModel:
     except (ValueError, MemoryError) as err:  # numpy's refusal of an array size
         raise ConfigError(f"cannot allocate the model of {config}: {err}") from None
     if draw:
-        draw_he_normal(model.named_parameters(), config.seed)
+        draw_he_normal(model.named_parameters(), config.seed, model.live_windows())
     return model

@@ -102,21 +102,12 @@ def sgd_step(state: SgdState, params: list[tuple[str, Tensor]]) -> None:
     """One momentum update over every named parameter:
     v <- momentum * v + grad; p <- p - lr * v.  Velocity buffers (zeros before
     the first step) and parameters are updated in place, one cache-sized
-    block of rows at a time, through one small work buffer; each element
-    sees the same operations in the same order as the whole-array formula.
-
-    A conv weight's gradient may come as an `autodiff.DeferredGrad`, which
-    carries the kernel's live window and is computed one row block at a
-    time, each block applied before the next is computed.  With no weight
-    decay a tap outside the window has gradient +0.0, so from zero its
-    velocity stays +0.0 and its weight does not move: the velocity is then
-    kept for the window alone, (Cout, Cin, r, c), and only the window of the
-    weight is updated, through its strided view.  A velocity that already
-    covers the whole weight (one loaded from a checkpoint whose taps outside
-    the window are not all +0.0) and any step with weight decay update the
-    whole weight, the gradient expanded with +0.0 outside the window, as
-    for a weight with no dead taps.  Gradients are consumed (cleared) so the
-    next accumulation starts fresh."""
+    block at a time, through one small work buffer; each element sees the
+    same operations in the same order as the whole-array formula.  A deferred
+    gradient (`autodiff.DeferredGrad`, a conv weight's gradient whose eager
+    sum would hold no less than its patches) is computed one row block at a
+    time, each block applied before the next is computed.  Gradients are
+    consumed (cleared) so the next accumulation starts fresh."""
     for name, p in params:
         if p._grad is None:
             raise OptimizerError(
@@ -125,37 +116,23 @@ def sgd_step(state: SgdState, params: list[tuple[str, Tensor]]) -> None:
     momentum, lr, decay = state.momentum, state.lr, state.weight_decay
     for name, p in params:
         grad, p._grad = p._grad, None
-        # the views below must alias the buffers they update
+        # the flat views below must alias the buffers they update
         if not p.data.flags.c_contiguous:
             p.data = p.data.copy()
         v = state.velocity.get(name)
-        deferred = isinstance(grad, ad.DeferredGrad)
-        whole = not deferred or decay != 0 or (v is not None and v.shape == p.shape)
-        # rows: single elements of the whole parameter, or the window's Cout rows
-        rows = (p.data.reshape(-1, 1) if whole
-                else p.data[(slice(None), slice(None), *grad.window)])
-        shape = p.shape if whole else rows.shape
         if v is None:
-            v = state.velocity[name] = np.zeros(shape, dtype=p.data.dtype)
-        elif v.shape != shape:
-            raise OptimizerError(
-                f"parameter '{name}': its velocity has shape {v.shape}, but this "
-                f"step updates {shape} (the whole parameter, or with no weight "
-                f"decay its gradient's live window)")
+            v = state.velocity[name] = np.zeros_like(p.data)
         elif not v.flags.c_contiguous:
             v = state.velocity[name] = v.copy()
-        v_rows = v.reshape(rows.shape)
-        pieces = (grad.blocks(whole=whole) if deferred
+        flat_p, flat_v = p.data.reshape(-1), v.reshape(-1)
+        pieces = (grad.blocks() if isinstance(grad, ad.DeferredGrad)
                   else [(0, grad.reshape(-1))])
-        row = rows[0].size
-        step = max(1, SGD_BLOCK // row)
-        work = np.empty(min(step, len(rows)) * row, dtype=v.dtype)
+        work = np.empty(min(SGD_BLOCK, flat_p.size), dtype=v.dtype)
         for offset, flat_g in pieces:
-            g_rows = flat_g.reshape(-1, *rows.shape[1:])
-            for start in range(0, len(g_rows), step):
-                gb = g_rows[start:start + step]
-                at = slice(offset // row + start, offset // row + start + len(gb))
-                pb, vb, tmp = rows[at], v_rows[at], work[:gb.size].reshape(gb.shape)
+            for start in range(0, flat_g.size, SGD_BLOCK):
+                gb = flat_g[start:start + SGD_BLOCK]
+                at = slice(offset + start, offset + start + gb.size)
+                pb, vb, tmp = flat_p[at], flat_v[at], work[:gb.size]
                 vb *= momentum
                 if decay:
                     np.multiply(pb, decay, out=tmp)
@@ -164,10 +141,7 @@ def sgd_step(state: SgdState, params: list[tuple[str, Tensor]]) -> None:
                 else:
                     vb += gb
                 np.multiply(vb, lr, out=tmp)
-                # one live tap at a time: numpy runs a window's short rows
-                # as many tiny loops, a tap's (rows, Cin) plane as one
-                for tap in np.ndindex(rows.shape[2:]):
-                    pb[(..., *tap)] -= tmp[(..., *tap)]
+                pb -= tmp
 
 
 @dataclass

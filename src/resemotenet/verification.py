@@ -134,8 +134,9 @@ def _sample_conv2d(rng):
     size = int(rng.integers(k, k + 4))
     if rng.random() < 0.25:
         # a 3x3 pad-1 kernel over a 1x1 input, or a 2x2 one at stride 2:
-        # its outer taps read only padding, and the weight gradient covers
-        # the live window alone
+        # its outer taps read only padding, and their weight gradient is
+        # conv2d's ordinary one over padding (the model builds such convs
+        # smaller, but conv2d takes any kernel)
         k, padding, size = 3, 1, int(rng.integers(1, 3))
     x = Tensor(rng.standard_normal((n, ci, size, size)), requires_grad=True)
     w = Tensor(rng.standard_normal((co, ci, k, k)), requires_grad=True)

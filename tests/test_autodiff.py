@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from resemotenet import autodiff as ad
 from resemotenet.autodiff import Graph, Tensor
 from resemotenet.errors import GraphError, ShapeError
-from resemotenet.optim import SgdState, cross_entropy, sgd_step
+from resemotenet.optim import cross_entropy
 from resemotenet.verification import grad_check
 
 import oracles
@@ -665,30 +665,25 @@ class TestDeferredConvWeightGrad:
         assert flat.tobytes() == deferred.materialize().reshape(-1).tobytes()
         npt.assert_allclose(flat.reshape(5, 18), go_t @ patches, rtol=1e-12)
 
-    @pytest.mark.parametrize("whole", [False, True])
-    def test_a_block_holds_at_most_grad_block_elements(self, monkeypatch, whole):
-        # the product buffer, the copy of go_t's transposed rows and, with
-        # `whole`, the whole rows together: 1000 float64 elements
+    def test_a_block_holds_at_most_grad_block_elements(self, monkeypatch):
+        # the product buffer and the copy of go_t's transposed rows
+        # together: 1000 float64 elements
         monkeypatch.setattr(ad, "GRAD_BLOCK", 1000)
         r = np.random.default_rng(8)
         go_t = r.standard_normal((4, 64, 9)).transpose(1, 0, 2)  # (Cout, N, L)
-        patches = r.standard_normal((36, 8 * 4))  # a 2x2 window of 8 channels
-        deferred = ad.DeferredGrad(go_t, patches, (64, 8, 3, 3), np.float64,
-                                   (slice(1, 3), slice(0, 2)))
+        patches = r.standard_normal((36, 8 * 4))  # a 2x2 kernel of 8 channels
+        deferred = ad.DeferredGrad(go_t, patches, (64, 8, 2, 2), np.float64)
         tracemalloc.start()
         try:
-            starts = [start for start, _ in deferred.blocks(whole=whole)]
+            starts = [start for start, _ in deferred.blocks()]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        row = 72 if whole else 32
-        rows = 1000 // (32 + 36 + (72 if whole else 0))
-        assert starts == [r * row for r in range(0, 64, rows)] and rows > 1
+        rows = 1000 // (32 + 36)
+        assert starts == [r * 32 for r in range(0, 64, rows)] and rows > 1
         assert peak <= 1000 * 8 + 2048, peak
-        full = deferred.materialize()
-        npt.assert_allclose(full[:, :, 1:3, 0:2].reshape(64, -1),
+        npt.assert_allclose(deferred.materialize().reshape(64, -1),
                             go_t.reshape(64, -1) @ patches, rtol=1e-12)
-        assert not full[:, :, [0], :].any() and not full[:, :, :, [2]].any()
 
     def test_shared_weight_gets_the_summed_gradient_once(self):
         r = np.random.default_rng(5)
@@ -776,99 +771,39 @@ def test_live_taps_span_the_taps_that_read_the_input(in_size, k, stride, padding
 
 
 #: a pad-1 conv whose outer taps read only padding, by weight-gradient
-#: path: (x shape, w shape, stride, live window).  Deferred: 2*Cout + L >=
-#: N*L, a 1x1 input; eager: 2*Cout + L < N*L, a 2x2 input at stride 2
+#: path: (x shape, w shape, stride).  Deferred: 2*Cout + L >= N*L, a 1x1
+#: input; eager: 2*Cout + L < N*L, a 2x2 input at stride 2
 DEAD_TAPS = {
-    "deferred": ((2, 8, 1, 1), (16, 8, 3, 3), 1, (slice(1, 2), slice(1, 2))),
-    "eager": ((32, 8, 2, 2), (8, 8, 3, 3), 2, (slice(1, 3), slice(1, 3))),
+    "deferred": ((2, 8, 1, 1), (16, 8, 3, 3), 1),
+    "eager": ((32, 8, 2, 2), (8, 8, 3, 3), 2),
 }
 
 
-def _all_taps(monkeypatch):
-    """Make `conv2d` compute every tap's gradient, as if every tap were live."""
-    monkeypatch.setattr(ad, "live_taps", lambda in_size, k, stride, padding: slice(0, k))
-
-
-def _dead(shape, window):
-    dead = np.ones(shape, dtype=bool)
-    dead[(..., *window)] = False
-    return dead
-
-
 class TestDeadTapWeightGrad:
-    """A conv builds the patch columns of its live window only: its weight
-    gradient holds +0.0 outside the window and, inside it, the bits of the
-    gradient computed over every tap."""
+    """A conv computes every tap's weight gradient, those of taps that read
+    only padding included: +0.0, as the loop oracle has it."""
 
-    @staticmethod
-    def _backward(path, dtype, w=None, seed=0):
-        x_shape, w_shape, stride, _ = DEAD_TAPS[path]
-        r = np.random.default_rng(seed)
-        x = Tensor(r.standard_normal(x_shape), requires_grad=True, dtype=dtype)
-        if w is None:
-            w = Tensor(r.standard_normal(w_shape), requires_grad=True, dtype=dtype)
+    @pytest.mark.parametrize("path", DEAD_TAPS)
+    def test_matches_the_loop_oracle_with_positive_zero_on_dead_taps(self, path):
+        x_shape, w_shape, stride = DEAD_TAPS[path]
+        r = np.random.default_rng(0)
+        x, w = t(r.standard_normal(x_shape)), t(r.standard_normal(w_shape))
         with Graph():
             out = ad.conv2d(x, w, None, stride=stride, padding=1)
-        gout = r.standard_normal(out.shape).astype(dtype)
-        out.node.backward_fn(gout)
-        return x, w, gout
-
-    @pytest.mark.parametrize("path", DEAD_TAPS)
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_dead_taps_are_positive_zero_and_live_taps_keep_their_bits(
-            self, monkeypatch, path, dtype):
-        window = DEAD_TAPS[path][3]
-        x, w, gout = self._backward(path, dtype)
-        deferred = w._grad
-        assert isinstance(deferred, ad.DeferredGrad) and deferred.window == window
-        live = deferred.live_shape
-        if path == "deferred":  # (N*L, Cin*r*c) patches: the window's columns alone
-            assert deferred.patches.shape == (2, live[1] * live[2] * live[3])
-        else:  # the eager sum, on the window alone
-            assert deferred.patches is None and deferred.go_t.shape == (8, 8 * 4)
-        grad = w.grad  # read directly: the whole gradient
-        assert grad.shape == w.shape and grad.dtype == dtype
-        assert not grad[_dead(w.shape, window)].view(f"u{grad.itemsize}").any()
-        if dtype == np.float64:
-            want = oracles.conv2d_backward_loops(x.data, w.data, gout, DEAD_TAPS[path][2], 1)
-            npt.assert_allclose(grad, want[1], rtol=0, atol=1e-12)
-        _all_taps(monkeypatch)
-        _, every, _ = self._backward(path, dtype)
-        assert type(every._grad) is (ad.DeferredGrad if path == "deferred" else np.ndarray)
-        assert grad.tobytes() == every.grad.tobytes()
-
-    @pytest.mark.parametrize("path", DEAD_TAPS)
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_sgd_step_keeps_the_window_with_the_bits_of_every_tap(
-            self, monkeypatch, path, dtype, weight_decay):
-        # three steps; without decay the velocity holds the window alone
-        # and the weights outside it never move
-        window = DEAD_TAPS[path][3]
-        start = np.random.default_rng(9).standard_normal(DEAD_TAPS[path][1])
-        runs = []
-        for every in (False, True):
-            if every:
-                _all_taps(monkeypatch)
-            w = Tensor(start.copy(), requires_grad=True, dtype=dtype)
-            state = SgdState(lr=0.1, momentum=0.9, weight_decay=weight_decay)
-            for seed in range(3):
-                self._backward(path, dtype, w, seed)
-                sgd_step(state, [("w", w)])
-            v = state.velocity["w"]
-            if not every and not weight_decay:
-                assert v.shape == ((8, 8, 2, 2) if path == "eager" else (16, 8, 1, 1))
-                assert w.data[_dead(w.shape, window)].tobytes() == \
-                    start.astype(dtype)[_dead(w.shape, window)].tobytes()
-                whole = np.zeros(w.shape, dtype=dtype)
-                whole[(..., *window)] = v
-                v = whole
-            runs.append((w.data.tobytes(), v.dtype, v.shape, v.tobytes()))
-        assert runs[0] == runs[1]
+        gout = r.standard_normal(out.shape)
+        out.node.backward_fn(gout.copy())
+        assert type(w._grad) is (ad.DeferredGrad if path == "deferred" else np.ndarray)
+        want_x, want_w = oracles.conv2d_backward_loops(x.data, w.data, gout, stride, 1)
+        npt.assert_allclose(w.grad, want_w, rtol=0, atol=1e-12)
+        npt.assert_allclose(x.grad, want_x, rtol=0, atol=1e-12)
+        dead = np.ones(w.shape[2:], dtype=bool)
+        live = ad.live_taps(x_shape[2], 3, stride, 1)
+        dead[live, live] = False
+        assert not w.grad[:, :, dead].view(np.uint64).any()
 
     @pytest.mark.parametrize("path", DEAD_TAPS)
     def test_gradients_match_central_differences(self, path):
-        x_shape, w_shape, stride, _ = DEAD_TAPS[path]
+        x_shape, w_shape, stride = DEAD_TAPS[path]
         r = np.random.default_rng(4)
         x = t(r.standard_normal((4,) + x_shape[1:]) if path == "deferred"
               else r.standard_normal(x_shape))

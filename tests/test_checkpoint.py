@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resemotenet import autodiff as ad
 from resemotenet import checkpoint as ckpt
 from resemotenet.autodiff import Tensor, using_dtype
 from resemotenet.errors import CheckpointError
@@ -569,12 +568,20 @@ class TestFuzz:
 
 def reference_v1_bytes(model, optimizer, scheduler, epoch, rng_state=None,
                        best_metric=None) -> bytes:
-    """A v1 writer built from docs/checkpoint-format.md with tobytes()."""
-    tensors = [(f"model.{n}", a) for n, a in model.state_tensors().items()]
+    """A v1 writer built from docs/checkpoint-format.md with tobytes(): a
+    weight built as the smaller conv it computes, and its velocity, in the
+    declared shape with +0.0 outside the window."""
+    windows = model.live_windows()
+    tensors = [(f"model.{n}", n, a) for n, a in model.state_tensors().items()]
     if optimizer is not None:
-        tensors += [(f"velocity.{n}", a) for n, a in sorted(optimizer.velocity.items())]
+        tensors += [(f"velocity.{n}", n, a) for n, a in sorted(optimizer.velocity.items())]
     directory, chunks, offset = [], [], 0
-    for name, arr in tensors:
+    for name, param, arr in tensors:
+        if param in windows:
+            shape, window = windows[param]
+            whole = np.zeros(shape, dtype=arr.dtype)
+            whole[(..., *window)] = arr
+            arr = whole
         raw = arr.tobytes()
         directory.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
                           "offset": offset, "length": len(raw),
@@ -686,64 +693,58 @@ class TestStreamingMemory:
             npt.assert_array_equal(loaded.optimizer.velocity[name], v)
 
 
-def _live_velocity(model, r, dtype=np.float32):
-    """Random velocity for every parameter, kept for the live window alone
-    where the weight has one (the form training keeps with no decay)."""
-    windows = model.live_windows()
-    return {name: r.standard_normal(
-                p.data[(..., *windows[name])].shape if name in windows else p.shape
-            ).astype(dtype) for name, p in model.named_parameters()}
-
-
-def _whole_velocity(model, velocity):
-    windows = model.live_windows()
-    whole = {}
-    for name, p in model.named_parameters():
-        whole[name] = velocity[name]
-        if name in windows:
-            whole[name] = np.zeros(p.shape, dtype=velocity[name].dtype)
-            whole[name][(..., *windows[name])] = velocity[name]
-    return whole
-
-
 #: an 8x8 input leaves the stem a 1x1 map, so the residual block's convs
-#: read it through their centre tap alone; conv_b's whole (768, 768, 3, 3)
-#: float32 velocity spans five `GRAD_BLOCK` blocks
+#: are built as their centre taps; conv_b's declared (768, 768, 3, 3)
+#: float32 weight spans 86 `WINDOW_BLOCK` blocks
 CENTRE_ONLY = ModelConfig(input_channels=1, input_size=8, stem_channels=(4, 8, 16),
                           se_reduction=4, residual_channels=((16, 768, 1),), seed=3)
 
 
-class TestLiveWindowVelocity:
-    """A velocity kept for its weight's live window is written whole, with
-    +0.0 outside the window, and loads back in the window alone when the
-    file's weight decay is 0 and every element outside it is +0.0."""
+def _bits(arr):
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+def _payload_offset(blob, name):
+    """Where tensor `name`'s bytes start in a checkpoint's bytes."""
+    header_len = struct.unpack("<Q", blob[8:16])[0]
+    entry = next(e for e in json.loads(blob[16:16 + header_len])["tensors"]
+                 if e["name"] == name)
+    return 16 + header_len + entry["offset"]
+
+
+class TestCompactConvs:
+    """A conv built as the smaller conv it computes (TINY's residual convs
+    see a 1x1 map) is written, weight and velocity, in its declared shape
+    with +0.0 outside its window, and loads back in the window alone."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_file_matches_the_reference_writer_on_whole_velocity(self, tmp_path, dtype):
+    def test_load_returns_the_compact_arrays_and_save_rewrites_the_file(self, tmp_path,
+                                                                        dtype):
         with using_dtype(dtype):
             model, optimizer, scheduler = trained_state()
-        assert model.live_windows()  # TINY's residual convs see a 1x1 map
-        optimizer.weight_decay = 0.0
-        optimizer.velocity = _live_velocity(model, np.random.default_rng(3), dtype)
+        optimizer.velocity = {n: v.astype(dtype) for n, v in optimizer.velocity.items()}
+        assert set(model.live_windows()) == {"residual.0.conv_a.weight",
+                                             "residual.0.conv_b.weight"}
         path = tmp_path / "run.ckpt"
         ckpt.save(model, optimizer, scheduler, 4, path, best_metric=61.25)
-        whole = dataclasses.replace(optimizer, velocity=_whole_velocity(model,
-                                                                        optimizer.velocity))
-        assert path.read_bytes() == reference_v1_bytes(model, whole, scheduler, 4,
-                                                       best_metric=61.25)
         loaded = ckpt.load(path)
-        for name, v in optimizer.velocity.items():
-            got = loaded.optimizer.velocity[name]
-            assert (got.dtype, got.shape, got.tobytes()) == (v.dtype, v.shape, v.tobytes())
+        for saved, back in ((model.state_tensors(), loaded.model.state_tensors()),
+                            (optimizer.velocity, loaded.optimizer.velocity)):
+            assert {n: _bits(a) for n, a in back.items()} == \
+                {n: _bits(a) for n, a in saved.items()}
+        ckpt.save(loaded.model, loaded.optimizer, loaded.scheduler, 4, tmp_path / "again.ckpt",
+                  best_metric=61.25)
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
-    def test_non_finite_velocity_names_its_index_in_the_whole_tensor(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["model", "velocity"])
+    def test_non_finite_tensor_names_its_index_in_the_declared_tensor(self, tmp_path, kind):
         model, optimizer, scheduler = trained_state()
         name = "residual.0.conv_b.weight"
-        optimizer.velocity = _live_velocity(model, np.random.default_rng(3), np.float64)
-        assert optimizer.velocity[name].shape == (4, 4, 1, 1)
-        optimizer.velocity[name][1, 2, 0, 0] = np.nan  # whole (1, 2, 1, 1)
+        arr = (dict(model.state_tensors()) if kind == "model" else optimizer.velocity)[name]
+        assert arr.shape == (4, 4, 1, 1)
+        arr[1, 2, 0, 0] = np.nan  # declared (1, 2, 1, 1)
         with pytest.raises(CheckpointError, match=(
-                rf"tensor 'velocity\.{re.escape(name)}' is non-finite "
+                rf"tensor '{kind}\.{re.escape(name)}' is non-finite "
                 rf"\(flat index {(1 * 4 + 2) * 9 + 4} is nan\)$")):
             ckpt.save(model, optimizer, scheduler, 1, tmp_path / "run.ckpt")
 
@@ -752,23 +753,26 @@ class TestLiveWindowVelocity:
         with using_dtype(np.float32):
             model = build_model(CENTRE_ONLY)
         optimizer = SgdState(lr=0.01, momentum=0.9)
-        optimizer.velocity = _live_velocity(model, np.random.default_rng(4))
+        r = np.random.default_rng(4)
+        optimizer.velocity = {name: r.standard_normal(p.shape).astype(np.float32)
+                              for name, p in model.named_parameters()}
         return model, optimizer, tmp_path_factory.mktemp("centre") / "run.ckpt"
 
     def test_save_expands_one_block_at_a_time(self, centre_state):
         model, optimizer, path = centre_state
         weight = dict(model.named_parameters())["residual.0.conv_b.weight"]
-        assert optimizer.velocity["residual.0.conv_b.weight"].shape == (768, 768, 1, 1)
+        assert weight.shape == optimizer.velocity["residual.0.conv_b.weight"].shape \
+            == (768, 768, 1, 1)
         _, alloc = _traced_alloc(
             lambda: ckpt.save(model, optimizer, PlateauScheduler(), 1, path))
         row = 768 * 9
-        block = (ad.GRAD_BLOCK // row) * row * 4
+        block = (ckpt.WINDOW_BLOCK // row) * row * 4
         assert block < 0.25 * weight.data.nbytes
-        # plus the header and file bookkeeping: 150 KiB for this model with
-        # whole velocity, which is written uncopied
+        # plus the header and file bookkeeping: 150 KiB for this model, whose
+        # other tensors are written uncopied
         assert alloc <= block + (256 << 10), (alloc, block)
 
-    def test_load_keeps_the_live_taps_in_bounded_blocks(self, centre_state):
+    def test_load_keeps_the_window_in_bounded_blocks(self, centre_state):
         model, optimizer, path = centre_state
         ckpt.save(model, optimizer, PlateauScheduler(), 1, path)
         with using_dtype(np.float32):
@@ -777,39 +781,23 @@ class TestLiveWindowVelocity:
         assert got.shape == (768, 768, 1, 1) and got.nbytes == 768 * 768 * 4
         kept = sum(a.nbytes for a in loaded.model.state_tensors().values()) + sum(
             v.nbytes for v in loaded.optimizer.velocity.values())
-        block = (ad.GRAD_BLOCK // (768 * 9)) * 768 * 9 * 4
+        block = (ckpt.WINDOW_BLOCK // (768 * 9)) * 768 * 9 * 4
         assert alloc <= kept + block + (256 << 10), (alloc, kept, block)
+        for name, arr in model.state_tensors().items():
+            assert loaded.model.state_tensors()[name].tobytes() == arr.tobytes(), name
         for name, v in optimizer.velocity.items():
             assert loaded.optimizer.velocity[name].tobytes() == v.tobytes(), name
 
-    @pytest.mark.parametrize("value", [1e-30, -0.0])
-    def test_a_tap_outside_the_window_that_is_not_positive_zero_loads_whole(
-            self, tmp_path, value):
+    @pytest.mark.parametrize("kind", ["model", "velocity"])
+    def test_a_damaged_byte_outside_the_window_is_still_caught(self, tmp_path, kind):
         model, optimizer, scheduler = trained_state()
-        optimizer.weight_decay = 0.0
-        optimizer.velocity = _whole_velocity(
-            model, _live_velocity(model, np.random.default_rng(5), np.float64))
-        name = "residual.0.conv_a.weight"
-        optimizer.velocity[name][3, 0, 2, 1] = value
         path = tmp_path / "run.ckpt"
         ckpt.save(model, optimizer, scheduler, 1, path)
-        loaded = ckpt.load(path).optimizer.velocity
-        assert loaded[name].tobytes() == optimizer.velocity[name].tobytes()
-        assert loaded["residual.0.conv_b.weight"].shape == (4, 4, 1, 1)
-
-    def test_a_damaged_byte_outside_the_window_is_still_caught(self, tmp_path):
-        model, optimizer, scheduler = trained_state()
-        optimizer.weight_decay = 0.0
-        optimizer.velocity = _live_velocity(model, np.random.default_rng(6), np.float64)
-        path = tmp_path / "run.ckpt"
-        ckpt.save(model, optimizer, scheduler, 1, path)
+        name = f"{kind}.residual.0.conv_b.weight"
         for at in (0, 4 * 8):  # a tap outside the window, then the centre tap
             blob = bytearray(path.read_bytes())
-            header_len = struct.unpack("<Q", blob[8:16])[0]
-            entry = next(e for e in json.loads(blob[16:16 + header_len])["tensors"]
-                         if e["name"] == "velocity.residual.0.conv_b.weight")
-            blob[16 + header_len + entry["offset"] + at] ^= 0x01
+            blob[_payload_offset(blob, name) + at] ^= 0x01
             (tmp_path / "bad.ckpt").write_bytes(bytes(blob))
-            with pytest.raises(CheckpointError, match="checksum mismatch for tensor "
-                                                      "'velocity.residual.0.conv_b.weight'"):
+            with pytest.raises(CheckpointError,
+                               match=f"checksum mismatch for tensor '{re.escape(name)}'"):
                 ckpt.load(tmp_path / "bad.ckpt")

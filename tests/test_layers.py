@@ -319,6 +319,68 @@ class TestInitialization:
         assert conv.weight.data.reshape(-1).tobytes() == chunk(2, 54, 18).tobytes()
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_size, stride", [(1, 1), (2, 2), (3, 5)])
+    def test_a_conv_built_smaller_keeps_the_declared_draw_on_its_window(
+            self, monkeypatch, dtype, in_size, stride):
+        # 7-element chunks start and end inside kernels, and inside windows
+        monkeypatch.setattr(layers, "INIT_CHUNK", 7)
+        with ad.using_dtype(dtype):
+            declared = Conv2dLayer(3, 5, 3, stride, 1)
+            compact = Conv2dLayer(3, 5, 3, stride, 1, in_size)
+        assert compact.window is not None
+        layers.draw_he_normal(declared.named_parameters(), seed=6)
+        layers.draw_he_normal(compact.named_parameters(), seed=6,
+                              declared={"weight": (declared.weight.shape, compact.window)})
+        want = declared.weight.data[(..., *compact.window)]
+        assert compact.weight.data.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+#: the model's convs as (kernel, padding): 3x3 pad-1 and the 1x1 projection
+MODEL_CONVS = [(3, 1), (1, 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 256), st.integers(1, 16), st.sampled_from(MODEL_CONVS))
+def test_a_conv_built_for_its_input_size_keeps_the_output_extent(in_size, stride, conv):
+    k, padding = conv
+    compact = Conv2dLayer(1, 1, k, stride, padding, in_size)
+    r = compact.weight.shape[2]
+    assert compact.padding >= 0 and r <= k
+    assert (in_size + 2 * compact.padding - r) // stride == \
+        (in_size + 2 * padding - k) // stride
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 8), st.sampled_from(MODEL_CONVS),
+       st.integers(0, 2**32 - 1))
+def test_a_conv_built_for_its_input_size_computes_the_declared_conv(in_size, stride, conv,
+                                                                   seed):
+    """Forward, input and weight gradient of the conv a layer builds for
+    its input size equal the declared conv's with +0.0 on the taps it
+    drops (the loop oracles, float64)."""
+    k, padding = conv
+    layer = Conv2dLayer(2, 3, k, stride, padding, in_size)
+    window = layer.window or (slice(0, k), slice(0, k))
+    r = np.random.default_rng(seed)
+    x = Tensor(r.standard_normal((2, 2, in_size, in_size)), requires_grad=True)
+    layer.weight.data[...] = r.standard_normal(layer.weight.shape)
+    layer.bias.data[...] = r.standard_normal(3)
+    whole = np.zeros((3, 2, k, k))
+    whole[(..., *window)] = layer.weight.data
+    with Graph():
+        out = layer.forward(x)
+    want = oracles.conv2d_loops(x.data, whole, layer.bias.data, stride, padding)
+    npt.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    gout = r.standard_normal(out.shape)
+    out.node.backward_fn(gout.copy())
+    want_x, want_w = oracles.conv2d_backward_loops(x.data, whole, gout, stride, padding)
+    npt.assert_allclose(x.grad, want_x, rtol=0, atol=1e-12)
+    grad = np.zeros_like(whole)
+    grad[(..., *window)] = layer.weight.grad
+    npt.assert_allclose(grad, want_w, rtol=0, atol=1e-12)
+
+
 def _out_of_place_conv_bn(conv, bn, x, mode):
     return bn.forward(conv.forward(x), mode)
 

@@ -29,6 +29,9 @@ TINY = ModelConfig(
     residual_channels=((8, 8, 1),), num_classes=3, seed=11)
 
 DEFAULT_PARAMETER_COUNT = 77_496_839
+#: of which taps that read only padding: residual.2.conv_a's outer five of
+#: nine, 2048x1024x5, and conv_b's outer eight, 2048x2048x8
+DEFAULT_DEAD_TAPS = 2048 * 1024 * 5 + 2048 * 2048 * 8
 
 
 def _replay(model, x, mode, relu_first=False):
@@ -124,8 +127,14 @@ class TestBuild:
             [n for n in want if "bn" in n.rsplit(".", 1)[-1]]
 
     def test_default_parameter_count_matches_closed_form(self):
-        model = build_model(ModelConfig())
-        assert sum(t.size for _, t in model.named_parameters()) == DEFAULT_PARAMETER_COUNT
+        # the declared net, and the parameters held: the taps that read input
+        model = build_model(ModelConfig(), draw=False)
+        sizes = {name: t.size for name, t in model.named_parameters()}
+        sizes.update((name, int(np.prod(shape))) for name, (shape, _)
+                     in model.live_windows().items())
+        assert sum(sizes.values()) == DEFAULT_PARAMETER_COUNT
+        assert sum(t.size for _, t in model.named_parameters()) == \
+            DEFAULT_PARAMETER_COUNT - DEFAULT_DEAD_TAPS == 33_456_647
 
     def test_tiny_parameter_count_matches_closed_form(self):
         # stem: (4*3*9+4 + 8) + (8*4*9+8 + 16) + (8*8*9+8 + 16)
@@ -173,12 +182,36 @@ class TestDraw:
             model = build_model(ModelConfig())
         drawn = [(n, t.data) for n, t in model.named_parameters() if t.data.ndim >= 2]
         assert len(drawn) == 3 + 2 + 3 * 3 + 1  # stem convs, gate, residual convs, head
+        declared = model.live_windows()
         for name, w in drawn:
-            n, std = w.size, np.sqrt(2.0 / (w.size // w.shape[0]))
+            # a conv built smaller keeps its declared kernel's fan-in
+            fan_in = np.prod(declared[name][0][1:]) if name in declared else w[0].size
+            n, std = w.size, np.sqrt(2.0 / fan_in)
             values = w.astype(np.float64)
             # five standard errors of the mean and of the standard deviation
             assert abs(values.mean()) <= 5 * std / np.sqrt(n), name
             assert abs(values.std() / std - 1) <= 5 / np.sqrt(2 * n), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_conv_built_smaller_holds_the_window_of_the_declared_draw(self, monkeypatch,
+                                                                       dtype):
+        # the last block's convs read a 2x2 and a 1x1 map; 100-element
+        # chunks start and end inside kernels
+        config = ModelConfig(**{**TINY.__dict__, "residual_channels": ((8, 16, 2),)})
+        monkeypatch.setattr(layers, "INIT_CHUNK", 100)
+        with ad.using_dtype(dtype):
+            model = build_model(config)
+            with monkeypatch.context() as patch:  # every conv keeps its 3x3 kernel
+                patch.setattr(ad, "live_taps", lambda in_size, k, stride, pad: slice(0, k))
+                declared = dict(build_model(config).named_parameters())
+        windows = model.live_windows()
+        assert set(windows) == {"residual.0.conv_a.weight", "residual.0.conv_b.weight"}
+        for name, p in model.named_parameters():
+            want = declared[name].data
+            if name in windows:
+                assert windows[name][0] == want.shape
+                want = want[(..., *windows[name][1])]
+            assert p.data.tobytes() == np.ascontiguousarray(want).tobytes(), name
 
     def test_float32_and_float64_models_agree_to_float32_rounding(self):
         with ad.using_dtype(np.float32):
@@ -351,8 +384,9 @@ class TestEndToEndGradient:
         model = build_model(TINY)
         # gradient-check a representative slice: first stem conv, the two
         # gate projections, one residual conv, classifier weight+bias
-        x = Tensor(rng.standard_normal((2, 3, 16, 16)))
-        c = Tensor(rng.standard_normal((2, 3)))
+        r = np.random.default_rng(348)
+        x = Tensor(r.standard_normal((2, 3, 16, 16)))
+        c = Tensor(r.standard_normal((2, 3)))
         picked = [
             ("stem.0.conv.weight", model.stem[0][0].weight),
             ("stem.0.conv.bias", model.stem[0][0].bias),
@@ -368,8 +402,9 @@ class TestEndToEndGradient:
 
     def test_input_gradient_check(self):
         model = build_model(TINY)
-        x = Tensor(rng.standard_normal((1, 3, 16, 16)), requires_grad=True)
-        c = Tensor(rng.standard_normal((1, 3)))
+        r = np.random.default_rng(369)
+        x = Tensor(r.standard_normal((1, 3, 16, 16)), requires_grad=True)
+        c = Tensor(r.standard_normal((1, 3)))
         oracles.assert_gradients_match(
             lambda x: ad.tensor_sum(ad.mul(model.forward(x, EVAL).values, c)),
             [("x", x)])

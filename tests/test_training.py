@@ -138,8 +138,8 @@ def test_non_finite_weights_after_a_finite_loss_write_no_checkpoint(monkeypatch,
 
 
 # parameter-heavy: the 256x256x3x3 residual conv weight (2.36 MB in float32)
-# dwarfs the activations of a 4-image 8x8 batch
-HEAVY = ModelConfig(input_channels=1, input_size=8, stem_channels=(8, 16, 32),
+# dwarfs the activations of a 4-image 16x16 batch
+HEAVY = ModelConfig(input_channels=1, input_size=16, stem_channels=(8, 16, 32),
                     residual_channels=((32, 256, 1), (256, 256, 1)))
 
 
@@ -326,43 +326,30 @@ def test_float32_stays_within_the_error_budget_of_float64():
 #: only padding
 DEAD_TAP_RUN = {**TINY, "stem_channels": BUDGET_NET.stem_channels,
                 "residual_channels": BUDGET_NET.residual_channels}
-#: the live windows conv2d finds in `residual.2` at the default sizes, and
-#: in the last block of BUDGET_NET and FER-48 alike
+#: the windows of the declared 3x3 kernels that the convs built for their
+#: input sizes hold in `residual.2` at the default sizes, and in the last
+#: block of BUDGET_NET and FER-48 alike
 LAST_BLOCK_WINDOWS = {"conv_a.weight": (slice(1, 3), slice(1, 3)),
                       "conv_b.weight": (slice(1, 2), slice(1, 2))}
 
 
-def _whole(model, velocity):
-    """Each velocity expanded to its parameter's shape, with +0.0 outside a
-    live window it is kept for."""
-    windows = model.live_windows()
-    whole = {}
-    for name, p in model.named_parameters():
-        v = velocity[name]
-        if v.shape != p.shape:
-            whole[name] = np.zeros(p.shape, dtype=v.dtype)
-            whole[name][(..., *windows[name])] = v
-        else:
-            whole[name] = v
-    return whole
-
-
 def _run_bits(result):
-    """Bytes, dtype and shape of every state tensor and whole velocity."""
-    velocity = _whole(result.model, result.optimizer.velocity)
+    """Bytes, dtype and shape of every state tensor and velocity."""
     tensors = {**{f"model.{k}": v for k, v in result.model.state_tensors().items()},
-               **{f"velocity.{k}": v for k, v in velocity.items()}}
+               **{f"velocity.{k}": v for k, v in result.optimizer.velocity.items()}}
     return {k: (v.dtype, v.shape, v.tobytes()) for k, v in tensors.items()}
 
 
-def _every_tap(monkeypatch):
-    """Make conv2d, the model and checkpoints treat every tap as live."""
+def _declared_convs(monkeypatch):
+    """Make every conv built from here on keep its declared kernel, as
+    before convs were built for their input sizes."""
     monkeypatch.setattr(autodiff, "live_taps", lambda in_size, k, stride, padding: slice(0, k))
 
 
-class TestDeadTapVelocity:
-    """With no weight decay, a conv weight whose outer taps read only
-    padding keeps its velocity for its live window; files hold it whole."""
+class TestCompactConvs:
+    """A conv whose outer taps read only padding at the configured input
+    size is built as the smaller conv it computes; files hold it in its
+    declared shape."""
 
     @pytest.mark.parametrize("config", [
         ModelConfig(),
@@ -371,8 +358,14 @@ class TestDeadTapVelocity:
                     residual_channels=((32, 64, 2), (64, 128, 2), (128, 256, 2))),
     ], ids=["default", "fer48"])
     def test_the_last_block_keeps_its_inner_taps(self, config):
-        windows = build_model(config, draw=False).live_windows()
-        assert windows == {f"residual.2.{k}": w for k, w in LAST_BLOCK_WINDOWS.items()}
+        model = build_model(config, draw=False)
+        c = config.residual_channels[-1]
+        assert model.live_windows() == {
+            "residual.2.conv_a.weight": ((c[1], c[0], 3, 3), LAST_BLOCK_WINDOWS["conv_a.weight"]),
+            "residual.2.conv_b.weight": ((c[1], c[1], 3, 3), LAST_BLOCK_WINDOWS["conv_b.weight"])}
+        block = model.residuals[-1]
+        assert (block.conv_a.weight.shape, block.conv_a.padding) == ((c[1], c[0], 2, 2), 0)
+        assert (block.conv_b.weight.shape, block.conv_b.padding) == ((c[1], c[1], 1, 1), 0)
 
     def test_tiny_model_has_no_dead_taps(self):
         assert build_model(TINY_MODEL, draw=False).live_windows() == {}
@@ -382,20 +375,18 @@ class TestDeadTapVelocity:
                                                                           dtype):
         fixture = make_synthetic_manifest(per_class=2, size=16, channels=3, seed=21)
         straight = training.train_model(RunConfig(epochs=3, dtype=dtype, **DEAD_TAP_RUN),
-                               fixture, fixture)
+                                        fixture, fixture)
         shapes = {k: v.shape for k, v in straight.optimizer.velocity.items()}
         assert shapes["residual.1.conv_a.weight"] == (32, 32, 2, 2)
         assert shapes["residual.1.conv_b.weight"] == (32, 32, 1, 1)
-        assert build_model(straight.model.config, draw=False).live_windows() == {
-            f"residual.1.{k}": w for k, w in LAST_BLOCK_WINDOWS.items()}
+        assert shapes == {k: p.shape for k, p in straight.model.named_parameters()}
 
         out = tmp_path / "run"
-        training.train_model(RunConfig(epochs=2, dtype=dtype, **DEAD_TAP_RUN), fixture, fixture,
-                    out_dir=out)
-        resumed = training.train_model(RunConfig(epochs=3, dtype=dtype, **DEAD_TAP_RUN), fixture,
-                              fixture, resume_from=out / "last.ckpt")
+        training.train_model(RunConfig(epochs=2, dtype=dtype, **DEAD_TAP_RUN), fixture,
+                             fixture, out_dir=out)
+        resumed = training.train_model(RunConfig(epochs=3, dtype=dtype, **DEAD_TAP_RUN),
+                                       fixture, fixture, resume_from=out / "last.ckpt")
         assert [r.epoch for r in resumed.history] == [3]
-        assert {k: v.shape for k, v in resumed.optimizer.velocity.items()} == shapes
         assert _run_bits(resumed) == _run_bits(straight)
 
         path = out / "last.ckpt"
@@ -406,30 +397,40 @@ class TestDeadTapVelocity:
                         best_metric=loaded.best_metric)
         assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("case", ["nonzero", "negative zero", "weight decay"])
-    def test_a_velocity_moving_outside_the_window_stays_whole(self, tmp_path, monkeypatch,
-                                                              case):
-        # a file whose velocity outside the window is not all +0.0, or one
-        # from a run with weight decay, loads whole and resumes with the bits
-        # of a run that computes every tap
+    @pytest.mark.parametrize("dtype, tolerance", [("float32", FLOAT32_BUDGET),
+                                                  ("float64", 1e-12)])
+    def test_a_file_with_declared_kernels_loads_compact_and_resumes(
+            self, tmp_path, monkeypatch, dtype, tolerance):
+        # written as before convs were built smaller: drawn weights and, with
+        # weight decay, nonzero velocity on the taps that read only padding
         fixture = make_synthetic_manifest(per_class=2, size=16, channels=3, seed=21)
-        decay = 5e-4 if case == "weight decay" else 0.0
-        run = {**DEAD_TAP_RUN, "weight_decay": decay}
-        out = tmp_path / "run"
-        training.train_model(RunConfig(epochs=2, **run), fixture, fixture, out_dir=out)
-        path, name = out / "last.ckpt", "residual.1.conv_b.weight"
-        if not decay:
-            loaded = checkpoint.load(path)
-            whole = _whole(loaded.model, loaded.optimizer.velocity)[name]
-            whole[3, 1, 0, 2] = 1e-3 if case == "nonzero" else -0.0
-            loaded.optimizer.velocity[name] = whole
-            checkpoint.save(loaded.model, loaded.optimizer, loaded.scheduler, loaded.epoch,
-                            path, rng_state=loaded.rng_state, best_metric=loaded.best_metric)
-        assert checkpoint.load(path).optimizer.velocity[name].shape == (32, 32, 3, 3)
-        cfg = RunConfig(epochs=3, **run)
-        resumed = training.train_model(cfg, fixture, fixture, resume_from=path)
-        assert resumed.optimizer.velocity[name].shape == (32, 32, 3, 3)
-        bits = _run_bits(resumed)
-        _every_tap(monkeypatch)
-        reference = training.train_model(cfg, fixture, fixture, resume_from=path)
-        assert bits == _run_bits(reference)
+        run = {**DEAD_TAP_RUN, "weight_decay": 5e-4, "dtype": dtype}
+        out, name = tmp_path / "run", "residual.1.conv_b.weight"
+        with monkeypatch.context() as patch:
+            _declared_convs(patch)
+            declared = training.train_model(RunConfig(epochs=2, **run), fixture, fixture,
+                                             out_dir=out)
+        path = out / "last.ckpt"
+        v = declared.optimizer.velocity[name]
+        assert v.shape == (32, 32, 3, 3) and v[:, :, 0, 0].all()
+        assert dict(declared.model.named_parameters())[name].data[:, :, 2, 2].all()
+
+        loaded = checkpoint.load(path)
+        assert loaded.optimizer.weight_decay == 5e-4
+        compact = dict(loaded.model.named_parameters())
+        assert compact[name].shape == loaded.optimizer.velocity[name].shape == (32, 32, 1, 1)
+        assert loaded.optimizer.velocity[name].tobytes() == \
+            np.ascontiguousarray(v[:, :, 1:2, 1:2]).tobytes()
+        with using_dtype(dtype):
+            pixels = Tensor(np.stack([s.pixels for s in fixture.samples]))
+            want = declared.model.forward(pixels, EVAL).values.data
+            got = loaded.model.forward(pixels, EVAL).values.data
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert _normwise(got, want) <= tolerance
+
+        resumed = training.train_model(RunConfig(epochs=3, **run), fixture, fixture,
+                                       resume_from=path)
+        assert [r.epoch for r in resumed.history] == [3]
+        assert np.isfinite(resumed.history[0].train_loss)
+        moved = dict(resumed.model.named_parameters())[name].data
+        assert moved.shape == (32, 32, 1, 1) and not np.array_equal(moved, compact[name].data)
