@@ -117,16 +117,19 @@ def _draw_live(seq: np.random.SeedSequence, chunk: tuple, scale: float) -> None:
     order, so they fill one range of `flat`."""
     flat, shape, window, start, stop = chunk
     taps = shape[2] * shape[3]
-    first, end = start // taps, -(-stop // taps)
-    planes = np.empty((end - first, *shape[2:]), dtype=flat.dtype)
-    _draw_chunk(seq, planes.reshape(-1)[start - first * taps:stop - first * taps], scale)
+    first = start // taps * taps  # the first declared element of its kernel
+    planes = np.empty((-(-stop // taps) - first // taps, *shape[2:]), dtype=flat.dtype)
+    _draw_chunk(seq, planes.reshape(-1)[start - first:stop - first], scale)
     live = np.zeros(shape[2:], dtype=bool)
     live[window] = True
     before = np.concatenate(([0], np.cumsum(live)))  # window taps among a kernel's first i
-    lo = int(before[start - first * taps])
-    hi = int((end - 1 - first) * before[-1] + before[stop - (end - 1) * taps])
-    at = first * int(before[-1])
-    flat[at + lo:at + hi] = planes[(slice(None), *window)].reshape(-1)[lo:hi]
+
+    def kept(i: int) -> int:
+        """Window elements among the declared elements before element i."""
+        return i // taps * int(before[-1]) + int(before[i % taps])
+
+    lo, hi, base = kept(start), kept(stop), kept(first)
+    flat[lo:hi] = planes[(slice(None), *window)].reshape(-1)[lo - base:hi - base]
 
 
 class Conv2dLayer:
