@@ -665,14 +665,15 @@ class TestDeferredConvWeightGrad:
         assert flat.tobytes() == deferred.materialize().reshape(-1).tobytes()
         npt.assert_allclose(flat.reshape(5, 18), go_t @ patches, rtol=1e-12)
 
-    def test_a_block_holds_at_most_grad_block_elements(self, monkeypatch):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_block_holds_at_most_grad_block_elements(self, monkeypatch, dtype):
         # the product buffer and the copy of go_t's transposed rows
-        # together: 1000 float64 elements
+        # together: 1000 elements of the gradient's dtype
         monkeypatch.setattr(ad, "GRAD_BLOCK", 1000)
         r = np.random.default_rng(8)
-        go_t = r.standard_normal((4, 64, 9)).transpose(1, 0, 2)  # (Cout, N, L)
-        patches = r.standard_normal((36, 8 * 4))  # a 2x2 kernel of 8 channels
-        deferred = ad.DeferredGrad(go_t, patches, (64, 8, 2, 2), np.float64)
+        go_t = r.standard_normal((4, 64, 9)).astype(dtype).transpose(1, 0, 2)  # (Cout, N, L)
+        patches = r.standard_normal((36, 8 * 4)).astype(dtype)  # a 2x2 kernel of 8 channels
+        deferred = ad.DeferredGrad(go_t, patches, (64, 8, 2, 2), dtype)
         tracemalloc.start()
         try:
             starts = [start for start, _ in deferred.blocks()]
@@ -681,9 +682,13 @@ class TestDeferredConvWeightGrad:
             tracemalloc.stop()
         rows = 1000 // (32 + 36)
         assert starts == [r * 32 for r in range(0, 64, rows)] and rows > 1
-        assert peak <= 1000 * 8 + 2048, peak
-        npt.assert_allclose(deferred.materialize().reshape(64, -1),
-                            go_t.reshape(64, -1) @ patches, rtol=1e-12)
+        assert peak <= 1000 * np.dtype(dtype).itemsize + 2048, peak
+        got = deferred.materialize().reshape(64, -1)
+        assert got.dtype == dtype
+        a, b = go_t.reshape(64, -1).astype(np.float64), patches.astype(np.float64)
+        # within the GEMM rounding bound (terms + 1) * eps * sum |product|
+        eps = np.finfo(dtype).eps / 2
+        assert np.all(np.abs(got - a @ b) <= 37 * eps * (np.abs(a) @ np.abs(b)))
 
     def test_shared_weight_gets_the_summed_gradient_once(self):
         r = np.random.default_rng(5)
@@ -784,22 +789,37 @@ class TestDeadTapWeightGrad:
     only padding included: +0.0, as the loop oracle has it."""
 
     @pytest.mark.parametrize("path", DEAD_TAPS)
-    def test_matches_the_loop_oracle_with_positive_zero_on_dead_taps(self, path):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_loop_oracle_with_positive_zero_on_dead_taps(self, path, dtype):
+        # float64 within 1e-12 of the oracle; float32 within the GEMM
+        # rounding bound (terms + 1) * 2**-24 * sum |product| per element,
+        # the oracle run in float64 on the float32 values
         x_shape, w_shape, stride = DEAD_TAPS[path]
         r = np.random.default_rng(0)
-        x, w = t(r.standard_normal(x_shape)), t(r.standard_normal(w_shape))
+        x = Tensor(r.standard_normal(x_shape), requires_grad=True, dtype=dtype)
+        w = Tensor(r.standard_normal(w_shape), requires_grad=True, dtype=dtype)
         with Graph():
             out = ad.conv2d(x, w, None, stride=stride, padding=1)
-        gout = r.standard_normal(out.shape)
+        gout = r.standard_normal(out.shape).astype(dtype)
         out.node.backward_fn(gout.copy())
         assert type(w._grad) is (ad.DeferredGrad if path == "deferred" else np.ndarray)
-        want_x, want_w = oracles.conv2d_backward_loops(x.data, w.data, gout, stride, 1)
-        npt.assert_allclose(w.grad, want_w, rtol=0, atol=1e-12)
-        npt.assert_allclose(x.grad, want_x, rtol=0, atol=1e-12)
+        assert w.grad.dtype == dtype and x.grad.dtype == dtype
+        x64, w64, g64 = (a.astype(np.float64) for a in (x.data, w.data, gout))
+        want_x, want_w = oracles.conv2d_backward_loops(x64, w64, g64, stride, 1)
+        if dtype == np.float64:
+            npt.assert_allclose(w.grad, want_w, rtol=0, atol=1e-12)
+            npt.assert_allclose(x.grad, want_x, rtol=0, atol=1e-12)
+        else:
+            abs_x, abs_w = oracles.conv2d_backward_loops(
+                np.abs(x64), np.abs(w64), np.abs(g64), stride, 1)
+            w_terms = x_shape[0] * out.shape[2] * out.shape[3]
+            x_terms = w_shape[0] * w_shape[2] * w_shape[3]
+            assert np.all(np.abs(w.grad - want_w) <= (w_terms + 1) * 2.0 ** -24 * abs_w)
+            assert np.all(np.abs(x.grad - want_x) <= (x_terms + 1) * 2.0 ** -24 * abs_x)
         dead = np.ones(w.shape[2:], dtype=bool)
         live = ad.live_taps(x_shape[2], 3, stride, 1)
         dead[live, live] = False
-        assert not w.grad[:, :, dead].view(np.uint64).any()
+        assert not w.grad[:, :, dead].view(f"u{w.grad.itemsize}").any()
 
     @pytest.mark.parametrize("path", DEAD_TAPS)
     def test_gradients_match_central_differences(self, path):
