@@ -686,9 +686,10 @@ class TestDeferredConvWeightGrad:
         got = deferred.materialize().reshape(64, -1)
         assert got.dtype == dtype
         a, b = go_t.reshape(64, -1).astype(np.float64), patches.astype(np.float64)
-        # within the GEMM rounding bound (terms + 1) * eps * sum |product|
-        eps = np.finfo(dtype).eps / 2
-        assert np.all(np.abs(got - a @ b) <= 37 * eps * (np.abs(a) @ np.abs(b)))
+        if dtype == np.float64:
+            npt.assert_allclose(got, a @ b, rtol=1e-12)
+        else:  # within the GEMM rounding bound (terms + 1) * 2**-24 * sum |product|
+            assert np.all(np.abs(got - a @ b) <= 37 * 2.0 ** -24 * (np.abs(a) @ np.abs(b)))
 
     def test_shared_weight_gets_the_summed_gradient_once(self):
         r = np.random.default_rng(5)
