@@ -34,7 +34,8 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-#: elements per chunk of the initial-weight draw.  Chunk k has its own
+#: declared elements per chunk of the initial-weight draw; a chunk of a conv
+#: built smaller draws only the ones its weight holds.  Chunk k has its own
 #: seeded stream, so the values depend on this and on the seed, not on the
 #: thread count.
 INIT_CHUNK = 1 << 18
@@ -62,16 +63,17 @@ def draw_he_normal(named: Iterable[tuple[str, Tensor]], seed: int,
     ``SeedSequence(seed)``, scaled, and cast to the tensor's type.  A conv
     weight built as the smaller conv it computes is named in `declared`
     with its declared (Cout, Cin, kh, kw) shape and the (rows, cols) window
-    of taps it holds (`ResEmoteNetModel.live_windows`): its chunks and
-    fan-in are the declared weight's, each chunk is drawn into a
-    chunk-sized scratch, and only the window's elements are kept, so it
-    holds the values the declared weight has there.  The chunks run on one
-    thread pool with a worker per usable CPU (at most one per chunk), so
-    the values do not depend on the CPU count.  The results are read in
-    chunk order; the first failed chunk read cancels every chunk not yet
-    started, and its error is raised once every worker has stopped.
-    Workers may start further chunks between the failure and that read, but
-    no model is returned half drawn."""
+    of taps it holds (`ResEmoteNetModel.live_windows`): its chunk count and
+    fan-in are the declared weight's, so every later tensor keeps its
+    child streams, and chunk k draws only as many normals as the window
+    holds among the chunk's declared elements, straight into their range
+    of the weight.  The chunks run on one thread pool with a worker per
+    usable CPU (at most one per chunk), so the values do not depend on the
+    CPU count.  The results are read in chunk order; the first failed
+    chunk read cancels every chunk not yet started, and its error is
+    raised once every worker has stopped.  Workers may start further
+    chunks between the failure and that read, but no model is returned
+    half drawn."""
     declared = declared or {}
     chunks = []
     for name, tensor in named:
@@ -80,18 +82,31 @@ def draw_he_normal(named: Iterable[tuple[str, Tensor]], seed: int,
         shape, window = declared.get(name, (tensor.shape, None))
         size = math.prod(shape)
         scale = np.sqrt(2.0 / (size // shape[0]))
-        flat = tensor.data.reshape(-1)
-        chunks += [(_draw_chunk, flat[i:i + INIT_CHUNK], scale) if window is None else
-                   (_draw_live, (flat, shape, window, i, min(size, i + INIT_CHUNK)), scale)
+        held, flat = _held(shape, window), tensor.data.reshape(-1)
+        chunks += [(flat[held(i):held(min(size, i + INIT_CHUNK))], scale)
                    for i in range(0, size, INIT_CHUNK)]
     seqs = np.random.SeedSequence(seed).spawn(len(chunks))
     pool = ThreadPoolExecutor(max(1, min(_usable_cpus(), len(chunks))))
     try:
-        for future in [pool.submit(draw, seq, out, scale)
-                       for seq, (draw, out, scale) in zip(seqs, chunks)]:
+        for future in [pool.submit(_draw_chunk, seq, out, scale)
+                       for seq, (out, scale) in zip(seqs, chunks)]:
             future.result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _held(shape: tuple[int, ...], window: tuple[slice, slice] | None):
+    """i -> how many of a weight's first i declared elements it holds, for
+    a (Cout, Cin, kh, kw) weight held as its (rows, cols) `window` alone
+    (every element when `window` is None).  Held elements keep row-major
+    order, so a run of declared elements fills one range of the weight."""
+    if window is None:
+        return lambda i: i
+    taps = shape[2] * shape[3]
+    live = np.zeros(shape[2:], dtype=bool)
+    live[window] = True
+    before = np.concatenate(([0], np.cumsum(live)))  # window taps among a kernel's first i
+    return lambda i: i // taps * int(before[-1]) + int(before[i % taps])
 
 
 def _usable_cpus() -> int:
@@ -107,29 +122,6 @@ def _draw_chunk(seq: np.random.SeedSequence, out: np.ndarray, scale: float) -> N
     for i in range(0, out.size, INIT_BLOCK):
         block = out[i:i + INIT_BLOCK]
         np.multiply(generator.standard_normal(block.size), scale, out=block)
-
-
-def _draw_live(seq: np.random.SeedSequence, chunk: tuple, scale: float) -> None:
-    """Declared elements [start, stop) of a (Cout, Cin, kh, kw) weight held
-    as its (rows, cols) `window` alone in `flat`, for `chunk` = (flat,
-    shape, window, start, stop): drawn into a scratch of the kernels they
-    touch, of which the window's elements are kept.  Those keep row-major
-    order, so they fill one range of `flat`."""
-    flat, shape, window, start, stop = chunk
-    taps = shape[2] * shape[3]
-    first = start // taps * taps  # the first declared element of its kernel
-    planes = np.empty((-(-stop // taps) - first // taps, *shape[2:]), dtype=flat.dtype)
-    _draw_chunk(seq, planes.reshape(-1)[start - first:stop - first], scale)
-    live = np.zeros(shape[2:], dtype=bool)
-    live[window] = True
-    before = np.concatenate(([0], np.cumsum(live)))  # window taps among a kernel's first i
-
-    def kept(i: int) -> int:
-        """Window elements among the declared elements before element i."""
-        return i // taps * int(before[-1]) + int(before[i % taps])
-
-    lo, hi, base = kept(start), kept(stop), kept(first)
-    flat[lo:hi] = planes[(slice(None), *window)].reshape(-1)[lo - base:hi - base]
 
 
 class Conv2dLayer:

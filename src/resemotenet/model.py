@@ -259,7 +259,7 @@ def build_model(config: ModelConfig, *, draw: bool = True) -> ResEmoteNetModel:
     parameters on any number of CPUs: every weight of rank >= 2 (conv,
     linear, gate) is a fan-in-scaled normal draw made by `draw_he_normal`
     from per-chunk streams of ``config.seed``, in `named_parameters` order,
-    a conv built smaller keeping its declared kernel's values on its window;
+    a conv built smaller drawing only its window of each declared chunk;
     biases start at zero, batch-norm scale/shift at one/zero.  With
     ``draw=False`` the weights stay uninitialized, for a caller that
     overwrites every state tensor (`checkpoint.load`).  A config whose

@@ -66,6 +66,27 @@ def live_taps_loops(in_size, k, stride, padding):
             for i in range(k)]
 
 
+def held_he_normal_loops(seed, first_child, shape, window, chunk, dtype):
+    """The values `draw_he_normal` gives a (Cout, Cin, kh, kw) conv weight
+    held as its (rows, cols) `window` alone, flat, when its first declared
+    element opens child stream `first_child` of ``SeedSequence(seed)``:
+    for each run of `chunk` declared elements, the next child's first
+    normals, one per held element of the run, times sqrt(2 / declared
+    fan-in), cast to `dtype`."""
+    held = np.zeros(shape, dtype=bool)
+    held[(..., *window)] = True
+    held = held.reshape(-1)
+    starts = range(0, held.size, chunk)
+    children = np.random.SeedSequence(seed).spawn(first_child + len(starts))
+    scale = np.sqrt(2.0 / np.prod(shape[1:]))
+    values = []
+    for k, start in enumerate(starts):
+        n = sum(1 for flag in held[start:start + chunk] if flag)
+        normals = np.random.Generator(np.random.PCG64(children[first_child + k]))
+        values.append((normals.standard_normal(n) * scale).astype(dtype))
+    return np.concatenate(values)
+
+
 def conv2d_backward_loops(x, weight, gout, stride=1, padding=1):
     """Input and weight gradients of `conv2d_loops` for the output gradient
     `gout`: each product x[..] * weight[..] of the forward sends

@@ -321,19 +321,19 @@ class TestInitialization:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("in_size, stride", [(1, 1), (2, 2), (3, 5)])
-    def test_a_conv_built_smaller_keeps_the_declared_draw_on_its_window(
+    def test_a_conv_built_smaller_draws_each_chunks_held_elements_from_its_stream(
             self, monkeypatch, dtype, in_size, stride):
         # 7-element chunks start and end inside kernels, and inside windows
         monkeypatch.setattr(layers, "INIT_CHUNK", 7)
         with ad.using_dtype(dtype):
-            declared = Conv2dLayer(3, 5, 3, stride, 1)
             compact = Conv2dLayer(3, 5, 3, stride, 1, in_size)
         assert compact.window is not None
-        layers.draw_he_normal(declared.named_parameters(), seed=6)
+        shape = (5, 3, 3, 3)
         layers.draw_he_normal(compact.named_parameters(), seed=6,
-                              declared={"weight": (declared.weight.shape, compact.window)})
-        want = declared.weight.data[(..., *compact.window)]
-        assert compact.weight.data.tobytes() == np.ascontiguousarray(want).tobytes()
+                              declared={"weight": (shape, compact.window)})
+        want = oracles.held_he_normal_loops(6, 0, shape, compact.window, 7, dtype)
+        assert compact.weight.data.dtype == dtype
+        assert compact.weight.data.tobytes() == want.tobytes()
 
 
 #: the model's convs as (kernel, padding): 3x3 pad-1 and the 1x1 projection

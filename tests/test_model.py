@@ -1,5 +1,6 @@
 """End-to-end behavior of the assembled network and its configuration."""
 
+import math
 import os
 import threading
 import tracemalloc
@@ -192,9 +193,22 @@ class TestDraw:
             assert abs(values.mean()) <= 5 * std / np.sqrt(n), name
             assert abs(values.std() / std - 1) <= 5 / np.sqrt(2 * n), name
 
+    def test_the_default_net_draws_only_the_elements_it_holds(self, monkeypatch):
+        counts = []  # normals per chunk; none is drawn
+        monkeypatch.setattr(layers, "_draw_chunk",
+                            lambda seq, out, scale: counts.append(out.size))
+        with ad.using_dtype(np.float32):
+            model = build_model(ModelConfig())
+        declared = model.live_windows()
+        shapes = [declared[n][0] if n in declared else t.shape
+                  for n, t in model.named_parameters() if t.data.ndim >= 2]
+        assert sum(counts) == 33_423_040
+        assert sum(math.prod(s) for s in shapes) == sum(counts) + DEFAULT_DEAD_TAPS
+        # one stream per chunk of the declared weights
+        assert len(counts) == sum(-(-math.prod(s) // layers.INIT_CHUNK) for s in shapes)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_a_conv_built_smaller_holds_the_window_of_the_declared_draw(self, monkeypatch,
-                                                                       dtype):
+    def test_a_conv_built_smaller_keeps_every_other_tensors_streams(self, monkeypatch, dtype):
         # the last block's convs read a 2x2 and a 1x1 map; 100-element
         # chunks start and end inside kernels
         config = ModelConfig(**{**TINY.__dict__, "residual_channels": ((8, 16, 2),)})
@@ -203,15 +217,21 @@ class TestDraw:
             model = build_model(config)
             with monkeypatch.context() as patch:  # every conv keeps its 3x3 kernel
                 patch.setattr(ad, "live_taps", lambda in_size, k, stride, pad: slice(0, k))
-                declared = dict(build_model(config).named_parameters())
+                declared = build_model(config).named_parameters()
         windows = model.live_windows()
         assert set(windows) == {"residual.0.conv_a.weight", "residual.0.conv_b.weight"}
-        for name, p in model.named_parameters():
-            want = declared[name].data
+        first = 0  # the child stream of the tensor's first chunk
+        for (name, p), (_, whole) in zip(model.named_parameters(), declared):
+            want = whole.data
             if name in windows:
-                assert windows[name][0] == want.shape
-                want = want[(..., *windows[name][1])]
-            assert p.data.tobytes() == np.ascontiguousarray(want).tobytes(), name
+                shape, window = windows[name]
+                assert shape == want.shape
+                want = oracles.held_he_normal_loops(config.seed, first, shape, window, 100,
+                                                    dtype)
+            assert p.data.dtype == dtype
+            assert p.data.tobytes() == want.tobytes(), name
+            if whole.data.ndim >= 2:
+                first += -(-whole.data.size // 100)
 
     def test_float32_and_float64_models_agree_to_float32_rounding(self):
         with ad.using_dtype(np.float32):
