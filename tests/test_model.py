@@ -221,7 +221,8 @@ class TestDraw:
         windows = model.live_windows()
         assert set(windows) == {"residual.0.conv_a.weight", "residual.0.conv_b.weight"}
         first = 0  # the child stream of the tensor's first chunk
-        for (name, p), (_, whole) in zip(model.named_parameters(), declared):
+        for (name, p), (other, whole) in zip(model.named_parameters(), declared, strict=True):
+            assert name == other
             want = whole.data
             if name in windows:
                 shape, window = windows[name]
