@@ -31,15 +31,22 @@ computed from the same blocks on first read.
 Forward buffers follow the same rule.  A public op never writes into its
 arguments' arrays (``verification.grad_check`` perturbs leaves and re-runs
 ``f``), except where a caller hands one over with ``out=``: ``relu`` and
-``add`` then write their result there, and ``batch_norm2d_eval`` normalizes
-in place when no graph records it (its backward reads its input) and the
-element type matches.  Only a caller that owns the array and knows nothing reads it
-again passes ``out``: ``layers`` hands over a batch norm's input (the conv
-output) and output (read by no backward, as batch norm recomputes x-hat
-from its input and ``add`` reads no data), and ``model`` a stem max-pool's
-output to the ReLU after it (max-pool's backward reads only its window
-offsets).  ``relu``'s backward then reads its own output as its input,
-and ``relu(x) > 0`` holds exactly where ``x > 0`` does.
+``add`` then write their result there, ``batch_norm2d_train`` keeps its
+normalized input x-hat there for its backward, and ``batch_norm2d_eval``
+normalizes in place when no graph records it (its backward reads its input)
+and the element type matches.  Only a caller that owns the array and knows
+nothing reads it again passes ``out``: ``layers`` hands over a batch norm's
+input (the conv output, which the conv's backward does not read) and output
+(read by no backward: batch norm's reads x-hat or its input, and ``add``
+reads no data), and ``model`` a stem max-pool's output to the ReLU after it
+(max-pool's backward reads only its window offsets).  ``relu``'s backward
+then reads its own output as its input, and ``relu(x) > 0`` holds exactly
+where ``x > 0`` does.  A caller that owns an array which no backward reads
+drops it (``Tensor.drop_data``) once the ops that read it have run:
+``model`` drops each stem batch norm's output once its max-pool has the
+window offsets, and ``layers`` a projected shortcut's once the residual
+``add`` has read it.  The tensor keeps its shape and element type, and
+still routes gradients.
 
 Windowed kernels reach a kernel tap one way: ``_windows`` gives, for each
 tap (i, j) of a kh x kw window, the plain basic slice of an (N, C, H, W)
@@ -129,6 +136,12 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
+
+    def drop_data(self) -> None:
+        """Free the array, for a caller that owns it once no backward reads
+        it (see the module docstring).  ``data`` becomes a read-only zero
+        view of the same shape and element type."""
+        self.data = np.broadcast_to(self.data.dtype.type(0), self.data.shape)
 
     def backward(self) -> None:
         """Reverse-mode pass from this scalar through its recorded graph."""
@@ -709,8 +722,9 @@ def _check_batch_norm_inputs(x: Tensor, gamma: Tensor, beta: Tensor) -> None:
             f"batch_norm2d: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)")
 
 
-def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
-                       eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, *,
+                       out: np.ndarray | None = None
+                       ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Normalize per channel with batch statistics over (N, H, W).
 
     Returns (output, batch_mean, batch_var); variance is the biased estimate
@@ -719,8 +733,9 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
     per-channel sums over the m = N*H*W elements (Ioffe & Szegedy, 2015):
     for the output gradient g, dbeta = sum(g), dgamma = sum(g * x_hat) and
     dx = gamma * inv_std * (g - sum(g) / m - x_hat * sum(g * x_hat) / m).
-    It recomputes the normalized input x_hat from ``x.data`` rather than
-    keeping it on the tape.
+    The normalized input x_hat is kept for it: in `out` when a caller hands
+    over ``x.data`` there (see the module docstring), else in a new array.
+    The output is x_hat * gamma + beta in a new array.
     """
     _check_batch_norm_inputs(x, gamma, beta)
     n, c, h, w = x.shape
@@ -728,20 +743,20 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
     mean = x.data.mean(axis=(0, 2, 3))
     var = x.data.var(axis=(0, 2, 3))
     inv_std = 1.0 / np.sqrt(var + eps)
-    out_data = _normalized(x.data, mean, inv_std, gamma.data, beta.data)
+    x_hat = _normalized(x.data, mean, inv_std, out=out)
+    out_data = x_hat * gamma.data[None, :, None, None]
+    out_data += beta.data[None, :, None, None]
 
     def backward_fn(gout: np.ndarray) -> None:
         # one whole-size scratch array beside gout: it holds x_hat * g, then
         # x_hat * sum(g * x_hat) / m; dx is written in gout itself
         g_sum = gout.sum(axis=(0, 2, 3))
-        scratch = _normalized(x.data, mean, inv_std)
-        scratch *= gout
+        scratch = x_hat * gout
         gx_sum = scratch.sum(axis=(0, 2, 3))
         if x.requires_grad:
-            x_hat = _normalized(x.data, mean, inv_std, out=scratch)
-            x_hat *= (gx_sum / m)[None, :, None, None]
+            np.multiply(x_hat, (gx_sum / m)[None, :, None, None], out=scratch)
             gout -= (g_sum / m)[None, :, None, None]
-            gout -= x_hat
+            gout -= scratch
             gout *= (gamma.data * inv_std)[None, :, None, None]
             _accumulate(x, gout)
         _accumulate(gamma, gx_sum)

@@ -172,11 +172,13 @@ class BatchNorm2d:
 
     def forward(self, x: Tensor, mode: str, *, out: np.ndarray | None = None) -> Tensor:
         """`out`, x's own array handed over by a caller that reads x no
-        more, goes to `batch_norm2d_eval`; train mode makes a new output."""
+        more, goes to the op: train mode keeps x-hat in it, eval mode may
+        normalize in it.  Either makes its output a new array otherwise."""
         if mode not in (TRAIN, EVAL):
             raise ConfigError(f"mode must be '{TRAIN}' or '{EVAL}', got {mode!r}")
         if mode == TRAIN:
-            out, mean, var = ad.batch_norm2d_train(x, self.gamma, self.beta, BN_EPS)
+            out, mean, var = ad.batch_norm2d_train(x, self.gamma, self.beta, BN_EPS,
+                                                   out=out)
             m = BN_MOMENTUM
             # in place: a held `state_tensors()` dict keeps seeing the stats
             self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
@@ -257,8 +259,9 @@ class LinearLayer:
 def conv_bn_forward(layer: Conv2dLayer, bn: BatchNorm2d, x: Tensor, mode: str) -> Tensor:
     """bn(conv(x)), the unit the stem stages and residual blocks repeat.
 
-    The conv output is this function's own and nothing reads it afterwards,
-    so it is handed over: eval BN may normalize in it."""
+    The conv output is this function's own and no backward reads it, so it
+    is handed over: train BN keeps x-hat in it, eval BN may normalize in
+    it."""
     h = layer.forward(x)
     return bn.forward(h, mode, out=h.data)
 
@@ -283,12 +286,16 @@ def residual_forward(block: ResidualBlock, x: Tensor, mode: str) -> Tensor:
 
     As in `conv_bn_forward`, each conv and BN output is handed over to the
     op after it: ReLU writes over bn_a's output, and the sum over H's output,
-    never over x."""
+    never over x.  A projected shortcut's BN output is dropped once the sum
+    has read it, as `add`'s backward reads no data; the identity shortcut is
+    x itself, which conv_a's backward reads."""
     h = conv_bn_forward(block.conv_a, block.bn_a, x, mode)
     h = ad.relu(h, out=h.data)
     h = conv_bn_forward(block.conv_b, block.bn_b, h, mode)
-    shortcut = x
-    if block.shortcut_conv is not None:
+    if block.shortcut_conv is None:
+        h = ad.add(h, x, out=h.data)
+    else:
         shortcut = conv_bn_forward(block.shortcut_conv, block.shortcut_bn, x, mode)
-    h = ad.add(h, shortcut, out=h.data)
+        h = ad.add(h, shortcut, out=h.data)
+        shortcut.drop_data()
     return ad.relu(h, out=h.data)

@@ -240,8 +240,15 @@ class ResEmoteNetModel:
 
 
 def _pool_relu(x: Tensor) -> Tensor:
-    """A stem stage's 2x2 max-pool, then its ReLU in the pooled array."""
+    """A stem stage's 2x2 max-pool, then its ReLU in the pooled array.
+
+    x is the stage's batch-norm output, which `forward` owns.  No backward
+    reads it: max-pool's reads its window offsets, and batch norm's its
+    x-hat or input.  So x's array is dropped once the pool has run, and the
+    tape holds no array of the stage at full resolution but the conv
+    output (x-hat, in train mode)."""
     pooled = ad.max_pool2d(x, 2, 2)
+    x.drop_data()
     return ad.relu(pooled, out=pooled.data)
 
 

@@ -836,9 +836,10 @@ class TestDeadTapWeightGrad:
 
 class TestBatchNormTrainBackward:
     """The train-mode batch-norm backward takes two per-channel sums, of g
-    and of g * x-hat, recomputing x-hat into one scratch array: it gives the
-    bits of the whole-array two-sum formula, matches the chain-rule loop
-    oracle and allocates no second input-sized array."""
+    and of g * x-hat, reading the x-hat its forward kept and using one
+    scratch array: it gives the bits of the whole-array two-sum formula,
+    matches the chain-rule loop oracle and allocates no second input-sized
+    array."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(4, 3, 5, 6), (2, 4, 16, 24)])
@@ -864,6 +865,28 @@ class TestBatchNormTrainBackward:
                 assert leaf.grad.tobytes() == expected.tobytes(), name
             else:
                 assert leaf.grad is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_handed_over_input_keeps_the_bits(self, dtype):
+        """With ``out=x.data`` x-hat is kept in x's own array: the output
+        and the x, gamma and beta gradients have the bits of a call without
+        `out`, which leaves x as it was."""
+        r = np.random.default_rng(37)
+        shape = (4, 3, 5, 6)
+        arrays = [a.astype(dtype) for a in (3.0 * r.standard_normal(shape) + 1.0,
+                                            r.uniform(0.5, 1.5, 3), r.standard_normal(3))]
+        gout = r.standard_normal(shape).astype(dtype)
+        runs = []
+        for handed in (False, True):
+            x, gamma, beta = (Tensor(a.copy(), requires_grad=True, dtype=dtype)
+                              for a in arrays)
+            with Graph():
+                out = ad.batch_norm2d_train(x, gamma, beta, 1e-5,
+                                            out=x.data if handed else None)[0]
+            assert (x.data.tobytes() == arrays[0].tobytes()) != handed
+            out.node.backward_fn(gout.copy())
+            runs.append([a.tobytes() for a in (out.data, x.grad, gamma.grad, beta.grad)])
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (3, 2, 1, 1)])
     def test_matches_the_loop_oracle(self, shape):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -332,6 +333,66 @@ class TestDirectoryValidation:
         leftovers = [p for p in tmp_path.iterdir() if p.name != "run.ckpt"]
         assert leftovers == []
         assert ckpt.load(path).epoch == 1
+
+
+class TestSaveFaults:
+    """An OS error while the temporary file is written or renamed over the
+    target: `CheckpointError` names the path, the temporary file is gone
+    and the old checkpoint keeps its bytes."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model, optimizer, scheduler = trained_state()
+        path = tmp_path / "run.ckpt"
+        ckpt.save(model, optimizer, scheduler, 1, path)
+        return (model, optimizer, scheduler), path, path.read_bytes()
+
+    @staticmethod
+    def _save_fails(state, path, before, message):
+        with pytest.raises(CheckpointError, match=(
+                rf"^cannot write checkpoint {re.escape(str(path))}: .*{message}")):
+            ckpt.save(*state, 2, path)
+        assert [p.name for p in path.parent.iterdir()] == ["run.ckpt"]
+        assert path.read_bytes() == before
+
+    def test_a_full_disk_during_a_write(self, saved, monkeypatch):
+        state, path, before = saved
+        fdopen, writes = os.fdopen, []
+
+        class FullDisk:
+            """The temporary file, full after the header: the first tensor's
+            write fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) == 5:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+        monkeypatch.setattr(ckpt.os, "fdopen", lambda fd, mode: FullDisk(fdopen(fd, mode)))
+        self._save_fails(state, path, before, "No space left on device")
+        assert len(writes) == 5
+
+    def test_a_refused_rename_over_the_target(self, saved, monkeypatch):
+        state, path, before = saved
+        renamed = []
+
+        def refuse(src, dst):
+            renamed.append(os.path.getsize(src))
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
+
+        monkeypatch.setattr(ckpt.os, "replace", refuse)
+        self._save_fails(state, path, before, "Permission denied")
+        assert renamed == [len(before)]  # refused once the file was whole
 
 
 class TestNonFiniteSave:
