@@ -292,10 +292,10 @@ def residual_forward(block: ResidualBlock, x: Tensor, mode: str) -> Tensor:
     h = conv_bn_forward(block.conv_a, block.bn_a, x, mode)
     h = ad.relu(h, out=h.data)
     h = conv_bn_forward(block.conv_b, block.bn_b, h, mode)
-    if block.shortcut_conv is None:
-        h = ad.add(h, x, out=h.data)
-    else:
+    shortcut = x
+    if block.shortcut_conv is not None:
         shortcut = conv_bn_forward(block.shortcut_conv, block.shortcut_bn, x, mode)
-        h = ad.add(h, shortcut, out=h.data)
+    h = ad.add(h, shortcut, out=h.data)
+    if shortcut is not x:
         shortcut.drop_data()
     return ad.relu(h, out=h.data)
