@@ -16,7 +16,9 @@ The output JSON holds, per workload, the ``failed`` check counts of each
 side and, per metric (the gated end-to-end metrics and every metric the
 report line names), each side's per-pair values and median, the base's
 interquartile range, and in how many pairs this checkout read lower.  It
-gates nothing.
+gates nothing.  A run that exits non-zero ends the comparison: the output
+then holds the workloads and pairs finished before it and names the failed
+command under ``failed_run``, its stderr goes to stderr, and ab exits 1.
 """
 
 import argparse
@@ -75,13 +77,22 @@ def summarize(pairs: list) -> dict:
             "metrics": metrics}
 
 
+class RunFailed(Exception):
+    """A ``run.py`` run exited non-zero; `command` names it and the tree
+    it ran in."""
+
+    def __init__(self, command: str, stderr: str):
+        super().__init__(command)
+        self.command, self.stderr = command, stderr
+
+
 def run_once(tree: Path, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"ab: {' '.join(argv[1:])} in {tree} exited "
-                         f"{proc.returncode}:\n{proc.stderr}")
+        raise RunFailed(f"{' '.join(argv[1:])} in {tree} exited {proc.returncode}",
+                        proc.stderr)
     return parse_run(proc.stdout)
 
 
@@ -113,15 +124,26 @@ def main(argv=None) -> int:
         base = export(args.base, trees["base"])
         summary = {"base": base, "change": head, "seconds": SECONDS,
                    "seeds": [args.seed + i for i in range(args.pairs)], "workloads": {}}
+        failure = None
         for workload in workloads:
             pairs = []
-            for i, seed in enumerate(summary["seeds"]):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pairs.append({side: run_once(trees[side], workload, seed)
-                              for side in order})
-                print(f"ab: {workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
-            summary["workloads"][workload] = summarize(pairs)
+            try:
+                for i, seed in enumerate(summary["seeds"]):
+                    order = SIDES if i % 2 == 0 else SIDES[::-1]
+                    pairs.append({side: run_once(trees[side], workload, seed)
+                                  for side in order})
+                    print(f"ab: {workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
+            except RunFailed as err:
+                failure = err
+            if pairs:
+                summary["workloads"][workload] = summarize(pairs)
+            if failure is not None:
+                summary["failed_run"] = failure.command
+                break
     args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
+    if failure is not None:
+        print(f"ab: {failure.command}:\n{failure.stderr}", file=sys.stderr)
+        return 1
     return 0
 
 

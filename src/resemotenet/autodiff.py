@@ -741,7 +741,7 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, *,
     n, c, h, w = x.shape
     m = n * h * w
     mean = x.data.mean(axis=(0, 2, 3))
-    var = x.data.var(axis=(0, 2, 3))
+    var = x.data.var(axis=(0, 2, 3), mean=mean[None, :, None, None])
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = _normalized(x.data, mean, inv_std, out=out)
     out_data = x_hat * gamma.data[None, :, None, None]

@@ -100,6 +100,15 @@ class ModelConfig:
             sizes.append((sizes[-1] - 1) // stride + 1)
         return sizes
 
+    def largest_conv_output(self) -> int:
+        """Elements in one sample's largest conv output: a stem conv keeps
+        its stage's input extent, a residual block's convs take the next."""
+        plan = self.spatial_plan()
+        stem = [c * s * s for c, s in zip(self.stem_channels, plan)]
+        residual = [cout * s * s for (_, cout, _), s
+                    in zip(self.residual_channels, plan[len(self.stem_channels) + 1:])]
+        return max(stem + residual)
+
     @property
     def final_channels(self) -> int:
         if self.residual_channels:

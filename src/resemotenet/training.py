@@ -25,14 +25,17 @@ from .data import DatasetManifest, make_batches, random_horizontal_flip
 from .errors import ConfigError, OptimizerError
 from .layers import EVAL, TRAIN
 from .metrics import ConfusionMatrix, predict_labels
-from .model import ResEmoteNetModel, build_model
+from .model import ModelConfig, ResEmoteNetModel, build_model
 from .optim import (PlateauScheduler, SgdState, cross_entropy, scheduler_step,
                     sgd_step)
 
 BEST_CHECKPOINT = "best.ckpt"
 LAST_CHECKPOINT = "last.ckpt"
-#: images per `evaluate_model` forward
+#: most images per `evaluate_model` forward
 EVAL_BATCH = 32
+#: elements one `evaluate_model` forward's largest conv output may hold
+#: (8 MiB in float32): the default net takes 8 images a forward, FER-48 32
+EVAL_BLOCK_ELEMENTS = 2 ** 21
 
 
 @dataclass
@@ -80,11 +83,23 @@ def _note_resumed_values(cfg: RunConfig, optimizer: SgdState, scheduler: Plateau
               file=sys.stderr)
 
 
+def eval_block(config: ModelConfig) -> int:
+    """Images per `evaluate_model` forward: as many as keep the largest conv
+    output within `EVAL_BLOCK_ELEMENTS`, at most `EVAL_BATCH`, at least 1."""
+    return max(1, min(EVAL_BATCH, EVAL_BLOCK_ELEMENTS // config.largest_conv_output()))
+
+
 def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest) -> ConfusionMatrix:
     """Tally a confusion matrix over a manifest in eval mode: fixed order,
-    no augmentation, running statistics untouched."""
+    no augmentation, running statistics untouched.
+
+    The manifest is forwarded `eval_block` images at a time, which bounds
+    the activations an eval forward holds beside the model.  Eval-mode batch
+    norm reads running statistics, so no sample's logits depend on the
+    others in its block."""
     cm = ConfusionMatrix(model.config.num_classes)
-    for pixels, labels in make_batches(manifest, EVAL_BATCH, None, shuffle=False):
+    for pixels, labels in make_batches(manifest, eval_block(model.config), None,
+                                       shuffle=False):
         logits = model.forward(pixels, mode=EVAL)
         cm.update(labels, predict_labels(logits.values.data))
     return cm

@@ -62,3 +62,35 @@ def test_a_metric_missing_from_any_run_is_left_out():
     summary = ab.summarize(pairs)
     assert sorted(summary["metrics"]) == ["peak_rss_mb", "setup_s"]
     assert summary["metrics"]["setup_s"]["base_iqr"] == 0.0
+
+
+def test_a_failed_run_keeps_the_finished_pairs_and_names_its_command(monkeypatch, tmp_path,
+                                                                      capsys):
+    """The third run fails (the second pair's first side): the output holds
+    the first workload's one finished pair, names the failed command, and
+    ab exits 1."""
+    calls = []
+
+    def run_once(tree, workload, seed):
+        calls.append((workload, seed))
+        if len(calls) == 3:  # a tree without perfbench/run.py: python exits 2
+            return real_run_once(tmp_path, workload, seed)
+        return ab.parse_run(_output(700.0 + len(calls), 1.5, 12.0))
+
+    real_run_once = ab.run_once
+    monkeypatch.setattr(ab, "run_once", run_once)
+    monkeypatch.setattr(ab, "export", lambda rev, into: "0" * 40)
+    out = tmp_path / "ab.json"
+    assert ab.main(["--base", "HEAD", "--pairs", "2", "--seed", "5", "--out", str(out)]) == 1
+    summary = json.loads(out.read_text())
+    first = calls[0][0]
+    assert len(calls) == 3 and calls[2] == (first, 6)
+    assert list(summary["workloads"]) == [first]
+    done = summary["workloads"][first]
+    assert done["pairs"] == 1
+    assert done["metrics"]["peak_rss_mb"]["base"] == [701.0]
+    assert done["metrics"]["peak_rss_mb"]["change"] == [702.0]
+    failed = summary["failed_run"]
+    assert failed.startswith(f"perfbench/run.py --workload {first} --seed 6 ")
+    assert failed.endswith(f"in {tmp_path} exited 2")
+    assert f"ab: {failed}:\n" in capsys.readouterr().err

@@ -923,6 +923,35 @@ class TestBatchNormTrainBackward:
         assert peak <= x.data.nbytes + 64 * 1024, f"peak {peak} bytes"
 
 
+class TestBatchNormTrainStatistics:
+    """The train-mode forward takes its variance about the mean it has
+    already taken, not a second one: its mean, variance and output keep
+    the bits of the two-pass formula and of numpy's own ``var``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 5, 7, 7), (32, 8, 48, 48), (16, 512, 4, 4),
+                                       (16, 64, 64, 64)])
+    def test_bitwise_equal_to_the_two_pass_formula(self, dtype, shape):
+        r = np.random.default_rng(41)
+        n, c, h, w = shape
+        m = n * h * w
+        axes, per_channel = (0, 2, 3), (None, slice(None), None, None)
+        x = (3.0 * r.standard_normal(shape) + 1.0).astype(dtype)
+        gamma = r.uniform(0.5, 1.5, c).astype(dtype)
+        beta = r.standard_normal(c).astype(dtype)
+        got, mean, var = ad.batch_norm2d_train(*(Tensor(a, dtype=dtype) for a in (x, gamma, beta)),
+                                               1e-5)
+        want_mean = x.sum(axis=axes) / m
+        want_var = np.square(x - want_mean[per_channel]).sum(axis=axes) / m
+        inv_std = 1.0 / np.sqrt(want_var + 1e-5)
+        want = ((x - want_mean[per_channel]) * inv_std[per_channel] * gamma[per_channel]
+                + beta[per_channel])
+        assert mean.dtype == var.dtype == got.data.dtype == dtype
+        assert mean.tobytes() == want_mean.tobytes()
+        assert var.tobytes() == want_var.tobytes() == x.var(axis=axes).tobytes()
+        assert got.data.tobytes() == want.tobytes()
+
+
 def _leaf_fed_net():
     """Leaves fed straight into each op that hands gradients to its inputs;
     returns the scalar loss and every leaf."""

@@ -65,6 +65,15 @@ class TestConfigValidation:
         # the stride-2 residual stages
         assert ModelConfig().spatial_plan() == [64, 32, 16, 8, 4, 2, 1]
 
+    def test_largest_conv_output_counts_stem_and_residual_convs(self):
+        # default: stem 0's 64 channels at 64x64, over residual 0's 512 at 4x4
+        assert ModelConfig().largest_conv_output() == 64 * 64 * 64
+        # a stride-1 residual block keeps its input's 2x2: 512 x 2 x 2 beats
+        # stem 0's 4 x 16 x 16
+        wide_tail = ModelConfig(input_size=16, stem_channels=(4, 4, 4), se_reduction=4,
+                                residual_channels=((4, 512, 1),))
+        assert wide_tail.largest_conv_output() == 512 * 2 * 2
+
     def test_rejects_single_class(self):
         with pytest.raises(ConfigError, match="num_classes"):
             ModelConfig(num_classes=1)
