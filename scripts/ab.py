@@ -15,10 +15,12 @@ pairs this checkout first, so drift on the host falls on both sides alike.
 The output JSON holds, per workload, the ``failed`` check counts of each
 side and, per metric (the gated end-to-end metrics and every metric the
 report line names), each side's per-pair values and median, the base's
-interquartile range, and in how many pairs this checkout read lower.  It
-gates nothing.  A run that exits non-zero ends the comparison: the output
-then holds the workloads and pairs finished before it and names the failed
-command under ``failed_run``, its stderr goes to stderr, and ab exits 1.
+interquartile range, and in how many pairs this checkout read lower.  After
+writing it, ab prints that summary to stdout as a Markdown table, one row
+per workload and metric.  It gates nothing.  A run that exits non-zero ends
+the comparison: the output then holds the workloads and pairs finished
+before it and names the failed command under ``failed_run``, its stderr
+goes to stderr, and ab exits 1.
 """
 
 import argparse
@@ -75,6 +77,21 @@ def summarize(pairs: list) -> dict:
     return {"pairs": len(pairs),
             "failed": {side: sum(run["failed"] for run in runs[side]) for side in SIDES},
             "metrics": metrics}
+
+
+def table(summary: dict) -> str:
+    """The summary's workloads as a Markdown table: per metric the medians,
+    the base's IQR and in how many pairs the change read lower."""
+    rows = ["| workload | metric | base median | change median | base IQR "
+            "| change lower in |",
+            "|---|---|---|---|---|---|"]
+    for workload, done in summary["workloads"].items():
+        for name, m in done["metrics"].items():
+            label = f"`{name}`" + ("" if m["gated"] else " (not gated)")
+            rows.append(f"| `{workload}` | {label} | {m['base_median']:.2f} "
+                        f"| {m['change_median']:.2f} | {m['base_iqr']:.2f} "
+                        f"| {m['change_lower_in']}/{done['pairs']} |")
+    return "\n".join(rows)
 
 
 class RunFailed(Exception):
@@ -141,6 +158,7 @@ def main(argv=None) -> int:
                 summary["failed_run"] = failure.command
                 break
     args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
+    print(table(summary))
     if failure is not None:
         print(f"ab: {failure.command}:\n{failure.stderr}", file=sys.stderr)
         return 1

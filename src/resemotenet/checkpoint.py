@@ -43,7 +43,7 @@ import numpy as np
 from .autodiff import using_dtype
 from .errors import CheckpointError, ConfigError
 from .model import ModelConfig, ResEmoteNetModel, build_model
-from .optim import PlateauScheduler, SgdState
+from .optim import PlateauScheduler, SgdState, zero_velocity
 
 MAGIC = b"REMN"
 FORMAT_VERSION = 1
@@ -381,8 +381,9 @@ def load(path, expected_config: ModelConfig | None = None, *,
     form, the tensor directory, and every tensor's name and shape against the
     model built from the embedded config.  That model's weights are not
     drawn, only allocated, in the file's element type.  Tensors then stream
-    straight into the model's own arrays (velocity into fresh ones), each
-    CRC-checked as it lands; no model is returned unless every check passes.
+    straight into the model's own arrays (velocity into views of one zeroed
+    array, from `zero_velocity`), each CRC-checked as it lands; no model is
+    returned unless every check passes.
     The weight and velocity of a conv built smaller are streamed in blocks
     of their declared shape, every byte CRC-checked, and only their window
     is kept: whatever the file holds on the other taps (a file from before
@@ -465,13 +466,17 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
 
     if model_only:
         optimizer = scheduler = None
+    elif optimizer is not None:  # the velocity the file holds lands in zeroed views
+        stored = {entry["name"] for entry in directory}
+        zero_velocity(optimizer, [(name, p) for name, p in model.named_parameters()
+                                  if f"velocity.{name}" in stored])
     for entry in directory:
         name = entry["name"]
         dest = slots[name]
         if name.startswith("velocity."):
             if model_only:
                 continue
-            dest = optimizer.velocity[name[len("velocity."):]] = np.empty_like(dest)
+            dest = optimizer.velocity[name[len("velocity."):]]
         window = declared[name][1]
         if window is None:
             _read_tensor(fh, payload_start, entry, dest, path)

@@ -5,6 +5,7 @@ reduce-on-plateau driven by evaluation accuracy."""
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +75,10 @@ def _require_finite(**values) -> None:
 
 @dataclass
 class SgdState:
-    """Momentum-SGD hyperparameters and per-parameter velocity buffers."""
+    """Momentum-SGD hyperparameters and per-parameter velocity buffers.
+
+    A velocity is made by `zero_velocity`, before the first step that needs
+    it: the velocities made together are views of one zeroed array."""
 
     lr: float = 1e-3
     momentum: float = 0.9
@@ -92,6 +96,23 @@ class SgdState:
                 f"weight_decay: weight decay must be >= 0, got {self.weight_decay}")
 
 
+def zero_velocity(state: SgdState, params: Iterable[tuple[str, Tensor]]) -> None:
+    """Give each named parameter without a velocity in `state` a zero one.
+
+    The new velocities are views of one `np.zeros` array per element type:
+    the optimizer's largest long-lived memory is one allocation, not many
+    made among a training step's short-lived arrays (whose heap it would
+    fragment)."""
+    missing = {name: p.data for name, p in params if name not in state.velocity}
+    for dtype in {arr.dtype for arr in missing.values()}:
+        group = [(name, arr) for name, arr in missing.items() if arr.dtype == dtype]
+        flat = np.zeros(sum(arr.size for _, arr in group), dtype=dtype)
+        offset = 0
+        for name, arr in group:
+            state.velocity[name] = flat[offset:offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+
+
 #: elements per block of `sgd_step`: the block's slices of parameter,
 #: velocity, gradient and work buffer (1 MiB in float32) stay in a core's L2
 #: cache across its passes; measured best of 2^12..2^18 on a 2 MiB-L2 x86 core
@@ -100,29 +121,29 @@ SGD_BLOCK = 1 << 16
 
 def sgd_step(state: SgdState, params: list[tuple[str, Tensor]]) -> None:
     """One momentum update over every named parameter:
-    v <- momentum * v + grad; p <- p - lr * v.  Velocity buffers (zeros before
-    the first step) and parameters are updated in place, one cache-sized
-    block at a time, through one small work buffer; each element sees the
-    same operations in the same order as the whole-array formula.  A deferred
-    gradient (`autodiff.DeferredGrad`, a conv weight's gradient whose eager
-    sum would hold no less than its patches) is computed one row block at a
-    time, each block applied before the next is computed.  Gradients are
-    consumed (cleared) so the next accumulation starts fresh."""
+    v <- momentum * v + grad; p <- p - lr * v.  A parameter without a
+    velocity gets a zero one from `zero_velocity` first.  Velocity buffers
+    and parameters are updated in place, one cache-sized block at a time,
+    through one small work buffer; each element sees the same operations in
+    the same order as the whole-array formula.  A deferred gradient
+    (`autodiff.DeferredGrad`, a conv weight's gradient whose eager sum would
+    hold no less than its patches) is computed one row block at a time, each
+    block applied before the next is computed.  Gradients are consumed
+    (cleared) so the next accumulation starts fresh."""
     for name, p in params:
         if p._grad is None:
             raise OptimizerError(
                 f"parameter '{name}' has no gradient; run backward() before "
                 f"sgd_step")
+    zero_velocity(state, params)
     momentum, lr, decay = state.momentum, state.lr, state.weight_decay
     for name, p in params:
         grad, p._grad = p._grad, None
         # the flat views below must alias the buffers they update
         if not p.data.flags.c_contiguous:
             p.data = p.data.copy()
-        v = state.velocity.get(name)
-        if v is None:
-            v = state.velocity[name] = np.zeros_like(p.data)
-        elif not v.flags.c_contiguous:
+        v = state.velocity[name]
+        if not v.flags.c_contiguous:
             v = state.velocity[name] = v.copy()
         flat_p, flat_v = p.data.reshape(-1), v.reshape(-1)
         pieces = (grad.blocks() if isinstance(grad, ad.DeferredGrad)

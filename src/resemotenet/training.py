@@ -27,7 +27,7 @@ from .layers import EVAL, TRAIN
 from .metrics import ConfusionMatrix, predict_labels
 from .model import ModelConfig, ResEmoteNetModel, build_model
 from .optim import (PlateauScheduler, SgdState, cross_entropy, scheduler_step,
-                    sgd_step)
+                    sgd_step, zero_velocity)
 
 BEST_CHECKPOINT = "best.ckpt"
 LAST_CHECKPOINT = "last.ckpt"
@@ -112,18 +112,30 @@ def train_one_epoch(model: ResEmoteNetModel, optimizer: SgdState,
 
     The optimizer step runs inside backward: each parameter is updated as
     soon as its gradient is final, so at most a layer's gradients are alive
-    at once.  A non-finite loss stops the pass before backward, naming the
-    batch, so no update is made from it."""
+    at once.  The first update that finds its parameter without a velocity
+    gives every parameter that lacks one a velocity (`zero_velocity`), in
+    one allocation.  A non-finite loss, or a batch-norm running statistic
+    the forward left non-finite, stops the pass before backward, naming the
+    batch (and the statistic), so no update is made from it."""
     transform = None
     if augment:
         transform = lambda sample: random_horizontal_flip(sample, rng)
     params = {id(p): (name, p) for name, p in model.named_parameters()}
+    # updated in place by each train-mode forward
+    running_stats = [(name, arr) for name, arr in model.state_tensors().items()
+                     if name.endswith((".running_mean", ".running_var"))]
     pending = {}
 
     def step(leaf: Tensor) -> None:
+        named = pending.pop(id(leaf))
+        if named[0] not in optimizer.velocity:
+            # here, not before the first batch: a velocity smaller than a
+            # step's memory then sits above it in the heap, which glibc would
+            # otherwise trim and fault back in at every step (FER-48 nets)
+            zero_velocity(optimizer, params.values())
         # sgd_step is looked up at each call, so a wrapper installed on
         # training.sgd_step still sees every step
-        sgd_step(optimizer, [pending.pop(id(leaf))])
+        sgd_step(optimizer, [named])
 
     total_loss = 0.0
     total_seen = 0
@@ -139,6 +151,11 @@ def train_one_epoch(model: ResEmoteNetModel, optimizer: SgdState,
                 raise OptimizerError(
                     f"batch {batch}: non-finite training loss {loss}; no update "
                     f"was made from it (lower the learning rate)")
+            for name, stat in running_stats:
+                if not np.isfinite(stat).all():
+                    raise OptimizerError(
+                        f"batch {batch}: non-finite batch-norm statistic {name!r}; "
+                        f"no update was made from it (lower the learning rate)")
             value.loss.backward()
         if pending:  # parameters backward never reached: sgd_step names one
             sgd_step(optimizer, list(pending.values()))

@@ -94,3 +94,31 @@ def test_a_failed_run_keeps_the_finished_pairs_and_names_its_command(monkeypatch
     assert failed.startswith(f"perfbench/run.py --workload {first} --seed 6 ")
     assert failed.endswith(f"in {tmp_path} exited 2")
     assert f"ab: {failed}:\n" in capsys.readouterr().err
+
+
+def test_main_prints_the_summary_as_a_markdown_table(monkeypatch, tmp_path, capsys):
+    """Three canned pairs per workload: after the JSON, stdout holds one
+    table row per workload and metric, from the summary's own numbers."""
+    base = iter([800.0, 796.0, 798.0] * 3)
+    change = iter([750.0, 799.0, 746.0] * 3)
+
+    def run_once(tree, workload, seed):
+        rss = next(change if tree == ab.ROOT else base)
+        return ab.parse_run(_output(rss, 1.5, 12.0))
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    monkeypatch.setattr(ab, "export", lambda rev, into: "0" * 40)
+    out = tmp_path / "ab.json"
+    assert ab.main(["--base", "HEAD", "--pairs", "3", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["| workload | metric | base median | change median | base IQR "
+                         "| change lower in |", "|---|---|---|---|---|---|"]
+    workloads = list(summary["workloads"])
+    assert len(lines) == 2 + 3 * len(workloads)
+    for i, workload in enumerate(workloads):
+        assert lines[2 + 3 * i:5 + 3 * i] == [
+            f"| `{workload}` | `setup_s` | 1.50 | 1.50 | 0.00 | 0/3 |",
+            f"| `{workload}` | `peak_rss_mb` | 798.00 | 750.00 | 2.00 | 2/3 |",
+            f"| `{workload}` | `train.samples_per_s` (not gated) | 12.00 | 12.00 "
+            f"| 0.00 | 0/3 |"]

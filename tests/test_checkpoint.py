@@ -74,6 +74,15 @@ class TestRoundTrip:
         for name, v in optimizer.velocity.items():
             npt.assert_array_equal(loaded.optimizer.velocity[name], v)
 
+    def test_loaded_velocity_is_views_of_one_array(self, tmp_path):
+        model, optimizer, scheduler = trained_state()
+        path = tmp_path / "run.ckpt"
+        ckpt.save(model, optimizer, scheduler, epoch=7, path=path)
+        velocity = ckpt.load(path, expected_config=TINY).optimizer.velocity
+        assert sorted(velocity) == sorted(optimizer.velocity)
+        assert len({id(v.base) for v in velocity.values()}) == 1
+        assert next(iter(velocity.values())).base is not None
+
     def test_load_never_draws_initial_weights(self, tmp_path, monkeypatch):
         model, optimizer, scheduler = trained_state()
         path = tmp_path / "run.ckpt"

@@ -741,6 +741,11 @@ EXIT_CODES = [
         "train", "--config", str(dir_fixture["cfg"]), "--epochs", "4",
         "--lr", "1e30", "--out", str(tmp_path / "run")],
         1, r"epoch 1, batch \d+: non-finite training loss", id="divergent-training"),
+    pytest.param(lambda dir_fixture, tmp_path: [
+        "train", "--config", str(dir_fixture["cfg"]), "--epochs", "4",
+        "--lr", "1e4", "--batch-size", "4", "--out", str(tmp_path / "run")],
+        1, r"epoch 1, batch \d+: non-finite batch-norm statistic "
+        r"'stem\.1\.bn\.running_var'", id="divergent-statistics"),
     pytest.param(lambda: ["train", "--bogus-flag", "1"],
                  2, r"unrecognized arguments: --bogus-flag", id="unknown-flag"),
     pytest.param(lambda tmp_path: [

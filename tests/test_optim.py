@@ -21,6 +21,7 @@ from resemotenet.optim import (
     scheduler_step,
     sgd_step,
     softmax,
+    zero_velocity,
 )
 from resemotenet.synthetic import make_synthetic_manifest
 from resemotenet.training import train_one_epoch
@@ -225,6 +226,35 @@ class TestSgdInPlace:
                          [_bits(state.velocity[name]) for name, _ in params]))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_new_velocity_is_views_of_one_zeroed_array(self, dtype):
+        params = [(name, Tensor(np.full(shape, -1.0), requires_grad=True, dtype=dtype))
+                  for name, shape in (("w", (4, 3)), ("b", (3,)), ("k", (2, 2, 3, 3)))]
+        kept = np.ones(5, dtype=dtype)
+        state = SgdState(velocity={"kept": kept})
+        zero_velocity(state, params + [("kept", Tensor(np.ones(5), dtype=dtype))])
+        assert state.velocity["kept"] is kept
+        new = [state.velocity[name] for name, _ in params]
+        base = new[0].base
+        assert base.size == sum(p.size for _, p in params)
+        for (name, p), v in zip(params, new):
+            assert v.base is base and v.flags.c_contiguous
+            assert _bits(v) == _bits(np.zeros(p.shape, dtype=dtype)), name
+        for i, v in enumerate(new):  # no two views overlap
+            v[...] = i + 1
+        assert [np.unique(v).tolist() for v in new] == [[1.0], [2.0], [3.0]]
+        zero_velocity(state, params)  # each has one now: nothing is replaced
+        assert all(state.velocity[name] is v for (name, _), v in zip(params, new))
+
+    def test_sgd_step_on_a_fresh_state_makes_one_velocity_array(self):
+        params = [(name, Tensor(rng.standard_normal(shape), requires_grad=True))
+                  for name, shape in (("w", (4, 3)), ("b", (3,)))]
+        for _, p in params:
+            p.grad = rng.standard_normal(p.shape)
+        state = SgdState(lr=0.1, momentum=0.9)
+        sgd_step(state, params)
+        assert state.velocity["w"].base is state.velocity["b"].base is not None
+
     def test_velocity_buffers_keep_their_identity(self):
         w = Tensor(rng.standard_normal(6), requires_grad=True)
         state = SgdState(lr=0.1, momentum=0.9)
@@ -297,7 +327,8 @@ class TestStreamedWeightGradient:
             assert weight.size >= 4 * ad.GRAD_BLOCK
             state = SgdState(lr=0.01, momentum=0.9, weight_decay=5e-4)
             manifest, r = self._fixture(), np.random.default_rng(1)
-            # one step per epoch; the first allocates the velocity buffers
+            # one step per epoch; the first allocates the velocity, and the
+            # step's scratch
             train_one_epoch(model, state, manifest, len(manifest), r, augment=False)
             tracemalloc.start()
             try:

@@ -111,6 +111,25 @@ def test_divergent_rate_stops_at_the_first_non_finite_loss(monkeypatch):
     assert np.isfinite(losses[0]) and not np.isfinite(losses[1])
 
 
+@pytest.mark.parametrize("lr, epoch, batch, stat", [
+    (1e4, 3, 1, "residual.0.bn_b.running_var"),
+    (1e12, 1, 2, "stem.1.bn.running_var")])
+def test_a_non_finite_running_statistic_stops_training(monkeypatch, lr, epoch, batch,
+                                                        stat):
+    # every loss is finite, but the batch's forward overflowed a variance:
+    # without the check these runs returned a model with inf running stats
+    cfg = RunConfig(**{**TINY, "lr": lr, "epochs": 4})
+    fixture = _manifest(TINY_MODEL, per_class=2, seed=21)
+    losses = _record_losses(monkeypatch)
+    lines = []
+    with np.errstate(all="ignore"), pytest.raises(
+            OptimizerError, match=rf"^epoch {epoch}, batch {batch}: non-finite "
+                                  rf"batch-norm statistic '{stat}'; no update"):
+        training.train_model(cfg, fixture, fixture, log=lines.append)
+    assert [line.split()[0] for line in lines] == [f"epoch={e}" for e in range(1, epoch)]
+    assert np.isfinite(losses).all()
+
+
 def test_non_finite_weights_after_a_finite_loss_write_no_checkpoint(monkeypatch, tmp_path):
     # the last update of an epoch can leave inf weights after every loss of
     # the epoch was finite; no checkpoint of them may be written
@@ -150,7 +169,7 @@ def test_steady_step_peak_stays_below_two_largest_parameters():
         batch = DatasetManifest.from_samples("fixture", "train", made.samples[:4])
         optimizer = SgdState(lr=0.01, momentum=0.9)
         rng = np.random.default_rng(0)
-        # the first step allocates the velocity buffers
+        # the first epoch allocates the velocity, and the step's scratch
         training.train_one_epoch(model, optimizer, batch, 4, rng, False)
         tracemalloc.start()
         try:
@@ -161,6 +180,26 @@ def test_steady_step_peak_stays_below_two_largest_parameters():
     largest = max(p.data.nbytes for _, p in model.named_parameters())
     assert largest == 256 * 256 * 9 * 4
     assert peak < 2 * largest, f"peak {peak / 1e6:.2f} MB vs largest {largest / 1e6:.2f} MB"
+
+
+def test_velocity_is_one_array_before_the_first_step(monkeypatch):
+    model = build_model(TINY_MODEL)
+    optimizer = SgdState(lr=0.01, momentum=0.9)
+    seen = []
+
+    def step(state, params):
+        if not seen:
+            seen.append(dict(state.velocity))
+        sgd_step(state, params)
+
+    monkeypatch.setattr(training, "sgd_step", step)
+    training.train_one_epoch(model, optimizer, _manifest(TINY_MODEL, 1), 8,
+                             np.random.default_rng(0), False)
+    velocity = seen[0]
+    assert sorted(velocity) == sorted(name for name, _ in model.named_parameters())
+    assert len({id(v.base) for v in velocity.values()}) == 1
+    assert next(iter(velocity.values())).base is not None
+    assert all(optimizer.velocity[name] is v for name, v in velocity.items())
 
 
 def test_benchmark_tracer_still_sees_the_optimizer_and_backward(monkeypatch):
