@@ -19,9 +19,9 @@ nothing else will read or write, which a first gradient adopts uncopied;
 ``add``, sending one array to both inputs, copies it for the second.  A
 conv weight's gradient is held in the smaller of two forms.  Where the
 gradient, one per-sample product of its size and one sample's patches are
-together smaller than the whole (N*L, C*k*k) patch matrix (2*Cout + L <
-N*L), ``conv2d`` sums it eagerly, one sample's product at a time, from
-blocks of as many samples' patches as keep it so.  Otherwise its first
+together smaller than the whole patch matrix, N*L patches of C*k*k
+elements (2*Cout + L < N*L), ``conv2d`` sums it eagerly, one sample's
+product at a time, from blocks of as many samples' patches as keep it so.  Otherwise its first
 gradient is a :class:`DeferredGrad`, the product ``go_t @ patches`` not
 yet computed: the optimizer computes it row block by row block and applies
 each block as it goes, so the whole gradient of a large kernel is never
@@ -297,7 +297,9 @@ class DeferredGrad:
     ``go_t`` may also be a (rows, ...) array, a view included, whose rows
     each hold M elements: ``conv2d`` passes the (Cout, N, L) transposed view
     of its output gradient, and each row block is copied into (rows, M)
-    form only when its product is computed.  ``blocks`` computes the
+    form only when its product is computed.  ``patches`` may be a view
+    too: ``conv2d`` passes the F-ordered transpose of its (CKK, N*L)
+    patch matrix, which the GEMM reads in place.  ``blocks`` computes the
     product a few rows at a time into one block buffer, so a consumer that
     applies each block before taking the next never holds the whole
     gradient; ``materialize`` fills one full array from the same blocks, so
@@ -378,6 +380,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
 
     x: (N, Cin, H, W); weight: (Cout, Cin, kh, kw); bias: (Cout,) or None.
     Output spatial extent is floor((in + 2*padding - k) / stride) + 1.
+
+    Every patch array it builds, forward and backward, is laid out
+    (Cin, kh*kw, out_h, out_w) per sample, the output positions contiguous:
+    (b, Cin, kh*kw, out_h, out_w) for a block of b samples, and
+    (Cin, kh*kw, N, out_h, out_w) for a deferred weight gradient's patches.
 
     The backward pass re-derives its patch matrix from ``x.data``, so the
     input buffer must not be mutated between forward and ``backward()`` (the
@@ -460,10 +467,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
             _accumulate(x, input_grad(go))
         if not weight.requires_grad:
             return
-        # hold the smaller of what each way needs, counted in CKK-long rows:
-        # eager, the (Cout, CKK) gradient, one product and a block of `fit`
-        # samples' patches at most; deferred, all (N*L, CKK) patches.  Each
-        # sample block's taps write a cache-sized slice of them
+        # hold the smaller of what each way needs, counted in CKK-element
+        # patches: eager, the (Cout, CKK) gradient, one product and a block of
+        # `fit` samples' patches at most; deferred, all N*L patches, unfolded
+        # in the forward's sample blocks
         fit = (n * positions - 2 * cout - 1) // positions
         if fit >= 1:
             # eager: each sample's (Cout, L) @ (L, CKK) product is added in
@@ -471,21 +478,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
             b = min(step, fit)
             dtype = np.result_type(go, x.data)
             gw, prod = np.zeros((cout, ckk), dtype=dtype), np.empty((cout, ckk), dtype=dtype)
-            patches = np.empty((b, out_h, out_w, cin, taps), dtype=x.data.dtype)
+            patches = np.empty((b, cin, taps, out_h, out_w), dtype=x.data.dtype)
             for s0 in range(0, n, b):
                 block = patches[:min(b, n - s0)]
-                unfold(s0, block.transpose(0, 3, 4, 1, 2))
-                for i, rows in enumerate(block.reshape(-1, positions, ckk)):
-                    np.matmul(go[s0 + i], rows, out=prod)
+                unfold(s0, block)
+                for i, cols in enumerate(block.reshape(-1, ckk, positions)):
+                    np.matmul(go[s0 + i], cols.T, out=prod)
                     gw += prod
             _accumulate(weight, gw.reshape(weight.shape))
             return
         # deferred: one GEMM over (batch, position), (Cout, N*L) @ (N*L, CKK),
-        # the output gradient kept as its (Cout, N, L) view
-        patches = np.empty((n, out_h, out_w, cin, taps), dtype=x.data.dtype)
+        # the output gradient kept as its (Cout, N, L) view and the patches as
+        # the transpose of their (CKK, N*L) matrix
+        patches = np.empty((cin, taps, n, out_h, out_w), dtype=x.data.dtype)
         for s0 in range(0, n, step):
-            unfold(s0, patches[s0:s0 + step].transpose(0, 3, 4, 1, 2))
-        product = DeferredGrad(go.transpose(1, 0, 2), patches.reshape(n * positions, ckk),
+            unfold(s0, patches.transpose(2, 0, 1, 3, 4)[s0:s0 + step])
+        product = DeferredGrad(go.transpose(1, 0, 2), patches.reshape(ckk, n * positions).T,
                                weight.shape, weight.data.dtype)
         if weight._grad is None:
             weight._grad = product  # computed when consumed or read

@@ -143,7 +143,9 @@ def train_one_epoch(model: ResEmoteNetModel, optimizer: SgdState,
             make_batches(manifest, batch_size, rng, shuffle=True,
                          transform=transform), start=1):
         pending = dict(params)
-        with Graph(on_grad=step):
+        # a diverging step overflows before the checks below name it; they
+        # report it, so numpy's unnamed warnings would only add noise
+        with Graph(on_grad=step), np.errstate(over="ignore", invalid="ignore"):
             logits = model.forward(pixels, mode=TRAIN)
             value = cross_entropy(logits.values, labels)
             loss = float(value.loss.item())

@@ -665,14 +665,19 @@ class TestDeferredConvWeightGrad:
         assert flat.tobytes() == deferred.materialize().reshape(-1).tobytes()
         npt.assert_allclose(flat.reshape(5, 18), go_t @ patches, rtol=1e-12)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_a_block_holds_at_most_grad_block_elements(self, monkeypatch, dtype):
+    def test_a_block_holds_at_most_grad_block_elements(self, monkeypatch, dtype, order):
         # the product buffer and the copy of go_t's transposed rows
-        # together: 1000 elements of the gradient's dtype
+        # together: 1000 elements of the gradient's dtype; matmul copies
+        # neither C-ordered patches nor the F-ordered (CKK, N*L).T view
+        # conv2d passes
         monkeypatch.setattr(ad, "GRAD_BLOCK", 1000)
         r = np.random.default_rng(8)
         go_t = r.standard_normal((4, 64, 9)).astype(dtype).transpose(1, 0, 2)  # (Cout, N, L)
         patches = r.standard_normal((36, 8 * 4)).astype(dtype)  # a 2x2 kernel of 8 channels
+        patches = patches if order == "C" else np.ascontiguousarray(patches.T).T
+        assert patches.flags[f"{order}_CONTIGUOUS"]
         deferred = ad.DeferredGrad(go_t, patches, (64, 8, 2, 2), dtype)
         tracemalloc.start()
         try:
