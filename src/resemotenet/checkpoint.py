@@ -17,7 +17,10 @@ Tensors are stored in their declared shapes.  A conv whose outer taps read
 only padding at the configured input size is built as the smaller conv it
 computes (`ResEmoteNetModel.live_windows`); its weight and velocity are
 written as the declared (Cout, Cin, kh, kw) tensor, with +0.0 on the taps
-outside the window, and `load` keeps the window alone.
+outside the window, and `load` keeps the window alone.  Every tensor, in
+both directions, streams through `_blocks` in blocks of rows of its
+declared shape: views of its own array, or for such a conv one reused
+buffer, so no second copy of a tensor is ever held.
 
 Saving is atomic: the bytes land in a temporary sibling file which is then
 renamed over the target.  A tensor holding NaN or infinity, or a header value
@@ -27,7 +30,6 @@ renamed over the target.  A tensor holding NaN or infinity, or a header value
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -50,9 +52,9 @@ FORMAT_VERSION = 1
 
 _DTYPE_CODES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
 
-#: elements per block of a tensor that `save` writes in its declared shape
-#: or `load` reads into its window (256 KiB in float32): small beside the
-#: model, so neither holds a second copy of a weight
+#: elements per block in which `save` and `load` stream every tensor
+#: (256 KiB in float32): small beside the model, so the one buffer a conv
+#: built smaller goes through holds no second copy of its weight
 WINDOW_BLOCK = 1 << 16
 
 
@@ -89,36 +91,25 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
     non-finite or a header value is one `load` refuses: `CheckpointError`
     names the tensor and its first bad flat index, or the field."""
     path = Path(path)
-    # (name, array, (declared shape, window of it the array holds)): the
-    # window is None but for a conv weight built smaller and its velocity
-    windows = model.live_windows()
-    tensors = [(f"model.{name}", arr, windows.get(name, (arr.shape, None)))
-               for name, arr in model.state_tensors().items()]
-    if optimizer is not None:
-        tensors += [(f"velocity.{name}", arr, windows.get(name, (arr.shape, None)))
-                    for name, arr in sorted(optimizer.velocity.items())]
-
-    # each buffer is the tensor's own memory (copied only when it is not
-    # contiguous little-endian), checked finite, checksummed and written
-    # through a memoryview; one that holds a window is written whole,
-    # expanded block by block, with +0.0 outside the window
+    # each tensor streams in blocks of its declared shape (`_blocks`), from
+    # its own memory (copied only when it is not contiguous little-endian);
+    # each block is checked finite and checksummed, and written through a
+    # memoryview, so a non-finite index is already the declared one
+    stored = _stored(model, {} if optimizer is None else optimizer.velocity)
     directory = []
-    buffers = []
+    streams = []
     offset = 0
-    for name, arr, (shape, window) in tensors:
+    for name, (arr, shape, window) in stored.items():
         buf, code = _little_endian(arr)
-        if not (np.isfinite(buf.min()) and np.isfinite(buf.max())):
-            bad = np.unravel_index(int(np.flatnonzero(~np.isfinite(buf))[0]), buf.shape)
-            value = buf[bad]
-            if window is not None:  # its index in the declared tensor
-                bad = (*bad[:2], *(i + live.start for i, live in zip(bad[2:], window)))
-            raise CheckpointError(
-                f"refusing to write checkpoint {path}: tensor {name!r} is "
-                f"non-finite (flat index {np.ravel_multi_index(bad, shape)} is {value})")
-        pieces = (functools.partial(iter, [_bytes_of(buf)]) if window is None
-                  else functools.partial(_whole_blocks, buf, shape, window))
         crc = length = 0
-        for view in pieces():
+        for block in _blocks(buf, shape, window):
+            if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                bad = int(np.flatnonzero(~np.isfinite(block))[0])
+                raise CheckpointError(
+                    f"refusing to write checkpoint {path}: tensor {name!r} is "
+                    f"non-finite (flat index {length // buf.itemsize + bad} is "
+                    f"{block.reshape(-1)[bad]})")
+            view = _bytes_of(block)
             crc = zlib.crc32(view, crc)
             length += view.nbytes
         directory.append({
@@ -129,7 +120,7 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
             "length": length,
             "crc32": crc & 0xFFFFFFFF,
         })
-        buffers.append(pieces)
+        streams.append((buf, shape, window))
         offset += length
 
     header: dict[str, Any] = {
@@ -153,9 +144,9 @@ def save(model: ResEmoteNetModel, optimizer: SgdState | None,
                 fh.write(struct.pack("<I", FORMAT_VERSION))
                 fh.write(struct.pack("<Q", len(header_bytes)))
                 fh.write(header_bytes)
-                for pieces in buffers:
-                    for view in pieces():
-                        fh.write(view)
+                for buf, shape, window in streams:
+                    for block in _blocks(buf, shape, window):
+                        fh.write(_bytes_of(block))
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -313,58 +304,63 @@ def _validate_directory(directory: list[dict], payload_size: int, path: Path) ->
                 f"{path}: tensors {name_a!r} and {name_b!r} overlap in the payload")
 
 
-def _whole_blocks(live: np.ndarray, shape: tuple, window: tuple[slice, slice]):
-    """The bytes of the `shape` array that holds `live` on its last two
-    axes' (rows, cols) `window` and +0.0 elsewhere, a block of rows at a
-    time through one buffer of at most `WINDOW_BLOCK` elements (or one
-    row)."""
+def _stored(model: ResEmoteNetModel, velocity: dict[str, np.ndarray]
+            ) -> dict[str, tuple[np.ndarray, tuple, tuple[slice, slice] | None]]:
+    """Every tensor a checkpoint of `model` and `velocity` holds, in file
+    order, by its name in the file: the array holding it, its declared
+    shape, and the (rows, cols) window of that kernel the array holds, which
+    is None but for a conv weight built smaller and its velocity."""
+    windows = model.live_windows()
+    tensors = [(f"model.{name}", name, arr) for name, arr in model.state_tensors().items()]
+    tensors += [(f"velocity.{name}", name, arr) for name, arr in sorted(velocity.items())]
+    return {key: (arr, *windows.get(name, (arr.shape, None)))
+            for key, name, arr in tensors}
+
+
+def _blocks(arr: np.ndarray, shape: tuple, window: tuple[slice, slice] | None,
+            load: bool = False):
+    """The C-contiguous `arr` as blocks of rows of its declared `shape`, each
+    at most `WINDOW_BLOCK` elements (or one row).  A plain tensor's blocks
+    are views of `arr`.  One holding the (rows, cols) `window` of its last
+    two axes streams through one reused buffer: for save each block holds
+    its rows of `arr` in the window and +0.0 elsewhere; with `load` the
+    caller fills each block, and its window lands in `arr` once the next
+    block is asked for."""
     rows = max(1, WINDOW_BLOCK // math.prod(shape[1:]))
-    buf = np.zeros((min(rows, shape[0]), *shape[1:]), dtype=live.dtype)
+    if window is None:
+        for r0 in range(0, shape[0], rows):
+            yield arr[r0:r0 + rows]
+        return
+    buf = np.zeros((min(rows, shape[0]), *shape[1:]), dtype=arr.dtype)
+    live = (slice(None), slice(None), *window)
     for r0 in range(0, shape[0], rows):
-        block = buf[:min(rows, shape[0] - r0)]
-        block[(slice(None), slice(None), *window)] = live[r0:r0 + len(block)]
-        yield _bytes_of(block)
+        block, held = buf[:min(rows, shape[0] - r0)], arr[r0:r0 + rows]
+        if not load:
+            block[live] = held
+        yield block
+        if load:
+            held[...] = block[live]
 
 
-def _read_window(fh, payload_start: int, entry: dict, dest: np.ndarray,
-                 window: tuple[slice, slice], path: Path) -> None:
-    """Stream a whole (Cout, Cin, kh, kw) tensor from the file a block of
-    rows at a time (at most `WINDOW_BLOCK` elements, or one row), checking
-    the CRC of every byte, into `dest`, which holds its (rows, cols)
-    `window` alone."""
-    shape = tuple(entry["shape"])
-    rows = max(1, WINDOW_BLOCK // math.prod(shape[1:]))
-    buf = np.empty((min(rows, shape[0]), *shape[1:]), dtype=dest.dtype)
+def _read_tensor(fh, payload_start: int, entry: dict, dest: np.ndarray,
+                 shape: tuple, window: tuple[slice, slice] | None,
+                 path: Path) -> None:
+    """Stream one tensor of declared `shape` from the file into `dest`, a
+    contiguous array of the file's element type holding its `window` (see
+    `_blocks`), checking the CRC of every byte."""
+    name = entry["name"]
     fh.seek(payload_start + entry["offset"])
     crc = got = 0
-    for r0 in range(0, shape[0], rows):
-        block = buf[:min(rows, shape[0] - r0)]
+    for block in _blocks(dest, shape, window, load=True):
         view = _bytes_of(block)
         n = fh.readinto(view)
         got += n
         if n != view.nbytes:
             raise CheckpointError(
-                f"{path}: tensor {entry['name']!r} is truncated: read {got} of "
+                f"{path}: tensor {name!r} is truncated: read {got} of "
                 f"{entry['length']} bytes")
         crc = zlib.crc32(view, crc)
-        dest[r0:r0 + len(block)] = block[(slice(None), slice(None), *window)]
     if (crc & 0xFFFFFFFF) != entry["crc32"]:
-        raise CheckpointError(f"{path}: checksum mismatch for tensor {entry['name']!r}")
-
-
-def _read_tensor(fh, payload_start: int, entry: dict, dest: np.ndarray,
-                 path: Path) -> None:
-    """Stream one tensor from the file straight into `dest`, a contiguous
-    array of the file's element type, checking its CRC."""
-    name = entry["name"]
-    view = _bytes_of(dest)
-    fh.seek(payload_start + entry["offset"])
-    got = fh.readinto(view)
-    if got != entry["length"]:
-        raise CheckpointError(
-            f"{path}: tensor {name!r} is truncated: read {got} of "
-            f"{entry['length']} bytes")
-    if (zlib.crc32(view) & 0xFFFFFFFF) != entry["crc32"]:
         raise CheckpointError(f"{path}: checksum mismatch for tensor {name!r}")
 
 
@@ -384,9 +380,10 @@ def load(path, expected_config: ModelConfig | None = None, *,
     straight into the model's own arrays (velocity into views of one zeroed
     array, from `zero_velocity`), each CRC-checked as it lands; no model is
     returned unless every check passes.
-    The weight and velocity of a conv built smaller are streamed in blocks
-    of their declared shape, every byte CRC-checked, and only their window
-    is kept: whatever the file holds on the other taps (a file from before
+    Every tensor streams in blocks of rows of its declared shape
+    (`_blocks`).  Of the weight and velocity of a conv built smaller, every
+    byte is CRC-checked and only the window is kept: whatever the file
+    holds on the other taps (a file from before
     convs were built smaller holds drawn weights there) multiplies only
     padding at the file's input size, and is dropped.
 
@@ -440,25 +437,20 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
             model = build_model(file_config, draw=False)
     except ConfigError as err:  # a config too large to allocate
         raise CheckpointError(f"{path}: header field 'config': {err}") from None
-    # where each stored tensor goes (velocity only when there is an
-    # optimizer), and the declared shape and window of one built smaller
-    slots = {f"model.{name}": arr for name, arr in model.state_tensors().items()}
-    expected_names = set(slots)
-    if optimizer is not None:
-        slots.update((f"velocity.{name}", p.data) for name, p in model.named_parameters())
-    windows = model.live_windows()
-    declared = {name: windows.get(name.split(".", 1)[1], (arr.shape, None))
-                for name, arr in slots.items()}
+    # every tensor the file may hold: velocity only when there is an optimizer
+    stored = _stored(model, {} if optimizer is None else
+                     {name: p.data for name, p in model.named_parameters()})
     for entry in directory:
         name = entry["name"]
-        if name not in slots:
+        if name not in stored:
             raise CheckpointError(f"{path}: unexpected tensor {name!r}")
         shape = tuple(entry["shape"])
-        if shape != declared[name][0]:
+        if shape != stored[name][1]:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {shape} but the "
-                f"model expects {declared[name][0]}")
-    missing = expected_names - {entry["name"] for entry in directory}
+                f"model expects {stored[name][1]}")
+    names = {entry["name"] for entry in directory}
+    missing = {name for name in stored if name.startswith("model.")} - names
     if missing:
         raise CheckpointError(
             f"{path}: missing model tensors: {sorted(missing)[:3]}"
@@ -467,21 +459,13 @@ def _load_from(fh, path: Path, expected_config: ModelConfig | None,
     if model_only:
         optimizer = scheduler = None
     elif optimizer is not None:  # the velocity the file holds lands in zeroed views
-        stored = {entry["name"] for entry in directory}
         zero_velocity(optimizer, [(name, p) for name, p in model.named_parameters()
-                                  if f"velocity.{name}" in stored])
+                                  if f"velocity.{name}" in names])
+    # where each tensor lands; with `model_only` the velocity is not read
+    stored = _stored(model, {} if optimizer is None else optimizer.velocity)
     for entry in directory:
-        name = entry["name"]
-        dest = slots[name]
-        if name.startswith("velocity."):
-            if model_only:
-                continue
-            dest = optimizer.velocity[name[len("velocity."):]]
-        window = declared[name][1]
-        if window is None:
-            _read_tensor(fh, payload_start, entry, dest, path)
-        else:
-            _read_window(fh, payload_start, entry, dest, window, path)
+        if entry["name"] in stored:
+            _read_tensor(fh, payload_start, entry, *stored[entry["name"]], path)
 
     return LoadedCheckpoint(
         model=model,

@@ -145,8 +145,10 @@ _PARSERS = {f.name: _parser_for(f.default) for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
-    """Parse `key = value` lines into typed values; errors carry line numbers."""
+    """Parse `key = value` lines into typed values; errors carry line numbers.
+    A key may be set once."""
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,6 +160,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
         parser = _PARSERS.get(key)
         if parser is None:
             raise ConfigError(f"{source}: line {ln}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{source}: line {ln}: key {key!r} is already set "
+                              f"on line {first_line[key]}")
+        first_line[key] = ln
         try:
             values[key] = parser(value)
         except ValueError as err:

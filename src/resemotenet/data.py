@@ -305,6 +305,9 @@ def load_image_dir(root, split: str, target_size: int, channels: int) -> Dataset
                 f"{manifest_file}: line {ln}: expected 'path<TAB>class-name'")
         rel, class_name = line.split("\t", 1)
         rel, class_name = rel.strip(), class_name.strip()
+        if Path(rel).is_absolute():
+            raise DataError(f"{manifest_file}: line {ln}: image path {rel!r} must be "
+                            f"relative to the split directory")
         if class_name not in CLASS_INDEX:
             raise DataError(
                 f"{manifest_file}: line {ln}: unknown class name {class_name!r}")

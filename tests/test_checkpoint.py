@@ -871,3 +871,96 @@ class TestCompactConvs:
             with pytest.raises(CheckpointError,
                                match=f"checksum mismatch for tensor '{re.escape(name)}'"):
                 ckpt.load(tmp_path / "bad.ckpt")
+
+
+#: a 16x16 input leaves the residual block a 2x2 map, where every tap of
+#: its 3x3 convs reads the input, so conv_b is a plain (128, 128, 3, 3)
+#: weight whose 1,152-element rows stream in three `WINDOW_BLOCK` blocks
+PLAIN_BLOCKS = ModelConfig(input_channels=1, input_size=16, stem_channels=(4, 8, 16),
+                           se_reduction=4, residual_channels=((16, 128, 1),),
+                           num_classes=3, seed=8)
+
+
+class TestPlainBlocks:
+    """A plain tensor larger than `WINDOW_BLOCK` streams in blocks of its
+    own rows: every block is checksummed, read straight into the model's
+    array, and a non-finite element is named by its flat index."""
+
+    NAME = "residual.0.conv_b.weight"
+    ROW = 128 * 9
+    ROWS = ckpt.WINDOW_BLOCK // ROW  # 56 rows a block: blocks of 56, 56, 16
+
+    @pytest.fixture
+    def state(self):
+        model = build_model(PLAIN_BLOCKS)
+        r = np.random.default_rng(6)
+        optimizer = SgdState(lr=0.01, momentum=0.9)
+        optimizer.velocity = {name: r.standard_normal(p.shape)
+                              for name, p in model.named_parameters()}
+        assert self.NAME not in model.live_windows()
+        assert dict(model.named_parameters())[self.NAME].shape == (128, 128, 3, 3)
+        return model, optimizer
+
+    def _saved(self, state, path):
+        ckpt.save(*state, PlateauScheduler(), 1, path)
+        blob = path.read_bytes()
+        return blob, _payload_offset(blob, f"model.{self.NAME}")
+
+    # the first and the last byte of the last block
+    @pytest.mark.parametrize("at", [2 * ROWS * ROW * 8, 128 * ROW * 8 - 1])
+    def test_a_byte_flipped_in_the_last_block_is_a_checksum_mismatch(self, tmp_path,
+                                                                     state, at):
+        path = tmp_path / "run.ckpt"
+        blob, start = self._saved(state, path)
+        blob = bytearray(blob)
+        blob[start + at] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: checksum mismatch for tensor 'model.{self.NAME}'")):
+            ckpt.load(path, PLAIN_BLOCKS)
+
+    def test_a_file_cut_in_a_later_block_counts_the_whole_tensor(self, tmp_path, state,
+                                                                 monkeypatch):
+        path = tmp_path / "run.ckpt"
+        _, start = self._saved(state, path)
+        read = 2 * self.ROWS * self.ROW * 8 + 100  # two whole blocks and a part
+        validate = ckpt._validate_directory
+
+        def validate_then_cut(directory, payload_size, where):
+            validate(directory, payload_size, where)
+            os.truncate(path, start + read)  # after its size was checked
+
+        monkeypatch.setattr(ckpt, "_validate_directory", validate_then_cut)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: tensor 'model.{self.NAME}' is truncated: read {read} of "
+                f"{128 * self.ROW * 8} bytes")):
+            ckpt.load(path, PLAIN_BLOCKS)
+
+    @pytest.mark.parametrize("kind, value", [("model", np.nan), ("velocity", np.inf)])
+    def test_a_non_finite_element_in_a_later_block_names_its_flat_index(
+            self, tmp_path, state, kind, value):
+        model, optimizer = state
+        arr = (dict(model.state_tensors()) if kind == "model" else optimizer.velocity)[
+            self.NAME]
+        arr[120, 5, 2, 1] = value  # in the third block
+        assert 120 // self.ROWS == 2
+        with pytest.raises(CheckpointError, match=(
+                rf"tensor '{kind}\.{re.escape(self.NAME)}' is non-finite "
+                rf"\(flat index {((120 * 128 + 5) * 3 + 2) * 3 + 1} is {value}\)$")):
+            ckpt.save(model, optimizer, PlateauScheduler(), 1, tmp_path / "run.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load_reads_plain_blocks_with_no_buffer(self, tmp_path, state):
+        path = tmp_path / "run.ckpt"
+        self._saved(state, path)
+        loaded, alloc = _traced_alloc(lambda: ckpt.load(path, PLAIN_BLOCKS))
+        kept = sum(a.nbytes for a in loaded.model.state_tensors().values()) + sum(
+            v.nbytes for v in loaded.optimizer.velocity.values())
+        block = self.ROWS * self.ROW * 8
+        # the header and file bookkeeping take about 80 KiB here
+        assert alloc - kept < block // 2, (alloc, kept, block)
+        model, optimizer = state
+        for name, arr in model.state_tensors().items():
+            assert loaded.model.state_tensors()[name].tobytes() == arr.tobytes(), name
+        for name, v in optimizer.velocity.items():
+            assert loaded.optimizer.velocity[name].tobytes() == v.tobytes(), name

@@ -140,6 +140,14 @@ def test_negative_seed_is_rejected():
         RunConfig(**parse_config_text("seed = -21\n"))
 
 
+def test_a_key_set_twice_is_refused_naming_both_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("lr = 0.1\nseed = 3\n\nlr = 0.5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: line 4: key 'lr' is already set on line 1")):
+        load_run_config(path)
+
+
 def test_config_file_that_is_not_utf8_is_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"data_root = /faces/\xff\n")

@@ -330,6 +330,26 @@ class TestImageDir:
         with pytest.raises(DataError, match="line 1"):
             load_image_dir(tmp_path, "train", 64, 3)
 
+    def test_absolute_image_path_names_the_manifest_line(self, tmp_path):
+        _, index = self._write_fixture(tmp_path)
+        outside = tmp_path / "imgs" / index.read_text().split("\t")[0]
+        split = tmp_path / "split"
+        split.mkdir()
+        (split / MANIFEST).write_text(f"{outside}\tHappy\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{split / MANIFEST}: line 1: image path '{outside}' must be "
+                "relative to the split directory")):
+            load_image_dir(split, "train", 10, 3)
+
+    def test_a_path_up_to_a_shared_pool_loads(self, tmp_path):
+        made, index = self._write_fixture(tmp_path)
+        split = tmp_path / "split"
+        split.mkdir()
+        (split / MANIFEST).write_text("".join(
+            f"../imgs/{line}\n" for line in index.read_text().splitlines()))
+        loaded = load_image_dir(split, "train", 10, 3)
+        assert len(loaded) == len(made)
+
     def test_color_image_for_a_single_channel_model_rejected(self, tmp_path):
         _, index = self._write_fixture(tmp_path)
         first = tmp_path / "imgs" / index.read_text().split("\t")[0]
