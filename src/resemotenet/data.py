@@ -12,10 +12,16 @@ Every loader emits samples with pixels scaled to [0, 1] under the canonical
 seven-class label order; batching is deterministic given an RNG seed.  The
 loaders trust a checked `ModelConfig` for the geometry they fit samples to
 (its `input_size`, and an `input_channels` of 1 or 3) and re-check neither.
+
+A CSV split is read one line at a time and held as uint8 rasters
+(`RasterSample`), one byte a pixel; a sample is fitted to the model's
+geometry each time its `pixels` is read, so `make_batches` fits a batch at
+a time.  Pixmap samples are fitted once, at load.
 """
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,6 +75,35 @@ class Sample:
     source_id: str
 
 
+class RasterSample(Sample):
+    """A sample held as its uint8 raster, fitted each time `pixels` is read.
+
+    `pixels` is ``_fit_planes(levels[raster], size, channels, source_id,
+    dtype)``: `levels` maps each 8-bit value to its scaled pixel, and the fit
+    resizes and replicates to the target geometry in `dtype`.  Nothing is
+    cached, so the sample holds one byte a pixel whatever its geometry."""
+
+    def __init__(self, raster: np.ndarray, levels: np.ndarray, size: int,
+                 channels: int, dtype, label: int, source_id: str):
+        self.raster = raster      # (C, H, W) uint8
+        self.levels = levels      # (256,) pixel value of each 8-bit level
+        self.size = size
+        self.channels = channels
+        self.dtype = dtype
+        self.label = label
+        self.source_id = source_id
+
+    @property
+    def pixels(self) -> np.ndarray:
+        return _fit_planes(self.levels[self.raster], self.size, self.channels,
+                           self.source_id, self.dtype)
+
+    def refit(self, size: int, channels: int, dtype) -> "RasterSample":
+        """The same raster, label and provenance at another geometry."""
+        return RasterSample(self.raster, self.levels, size, channels, dtype,
+                            self.label, self.source_id)
+
+
 @dataclass
 class DatasetManifest:
     """A loaded split: samples, their per-class tally, and identity."""
@@ -100,6 +135,44 @@ def _check_split(split: str) -> str:
 # CSV corpus
 # ---------------------------------------------------------------------------
 
+def _decode_error(err: UnicodeDecodeError, offset: int) -> str:
+    """`err`'s text, worded as ``str(err)``, with its byte positions moved
+    on by `offset`."""
+    first, last = offset + err.start, offset + err.end - 1
+    where = (f"byte 0x{err.object[err.start]:02x} in position {first}" if first == last
+             else f"bytes in position {first}-{last}")
+    return f"'{err.encoding}' codec can't decode {where}: {err.reason}"
+
+
+def _text_lines(path: Path):
+    """Yield (line number, line) of a UTF-8 file, a leading BOM dropped,
+    holding one line of it at a time.
+
+    The lines, their numbers and a decode error's text are those of
+    ``path.read_text(encoding="utf-8-sig").splitlines()``: the bytes are cut
+    at each LF, which no multibyte character holds, and each piece is split
+    again where `str.splitlines` splits (CR, CRLF, form feed, ...).  A byte
+    position counts from the first byte after the BOM.  A read or decode
+    error is a `DataError`."""
+    ln = done = 0  # lines yielded; bytes decoded before this piece
+    try:
+        with open(path, "rb") as handle:
+            for piece, raw in enumerate(handle):
+                if piece == 0 and codecs.BOM_UTF8.startswith(raw[:3]):
+                    raw = raw[3:]  # a BOM, or a file of part of one (read as empty)
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise DataError(f"cannot read dataset file {path}: "
+                                    f"{_decode_error(err, done)}") from None
+                done += len(raw)
+                for line in text.splitlines():
+                    ln += 1
+                    yield ln, line
+    except OSError as err:
+        raise DataError(f"cannot read dataset file {path}: {err}") from None
+
+
 def load_fer_csv(path, split_filter: str) -> DatasetManifest:
     """Load one split of the CSV corpus.
 
@@ -107,22 +180,27 @@ def load_fer_csv(path, split_filter: str) -> DatasetManifest:
     the train split, ``PublicTest`` and ``PrivateTest`` both feed the test
     split.  Native labels are translated through `FER_NATIVE_REMAP`.  Any
     malformed row fails the load with its line number.
+
+    The file is read one line at a time.  Each row of the split is kept as
+    a `RasterSample` of its (1, 48, 48) uint8 raster, which reads as 48x48x1
+    pixels in the element type in effect here until `adapt_manifest`
+    re-tags it: the 8-bit values times ``1/255`` in float64, cast to that
+    type, the bits a whole-file read gave.  Faults are reported in file
+    order, so a malformed header or row is reported before a decode error in
+    a later line.
     """
     _check_split(split_filter)
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as err:
-        raise DataError(f"cannot read dataset file {path}: {err}") from None
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != FER_HEADER:
-        got = lines[0].strip() if lines else "<empty file>"
+    lines = _text_lines(path)
+    first = next(lines, None)
+    if first is None or first[1].strip() != FER_HEADER:
+        got = first[1].strip() if first else "<empty file>"
         raise DataError(f"{path}: line 1: expected header {FER_HEADER!r}, got {got!r}")
 
     dtype = ad.default_dtype()
-    scale = 1.0 / 255.0
+    levels = (np.arange(256) * (1.0 / 255.0)).astype(dtype)
     samples: list[Sample] = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in lines:
         if not line.strip():
             continue
         parts = line.split(",")
@@ -152,10 +230,9 @@ def load_fer_csv(path, split_filter: str) -> DatasetManifest:
                 f"{path}: line {ln}: expected {FER_PIXELS} pixels, got {values.size}")
         if ((values < 0) | (values > 255)).any() or (values != np.floor(values)).any():
             raise DataError(f"{path}: line {ln}: pixels must be integers in 0-255")
-        pixels = (values * scale).astype(dtype).reshape(1, 48, 48)
-        samples.append(Sample(pixels=pixels,
-                              label=FER_NATIVE_REMAP[native],
-                              source_id=f"{path.name}#L{ln}"))
+        samples.append(RasterSample(values.reshape(1, 48, 48).astype(np.uint8), levels,
+                                    48, 1, dtype, label=FER_NATIVE_REMAP[native],
+                                    source_id=f"{path.name}#L{ln}"))
     return DatasetManifest.from_samples(path.stem, split_filter, samples)
 
 
@@ -249,7 +326,9 @@ def _fit_planes(planes: np.ndarray, target_size: int, channels: int,
     is resized once, in float64; grayscale is then replicated when color is
     asked.  Planes that already fit are returned uncopied: nothing writes
     sample pixels in place (the flip builds a new array, `make_batches`
-    stacks copies).  A target size numpy refuses to allocate is a `DataError`."""
+    stacks copies).  A target size numpy refuses to allocate is a `DataError`.
+    Pixmaps are fitted here once, at load; a `RasterSample` at each read of
+    its `pixels`, so in `make_batches` one batch at a time."""
     if planes.shape[0] == 3 and channels == 1:
         raise DataError(f"{source}: color image cannot feed a single-channel model")
     if planes.shape[1:] != (target_size, target_size):
@@ -287,6 +366,10 @@ def load_image_dir(root, split: str, target_size: int, channels: int) -> Dataset
     Images are decoded in manifest order, rescaled to [0, 1], bilinearly
     resized to ``target_size``, and grayscale images are replicated across
     channels when a color model is configured.
+
+    Unlike a CSV row, each image is fitted here, at load, and kept fitted:
+    a pixmap's native raster can outweigh its fitted array (a 224x224x3
+    image is 150 KB as uint8, 49 KB fitted to 64x64x3 in float32).
     """
     _check_split(split)
     root = Path(root)
@@ -330,12 +413,16 @@ def load_single_image(path, target_size: int, channels: int) -> Sample:
 def adapt_manifest(manifest: DatasetManifest, target_size: int,
                    channels: int) -> DatasetManifest:
     """Re-fit loaded samples to a model's input geometry (resize + channel
-    replication), leaving labels and provenance untouched; a sample that
-    already fits shares its pixel array with `manifest`."""
+    replication) in the element type in effect, leaving labels and
+    provenance untouched.  A `RasterSample` is only re-tagged with the new
+    geometry and type, sharing its raster, and is fitted when its `pixels`
+    is read; any other sample is fitted now, and one that already fits
+    shares its pixel array with `manifest`."""
     dtype = ad.default_dtype()
-    samples = [Sample(pixels=_fit_planes(s.pixels, target_size, channels,
-                                         s.source_id, dtype),
-                      label=s.label, source_id=s.source_id)
+    samples = [s.refit(target_size, channels, dtype) if isinstance(s, RasterSample)
+               else Sample(pixels=_fit_planes(s.pixels, target_size, channels,
+                                              s.source_id, dtype),
+                           label=s.label, source_id=s.source_id)
                for s in manifest.samples]
     return DatasetManifest(name=manifest.name, split=manifest.split,
                            samples=samples,

@@ -74,23 +74,26 @@ def write_fer_csv(path, manifests: dict[str, DatasetManifest]) -> Path:
     per sample, ``<native label>,<pixels>,<usage>``, where the pixels are
     the 2304 values in row-major order, in decimal without padding, one
     space apart.  Every line, the last included, ends in ``\n``.  A bad
-    sample raises `ValueError` before any file is written.
+    sample raises `ValueError` before any file is written; the rows are then
+    written one at a time.
     """
     path = Path(path)
     usage_of = {"train": "Training", "test": "PublicTest"}
-    rows = [FER_HEADER]
-    for split, manifest in manifests.items():
-        usage = usage_of[split]
+    splits = [(usage_of[split], manifest) for split, manifest in manifests.items()]
+    for _, manifest in splits:
         for sample in manifest.samples:
             c, h, w = sample.pixels.shape
             if (c, h, w) != (1, 48, 48):
                 raise ValueError(
                     f"CSV layout is 1x48x48; sample {sample.source_id} is "
                     f"{c}x{h}x{w}")
-            quantized = np.rint(sample.pixels * 255).astype(np.uint8).reshape(-1)
-            text = " ".join([_PIXEL_TEXT[v] for v in quantized.tolist()])
-            rows.append(f"{_CANONICAL_TO_NATIVE[sample.label]},{text},{usage}")
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(FER_HEADER + "\n")
+        for usage, manifest in splits:
+            for sample in manifest.samples:
+                quantized = np.rint(sample.pixels * 255).astype(np.uint8).reshape(-1)
+                text = " ".join([_PIXEL_TEXT[v] for v in quantized.tolist()])
+                out.write(f"{_CANONICAL_TO_NATIVE[sample.label]},{text},{usage}\n")
     return path
 
 

@@ -96,12 +96,21 @@ def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest) -> Confus
     The manifest is forwarded `eval_block` images at a time, which bounds
     the activations an eval forward holds beside the model.  Eval-mode batch
     norm reads running statistics, so no sample's logits depend on the
-    others in its block."""
+    others in its block.  A block whose logits are not all finite raises
+    `OptimizerError` naming the held-out batch, as a diverged training batch
+    does, instead of being scored."""
     cm = ConfusionMatrix(model.config.num_classes)
-    for pixels, labels in make_batches(manifest, eval_block(model.config), None,
-                                       shuffle=False):
-        logits = model.forward(pixels, mode=EVAL)
-        cm.update(labels, predict_labels(logits.values.data))
+    for batch, (pixels, labels) in enumerate(
+            make_batches(manifest, eval_block(model.config), None, shuffle=False),
+            start=1):
+        # the check below reports an overflow; numpy's warnings would only add noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = model.forward(pixels, mode=EVAL).values.data
+        if not np.isfinite(logits).all():
+            raise OptimizerError(
+                f"held-out batch {batch}: non-finite logits; the model has "
+                f"diverged (lower the learning rate)")
+        cm.update(labels, predict_labels(logits))
     return cm
 
 
@@ -221,9 +230,9 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
             try:
                 mean_loss = train_one_epoch(model, optimizer, train_manifest,
                                             cfg.batch_size, rng, cfg.augment)
+                accuracy = evaluate_model(model, eval_manifest).accuracy()
             except OptimizerError as err:
                 raise OptimizerError(f"epoch {epoch}, {err}") from err
-            accuracy = evaluate_model(model, eval_manifest).accuracy()
             best_before = scheduler.best_metric
             reduced = scheduler_step(scheduler, accuracy, optimizer)
             improved = scheduler.best_metric != best_before

@@ -8,7 +8,8 @@ differences: ``assert_gradients_match`` is the suite's one pass rule for
 import numpy as np
 
 from resemotenet import autodiff as ad
-from resemotenet.data import FER_NATIVE_REMAP
+from resemotenet.data import FER_HEADER, FER_NATIVE_REMAP, bilinear_resize
+from resemotenet.errors import DataError
 from resemotenet.verification import GRADCHECK_TOL, grad_check
 
 
@@ -307,3 +308,57 @@ def fer_csv_text(manifests):
                 values.append(str(np.uint8(np.rint(p * 255))))
             lines.append(f"{native_of[sample.label]},{' '.join(values)},{usage_of[split]}")
     return "\n".join(lines) + "\n"
+
+
+def fer_csv_whole_file(path, split):
+    """The CSV loader as a whole-file read with eager pixels: the text is
+    decoded at once and split by `str.splitlines`, and each row of `split`
+    is parsed in float64, scaled by ``1/255`` and cast to the default
+    element type.  Returns (label, source id, (1, 48, 48) pixels) triples,
+    or raises the loader's `DataError`."""
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as err:
+        raise DataError(f"cannot read dataset file {path}: {err}") from None
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != FER_HEADER:
+        got = lines[0].strip() if lines else "<empty file>"
+        raise DataError(f"{path}: line 1: expected header {FER_HEADER!r}, got {got!r}")
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise DataError(f"{path}: line {ln}: expected 3 fields, got {len(parts)}")
+        raw_label, pixel_field, usage = parts[0].strip(), parts[1], parts[2].strip()
+        if usage not in ("Training", "PublicTest", "PrivateTest"):
+            raise DataError(f"{path}: line {ln}: unknown usage value {usage!r}")
+        if (usage == "Training") != (split == "train"):
+            continue
+        try:
+            native = int(raw_label)
+        except ValueError:
+            raise DataError(f"{path}: line {ln}: label {raw_label!r} is not an integer")
+        if native not in FER_NATIVE_REMAP:
+            raise DataError(f"{path}: line {ln}: label {native} outside 0-6")
+        try:
+            values = np.array(pixel_field.split(), dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path}: line {ln}: non-numeric pixel value")
+        if values.size != 48 * 48:
+            raise DataError(f"{path}: line {ln}: expected 2304 pixels, got {values.size}")
+        if ((values < 0) | (values > 255)).any() or (values != np.floor(values)).any():
+            raise DataError(f"{path}: line {ln}: pixels must be integers in 0-255")
+        pixels = (values * (1.0 / 255.0)).astype(ad.default_dtype()).reshape(1, 48, 48)
+        rows.append((FER_NATIVE_REMAP[native], f"{path.name}#L{ln}", pixels))
+    return rows
+
+
+def fer_eager_fit(pixels, size, channels):
+    """One row's pixels fitted as an eager load did: the plane resized in
+    float64 unless it fits, cast to the default element type, replicated
+    to `channels`."""
+    if size != 48:
+        pixels = bilinear_resize(pixels[0].astype(np.float64), size, size)[None]
+    return np.repeat(pixels.astype(ad.default_dtype()), channels, axis=0)

@@ -749,6 +749,12 @@ EXIT_CODES = [
         1, r"\Ainternal error: OptimizerError: epoch 1, batch \d+: non-finite batch-norm "
         r"statistic 'stem\.1\.bn\.running_var'; no update was made from it \(lower the "
         r"learning rate\)$", id="divergent-statistics"),
+    pytest.param(lambda dir_fixture, tmp_path: [
+        "train", "--config", str(dir_fixture["cfg"]), "--epochs", "4",
+        "--lr", "1e4", "--out", str(tmp_path / "run")],
+        1, r"\Ainternal error: OptimizerError: epoch 1, held-out batch 1: non-finite "
+        r"logits; the model has diverged \(lower the learning rate\)$",
+        id="divergent-eval"),
     pytest.param(lambda: ["train", "--bogus-flag", "1"],
                  2, r"unrecognized arguments: --bogus-flag", id="unknown-flag"),
     pytest.param(lambda tmp_path: [

@@ -1,6 +1,7 @@
 """Loader, augmentation, and batching behavior, including the on-disk
 layout round trips."""
 
+import codecs
 import re
 import tracemalloc
 
@@ -147,6 +148,149 @@ class TestFerCsv:
             npt.assert_allclose(a.pixels, b.pixels, atol=0.5 / 255 + 1e-12)
 
 
+def _random_rows(n, seed, usages=("Training", "PublicTest", "PrivateTest")):
+    """`n` CSV rows of random 8-bit pixels, labels 0-6 and `usages` in turn."""
+    r = np.random.default_rng(seed)
+    return [f"{i % 7},{' '.join(map(str, r.integers(0, 256, 2304)))},{usages[i % len(usages)]}"
+            for i in range(n)]
+
+
+def _outcome(load, path, split):
+    """What a loader makes of `path`: its error text, or each sample's
+    label, source id, element type and pixel bytes."""
+    try:
+        rows = load(path, split)
+    except DataError as err:
+        return str(err)
+    return [(label, sid, pixels.dtype, pixels.tobytes()) for label, sid, pixels in rows]
+
+
+def _streamed(path, split):
+    return [(s.label, s.source_id, s.pixels) for s in load_fer_csv(path, split).samples]
+
+
+_HEAD = b"emotion,pixels,Usage"
+_ROWS = [row.encode() for row in _random_rows(4, seed=36)]
+_LATE_BAD = _ROWS[3][:-20] + b"\xff" + _ROWS[3][-20:]
+_SHORT = b"2," + b" ".join([b"7"] * 2303) + b",Training"
+#: files whose lines a whole-file `splitlines` and the stream must agree on
+FILE_SHAPES = {
+    "crlf": b"\r\n".join([_HEAD, *_ROWS]) + b"\r\n",
+    "lone-cr": b"\r".join([_HEAD, *_ROWS]) + b"\r",
+    "bom": codecs.BOM_UTF8 + b"\n".join([_HEAD, *_ROWS]) + b"\n",
+    "blank-lines": b"\n".join([_HEAD, b"", _ROWS[0], b"  ", b"\r", *_ROWS[1:], b""]) + b"\n",
+    "no-final-newline": b"\n".join([_HEAD, *_ROWS]),
+    "late-invalid-utf8": b"\n".join([_HEAD, *_ROWS[:3], _LATE_BAD]) + b"\n",
+    "late-invalid-utf8-after-bom": codecs.BOM_UTF8 + b"\n".join([_HEAD, *_ROWS[:3], _LATE_BAD]),
+    "cut-multibyte-at-end": b"\n".join([_HEAD, *_ROWS]) + b"\n\xe2\x82",
+    "short-row-after-crlf-blanks": b"\r\n".join([_HEAD, _ROWS[0], b"", b"", _SHORT]) + b"\r\n",
+    "splitlines-breaks": b"\n".join([_HEAD, _ROWS[0], _ROWS[1].replace(b" 1", b"\x0c1", 1),
+                                      "\u2028".encode()]) + b"\n",
+    "empty": b"",
+    "bom-only": codecs.BOM_UTF8,
+    "part-of-a-bom": codecs.BOM_UTF8[:2],
+    "blank-header": b"\r\n" + b"\n".join([_HEAD, *_ROWS]),
+}
+
+
+class TestFerCsvStream:
+    """The line-at-a-time reader against a whole-file read of the same bytes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", FILE_SHAPES)
+    def test_the_stream_reads_as_the_whole_file(self, tmp_path, shape, dtype):
+        path = tmp_path / "shape.csv"
+        path.write_bytes(FILE_SHAPES[shape])
+        with using_dtype(dtype):
+            for split in ("train", "test"):
+                want = _outcome(oracles.fer_csv_whole_file, path, split)
+                assert _outcome(_streamed, path, split) == want
+
+    def test_a_late_bad_byte_names_its_position_in_the_file(self, tmp_path):
+        path = tmp_path / "late.csv"
+        path.write_bytes(FILE_SHAPES["late-invalid-utf8-after-bom"])
+        at = FILE_SHAPES["late-invalid-utf8-after-bom"].index(b"\xff") - len(codecs.BOM_UTF8)
+        with pytest.raises(DataError, match=rf"^cannot read dataset file \S*late\.csv: 'utf-8' "
+                           rf"codec can't decode byte 0xff in position {at}: invalid start byte$"):
+            load_fer_csv(path, "train")
+
+    def test_a_fault_is_reported_in_file_order(self, tmp_path):
+        # the whole-file read met the bad byte first, wherever it was
+        path = tmp_path / "two.csv"
+        path.write_bytes(b"\n".join([_HEAD, _ROWS[0], _SHORT, _LATE_BAD]) + b"\n")
+        with pytest.raises(DataError, match=r"line 3: expected 2304 pixels, got 2303$"):
+            load_fer_csv(path, "train")
+        with pytest.raises(DataError, match=r"cannot read dataset file"):
+            oracles.fer_csv_whole_file(path, "train")
+
+
+class TestFerCsvMemory:
+    def test_a_load_holds_rasters_and_no_whole_text(self, tmp_path):
+        path = tmp_path / "fer.csv"
+        rows = _random_rows(300, seed=7, usages=("Training",))
+        path.write_text("emotion,pixels,Usage\n" + "\n".join(rows) + "\n")
+        tracemalloc.start()
+        try:
+            loaded = load_fer_csv(path, "train")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 300
+        # a whole-text read alone peaked above the file's size (2.6 MB)
+        assert peak < 0.5 * path.stat().st_size
+        assert held < 1.5 * 300 * 2304  # one byte a pixel, plus bookkeeping
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adapting_to_64x64x3_fits_nothing(self, tmp_path, dtype):
+        made = make_synthetic_manifest(per_class=30, size=48, channels=1, seed=4)
+        path = write_fer_csv(tmp_path / "fer.csv", {"train": made})
+        with using_dtype(dtype):
+            loaded = load_fer_csv(path, "train")
+            tracemalloc.start()
+            try:
+                adapted = adapt_manifest(loaded, target_size=64, channels=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        fitted_bytes = len(loaded) * 3 * 64 * 64 * np.dtype(dtype).itemsize
+        assert peak <= 0.05 * fitted_bytes
+        for a, b in zip(loaded.samples, adapted.samples):
+            assert b.raster is a.raster
+            assert b.pixels.shape == (3, 64, 64) and b.pixels.dtype == dtype
+
+
+class TestRasterFit:
+    """Batches of raster samples against the eager pipeline they replace."""
+
+    @pytest.mark.parametrize("augment", [False, True], ids=["plain", "flipped"])
+    @pytest.mark.parametrize("size, channels", [(48, 1), (64, 3)])
+    @pytest.mark.parametrize("load_type, fit_type", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.float64, np.float32)])
+    def test_batches_have_the_eager_pipelines_bits(self, tmp_path, load_type, fit_type,
+                                                   size, channels, augment):
+        path = tmp_path / "fer.csv"
+        path.write_text("emotion,pixels,Usage\n" + "\n".join(_random_rows(30, seed=8)) + "\n")
+        with using_dtype(load_type):
+            loaded = load_fer_csv(path, "test")
+            rows = oracles.fer_csv_whole_file(path, "test")
+        r = np.random.default_rng(5)
+        flip = (lambda s: random_horizontal_flip(s, r)) if augment else None
+        with using_dtype(fit_type):
+            split = adapt_manifest(loaded, size, channels)
+            fitted = [oracles.fer_eager_fit(pixels, size, channels) for _, _, pixels in rows]
+            got = list(make_batches(split, 4, r, shuffle=True, transform=flip))
+        # the eager pipeline: scale, cast, resize, cast, replicate, then flip
+        r = np.random.default_rng(5)
+        order = fisher_yates_permutation(len(rows), r)
+        want = [fitted[i][:, :, ::-1] if augment and r.random() < 0.5 else fitted[i]
+                for i in order]
+        pixels = np.concatenate([batch.data for batch, _ in got])
+        assert pixels.dtype == fit_type and pixels.shape == (20, channels, size, size)
+        assert pixels.tobytes() == np.stack(want).tobytes()
+        labels = np.concatenate([labels for _, labels in got])
+        assert labels.tolist() == [rows[i][0] for i in order]
+
+
 def _tie(k, dtype):
     """A pixel value whose scaled value ``p * 255`` is exactly ``k + 0.5``
     in `dtype`: a rounding tie, which `rint` sends to the even neighbour."""
@@ -202,6 +346,17 @@ class TestFerCsvWriter:
         assert path.read_bytes() == oracles.fer_csv_text(manifests).encode()
         assert len(load_fer_csv(path, "test")) == 2
         assert len(load_fer_csv(path, "train")) == 0
+
+    def test_rows_are_written_one_at_a_time(self, tmp_path):
+        made = make_synthetic_manifest(per_class=43, size=48, channels=1, seed=6)
+        tracemalloc.start()
+        try:
+            path = write_fer_csv(tmp_path / "big.csv", {"train": made})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole text, built before writing, was above the file's size
+        assert peak < 0.1 * path.stat().st_size
 
     def test_a_bad_sample_in_a_later_split_writes_no_file(self, tmp_path):
         bad = Sample(pixels=np.zeros((1, 47, 48)), label=0, source_id="bad/0")

@@ -130,11 +130,26 @@ def test_a_non_finite_running_statistic_stops_training(monkeypatch, lr, epoch, b
     assert np.isfinite(losses).all()
 
 
-def test_non_finite_weights_after_a_finite_loss_write_no_checkpoint(monkeypatch, tmp_path):
-    # the last update of an epoch can leave inf weights after every loss of
-    # the epoch was finite; no checkpoint of them may be written
+def test_non_finite_eval_logits_stop_training():
+    # epoch 2's training batches stay finite but its model overflows on the
+    # held-out split: the eval check stops the run, with no record of epoch 2
+    cfg = RunConfig(**{**TINY, "lr": 1e3, "epochs": 4})
+    train = _manifest(TINY_MODEL, per_class=2, seed=1)
+    test = make_synthetic_manifest(per_class=2, size=16, channels=3, seed=2,
+                                   split="test")
+    lines = []
+    with pytest.raises(OptimizerError, match=r"^epoch 2, held-out batch 1: non-finite "
+                       r"logits; the model has diverged \(lower the learning rate\)$"):
+        training.train_model(cfg, train, test, log=lines.append)
+    assert [line.split()[0] for line in lines] == ["epoch=1"]
+
+
+def _corrupt_the_last_update(monkeypatch, corrupt):
+    """TINY's 2-epoch run on 14 samples (2 batches), with `corrupt(state,
+    name, param)` applied after epoch 1's last update; returns the run's
+    arguments and the names of the parameters updated so far."""
     cfg = RunConfig(**{**TINY, "epochs": 2})
-    train = _manifest(TINY_MODEL, per_class=2, seed=1)  # 14 samples: 2 batches
+    train = _manifest(TINY_MODEL, per_class=2, seed=1)
     test = make_synthetic_manifest(per_class=1, size=16, channels=3, seed=2,
                                    split="test")
     last_call = 2 * len(build_model(TINY_MODEL).named_parameters())
@@ -144,16 +159,38 @@ def test_non_finite_weights_after_a_finite_loss_write_no_checkpoint(monkeypatch,
         sgd_step(state, params)
         calls.append(params[0][0])
         if len(calls) == last_call:  # epoch 1, last batch, last update
-            params[0][1].data.reshape(-1)[0] = np.inf
+            corrupt(state, *params[0])
 
     monkeypatch.setattr(training, "sgd_step", step_then_corrupt)
-    with np.errstate(all="ignore"), pytest.raises(
-            CheckpointError,
-            match=r"tensor 'model\..+' is non-finite \(flat index 0 is inf\)") as err:
-        training.train_model(cfg, train, test, out_dir=tmp_path)
-    assert f"'model.{calls[-1]}'" in str(err.value)
+    return (cfg, train, test), calls, last_call
+
+
+def test_non_finite_weights_after_a_finite_loss_write_no_checkpoint(monkeypatch, tmp_path):
+    # the last update of an epoch can leave inf weights after every loss of
+    # the epoch was finite; no checkpoint of them may be written.  The eval
+    # forward that scores the epoch meets them first.
+    def weight_inf(state, name, param):
+        param.data.reshape(-1)[0] = np.inf
+
+    args, calls, last_call = _corrupt_the_last_update(monkeypatch, weight_inf)
+    with pytest.raises(OptimizerError, match=r"^epoch 1, held-out batch 1: non-finite logits"):
+        training.train_model(*args, out_dir=tmp_path)
     assert len(calls) == last_call
     assert list(tmp_path.iterdir()) == []  # no best.ckpt, last.ckpt or temp file
+
+
+def test_non_finite_velocity_after_a_finite_loss_writes_no_checkpoint(monkeypatch, tmp_path):
+    # a velocity the eval forward never reads: the save's check names it
+    def velocity_inf(state, name, param):
+        state.velocity[name].reshape(-1)[0] = np.inf
+
+    args, calls, last_call = _corrupt_the_last_update(monkeypatch, velocity_inf)
+    with pytest.raises(CheckpointError, match=r"tensor 'velocity\..+' is non-finite "
+                       r"\(flat index 0 is inf\)") as err:
+        training.train_model(*args, out_dir=tmp_path)
+    assert f"'velocity.{calls[-1]}'" in str(err.value)
+    assert len(calls) == last_call
+    assert list(tmp_path.iterdir()) == []
 
 
 # parameter-heavy: the 256x256x3x3 residual conv weight (2.36 MB in float32)
