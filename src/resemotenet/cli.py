@@ -5,8 +5,8 @@ command-line flags overriding file values.  Logging is one machine-parseable
 line per epoch on stdout plus a JSON report at the end of a run.
 
 Exit codes are a stable contract: 0 success, 1 internal failure (including
-failed gradient checks), 2 usage or configuration errors (bad flags,
-unreadable config, malformed datasets, corrupt checkpoints).
+failed gradient checks), 2 usage, configuration or divergence (bad flags,
+unreadable config, malformed datasets, corrupt checkpoints, non-finite logits).
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from .autodiff import Tensor, using_dtype
 from .config import DATASET_KINDS, RunConfig, load_run_config
 from .data import (CLASS_NAMES, DatasetManifest, adapt_manifest, class_names_for,
                    count_report, load_fer_csv, load_image_dir, load_single_image)
-from .errors import CheckpointError, ConfigError, DataError
-from .layers import EVAL
+from .errors import CheckpointError, ConfigError, DataError, OptimizerError
 from .metrics import report_dict, report_text
 from .model import ModelConfig
 from .optim import softmax
-from .training import (BEST_CHECKPOINT, LAST_CHECKPOINT, evaluate_model, make_out_dir,
-                       train_model)
+from .training import (BEST_CHECKPOINT, LAST_CHECKPOINT, eval_logits, evaluate_model,
+                       make_out_dir, train_model)
 from .verification import GRADCHECK_TOL, recorded_ops, run_gradient_checks
 
 GRADCHECK_TRIALS = {"tiny": 50, "small": 150}
@@ -163,7 +162,7 @@ def cmd_predict(args) -> int:
     with using_dtype(model.dtype):
         sample = load_single_image(args.image, geometry.input_size,
                                    geometry.input_channels)
-        logits = model.forward(Tensor(sample.pixels[None, ...]), mode=EVAL).values.data[0]
+        logits = eval_logits(model, Tensor(sample.pixels[None, ...]), args.image)[0]
     # softmax is shift-invariant; the flag exists so that invariance is
     # checkable from the outside; added in float64, as LOGIT_SHIFT_BOUND assumes
     probabilities = softmax((logits.astype(np.float64) + args.logit_shift)[None, :])[0]
@@ -253,7 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, CheckpointError) as err:
+    except (ConfigError, DataError, CheckpointError, OptimizerError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -70,12 +70,11 @@ class _Recipe:
                               for f in fields(ModelConfig)})
 
     def sgd_state(self) -> SgdState:
-        return SgdState(lr=self.lr, momentum=self.momentum,
-                        weight_decay=self.weight_decay)
+        return SgdState(**{key: getattr(self, key) for key in recipe_keys(SgdState)})
 
     def scheduler(self) -> PlateauScheduler:
-        return PlateauScheduler(factor=self.factor, patience=self.patience,
-                                min_lr=self.min_lr)
+        return PlateauScheduler(**{key: getattr(self, key)
+                                   for key in recipe_keys(PlateauScheduler)})
 
     def effective_items(self) -> list[tuple[str, str]]:
         """Every tunable with its resolved value, in declaration order —
@@ -84,6 +83,11 @@ class _Recipe:
         for f in fields(self):
             items.append((f.name, _format_value(getattr(self, f.name))))
         return items
+
+
+def recipe_keys(cls) -> list[str]:
+    """The fields of `cls` that are run settings, in `cls`'s declared order."""
+    return [f.name for f in fields(cls) if f.name in {g.name for g in fields(_Recipe)}]
 
 
 #: The recipe fields, then every architecture field of `ModelConfig` under

@@ -14,9 +14,9 @@ loaders trust a checked `ModelConfig` for the geometry they fit samples to
 (its `input_size`, and an `input_channels` of 1 or 3) and re-check neither.
 
 A CSV split is read one line at a time and held as uint8 rasters
-(`RasterSample`), one byte a pixel; a sample is fitted to the model's
-geometry each time its `pixels` is read, so `make_batches` fits a batch at
-a time.  Pixmap samples are fitted once, at load.
+(`RasterSample`), one byte a pixel, which `adapt_manifest` re-tags with the
+model's geometry; a sample is fitted each time its `pixels` is read, so
+`make_batches` fits a batch at a time.  Pixmap samples are fitted at load.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ class RasterSample(Sample):
     def pixels(self) -> np.ndarray:
         return _fit_planes(self.levels[self.raster], self.size, self.channels,
                            self.source_id, self.dtype)
-
-    def refit(self, size: int, channels: int, dtype) -> "RasterSample":
-        """The same raster, label and provenance at another geometry."""
-        return RasterSample(self.raster, self.levels, size, channels, dtype,
-                            self.label, self.source_id)
 
 
 @dataclass
@@ -412,17 +407,13 @@ def load_single_image(path, target_size: int, channels: int) -> Sample:
 
 def adapt_manifest(manifest: DatasetManifest, target_size: int,
                    channels: int) -> DatasetManifest:
-    """Re-fit loaded samples to a model's input geometry (resize + channel
-    replication) in the element type in effect, leaving labels and
-    provenance untouched.  A `RasterSample` is only re-tagged with the new
-    geometry and type, sharing its raster, and is fitted when its `pixels`
-    is read; any other sample is fitted now, and one that already fits
-    shares its pixel array with `manifest`."""
+    """A `load_fer_csv` manifest at a model's input geometry (resize +
+    channel replication) in the element type in effect.  Each `RasterSample`
+    is only re-tagged, sharing its raster, label and provenance, and is
+    fitted when its `pixels` is read."""
     dtype = ad.default_dtype()
-    samples = [s.refit(target_size, channels, dtype) if isinstance(s, RasterSample)
-               else Sample(pixels=_fit_planes(s.pixels, target_size, channels,
-                                              s.source_id, dtype),
-                           label=s.label, source_id=s.source_id)
+    samples = [RasterSample(s.raster, s.levels, target_size, channels, dtype,
+                            s.label, s.source_id)
                for s in manifest.samples]
     return DatasetManifest(name=manifest.name, split=manifest.split,
                            samples=samples,

@@ -19,7 +19,8 @@ class DataError(ValueError):
 
 
 class OptimizerError(RuntimeError):
-    """Optimizer invoked in an invalid state (e.g. missing gradients)."""
+    """A diverged model (a non-finite loss, statistic or logit; the CLI exits
+    2), or misuse of the optimizer (a missing gradient, a non-finite metric)."""
 
 
 class CheckpointError(RuntimeError):

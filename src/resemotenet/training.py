@@ -20,7 +20,7 @@ import numpy as np
 
 from . import checkpoint
 from .autodiff import Graph, Tensor, using_dtype
-from .config import RunConfig
+from .config import RunConfig, recipe_keys
 from .data import DatasetManifest, make_batches, random_horizontal_flip
 from .errors import ConfigError, OptimizerError
 from .layers import EVAL, TRAIN
@@ -75,9 +75,8 @@ def _note_resumed_values(cfg: RunConfig, optimizer: SgdState, scheduler: Plateau
     """Tell stderr which run settings a resume from `path` replaces with the
     checkpoint's own; not an error, as a plateau cut changes ``lr``."""
     replaced = [f"{key} = {getattr(source, key)} (run: {getattr(cfg, key)})"
-                for source, keys in ((optimizer, ("lr", "momentum", "weight_decay")),
-                                     (scheduler, ("factor", "patience", "min_lr")))
-                for key in keys if getattr(source, key) != getattr(cfg, key)]
+                for source in (optimizer, scheduler) for key in recipe_keys(type(source))
+                if getattr(source, key) != getattr(cfg, key)]
     if replaced:
         print(f"note: resuming from {path} with its own {', '.join(replaced)}",
               file=sys.stderr)
@@ -89,6 +88,18 @@ def eval_block(config: ModelConfig) -> int:
     return max(1, min(EVAL_BATCH, EVAL_BLOCK_ELEMENTS // config.largest_conv_output()))
 
 
+def eval_logits(model: ResEmoteNetModel, pixels: Tensor, where: str) -> np.ndarray:
+    """The eval-mode logits of `pixels`, one row per image; logits that are
+    not all finite raise `OptimizerError` naming `where` instead."""
+    # the check below reports an overflow; numpy's warnings would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = model.forward(pixels, mode=EVAL).values.data
+    if not np.isfinite(logits).all():
+        raise OptimizerError(f"{where}: non-finite logits; the model has diverged "
+                             f"(lower the learning rate)")
+    return logits
+
+
 def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest) -> ConfusionMatrix:
     """Tally a confusion matrix over a manifest in eval mode: fixed order,
     no augmentation, running statistics untouched.
@@ -96,20 +107,14 @@ def evaluate_model(model: ResEmoteNetModel, manifest: DatasetManifest) -> Confus
     The manifest is forwarded `eval_block` images at a time, which bounds
     the activations an eval forward holds beside the model.  Eval-mode batch
     norm reads running statistics, so no sample's logits depend on the
-    others in its block.  A block whose logits are not all finite raises
-    `OptimizerError` naming the held-out batch, as a diverged training batch
-    does, instead of being scored."""
+    others in its block.  Each block goes through `eval_logits`, the forward
+    `predict` uses too, so a block whose logits are not all finite raises
+    `OptimizerError` naming the held-out batch."""
     cm = ConfusionMatrix(model.config.num_classes)
     for batch, (pixels, labels) in enumerate(
             make_batches(manifest, eval_block(model.config), None, shuffle=False),
             start=1):
-        # the check below reports an overflow; numpy's warnings would only add noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits = model.forward(pixels, mode=EVAL).values.data
-        if not np.isfinite(logits).all():
-            raise OptimizerError(
-                f"held-out batch {batch}: non-finite logits; the model has "
-                f"diverged (lower the learning rate)")
+        logits = eval_logits(model, pixels, f"held-out batch {batch}")
         cm.update(labels, predict_labels(logits))
     return cm
 
@@ -243,15 +248,11 @@ def train_model(cfg: RunConfig, train_manifest: DatasetManifest,
             emit(record.line())
 
             if out_path is not None:
-                if improved:
-                    checkpoint.save(model, optimizer, scheduler, epoch,
-                                    out_path / BEST_CHECKPOINT,
+                names = (BEST_CHECKPOINT, LAST_CHECKPOINT) if improved else (LAST_CHECKPOINT,)
+                for name in names:
+                    checkpoint.save(model, optimizer, scheduler, epoch, out_path / name,
                                     rng_state=rng.bit_generator.state,
                                     best_metric=scheduler.best_metric)
-                checkpoint.save(model, optimizer, scheduler, epoch,
-                                out_path / LAST_CHECKPOINT,
-                                rng_state=rng.bit_generator.state,
-                                best_metric=scheduler.best_metric)
             if stop_when is not None and stop_when(record):
                 break
     return result

@@ -724,6 +724,19 @@ def _not_a_pixmap(memorize_run, tmp_path):
     return ["predict", str(image), "--checkpoint", str(memorize_run["out"] / "best.ckpt")]
 
 
+def _overflowing(memorize_run, tmp_path) -> str:
+    """best.ckpt with its classifier weights at +-float32 max, alternating in
+    sign: every tensor is finite, but the logits overflow."""
+    loaded = checkpoint.load(memorize_run["out"] / "best.ckpt")
+    weight = loaded.model.classifier.weight.data.reshape(-1)
+    weight[...] = np.finfo(np.float32).max
+    weight[1::2] *= -1
+    path = tmp_path / "overflowing.ckpt"
+    checkpoint.save(loaded.model, loaded.optimizer, loaded.scheduler, loaded.epoch, path,
+                    rng_state=loaded.rng_state, best_metric=loaded.best_metric)
+    return str(path)
+
+
 def _regular_file(tmp_path) -> Path:
     path = tmp_path / "taken"
     path.write_text("not a directory\n", encoding="utf-8")
@@ -731,7 +744,7 @@ def _regular_file(tmp_path) -> Path:
 
 
 # Each row builds its argv from the fixtures its builder's parameters name.
-# 0 success, 1 internal failure (divergence, a failed audit), 2 usage or data.
+# 0 success, 1 internal failure (a failed audit), 2 usage, data or divergence.
 EXIT_CODES = [
     pytest.param(lambda memorize_run: [
         "predict", str(_one_image(memorize_run)),
@@ -740,21 +753,31 @@ EXIT_CODES = [
     pytest.param(lambda dir_fixture, tmp_path: [
         "train", "--config", str(dir_fixture["cfg"]), "--epochs", "4",
         "--lr", "1e30", "--out", str(tmp_path / "run")],
-        1, r"\Ainternal error: OptimizerError: epoch 1, batch \d+: non-finite training "
+        2, r"\Aerror: epoch 1, batch \d+: non-finite training "
         r"loss \S+; no update was made from it \(lower the learning rate\)$",
         id="divergent-training"),
     pytest.param(lambda dir_fixture, tmp_path: [
         "train", "--config", str(dir_fixture["cfg"]), "--epochs", "4",
         "--lr", "1e4", "--batch-size", "4", "--out", str(tmp_path / "run")],
-        1, r"\Ainternal error: OptimizerError: epoch 1, batch \d+: non-finite batch-norm "
+        2, r"\Aerror: epoch 1, batch \d+: non-finite batch-norm "
         r"statistic 'stem\.1\.bn\.running_var'; no update was made from it \(lower the "
         r"learning rate\)$", id="divergent-statistics"),
     pytest.param(lambda dir_fixture, tmp_path: [
         "train", "--config", str(dir_fixture["cfg"]), "--epochs", "4",
         "--lr", "1e4", "--out", str(tmp_path / "run")],
-        1, r"\Ainternal error: OptimizerError: epoch 1, held-out batch 1: non-finite "
+        2, r"\Aerror: epoch 1, held-out batch 1: non-finite "
         r"logits; the model has diverged \(lower the learning rate\)$",
         id="divergent-eval"),
+    pytest.param(lambda memorize_run, tmp_path: [
+        "predict", str(_one_image(memorize_run)),
+        "--checkpoint", _overflowing(memorize_run, tmp_path)],
+        2, r"\Aerror: \S*\.ppm: non-finite logits; the model has diverged \(lower the "
+        r"learning rate\)$", id="divergent-predict"),
+    pytest.param(lambda memorize_run, tmp_path: [
+        "eval", "--checkpoint", _overflowing(memorize_run, tmp_path),
+        "--dataset", "dir", "--data-root", str(memorize_run["data"])],
+        2, r"\Aerror: held-out batch 1: non-finite logits; the model has diverged \(lower "
+        r"the learning rate\)$", id="divergent-eval-command"),
     pytest.param(lambda: ["train", "--bogus-flag", "1"],
                  2, r"unrecognized arguments: --bogus-flag", id="unknown-flag"),
     pytest.param(lambda tmp_path: [
@@ -864,3 +887,15 @@ def test_exit_code(argv, code, stderr_pattern, request, tmp_path):
     # no row gets as far as a finished epoch or leaves a checkpoint behind
     assert epoch_lines(stdout) == []
     assert not list((tmp_path / "run").glob("*.ckpt"))
+
+
+@pytest.mark.parametrize("argv, code, stderr_pattern", [
+    row for row in EXIT_CODES if row.id in ("divergent-predict", "divergent-eval-command")])
+def test_overflowing_logits_print_nothing_on_stdout(argv, code, stderr_pattern, request,
+                                                    tmp_path):
+    # predict once printed nan for every class, two RuntimeWarnings and exit 0
+    fixtures = {name: request.getfixturevalue(name)
+                for name in inspect.signature(argv).parameters}
+    got, stdout, stderr = run_cli(*argv(**fixtures))
+    assert (got, stdout) == (code, "")
+    assert "RuntimeWarning" not in stderr

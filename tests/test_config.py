@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from resemotenet.config import RunConfig, load_run_config, parse_config_text
 from resemotenet.errors import ConfigError
 from resemotenet.model import ModelConfig
+from resemotenet.optim import PlateauScheduler, SgdState
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,6 +29,11 @@ ALL_CHANGED = RunConfig(
 def test_every_field_of_the_round_trip_config_is_changed():
     for f in fields(RunConfig):
         assert getattr(ALL_CHANGED, f.name) != f.default, f.name
+
+
+def test_optimizer_and_schedule_carry_the_config_values():
+    assert ALL_CHANGED.sgd_state() == SgdState(lr=0.05, momentum=0.5, weight_decay=1e-4)
+    assert ALL_CHANGED.scheduler() == PlateauScheduler(factor=0.5, patience=2, min_lr=1e-8)
 
 
 def test_echo_parses_back_to_the_same_config(tmp_path):

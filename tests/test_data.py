@@ -536,12 +536,16 @@ class TestResizeRefusal:
         return made, tmp_path / index.read_text().split("\t")[0]
 
     def test_a_size_beyond_numpy_is_a_data_error(self, tmp_path):
-        made, image = self._image(tmp_path)
+        _, image = self._image(tmp_path)
         refusal = r": cannot resize to 10{20}x10{20}: "
         with pytest.raises(DataError, match=rf"^\S*\.ppm{refusal}"):
             D.load_single_image(image, 10**20, 3)
-        with pytest.raises(DataError, match=re.escape(made.samples[0].source_id) + refusal):
-            adapt_manifest(made, 10**20, 3)
+        made = make_synthetic_manifest(per_class=1, size=48, channels=1, num_classes=2,
+                                       seed=5)
+        loaded = load_fer_csv(write_fer_csv(tmp_path / "fer.csv", {"train": made}), "train")
+        adapted = adapt_manifest(loaded, 10**20, 3)  # re-tags; the fit refuses
+        with pytest.raises(DataError, match=r"^fer\.csv#L2" + refusal):
+            adapted.samples[0].pixels
 
     def test_numpy_out_of_memory_is_a_data_error(self, tmp_path, monkeypatch):
         _, image = self._image(tmp_path)
@@ -561,22 +565,16 @@ class TestResizeRefusal:
 
 
 class TestAdaptManifest:
-    def test_grayscale_small_to_color_large(self):
+    def test_grayscale_small_to_color_large(self, tmp_path):
         made = make_synthetic_manifest(per_class=1, size=48, channels=1,
                                        num_classes=3, seed=2)
-        adapted = adapt_manifest(made, target_size=64, channels=3)
+        path = write_fer_csv(tmp_path / "fer.csv", {"train": made})
+        adapted = adapt_manifest(load_fer_csv(path, "train"), target_size=64, channels=3)
         for sample in adapted.samples:
             assert sample.pixels.shape == (3, 64, 64)
             npt.assert_array_equal(sample.pixels[0], sample.pixels[2])
             assert 0.0 <= sample.pixels.min() and sample.pixels.max() <= 1.0
         npt.assert_array_equal(adapted.class_counts, made.class_counts)
-
-    def test_noop_when_already_fitting(self):
-        made = make_synthetic_manifest(per_class=1, size=16, channels=3,
-                                       num_classes=2, seed=3)
-        adapted = adapt_manifest(made, target_size=16, channels=3)
-        for a, b in zip(made.samples, adapted.samples):
-            npt.assert_array_equal(a.pixels, b.pixels)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fitting_csv_samples_are_not_copied(self, tmp_path, dtype):

@@ -193,6 +193,31 @@ def test_non_finite_velocity_after_a_finite_loss_writes_no_checkpoint(monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+def test_an_epoch_that_does_not_improve_writes_only_last_ckpt(tmp_path):
+    # at this rate epoch 2 scores what epoch 1 did, so best.ckpt keeps epoch 1
+    run = {**TINY, "lr": 1e-9}
+    fixture = _manifest(TINY_MODEL, per_class=1, seed=21)
+    one, two = tmp_path / "one", tmp_path / "two"
+    training.train_model(RunConfig(**run, epochs=1), fixture, fixture, out_dir=one)
+    result = training.train_model(RunConfig(**run, epochs=2), fixture, fixture, out_dir=two)
+    assert result.history[1].eval_accuracy == result.history[0].eval_accuracy
+    assert (two / "best.ckpt").read_bytes() == (one / "last.ckpt").read_bytes()
+    assert checkpoint.load(two / "best.ckpt").epoch == 1
+    assert checkpoint.load(two / "last.ckpt").epoch == 2
+
+
+def test_a_resume_notes_every_setting_the_checkpoint_replaces(tmp_path, capsys):
+    fixture = _manifest(TINY_MODEL, per_class=1, seed=21)
+    training.train_model(RunConfig(**TINY, epochs=1), fixture, fixture, out_dir=tmp_path)
+    run = RunConfig(**{**TINY, "epochs": 2, "lr": 0.02, "momentum": 0.5,
+                       "weight_decay": 1e-4, "factor": 0.5, "patience": 3, "min_lr": 1e-7})
+    training.train_model(run, fixture, fixture, resume_from=tmp_path / "last.ckpt")
+    assert capsys.readouterr().err == (
+        f"note: resuming from {tmp_path / 'last.ckpt'} with its own lr = 0.01 (run: 0.02), "
+        "momentum = 0.9 (run: 0.5), weight_decay = 0.0 (run: 0.0001), factor = 0.1 "
+        "(run: 0.5), patience = 10 (run: 3), min_lr = 1e-06 (run: 1e-07)\n")
+
+
 # parameter-heavy: the 256x256x3x3 residual conv weight (2.36 MB in float32)
 # dwarfs the activations of a 4-image 16x16 batch
 HEAVY = ModelConfig(input_channels=1, input_size=16, stem_channels=(8, 16, 32),
