@@ -36,12 +36,15 @@ def main() -> int:
         # the CSV layout is fixed-geometry by definition
         args.size, args.channels = 48, 1
 
-    splits = {
-        split: make_synthetic_manifest(
-            per_class=args.per_class, size=args.size, channels=args.channels,
-            seed=args.seed + offset, split=split)
-        for offset, split in enumerate(("train", "test"))
-    }
+    try:
+        splits = {
+            split: make_synthetic_manifest(
+                per_class=args.per_class, size=args.size, channels=args.channels,
+                seed=args.seed + offset, split=split)
+            for offset, split in enumerate(("train", "test"))
+        }
+    except ValueError as err:  # an impossible size: exit 2 before writing
+        parser.error(str(err))
 
     if args.format == "csv":
         path = args.root if args.root.suffix == ".csv" else args.root / "fer2013.csv"

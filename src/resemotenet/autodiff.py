@@ -264,10 +264,14 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
         tensor.grad += grad  # a deferred first gradient is computed whole here
 
 
-#: elements per block of a blocked kernel: the rows of a deferred gradient,
-#: the samples of a conv's forward and eager weight-gradient patches (4 MiB
-#: in float32)
+#: elements per row block of a deferred weight gradient (4 MiB in float32).
+#: Each block re-reads the whole (N*L, CKK) patch matrix, so smaller blocks
+#: mean more passes over it
 GRAD_BLOCK = 1 << 20
+#: patch elements per sample block of ``conv2d``: its forward, its input
+#: gradient's columns and its patch unfolds (1 MiB in float32, half a core's
+#: 2 MiB L2 cache, so a block stays cached between its unfold and its GEMM)
+CONV_BLOCK = 1 << 18
 
 
 def live_taps(in_size: int, k: int, stride: int, padding: int) -> slice:
@@ -428,10 +432,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
     ckk, positions, taps = w_mat.shape[1], out_h * out_w, kh * kw
     out_data = np.empty((n, cout, out_h, out_w), dtype=np.result_type(w_mat, x.data))
     out_rows = out_data.reshape(n, cout, positions)
-    # the patches of a few samples at a time, about GRAD_BLOCK elements, each
-    # block one per-sample GEMM; backward rebuilds what it needs from x, and
-    # builds the input gradient's columns in the same sample blocks
-    step = max(1, GRAD_BLOCK // (ckk * positions))
+    # the patches of a few samples at a time, at most CONV_BLOCK elements or
+    # one sample's, each block one per-sample GEMM; backward rebuilds what it
+    # needs from x, and builds the input gradient's columns in the same
+    # sample blocks
+    step = max(1, CONV_BLOCK // (ckk * positions))
     for s0 in range(0, n, step):
         cols = np.empty((min(step, n - s0), cin, taps, out_h, out_w), dtype=x.data.dtype)
         unfold(s0, cols)

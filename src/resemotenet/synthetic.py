@@ -44,10 +44,14 @@ def make_synthetic_manifest(per_class: int = 8, size: int = 64, channels: int = 
     """Build an in-memory dataset of radial-pattern classes.
 
     Per-sample variation is additive seeded noise (sigma 0.04) plus a small
-    brightness offset, clipped back into [0, 1].
+    brightness offset, clipped back into [0, 1].  A count or size below 1
+    raises `ValueError` naming the argument.
     """
     if num_classes < 2 or num_classes > len(CLASS_NAMES):
         raise ValueError(f"num_classes must be in [2, {len(CLASS_NAMES)}]")
+    for arg, value in (("per_class", per_class), ("size", size), ("channels", channels)):
+        if value < 1:
+            raise ValueError(f"{arg} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     dtype = ad.default_dtype()
     samples = []

@@ -122,3 +122,87 @@ def test_main_prints_the_summary_as_a_markdown_table(monkeypatch, tmp_path, caps
             f"| `{workload}` | `peak_rss_mb` | 798.00 | 750.00 | 2.00 | 2/3 |",
             f"| `{workload}` | `train.samples_per_s` (not gated) | 12.00 | 12.00 "
             f"| 0.00 | 0/3 |"]
+
+
+#: a ``--steps`` worker with canned replies: the side is read off its tree
+#: (the exported base is a temporary ``ab-base-*`` directory), and each
+#: request is logged, in order, to the file $AB_STEP_LOG
+CANNED_WORKER = """
+import json, os, sys
+from pathlib import Path
+side = "base" if Path.cwd().name.startswith("ab-base-") else "change"
+seconds = {"base": [1.0, 2.0, 1.0, 2.0], "change": [0.9, 2.2, 0.8, 1.0]}[side]
+faults = {"base": [0, 10, 0, 0], "change": [4, 0, 0, 0]}[side]
+stop = int(os.environ.get("AB_STOP_AFTER", 1 << 30))
+nets = {"wide": {"batch": 16, "steps": 1}, "narrow": {"batch": 32, "steps": 2}}
+print(json.dumps({"src": str(Path.cwd() / "src" / "resemotenet" / "__init__.py"),
+                  "nets": nets}), flush=True)
+for i, line in enumerate(sys.stdin):
+    if i == stop:
+        sys.exit(3)
+    with open(os.environ["AB_STEP_LOG"], "a") as log:
+        log.write(f"{side} {line.strip()}\\n")
+    k = i % 4
+    print(json.dumps({"s": seconds[k], "minflt": faults[k]}), flush=True)
+"""
+
+
+@pytest.fixture
+def canned_workers(monkeypatch, tmp_path):
+    script = tmp_path / "worker.py"
+    script.write_text(CANNED_WORKER)
+    monkeypatch.setattr(ab, "worker_command", lambda seed: [ab.sys.executable, str(script)])
+    monkeypatch.setattr(ab, "export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(ab, "PAUSE_S", 0.0)
+    monkeypatch.setenv("AB_STEP_LOG", str(tmp_path / "steps.log"))
+    return tmp_path / "steps.log"
+
+
+def test_steps_alternate_the_first_side_and_summarize_each_net(canned_workers, tmp_path,
+                                                               capsys):
+    """Four rounds a net, net by net, of one step a side on `wide` and two
+    on `narrow`: the side that steps first alternates from step to step
+    and round to round.  The JSON and the table hold each net's ratios of
+    its rounds' times, their median and IQR, and the faults per step."""
+    out = tmp_path / "steps.json"
+    assert ab.main(["--base", "HEAD", "--steps", "4", "--seed", "7", "--out", str(out)]) == 0
+    ab_ba = [("base", "change"), ("change", "base")]
+    assert canned_workers.read_text().splitlines() == [
+        f"{side} {net}" for net, steps in (("wide", 1), ("narrow", 2)) for i in range(4)
+        for j in range(steps) for side in ab_ba[(i + j) % 2]]
+    summary = json.loads(out.read_text())
+    assert summary["mode"] == "steps" and summary["rounds"] == 4 and summary["seed"] == 7
+    assert list(summary["nets"]) == ["wide", "narrow"]
+    wide, narrow = summary["nets"]["wide"], summary["nets"]["narrow"]
+    assert (wide["batch"], wide["steps"], narrow["batch"], narrow["steps"]) == (16, 1, 32, 2)
+    assert wide["base_s"] == [[1.0], [2.0], [1.0], [2.0]]
+    assert wide["change_s"] == [[0.9], [2.2], [0.8], [1.0]]
+    assert wide["ratio"] == pytest.approx([0.9, 1.1, 0.8, 0.5])
+    assert wide["ratio_median"] == pytest.approx(0.85)
+    assert wide["ratio_iqr"] == pytest.approx(0.95 - 0.725)
+    assert wide["change_faster_in"] == 3
+    assert wide["base_median_s"] == 1.5 and wide["change_median_s"] == pytest.approx(0.95)
+    assert wide["base_minflt"] == [0, 10, 0, 0] and wide["change_minflt"] == [4, 0, 0, 0]
+    assert wide["base_faults_per_step"] == 2.5 and wide["change_faults_per_step"] == 1.0
+    # each worker's canned replies run on from `wide` into `narrow`'s steps
+    assert narrow["base_s"] == [[1.0, 2.0]] * 4
+    assert narrow["change_s"] == [[0.9, 2.2], [0.8, 1.0]] * 2
+    assert narrow["ratio"] == pytest.approx([3.1 / 3, 0.6] * 2)
+    assert narrow["change_faster_in"] == 2
+    assert narrow["base_minflt"] == [0, 10, 0, 0] * 2
+    assert narrow["base_faults_per_step"] == 2.5 and narrow["change_faults_per_step"] == 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("| net | batch | steps a round | base median s |")
+    assert lines[2:] == [
+        "| `wide` | 16 | 1 | 1.5000 | 0.9500 | 0.850 | 0.225 | 3/4 | 2 | 1 |",
+        "| `narrow` | 32 | 2 | 3.0000 | 2.4500 | 0.817 | 0.433 | 2/4 | 2 | 1 |"]
+
+
+def test_a_worker_that_exits_early_ends_the_steps_with_exit_1(canned_workers, tmp_path,
+                                                              monkeypatch, capsys):
+    monkeypatch.setenv("AB_STOP_AFTER", "2")
+    out = tmp_path / "steps.json"
+    assert ab.main(["--base", "HEAD", "--steps", "4", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "ab: step worker in " in err and err.rstrip().endswith(" exited 3")

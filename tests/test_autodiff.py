@@ -28,6 +28,14 @@ def t(arr, req=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=req)
 
 
+def _windowed(monkeypatch) -> list:
+    """Patch ``ad._windows`` to record the sample count of each array it
+    takes windows of, in call order; returns that record."""
+    windows, seen = ad._windows, []
+    monkeypatch.setattr(ad, "_windows", lambda a, *rest: seen.append(len(a)) or windows(a, *rest))
+    return seen
+
+
 class TestForwardAgainstOracles:
     def test_conv2d_matches_loop_reference(self):
         x = rng.standard_normal((2, 3, 7, 6))
@@ -57,11 +65,10 @@ class TestForwardAgainstOracles:
         r = np.random.default_rng(7)
         x0, w0 = r.standard_normal((7, 2, 5, 5)), r.standard_normal((3, 2, 3, 3))
         b0, c0 = r.standard_normal(3), r.standard_normal((7, 3, 5, 5))
-        windows = ad._windows
-        calls = []
+        calls = _windowed(monkeypatch)
 
         def run(block):
-            monkeypatch.setattr(ad, "GRAD_BLOCK", block)
+            monkeypatch.setattr(ad, "CONV_BLOCK", block)
             x, w, b = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x0, w0, b0))
             calls.clear()
             with Graph():
@@ -70,7 +77,6 @@ class TestForwardAgainstOracles:
                 ad.tensor_sum(ad.mul(out, Tensor(c0, dtype=dtype))).backward()
             return blocks, [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)], out
 
-        monkeypatch.setattr(ad, "_windows", lambda *a: calls.append(1) or windows(*a))
         # a sample's patches are (2*3*3) x (5*5) = 450 elements: 3 + 3 + 1 samples
         blocks, blocked, out = run(3 * 450)
         assert blocks == 3
@@ -629,8 +635,14 @@ class TestDeferredConvWeightGrad:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        # two rows of a (C, 2, 3, 3) weight per block, one of a (C, 8, 3, 3)
+        # two rows of a (C, 2, 3, 3) weight per block, one of a (C, 8, 3, 3);
+        # one sample's patches a conv block
         monkeypatch.setattr(ad, "GRAD_BLOCK", 40)
+        monkeypatch.setattr(ad, "CONV_BLOCK", 1)
+        seen = _windowed(monkeypatch)
+        yield
+        # a test that runs a two-sample conv sees it in one-sample blocks
+        assert not seen or seen.count(1) >= 2, seen
 
     @pytest.mark.parametrize("with_callback", [False, True])
     def test_weight_gradient_is_deferred_with_the_eager_bits(self, with_callback):
@@ -707,12 +719,13 @@ class TestEagerConvWeightGrad:
     """A conv weight whose gradient, one product of its size and one
     sample's patches are smaller than its whole patch matrix (2*Cout + L <
     N*L) gets that gradient as one array, summed sample by sample in blocks
-    of at most `GRAD_BLOCK` patch elements that keep it so."""
+    of at most `CONV_BLOCK` patch elements that keep it so."""
 
     @pytest.mark.parametrize("with_callback", [False, True])
     def test_gradient_is_an_array_matching_the_loop_oracle(self, monkeypatch,
                                                            with_callback):
-        monkeypatch.setattr(ad, "GRAD_BLOCK", 2 * 18 * 16)  # two samples a block
+        monkeypatch.setattr(ad, "CONV_BLOCK", 2 * 18 * 16)  # two samples a block
+        blocks = _windowed(monkeypatch)
         r = np.random.default_rng(17)
         x0, w0 = r.standard_normal((5, 2, 4, 4)), r.standard_normal((3, 2, 3, 3))
         x, w = t(x0), t(w0)
@@ -724,6 +737,9 @@ class TestEagerConvWeightGrad:
             ad.tensor_sum(ad.mul(out, t(g, req=False))).backward()
         assert type(w._grad) is np.ndarray
         assert seen == ([np.ndarray, np.ndarray] if with_callback else [])
+        # the forward, the input gradient's columns and the weight gradient's
+        # patches, each in blocks of 2, 2 and 1 of the 5 samples
+        assert blocks == [2, 2, 1] * 3
         want_x, want_w = oracles.conv2d_backward_loops(x0, w0, g, 1, 1)
         npt.assert_allclose(w.grad, want_w, rtol=0, atol=1e-12)
         npt.assert_allclose(x.grad, want_x, rtol=0, atol=1e-12)
@@ -739,7 +755,8 @@ class TestEagerConvWeightGrad:
     ])
     def test_backward_never_holds_the_whole_patch_matrix(self, monkeypatch, x_shape,
                                                          cout, block):
-        monkeypatch.setattr(ad, "GRAD_BLOCK", block)
+        monkeypatch.setattr(ad, "CONV_BLOCK", block)
+        blocks = _windowed(monkeypatch)
         r = np.random.default_rng(19)
         n, cin, h, w_ = x_shape
         x = Tensor(r.standard_normal(x_shape), requires_grad=True, dtype=np.float32)
@@ -757,6 +774,7 @@ class TestEagerConvWeightGrad:
             tracemalloc.stop()
         assert peak < whole, (peak, whole)
         assert type(w._grad) is np.ndarray
+        assert len(blocks) > 3 and max(blocks) < n, blocks  # several blocks each way
 
     def test_a_gradient_whose_sum_would_hold_more_is_deferred(self):
         # Cout = 16 < N*L = 36, but two gradient-sized arrays and one

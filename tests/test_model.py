@@ -18,6 +18,7 @@ from resemotenet.errors import ConfigError, ShapeError
 from resemotenet.layers import EVAL, TRAIN, conv_bn_forward, residual_forward, se_forward
 from resemotenet.model import ModelConfig, build_model
 from resemotenet.optim import SgdState, cross_entropy, sgd_step
+from resemotenet.synthetic import make_synthetic_manifest
 from resemotenet.training import train_one_epoch
 
 import oracles
@@ -501,6 +502,10 @@ class TestStatePlumbing:
 # output is the largest array a forward makes
 STEM_HEAVY = ModelConfig(input_channels=3, input_size=64, stem_channels=(16, 32, 64),
                          se_reduction=4, residual_channels=((64, 64, 2),))
+#: the FER2013-native net the benchmark's `train_fer48` trains: 48x48 grayscale
+FER48 = ModelConfig(input_channels=1, input_size=48, stem_channels=(8, 16, 32),
+                    se_reduction=8,
+                    residual_channels=((32, 64, 2), (64, 128, 2), (128, 256, 2)))
 
 
 class TestForwardMemory:
@@ -605,3 +610,26 @@ class TestForwardMemory:
             finally:
                 tracemalloc.stop()
         assert peak <= 4.6 * largest, f"peak {peak / largest:.2f} x the largest output"
+
+    def test_fer48_train_step_peak_holds_a_small_conv_block(self):
+        """A steady FER-48 step at batch 32 holds its tape plus one conv
+        block of at most `autodiff.CONV_BLOCK` patch elements (1 MiB in
+        float32).  Bound 4.2x the largest stage output (stem 0's, 2.25 MiB):
+        3.6x measured here, 4.5x with 2^19-element blocks and 5.2x with
+        2^20, the deferred gradient's row block."""
+        with ad.using_dtype("float32"):
+            model = build_model(FER48)
+            samples = make_synthetic_manifest(per_class=5, size=48, channels=1, seed=1).samples
+            manifest = DatasetManifest.from_samples("batch", "train", samples[:32])
+            optimizer = SgdState(lr=0.01, momentum=0.9)
+            train_one_epoch(model, optimizer, manifest, 32, np.random.default_rng(0), False)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                train_one_epoch(model, optimizer, manifest, 32, np.random.default_rng(0),
+                                False)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        largest = 32 * FER48.stem_channels[0] * 48 * 48 * 4
+        assert peak <= 4.2 * largest, f"peak {peak / largest:.2f} x the largest output"

@@ -610,8 +610,9 @@ class TestEvaluateInBlocks:
 
     def test_peak_above_the_model_is_one_bounded_block(self):
         """32 default-stem images, float32.  Bound 16 MiB above the model:
-        12.2 MiB measured, 41.5 MiB when all 32 went through one forward
-        (stem 0's output alone is 32 MiB then)."""
+        10.4 MiB measured (12.2 MiB with 2^20-element conv sample blocks),
+        41.5 MiB when all 32 went through one forward (stem 0's output alone
+        is 32 MiB then)."""
         model, split = _eval_model(DEFAULT_STEM, "float32"), _eval_split(DEFAULT_STEM, 32)
         with using_dtype("float32"):
             training.evaluate_model(model, split)
