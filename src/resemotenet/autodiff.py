@@ -45,8 +45,12 @@ where ``x > 0`` does.  A caller that owns an array which no backward reads
 drops it (``Tensor.drop_data``) once the ops that read it have run:
 ``model`` drops each stem batch norm's output once its max-pool has the
 window offsets, and ``layers`` a projected shortcut's once the residual
-``add`` has read it.  The tensor keeps its shape and element type, and
-still routes gradients.
+``add`` has read it, and stem 0's conv output (x-hat) once its batch norm
+has run, which is then given a ``rebuild`` to remake x-hat in backward.
+The tensor keeps its shape and element type, and still routes gradients.
+Backward buffers are bounded too: ``batch_norm2d_train``'s backward
+allocates nothing the size of its input but a rebuilt x-hat, writing over
+x-hat and the output gradient instead.
 
 Windowed kernels reach a kernel tap one way: ``_windows`` gives, for each
 tap (i, j) of a kh x kw window, the plain basic slice of an (N, C, H, W)
@@ -736,7 +740,8 @@ def _check_batch_norm_inputs(x: Tensor, gamma: Tensor, beta: Tensor) -> None:
 
 
 def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, *,
-                       out: np.ndarray | None = None
+                       out: np.ndarray | None = None,
+                       rebuild: Callable[[], np.ndarray] | None = None
                        ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Normalize per channel with batch statistics over (N, H, W).
 
@@ -748,6 +753,9 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, *,
     dx = gamma * inv_std * (g - sum(g) / m - x_hat * sum(g * x_hat) / m).
     The normalized input x_hat is kept for it: in `out` when a caller hands
     over ``x.data`` there (see the module docstring), else in a new array.
+    With `rebuild`, a function that returns a new array holding x's data
+    again, x_hat is not kept: backward normalizes rebuild()'s array with the
+    forward's statistics, so a caller may drop x's array once this has run.
     The output is x_hat * gamma + beta in a new array.
     """
     _check_batch_norm_inputs(x, gamma, beta)
@@ -756,21 +764,42 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, *,
     mean = x.data.mean(axis=(0, 2, 3))
     var = x.data.var(axis=(0, 2, 3), mean=mean[None, :, None, None])
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = _normalized(x.data, mean, inv_std, out=out)
-    out_data = x_hat * gamma.data[None, :, None, None]
+    kept = _normalized(x.data, mean, inv_std, out=out)
+    out_data = kept * gamma.data[None, :, None, None]
     out_data += beta.data[None, :, None, None]
+    if rebuild is not None:
+        kept = None
 
     def backward_fn(gout: np.ndarray) -> None:
-        # one whole-size scratch array beside gout: it holds x_hat * g, then
-        # x_hat * sum(g * x_hat) / m; dx is written in gout itself
-        g_sum = gout.sum(axis=(0, 2, 3))
-        scratch = x_hat * gout
-        gx_sum = scratch.sum(axis=(0, 2, 3))
+        # two passes over sample blocks of at most CONV_BLOCK elements (or
+        # one sample), each block's later steps reading it from cache, and
+        # no input-sized scratch.  First x_hat (normalized here if rebuilt)
+        # and the per-channel sums: each sample's over (H, W), added in
+        # sample order, which with more than one channel are the bits of
+        # numpy's whole-array sums.  Then x_hat * sum(g * x_hat) / m over
+        # x_hat, which no backward reads again, and dx in gout itself
+        x_hat = kept if rebuild is None else rebuild()
+        step = max(1, CONV_BLOCK // x_hat[:1].size)
+        blocks = [slice(s0, s0 + step) for s0 in range(0, n, step)]
+        g_sum = np.zeros(c, dtype=gout.dtype)
+        gx_sum = np.zeros(c, dtype=np.result_type(x_hat, gout))
+        prod = np.empty((min(step, n), c, h, w), dtype=gx_sum.dtype)
+        for b in blocks:
+            if rebuild is not None:
+                _normalized(x_hat[b], mean, inv_std, out=x_hat[b])
+            products = np.multiply(x_hat[b], gout[b], out=prod[:len(x_hat[b])])
+            for sums, dots in zip(gout[b].sum(axis=(2, 3)), products.sum(axis=(2, 3))):
+                g_sum += sums
+                gx_sum += dots
         if x.requires_grad:
-            np.multiply(x_hat, (gx_sum / m)[None, :, None, None], out=scratch)
-            gout -= (g_sum / m)[None, :, None, None]
-            gout -= scratch
-            gout *= (gamma.data * inv_std)[None, :, None, None]
+            x_hat_scale = (gx_sum / m)[None, :, None, None]
+            g_mean = (g_sum / m)[None, :, None, None]
+            dx_scale = (gamma.data * inv_std)[None, :, None, None]
+            for b in blocks:
+                x_hat[b] *= x_hat_scale
+                gout[b] -= g_mean
+                gout[b] -= x_hat[b]
+                gout[b] *= dx_scale
             _accumulate(x, gout)
         _accumulate(gamma, gx_sum)
         _accumulate(beta, g_sum)

@@ -170,15 +170,18 @@ class BatchNorm2d:
         self.running_mean = np.zeros(channels, dtype=ad.default_dtype())
         self.running_var = np.ones(channels, dtype=ad.default_dtype())
 
-    def forward(self, x: Tensor, mode: str, *, out: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, mode: str, *, out: np.ndarray | None = None,
+                rebuild=None) -> Tensor:
         """`out`, x's own array handed over by a caller that reads x no
         more, goes to the op: train mode keeps x-hat in it, eval mode may
-        normalize in it.  Either makes its output a new array otherwise."""
+        normalize in it.  Either makes its output a new array otherwise.
+        `rebuild`, train mode only, goes to `autodiff.batch_norm2d_train`:
+        x-hat is then rebuilt in backward instead of kept."""
         if mode not in (TRAIN, EVAL):
             raise ConfigError(f"mode must be '{TRAIN}' or '{EVAL}', got {mode!r}")
         if mode == TRAIN:
             out, mean, var = ad.batch_norm2d_train(x, self.gamma, self.beta, BN_EPS,
-                                                   out=out)
+                                                   out=out, rebuild=rebuild)
             m = BN_MOMENTUM
             # in place: a held `state_tensors()` dict keeps seeing the stats
             self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
@@ -256,14 +259,34 @@ class LinearLayer:
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-def conv_bn_forward(layer: Conv2dLayer, bn: BatchNorm2d, x: Tensor, mode: str) -> Tensor:
+def conv_bn_forward(layer: Conv2dLayer, bn: BatchNorm2d, x: Tensor, mode: str,
+                    recompute: bool = False) -> Tensor:
     """bn(conv(x)), the unit the stem stages and residual blocks repeat.
 
     The conv output is this function's own and no backward reads it, so it
     is handed over: train BN keeps x-hat in it, eval BN may normalize in
-    it."""
+    it.  With `recompute`, train BN keeps no x-hat and the conv output is
+    dropped once BN has run: BN's backward rebuilds it by an unrecorded
+    conv forward of x, which the conv's backward keeps anyway.  That
+    backward runs before the conv's, so it reads the weight and bias the
+    forward read, even where the optimizer updates each parameter as soon
+    as its gradient is final."""
     h = layer.forward(x)
-    return bn.forward(h, mode, out=h.data)
+    if not recompute or mode != TRAIN:
+        return bn.forward(h, mode, out=h.data)
+    out = bn.forward(h, mode, out=h.data, rebuild=lambda: _unrecorded_conv(layer, x))
+    h.drop_data()
+    return out
+
+
+def _unrecorded_conv(layer: Conv2dLayer, x: Tensor) -> np.ndarray:
+    """The array `layer.forward(x)` made, computed again and recorded on no
+    graph, in the element types of x and of the layer's tensors."""
+    def plain(t: Tensor) -> Tensor:
+        return Tensor(t.data, dtype=t.data.dtype)
+
+    return ad.conv2d(plain(x), plain(layer.weight), plain(layer.bias),
+                     layer.stride, layer.padding).data
 
 
 def se_forward(se: SEBlock, x: Tensor) -> Tensor:

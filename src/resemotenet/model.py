@@ -237,7 +237,9 @@ class ResEmoteNetModel:
                 f"{cfg.input_size}), got {x.shape}")
         out = x
         for i, (conv, bn) in enumerate(self.stem):
-            out = _staged(f"stem stage {i}", conv_bn_forward, conv, bn, out, mode)
+            # stage 0's x-hat, the largest array a train forward makes, is
+            # rebuilt in backward instead of held on the tape
+            out = _staged(f"stem stage {i}", conv_bn_forward, conv, bn, out, mode, i == 0)
             out = _staged(f"stem stage {i} pool", _pool_relu, out)
         out = _staged("channel gate", se_forward, self.se, out)
         for i, block in enumerate(self.residuals):
@@ -255,7 +257,8 @@ def _pool_relu(x: Tensor) -> Tensor:
     reads it: max-pool's reads its window offsets, and batch norm's its
     x-hat or input.  So x's array is dropped once the pool has run, and the
     tape holds no array of the stage at full resolution but the conv
-    output (x-hat, in train mode)."""
+    output (x-hat, in train mode), and none at all for stage 0, whose
+    x-hat is rebuilt in backward (`conv_bn_forward`)."""
     pooled = ad.max_pool2d(x, 2, 2)
     x.drop_data()
     return ad.relu(pooled, out=pooled.data)

@@ -259,7 +259,7 @@ def _randomize_residual(block: ResidualBlock, rng, mode: str) -> None:
         _randomize_batch_norm(bn, rng, mode)
 
 
-def _sample_conv_bn_block(rng, mode=EVAL, include_bias=True):
+def _sample_conv_bn_block(rng, mode=EVAL, include_bias=True, recompute=False):
     n, ci, co, size = 2, 2, 2, 4
     conv = Conv2dLayer(ci, co, 3, stride=1, padding=1)
     bn = BatchNorm2d(co)
@@ -271,11 +271,15 @@ def _sample_conv_bn_block(rng, mode=EVAL, include_bias=True):
     if include_bias:
         inputs.append(("conv.bias", conv.bias))
     inputs += [("bn.gamma", bn.gamma), ("bn.beta", bn.beta)]
-    return lambda *_: ad.relu(conv_bn_forward(conv, bn, x, mode)), inputs
+    return lambda *_: ad.relu(conv_bn_forward(conv, bn, x, mode, recompute)), inputs
 
 
 def _sample_conv_bn_block_train(rng):
     return _sample_conv_bn_block(rng, mode=TRAIN, include_bias=False)
+
+
+def _sample_conv_bn_block_recompute(rng):
+    return _sample_conv_bn_block(rng, mode=TRAIN, include_bias=False, recompute=True)
 
 
 def _sample_se_block(rng):
@@ -341,6 +345,7 @@ COMPONENTS: dict[str, Callable] = {
     "cross_entropy": _sample_cross_entropy,
     "conv_bn_block": _sample_conv_bn_block,
     "conv_bn_block_train": _sample_conv_bn_block_train,
+    "conv_bn_block_recompute": _sample_conv_bn_block_recompute,
     "se_block": _sample_se_block,
     "residual_identity": _sample_residual_identity,
     "residual_identity_train": _sample_residual_identity_train,

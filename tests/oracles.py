@@ -220,8 +220,9 @@ def batch_norm_loops(x, gamma, beta, eps):
 def batch_norm_train_backward_formula(x, gamma, gout, eps):
     """(x, gamma, beta) gradients of a train-mode batch norm for the output
     gradient `gout`, by the two-sum formula: each elementwise product in its
-    own full-size temporary, each reduction over (N, H, W).  Not a loop
-    oracle but a bitwise one: it fixes the order of every rounding."""
+    own full-size temporary, each reduction over (N, H, W), as the backward
+    computed them while it held a whole-size g * x-hat scratch array.  Not a
+    loop oracle but a bitwise one: it fixes the order of every rounding."""
     n, c, h, w = x.shape
     m = n * h * w
     axes, per_channel = (0, 2, 3), (None, slice(None), None, None)

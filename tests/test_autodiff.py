@@ -859,15 +859,18 @@ class TestDeadTapWeightGrad:
 
 class TestBatchNormTrainBackward:
     """The train-mode batch-norm backward takes two per-channel sums, of g
-    and of g * x-hat, reading the x-hat its forward kept and using one
-    scratch array: it gives the bits of the whole-array two-sum formula,
-    matches the chain-rule loop oracle and allocates no second input-sized
-    array."""
+    and of g * x-hat, reading the x-hat its forward kept (or rebuilt), the
+    second in sample blocks: it gives the bits of the whole-array two-sum
+    formula, matches the chain-rule loop oracle and allocates no
+    input-sized array but a rebuilt x-hat."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(4, 3, 5, 6), (2, 4, 16, 24)])
     @pytest.mark.parametrize("needs", [("x", "gamma", "beta"), ("x",), ("gamma",)])
-    def test_bitwise_equal_to_the_whole_array_formula(self, dtype, shape, needs):
+    @pytest.mark.parametrize("block", [1, ad.CONV_BLOCK], ids=["one_sample", "default"])
+    def test_bitwise_equal_to_the_whole_array_formula(self, monkeypatch, dtype, shape,
+                                                      needs, block):
+        monkeypatch.setattr(ad, "CONV_BLOCK", block)
         r = np.random.default_rng(23)
         c = shape[1]
         arrays = {"x": 3.0 * r.standard_normal(shape) + 1.0,
@@ -924,17 +927,25 @@ class TestBatchNormTrainBackward:
         for got, expected in zip((x.grad, gamma.grad, beta.grad), want):
             npt.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
-    def test_allocates_one_input_sized_array(self):
-        """The scratch array is the only input-sized allocation: bound one
-        input plus 64 KiB on a (16, 64, 64, 64) float32 batch (16 MiB)."""
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rebuilt", [False, True], ids=["kept", "rebuilt"])
+    def test_allocates_no_input_sized_scratch(self, dtype, rebuilt):
+        """Beside a rebuilt x-hat, backward allocates one block of g * x-hat
+        products, of at most `CONV_BLOCK` elements, and per-channel vectors:
+        bound one block plus 128 KiB, and one input more when x-hat is
+        rebuilt, on an (8, 32, 64, 64) batch of four blocks.  The gradients
+        keep the whole-array formula's bits."""
         r = np.random.default_rng(30)
-        shape = (16, 64, 64, 64)
-        x = Tensor(r.standard_normal(shape), requires_grad=True, dtype=np.float32)
-        gamma = Tensor(r.uniform(0.5, 1.5, 64), requires_grad=True, dtype=np.float32)
-        beta = Tensor(r.standard_normal(64), requires_grad=True, dtype=np.float32)
+        shape = (8, 32, 64, 64)
+        x = Tensor(r.standard_normal(shape), requires_grad=True, dtype=dtype)
+        gamma = Tensor(r.uniform(0.5, 1.5, 32), requires_grad=True, dtype=dtype)
+        beta = Tensor(r.standard_normal(32), requires_grad=True, dtype=dtype)
         with Graph():
-            out = ad.batch_norm2d_train(x, gamma, beta, 1e-5)[0]
-        gout = r.standard_normal(shape, dtype=np.float32)
+            out = ad.batch_norm2d_train(x, gamma, beta, 1e-5,
+                                        rebuild=x.data.copy if rebuilt else None)[0]
+        gout = r.standard_normal(shape).astype(dtype)
+        want = oracles.batch_norm_train_backward_formula(x.data, gamma.data, gout, 1e-5)
+        block = ad.CONV_BLOCK * x.data.itemsize
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -943,7 +954,10 @@ class TestBatchNormTrainBackward:
         finally:
             tracemalloc.stop()
         assert x.grad is gout
-        assert peak <= x.data.nbytes + 64 * 1024, f"peak {peak} bytes"
+        bound = block + 128 * 1024 + (x.data.nbytes if rebuilt else 0)
+        assert peak <= bound, f"peak {peak} bytes, bound {bound}"
+        for got, expected in zip((x.grad, gamma.grad, beta.grad), want):
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestBatchNormTrainStatistics:

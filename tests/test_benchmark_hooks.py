@@ -19,6 +19,8 @@ from resemotenet.autodiff import Tensor
 from resemotenet.layers import EVAL
 from resemotenet.model import ModelConfig, build_model
 
+import nets
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 #: ops with their own per-layer metric in BENCHMARK.json
@@ -86,3 +88,10 @@ def test_every_stage_span_names_a_declared_metric(spans):
     # 3 stem stages and their pools, the gate, the block, the head; 6 convs
     assert len(stages) == 9 + 6, sorted(stages)
     assert sorted(name for name in stages if name + "_ms" not in declared) == []
+
+
+def test_the_suites_fer48_net_is_the_benchmarks(spans):
+    """The tests that guard the FER-48 net's memory and evaluation blocks
+    guard the net the benchmark trains."""
+    workloads = importlib.import_module("workloads")
+    assert nets.FER48 == workloads.FER48 == workloads.PLANS["train_fer48"].config

@@ -25,6 +25,8 @@ from resemotenet.layers import EVAL, TRAIN
 from resemotenet.model import ModelConfig, build_model
 from resemotenet.optim import PlateauScheduler, SgdState
 
+from nets import FER48
+
 rng = np.random.default_rng(31)
 
 TINY = ModelConfig(input_channels=1, input_size=8, stem_channels=(2, 4, 4),
@@ -696,12 +698,6 @@ class TestByteFormat:
         path = tmp_path / "weights.ckpt"
         ckpt.save(model, None, None, 0, path)
         assert path.read_bytes() == reference_v1_bytes(model, None, None, 0)
-
-
-# the 48x48 grayscale geometry with 1.2 M parameters
-FER48 = ModelConfig(input_channels=1, input_size=48, stem_channels=(8, 16, 32),
-                    se_reduction=8,
-                    residual_channels=((32, 64, 2), (64, 128, 2), (128, 256, 2)))
 
 
 def _traced_alloc(fn):

@@ -20,6 +20,8 @@ from resemotenet.model import ModelConfig, build_model
 from resemotenet.optim import SgdState, cross_entropy, sgd_step
 from resemotenet.synthetic import make_synthetic_manifest
 
+from nets import FER48
+
 # the acceptance tests' small architecture
 TINY = dict(dataset="dir", batch_size=8, lr=0.01, momentum=0.9, augment=True,
             seed=13, input_channels=3, input_size=16, stem_channels=(4, 8, 8),
@@ -540,10 +542,6 @@ class TestCompactConvs:
 # the default net's input and stem, so its largest conv output (stem 0's,
 # 64x64x64 a sample), with one narrow residual block for the default's three
 DEFAULT_STEM = ModelConfig(residual_channels=((256, 64, 2),))
-# the benchmark's FER-native net: 48x48 grayscale, an eighth of the default width
-FER48 = ModelConfig(input_channels=1, input_size=48, stem_channels=(8, 16, 32),
-                    se_reduction=8,
-                    residual_channels=((32, 64, 2), (64, 128, 2), (128, 256, 2)))
 
 
 def _eval_split(config, n):
