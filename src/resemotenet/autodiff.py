@@ -771,26 +771,32 @@ def batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, *,
         kept = None
 
     def backward_fn(gout: np.ndarray) -> None:
-        # two passes over sample blocks of at most CONV_BLOCK elements (or
-        # one sample), each block's later steps reading it from cache, and
-        # no input-sized scratch.  First x_hat (normalized here if rebuilt)
-        # and the per-channel sums: each sample's over (H, W), added in
-        # sample order, which with more than one channel are the bits of
-        # numpy's whole-array sums.  Then x_hat * sum(g * x_hat) / m over
-        # x_hat, which no backward reads again, and dx in gout itself
+        # sum(g * x_hat) over sample blocks of at most CONV_BLOCK elements (or
+        # one sample), x_hat normalized there first if rebuilt: each sample's
+        # sum over (H, W) in a row, the rows added in sample order, which
+        # with more than one channel are the bits of numpy's whole-array
+        # sum.  One channel numpy sums as one pairwise run over N*H*W, so
+        # then the block is the batch.  Then, block by block, x_hat *
+        # sum(g * x_hat) / m over x_hat, which no backward reads again, and
+        # dx in gout itself: no input-sized scratch
         x_hat = kept if rebuild is None else rebuild()
-        step = max(1, CONV_BLOCK // x_hat[:1].size)
+        step = n if c == 1 else max(1, CONV_BLOCK // x_hat[:1].size)
         blocks = [slice(s0, s0 + step) for s0 in range(0, n, step)]
-        g_sum = np.zeros(c, dtype=gout.dtype)
-        gx_sum = np.zeros(c, dtype=np.result_type(x_hat, gout))
-        prod = np.empty((min(step, n), c, h, w), dtype=gx_sum.dtype)
-        for b in blocks:
+        prod = np.empty((min(step, n), c, h, w), dtype=np.result_type(x_hat, gout))
+
+        def products(b: slice) -> np.ndarray:
             if rebuild is not None:
                 _normalized(x_hat[b], mean, inv_std, out=x_hat[b])
-            products = np.multiply(x_hat[b], gout[b], out=prod[:len(x_hat[b])])
-            for sums, dots in zip(gout[b].sum(axis=(2, 3)), products.sum(axis=(2, 3))):
-                g_sum += sums
-                gx_sum += dots
+            return np.multiply(x_hat[b], gout[b], out=prod[:len(x_hat[b])])
+
+        if c == 1:
+            gx_sum = products(blocks[0]).sum(axis=(0, 2, 3))
+        else:
+            rows = np.empty((n, c), dtype=prod.dtype)
+            for b in blocks:
+                products(b).sum(axis=(2, 3), out=rows[b])
+            gx_sum = rows.sum(axis=0)
+        g_sum = gout.sum(axis=(0, 2, 3))
         if x.requires_grad:
             x_hat_scale = (gx_sum / m)[None, :, None, None]
             g_mean = (g_sum / m)[None, :, None, None]

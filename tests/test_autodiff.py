@@ -860,12 +860,14 @@ class TestDeadTapWeightGrad:
 class TestBatchNormTrainBackward:
     """The train-mode batch-norm backward takes two per-channel sums, of g
     and of g * x-hat, reading the x-hat its forward kept (or rebuilt), the
-    second in sample blocks: it gives the bits of the whole-array two-sum
+    second in sample blocks (one block for a single channel, which numpy
+    sums as one run): it gives the bits of the whole-array two-sum
     formula, matches the chain-rule loop oracle and allocates no
     input-sized array but a rebuilt x-hat."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(4, 3, 5, 6), (2, 4, 16, 24)])
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 6), (2, 4, 16, 24), (16, 512, 4, 4),
+                                       (4, 1, 5, 6), (3, 1, 40, 40)])
     @pytest.mark.parametrize("needs", [("x", "gamma", "beta"), ("x",), ("gamma",)])
     @pytest.mark.parametrize("block", [1, ad.CONV_BLOCK], ids=["one_sample", "default"])
     def test_bitwise_equal_to_the_whole_array_formula(self, monkeypatch, dtype, shape,
