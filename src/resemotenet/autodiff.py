@@ -50,7 +50,8 @@ has run, which is then given a ``rebuild`` to remake x-hat in backward.
 The tensor keeps its shape and element type, and still routes gradients.
 Backward buffers are bounded too: ``batch_norm2d_train``'s backward
 allocates nothing the size of its input but a rebuilt x-hat, writing over
-x-hat and the output gradient instead.
+x-hat and the output gradient instead (with a single channel it takes one
+whole-batch product, to keep numpy's summation order).
 
 Windowed kernels reach a kernel tap one way: ``_windows`` gives, for each
 tap (i, j) of a kh x kw window, the plain basic slice of an (N, C, H, W)

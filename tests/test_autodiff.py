@@ -933,9 +933,9 @@ class TestBatchNormTrainBackward:
     @pytest.mark.parametrize("rebuilt", [False, True], ids=["kept", "rebuilt"])
     def test_allocates_no_input_sized_scratch(self, dtype, rebuilt):
         """Beside a rebuilt x-hat, backward allocates one block of g * x-hat
-        products, of at most `CONV_BLOCK` elements, and per-channel vectors:
-        bound one block plus 128 KiB, and one input more when x-hat is
-        rebuilt, on an (8, 32, 64, 64) batch of four blocks.  The gradients
+        products, of at most `CONV_BLOCK` elements, and per-sample sums of
+        each channel: bound one block plus 128 KiB, and one input more when
+        x-hat is rebuilt, on an (8, 32, 64, 64) batch of four blocks.  The gradients
         keep the whole-array formula's bits."""
         r = np.random.default_rng(30)
         shape = (8, 32, 64, 64)
