@@ -35,10 +35,14 @@ step is one ``train_one_epoch`` over the batch) on each worker, the two
 stepping in turn, one at a time, with a pause after each step.  The side
 that steps first alternates from step to step and from round to round (in
 odd rounds the base takes the first step).  A worker reports each step's
-wall time and ``ru_minflt`` count.  The output JSON holds, per net, each side's step times and faults,
-the per-round change/base ratio of the rounds' times, the ratio's median
-and interquartile range, in how many rounds this checkout was faster, and
-each side's minor faults per step; stdout gets them as a Markdown table.
+wall time, ``ru_minflt`` count and ``ru_maxrss`` so far.  The output JSON
+holds, per net, each side's step times and faults, the per-round
+change/base ratio of the rounds' times, the ratio's median and
+interquartile range, in how many rounds this checkout was faster, each
+side's minor faults per step, and each worker's peak RSS once that net's
+rounds end (in MB, as ``peak_rss_mb``: ``ru_maxrss / 1024``); stdout gets
+them as a Markdown table.  A worker holds every net from its start, so
+each net's peak RSS is the worker's: the largest net's (the default's).
 Both workers take the same steps from the same state, and host drift, which
 lands on perfbench pairs minutes apart, lands on both sides of a round
 alike: use this mode for a step-time claim, and perfbench pairs for the
@@ -149,7 +153,8 @@ def worker_command(seed: int) -> list:
 def worker(seed: int) -> int:
     """One side of ``--steps``: announce the nets on stdout as ``{"src",
     "nets": {name: {"batch", "steps"}}}``, then, for each net name read
-    from stdin, take one step on it and print ``{"s", "minflt"}``."""
+    from stdin, take one step on it and print ``{"s", "minflt",
+    "maxrss_kb"}``."""
     import dataclasses
     import functools
     import resource
@@ -185,8 +190,9 @@ def worker(seed: int) -> int:
             start = time.perf_counter()
             step[line.strip()]()
             seconds = time.perf_counter() - start
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            print(json.dumps({"s": seconds, "minflt": faults}), flush=True)
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            print(json.dumps({"s": seconds, "minflt": usage.ru_minflt - faults,
+                              "maxrss_kb": usage.ru_maxrss}), flush=True)
     return 0
 
 
@@ -247,7 +253,8 @@ def step_rounds(workers: dict, rounds: int) -> dict:
 
 def summarize_steps(replies: dict) -> dict:
     """One net's summary from each side's replies, a list of step replies
-    a round: a round's time is the sum of its steps'."""
+    a round: a round's time is the sum of its steps', and a side's peak RSS
+    its last reply's."""
     s = {side: [[r["s"] for r in steps] for steps in replies[side]] for side in SIDES}
     faults = {side: [r["minflt"] for steps in replies[side] for r in steps] for side in SIDES}
     rounds = {side: [sum(steps) for steps in s[side]] for side in SIDES}
@@ -258,20 +265,23 @@ def summarize_steps(replies: dict) -> dict:
             **{f"{side}_median_s": statistics.median(rounds[side]) for side in SIDES},
             "ratio": ratio, "ratio_median": statistics.median(ratio), "ratio_iqr": q3 - q1,
             "change_faster_in": sum(r < 1 for r in ratio),
-            **{f"{side}_faults_per_step": statistics.fmean(faults[side]) for side in SIDES}}
+            **{f"{side}_faults_per_step": statistics.fmean(faults[side]) for side in SIDES},
+            **{f"{side}_peak_rss_mb": replies[side][-1][-1]["maxrss_kb"] / 1024.0
+               for side in SIDES}}
 
 
 def step_table(summary: dict) -> str:
     """The ``--steps`` summary as a Markdown table, one row per net."""
     rows = ["| net | batch | steps a round | base median s | change median s "
             "| change/base median | ratio IQR | change faster in | base faults/step "
-            "| change faults/step |",
-            "|---|---|---|---|---|---|---|---|---|---|"]
+            "| change faults/step | base peak RSS MB | change peak RSS MB |",
+            "|---|---|---|---|---|---|---|---|---|---|---|---|"]
     for net, m in summary["nets"].items():
         rows.append(f"| `{net}` | {m['batch']} | {m['steps']} | {m['base_median_s']:.4f} "
                     f"| {m['change_median_s']:.4f} | {m['ratio_median']:.3f} "
                     f"| {m['ratio_iqr']:.3f} | {m['change_faster_in']}/{summary['rounds']} "
-                    f"| {m['base_faults_per_step']:.0f} | {m['change_faults_per_step']:.0f} |")
+                    f"| {m['base_faults_per_step']:.0f} | {m['change_faults_per_step']:.0f} "
+                    f"| {m['base_peak_rss_mb']:.1f} | {m['change_peak_rss_mb']:.1f} |")
     return "\n".join(rows)
 
 

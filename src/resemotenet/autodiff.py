@@ -277,6 +277,13 @@ GRAD_BLOCK = 1 << 20
 #: gradient's columns and its patch unfolds (1 MiB in float32, half a core's
 #: 2 MiB L2 cache, so a block stays cached between its unfold and its GEMM)
 CONV_BLOCK = 1 << 18
+#: rows of Wᵀ per GEMM of ``conv2d``'s input gradient, (CKK, Cout) @
+#: (Cout, L).  OpenBLAS packs each thread's share of a GEMM's rows into a
+#: buffer of its own that stays resident: 8.4 MiB a thread after the default
+#: net's CKK = 9,216 product, 1.4 MiB in blocks of this many rows, which
+#: also run faster.  Every block starts at a multiple of this power of two,
+#: which keeps the bits of one whole GEMM
+GRAD_ROWS = 1 << 10
 
 
 def live_taps(in_size: int, k: int, stride: int, padding: int) -> slice:
@@ -394,6 +401,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
     (Cin, kh*kw, out_h, out_w) per sample, the output positions contiguous:
     (b, Cin, kh*kw, out_h, out_w) for a block of b samples, and
     (Cin, kh*kw, N, out_h, out_w) for a deferred weight gradient's patches.
+    The input gradient's columns, Wᵀ @ go per sample, are computed in row
+    blocks of Wᵀ of at most `GRAD_ROWS` rows, each written into its slice
+    of the block's columns, so OpenBLAS packs no more than that many rows
+    a thread; a conv with at most `GRAD_ROWS` patch elements runs one GEMM.
 
     The backward pass re-derives its patch matrix from ``x.data``, so the
     input buffer must not be mutated between forward and ``backward()`` (the
@@ -452,12 +463,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
 
     def input_grad(go: np.ndarray) -> np.ndarray:
         """The (N, Cin, H, W) input gradient, its columns computed for the
-        forward's sample blocks in turn, each scattered onto that block's
-        padded grid and cropped into one array."""
+        forward's sample blocks in turn, `GRAD_ROWS` rows of Wᵀ a GEMM, each
+        block scattered onto its padded grid and cropped into one array."""
         gx = np.zeros(x.shape, dtype=go.dtype)
         for s0 in range(0, n, step):
-            cols = np.matmul(w_mat.T, go[s0:s0 + step]).reshape(
-                -1, cin, taps, out_h, out_w)             # (b, Cin, kh*kw, oh, ow)
+            g_out = go[s0:s0 + step]
+            cols = np.empty((len(g_out), ckk, positions), dtype=np.result_type(w_mat, go))
+            for r0 in range(0, ckk, GRAD_ROWS):
+                np.matmul(w_mat.T[r0:r0 + GRAD_ROWS], g_out, out=cols[:, r0:r0 + GRAD_ROWS])
+            cols = cols.reshape(-1, cin, taps, out_h, out_w)  # (b, Cin, kh*kw, oh, ow)
             g = gx[s0:s0 + step]
             g_pad = g if padding == 0 else np.zeros(
                 (len(g), cin, h + 2 * padding, w + 2 * padding), dtype=go.dtype)

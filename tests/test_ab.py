@@ -133,6 +133,7 @@ from pathlib import Path
 side = "base" if Path.cwd().name.startswith("ab-base-") else "change"
 seconds = {"base": [1.0, 2.0, 1.0, 2.0], "change": [0.9, 2.2, 0.8, 1.0]}[side]
 faults = {"base": [0, 10, 0, 0], "change": [4, 0, 0, 0]}[side]
+base_kb = {"base": 358400, "change": 353280}[side]
 stop = int(os.environ.get("AB_STOP_AFTER", 1 << 30))
 nets = {"wide": {"batch": 16, "steps": 1}, "narrow": {"batch": 32, "steps": 2}}
 print(json.dumps({"src": str(Path.cwd() / "src" / "resemotenet" / "__init__.py"),
@@ -143,7 +144,8 @@ for i, line in enumerate(sys.stdin):
     with open(os.environ["AB_STEP_LOG"], "a") as log:
         log.write(f"{side} {line.strip()}\\n")
     k = i % 4
-    print(json.dumps({"s": seconds[k], "minflt": faults[k]}), flush=True)
+    print(json.dumps({"s": seconds[k], "minflt": faults[k], "maxrss_kb": base_kb + 512 * i}),
+          flush=True)
 """
 
 
@@ -163,7 +165,8 @@ def test_steps_alternate_the_first_side_and_summarize_each_net(canned_workers, t
     """Four rounds a net, net by net, of one step a side on `wide` and two
     on `narrow`: the side that steps first alternates from step to step
     and round to round.  The JSON and the table hold each net's ratios of
-    its rounds' times, their median and IQR, and the faults per step."""
+    its rounds' times, their median and IQR, the faults per step, and each
+    worker's peak RSS at its last step of that net."""
     out = tmp_path / "steps.json"
     assert ab.main(["--base", "HEAD", "--steps", "4", "--seed", "7", "--out", str(out)]) == 0
     ab_ba = [("base", "change"), ("change", "base")]
@@ -184,6 +187,8 @@ def test_steps_alternate_the_first_side_and_summarize_each_net(canned_workers, t
     assert wide["base_median_s"] == 1.5 and wide["change_median_s"] == pytest.approx(0.95)
     assert wide["base_minflt"] == [0, 10, 0, 0] and wide["change_minflt"] == [4, 0, 0, 0]
     assert wide["base_faults_per_step"] == 2.5 and wide["change_faults_per_step"] == 1.0
+    # each worker's 4th of 12 requests: its peak grows 512 KiB a request
+    assert wide["base_peak_rss_mb"] == 351.5 and wide["change_peak_rss_mb"] == 346.5
     # each worker's canned replies run on from `wide` into `narrow`'s steps
     assert narrow["base_s"] == [[1.0, 2.0]] * 4
     assert narrow["change_s"] == [[0.9, 2.2], [0.8, 1.0]] * 2
@@ -191,11 +196,13 @@ def test_steps_alternate_the_first_side_and_summarize_each_net(canned_workers, t
     assert narrow["change_faster_in"] == 2
     assert narrow["base_minflt"] == [0, 10, 0, 0] * 2
     assert narrow["base_faults_per_step"] == 2.5 and narrow["change_faults_per_step"] == 1.0
+    assert narrow["base_peak_rss_mb"] == 355.5 and narrow["change_peak_rss_mb"] == 350.5
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("| net | batch | steps a round | base median s |")
     assert lines[2:] == [
-        "| `wide` | 16 | 1 | 1.5000 | 0.9500 | 0.850 | 0.225 | 3/4 | 2 | 1 |",
-        "| `narrow` | 32 | 2 | 3.0000 | 2.4500 | 0.817 | 0.433 | 2/4 | 2 | 1 |"]
+        "| `wide` | 16 | 1 | 1.5000 | 0.9500 | 0.850 | 0.225 | 3/4 | 2 | 1 | 351.5 | 346.5 |",
+        "| `narrow` | 32 | 2 | 3.0000 | 2.4500 | 0.817 | 0.433 | 2/4 | 2 | 1 | 355.5 "
+        "| 350.5 |"]
 
 
 def test_a_worker_that_exits_early_ends_the_steps_with_exit_1(canned_workers, tmp_path,

@@ -786,6 +786,70 @@ class TestEagerConvWeightGrad:
         assert isinstance(w._grad, ad.DeferredGrad)
 
 
+def _wt_rows(monkeypatch, weight: np.ndarray) -> list:
+    """Patch ``np.matmul`` to record the (first row, row count) of each
+    product whose first operand is a row block of `weight`'s (CKK, Cout)
+    transpose, in call order; returns that record."""
+    matmul, seen = np.matmul, []
+    base = weight.__array_interface__["data"][0]
+
+    def recorded(a, *rest, **kw):
+        if np.shares_memory(a, weight):
+            start = (a.__array_interface__["data"][0] - base) // a.itemsize
+            seen.append((start, a.shape[0]))
+        return matmul(a, *rest, **kw)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    return seen
+
+
+class TestInputGradRowBlocks:
+    """A conv's input gradient multiplies the output gradient by Wᵀ in row
+    blocks of at most `GRAD_ROWS` rows, each starting at a multiple of it,
+    with the bits of one whole ``w_mat.T @ go``."""
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride, padding", [
+        ((3, 20, 4, 4), (8, 20, 3, 3), 1, 1),    # CKK 180 = 2 * 64 + 52, L 16
+        ((5, 40, 2, 2), (24, 40, 2, 2), 2, 0),   # CKK 160, L 1
+    ], ids=["ckk_not_a_multiple", "one_position"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_blocks_keep_the_whole_products_bits(self, monkeypatch, x_shape, w_shape,
+                                                     stride, padding, dtype):
+        r = np.random.default_rng(23)
+        x0, w0 = r.standard_normal(x_shape), r.standard_normal(w_shape)
+        ckk = np.prod(w_shape[1:])
+        grads, rows = {}, {}
+        for bound in (64, ckk):
+            monkeypatch.setattr(ad, "GRAD_ROWS", bound)
+            x = Tensor(x0, requires_grad=True, dtype=dtype)
+            w = Tensor(w0, dtype=dtype)  # so every backward product is the input gradient's
+            with Graph():
+                out = ad.conv2d(x, w, None, stride=stride, padding=padding)
+            gout = np.random.default_rng(29).standard_normal(out.shape).astype(dtype)
+            rows[bound] = _wt_rows(monkeypatch, w.data)
+            out.node.backward_fn(gout)
+            monkeypatch.undo()
+            grads[bound] = x.grad
+        assert grads[64].dtype == dtype
+        assert grads[64].tobytes() == grads[ckk].tobytes()
+        assert rows[ckk] == [(0, ckk)]  # one sample block: the whole product
+        assert rows[64] == [(r0, min(64, ckk - r0)) for r0 in range(0, ckk, 64)]
+
+    def test_no_product_has_more_rows_than_the_bound(self, monkeypatch):
+        # residual.1.conv_b's kernel at the FER-48 net's size, CKK 1152,
+        # in sample blocks of two of its three samples
+        monkeypatch.setattr(ad, "GRAD_ROWS", 512)
+        monkeypatch.setattr(ad, "CONV_BLOCK", 2 * 1152 * 4)
+        r = np.random.default_rng(31)
+        x = Tensor(r.standard_normal((3, 128, 2, 2)), requires_grad=True, dtype=np.float32)
+        w = Tensor(r.standard_normal((16, 128, 3, 3)), dtype=np.float32)
+        with Graph():
+            out = ad.conv2d(x, w, None, stride=1, padding=1)
+        rows = _wt_rows(monkeypatch, w.data)
+        out.node.backward_fn(np.ones(out.shape, dtype=np.float32))
+        assert rows == [(0, 512), (512, 512), (1024, 128)] * 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 5), st.integers(1, 4), st.integers(0, 4))
 def test_live_taps_span_the_taps_that_read_the_input(in_size, k, stride, padding):
