@@ -40,7 +40,7 @@ holds, per net, each side's step times and faults, the per-round
 change/base ratio of the rounds' times, the ratio's median and
 interquartile range, in how many rounds this checkout was faster, each
 side's minor faults per step, and each worker's peak RSS once that net's
-rounds end (in MB, as ``peak_rss_mb``: ``ru_maxrss / 1024``); stdout gets
+rounds end (``<side>_peak_rss_mb``, ``ru_maxrss / 1024``); stdout gets
 them as a Markdown table.  A worker holds every net from its start, so
 each net's peak RSS is the worker's: the largest net's (the default's).
 Both workers take the same steps from the same state, and host drift, which

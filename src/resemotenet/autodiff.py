@@ -281,8 +281,8 @@ CONV_BLOCK = 1 << 18
 #: (Cout, L).  OpenBLAS packs each thread's share of a GEMM's rows into a
 #: buffer of its own that stays resident: 8.4 MiB a thread after the default
 #: net's CKK = 9,216 product, 1.4 MiB in blocks of this many rows, which
-#: also run faster.  Every block starts at a multiple of this power of two,
-#: which keeps the bits of one whole GEMM
+#: also run faster.  Every block starts at a multiple of this power of two;
+#: on the shipped nets' convs the blocks give the bits of one whole GEMM
 GRAD_ROWS = 1 << 10
 
 
