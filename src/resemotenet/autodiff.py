@@ -46,11 +46,12 @@ drops it (``Tensor.drop_data``) once the ops that read it have run:
 ``model`` drops each stem batch norm's output once its max-pool has the
 window offsets, and ``layers`` a projected shortcut's once the residual
 ``add`` has read it, and stem 0's conv output (x-hat) once its batch norm
-has run, which is then given a ``rebuild`` to remake x-hat in backward.
-The tensor keeps its shape and element type, and still routes gradients.
-Backward buffers are bounded too: ``batch_norm2d_train``'s backward
-allocates nothing the size of its input but a rebuilt x-hat, writing over
-x-hat and the output gradient instead (with a single channel it takes one
+has run, which is then given a ``rebuild`` to remake x-hat in backward
+(``_conv2d``, ``conv2d``'s kernel, which records no op).  The tensor
+keeps its shape and element type, and still routes gradients.  Backward
+buffers are bounded too: ``batch_norm2d_train``'s backward allocates
+nothing the size of its input but a rebuilt x-hat, writing over x-hat and
+the output gradient instead (with a single channel it takes one
 whole-batch product, to keep numpy's summation order).
 
 Windowed kernels reach a kernel tap one way: ``_windows`` gives, for each
@@ -428,6 +429,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
         raise ShapeError(
             f"conv2d: kernel {kh}x{kw} exceeds padded input "
             f"{h + 2 * padding}x{w + 2 * padding}")
+    out_data, backward_fn = _conv2d(x, weight, bias, stride, padding)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _finish("conv2d", inputs, out_data, backward_fn)
+
+
+def _conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int,
+            padding: int):
+    """`conv2d`'s kernel on checked arguments: its output array and its
+    backward function, recorded on no graph."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
     out_h = _conv_output_extent(h, kh, stride, padding)
     out_w = _conv_output_extent(w, kw, stride, padding)
 
@@ -524,8 +536,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
         else:
             _accumulate(weight, product.materialize())
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _finish("conv2d", inputs, out_data, backward_fn)
+    return out_data, backward_fn
 
 
 def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:

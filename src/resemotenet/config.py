@@ -3,10 +3,10 @@ schedule, and data settings, parseable from `key = value` files.  The
 architecture keys are `ModelConfig`'s fields; each key's parser follows the
 form of its default.
 
-File syntax: one assignment per line, ``#`` starts a comment (full-line or
-trailing), blank lines ignored.  Lists are comma-separated (``64,128,256``);
-a list of triples separates each triple's items by colons
-(``256:512:2,512:1024:2``).  Command-line flags override file values, which
+File syntax (UTF-8, a leading BOM dropped): one assignment per line, ``#``
+starts a comment (full-line or trailing), blank lines ignored.  Lists are
+comma-separated (``64,128,256``); a list of triples separates each triple's
+items by colons (``256:512:2,512:1024:2``).  Command-line flags override file values, which
 override the defaults below.  The defaults are the full training recipe:
 batch 16, 80 epochs, horizontal-flip augmentation on, and the optimizer and
 plateau-schedule defaults that `SgdState` and `PlateauScheduler` declare.
@@ -183,7 +183,7 @@ def load_run_config(config_path=None, overrides: dict[str, object] | None = None
     if config_path is not None:
         path = Path(config_path)
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}") from None
         merged.update(parse_config_text(text, source=str(path)))

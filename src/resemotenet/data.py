@@ -13,10 +13,13 @@ seven-class label order; batching is deterministic given an RNG seed.  The
 loaders trust a checked `ModelConfig` for the geometry they fit samples to
 (its `input_size`, and an `input_channels` of 1 or 3) and re-check neither.
 
-A CSV split is read one line at a time and held as uint8 rasters
-(`RasterSample`), one byte a pixel, which `adapt_manifest` re-tags with the
-model's geometry; a sample is fitted each time its `pixels` is read, so
-`make_batches` fits a batch at a time.  Pixmap samples are fitted at load.
+Both loaders make pixels by one rule, `_fit_planes`: the 8-bit raster over
+255 in float64, resized in float64, cast once to the element type, so an
+image has the same pixels whichever container held it.  A CSV split is read
+one line at a time and held as uint8 rasters (`RasterSample`), one byte a
+pixel, which `adapt_manifest` re-tags with the model's geometry; a sample is
+fitted each time its `pixels` is read, so `make_batches` fits a batch at a
+time.  Pixmap samples are fitted at load.
 """
 
 from __future__ import annotations
@@ -78,15 +81,13 @@ class Sample:
 class RasterSample(Sample):
     """A sample held as its uint8 raster, fitted each time `pixels` is read.
 
-    `pixels` is ``_fit_planes(levels[raster], size, channels, source_id,
-    dtype)``: `levels` maps each 8-bit value to its scaled pixel, and the fit
-    resizes and replicates to the target geometry in `dtype`.  Nothing is
-    cached, so the sample holds one byte a pixel whatever its geometry."""
+    `pixels` is ``_fit_planes(raster, size, channels, source_id, dtype)``.
+    Nothing is cached, so the sample holds one byte a pixel whatever its
+    geometry."""
 
-    def __init__(self, raster: np.ndarray, levels: np.ndarray, size: int,
-                 channels: int, dtype, label: int, source_id: str):
+    def __init__(self, raster: np.ndarray, size: int, channels: int, dtype,
+                 label: int, source_id: str):
         self.raster = raster      # (C, H, W) uint8
-        self.levels = levels      # (256,) pixel value of each 8-bit level
         self.size = size
         self.channels = channels
         self.dtype = dtype
@@ -95,8 +96,8 @@ class RasterSample(Sample):
 
     @property
     def pixels(self) -> np.ndarray:
-        return _fit_planes(self.levels[self.raster], self.size, self.channels,
-                           self.source_id, self.dtype)
+        return _fit_planes(self.raster, self.size, self.channels, self.source_id,
+                           self.dtype)
 
 
 @dataclass
@@ -139,7 +140,7 @@ def _decode_error(err: UnicodeDecodeError, offset: int) -> str:
     return f"'{err.encoding}' codec can't decode {where}: {err.reason}"
 
 
-def _text_lines(path: Path):
+def _text_lines(path: Path, what: str = "dataset file"):
     """Yield (line number, line) of a UTF-8 file, a leading BOM dropped,
     holding one line of it at a time.
 
@@ -148,7 +149,7 @@ def _text_lines(path: Path):
     at each LF, which no multibyte character holds, and each piece is split
     again where `str.splitlines` splits (CR, CRLF, form feed, ...).  A byte
     position counts from the first byte after the BOM.  A read or decode
-    error is a `DataError`."""
+    error is a `DataError` saying it cannot read the `what` at `path`."""
     ln = done = 0  # lines yielded; bytes decoded before this piece
     try:
         with open(path, "rb") as handle:
@@ -158,14 +159,14 @@ def _text_lines(path: Path):
                 try:
                     text = raw.decode("utf-8")
                 except UnicodeDecodeError as err:
-                    raise DataError(f"cannot read dataset file {path}: "
+                    raise DataError(f"cannot read {what} {path}: "
                                     f"{_decode_error(err, done)}") from None
                 done += len(raw)
                 for line in text.splitlines():
                     ln += 1
                     yield ln, line
     except OSError as err:
-        raise DataError(f"cannot read dataset file {path}: {err}") from None
+        raise DataError(f"cannot read {what} {path}: {err}") from None
 
 
 def load_fer_csv(path, split_filter: str) -> DatasetManifest:
@@ -179,10 +180,8 @@ def load_fer_csv(path, split_filter: str) -> DatasetManifest:
     The file is read one line at a time.  Each row of the split is kept as
     a `RasterSample` of its (1, 48, 48) uint8 raster, which reads as 48x48x1
     pixels in the element type in effect here until `adapt_manifest`
-    re-tags it: the 8-bit values times ``1/255`` in float64, cast to that
-    type, the bits a whole-file read gave.  Faults are reported in file
-    order, so a malformed header or row is reported before a decode error in
-    a later line.
+    re-tags it.  Faults are reported in file order, so a malformed header or
+    row is reported before a decode error in a later line.
     """
     _check_split(split_filter)
     path = Path(path)
@@ -193,7 +192,6 @@ def load_fer_csv(path, split_filter: str) -> DatasetManifest:
         raise DataError(f"{path}: line 1: expected header {FER_HEADER!r}, got {got!r}")
 
     dtype = ad.default_dtype()
-    levels = (np.arange(256) * (1.0 / 255.0)).astype(dtype)
     samples: list[Sample] = []
     for ln, line in lines:
         if not line.strip():
@@ -225,8 +223,8 @@ def load_fer_csv(path, split_filter: str) -> DatasetManifest:
                 f"{path}: line {ln}: expected {FER_PIXELS} pixels, got {values.size}")
         if ((values < 0) | (values > 255)).any() or (values != np.floor(values)).any():
             raise DataError(f"{path}: line {ln}: pixels must be integers in 0-255")
-        samples.append(RasterSample(values.reshape(1, 48, 48).astype(np.uint8), levels,
-                                    48, 1, dtype, label=FER_NATIVE_REMAP[native],
+        samples.append(RasterSample(values.reshape(1, 48, 48).astype(np.uint8), 48, 1,
+                                    dtype, label=FER_NATIVE_REMAP[native],
                                     source_id=f"{path.name}#L{ln}"))
     return DatasetManifest.from_samples(path.stem, split_filter, samples)
 
@@ -315,23 +313,22 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - fy) + bottom * fy
 
 
-def _fit_planes(planes: np.ndarray, target_size: int, channels: int,
+def _fit_planes(raster: np.ndarray, target_size: int, channels: int,
                 source: str, dtype) -> np.ndarray:
-    """(C, H, W) planes -> (channels, target, target) in `dtype`.  Each plane
-    is resized once, in float64; grayscale is then replicated when color is
-    asked.  Planes that already fit are returned uncopied: nothing writes
-    sample pixels in place (the flip builds a new array, `make_batches`
-    stacks copies).  A target size numpy refuses to allocate is a `DataError`.
-    Pixmaps are fitted here once, at load; a `RasterSample` at each read of
-    its `pixels`, so in `make_batches` one batch at a time."""
-    if planes.shape[0] == 3 and channels == 1:
+    """A (C, H, W) uint8 raster -> (channels, target, target) pixels in [0, 1]
+    in `dtype`, the one rule every loader makes pixels by: the raster over
+    255 in float64, each plane resized once in float64, cast once to
+    `dtype`, and grayscale replicated when color is asked.  A target size
+    numpy refuses to allocate is a `DataError`.  Pixmaps are fitted here
+    once, at load; a `RasterSample` at each read of its `pixels`, so in
+    `make_batches` one batch at a time."""
+    if raster.shape[0] == 3 and channels == 1:
         raise DataError(f"{source}: color image cannot feed a single-channel model")
+    planes = raster.astype(np.float64) / 255.0
     if planes.shape[1:] != (target_size, target_size):
         try:
-            planes = np.stack([
-                bilinear_resize(plane.astype(np.float64), target_size, target_size)
-                for plane in planes
-            ])
+            planes = np.stack([bilinear_resize(plane, target_size, target_size)
+                               for plane in planes])
         except DataError:
             raise
         except (ValueError, MemoryError) as err:  # numpy's refusal of an array size
@@ -349,15 +346,16 @@ def _read_image(path: Path, target_size: int, channels: int, dtype) -> np.ndarra
         blob = path.read_bytes()
     except OSError as err:
         raise DataError(f"cannot read image {path}: {err}") from None
-    scaled = decode_pixmap(blob, source=str(path)).astype(np.float64) / 255.0
-    planes = scaled[None] if scaled.ndim == 2 else scaled.transpose(2, 0, 1)
-    return _fit_planes(planes, target_size, channels, str(path), dtype)
+    raster = decode_pixmap(blob, source=str(path))
+    raster = raster[None] if raster.ndim == 2 else raster.transpose(2, 0, 1)
+    return _fit_planes(raster, target_size, channels, str(path), dtype)
 
 
 def load_image_dir(root, split: str, target_size: int, channels: int) -> DatasetManifest:
     """Load the pixmap samples listed in ``root / MANIFEST``.
 
-    Each manifest line is ``relative-path<TAB>class-name`` (UTF-8, LF).
+    Each manifest line is ``relative-path<TAB>class-name`` (UTF-8, a
+    leading BOM dropped).
     Images are decoded in manifest order, rescaled to [0, 1], bilinearly
     resized to ``target_size``, and grayscale images are replicated across
     channels when a color model is configured.
@@ -369,13 +367,8 @@ def load_image_dir(root, split: str, target_size: int, channels: int) -> Dataset
     _check_split(split)
     root = Path(root)
     manifest_file = root / MANIFEST
-    try:
-        lines = manifest_file.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as err:
-        raise DataError(f"cannot read manifest {manifest_file}: {err}") from None
-
     entries: list[tuple[str, int]] = []
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in _text_lines(manifest_file, "manifest"):
         if not line.strip():
             continue
         if "\t" not in line:
@@ -412,8 +405,8 @@ def adapt_manifest(manifest: DatasetManifest, target_size: int,
     is only re-tagged, sharing its raster, label and provenance, and is
     fitted when its `pixels` is read."""
     dtype = ad.default_dtype()
-    samples = [RasterSample(s.raster, s.levels, target_size, channels, dtype,
-                            s.label, s.source_id)
+    samples = [RasterSample(s.raster, target_size, channels, dtype, s.label,
+                            s.source_id)
                for s in manifest.samples]
     return DatasetManifest(name=manifest.name, split=manifest.split,
                            samples=samples,

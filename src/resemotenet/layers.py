@@ -266,27 +266,19 @@ def conv_bn_forward(layer: Conv2dLayer, bn: BatchNorm2d, x: Tensor, mode: str,
     The conv output is this function's own and no backward reads it, so it
     is handed over: train BN keeps x-hat in it, eval BN may normalize in
     it.  With `recompute`, train BN keeps no x-hat and the conv output is
-    dropped once BN has run: BN's backward rebuilds it by an unrecorded
-    conv forward of x, which the conv's backward keeps anyway.  That
-    backward runs before the conv's, so it reads the weight and bias the
-    forward read, even where the optimizer updates each parameter as soon
-    as its gradient is final."""
+    dropped once BN has run: BN's backward rebuilds it by running the
+    conv's kernel (`autodiff._conv2d`, not the recorded `autodiff.conv2d`
+    op) on x, which the conv's backward keeps anyway.  That backward runs
+    before the conv's, so it reads the weight and bias the forward read,
+    even where the optimizer updates each parameter as soon as its
+    gradient is final."""
     h = layer.forward(x)
     if not recompute or mode != TRAIN:
         return bn.forward(h, mode, out=h.data)
-    out = bn.forward(h, mode, out=h.data, rebuild=lambda: _unrecorded_conv(layer, x))
+    out = bn.forward(h, mode, out=h.data, rebuild=lambda: ad._conv2d(
+        x, layer.weight, layer.bias, layer.stride, layer.padding)[0])
     h.drop_data()
     return out
-
-
-def _unrecorded_conv(layer: Conv2dLayer, x: Tensor) -> np.ndarray:
-    """The array `layer.forward(x)` made, computed again and recorded on no
-    graph, in the element types of x and of the layer's tensors."""
-    def plain(t: Tensor) -> Tensor:
-        return Tensor(t.data, dtype=t.data.dtype)
-
-    return ad.conv2d(plain(x), plain(layer.weight), plain(layer.bias),
-                     layer.stride, layer.padding).data
 
 
 def se_forward(se: SEBlock, x: Tensor) -> Tensor:

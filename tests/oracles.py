@@ -314,8 +314,8 @@ def fer_csv_text(manifests):
 def fer_csv_whole_file(path, split):
     """The CSV loader as a whole-file read with eager pixels: the text is
     decoded at once and split by `str.splitlines`, and each row of `split`
-    is parsed in float64, scaled by ``1/255`` and cast to the default
-    element type.  Returns (label, source id, (1, 48, 48) pixels) triples,
+    is parsed in float64, divided by 255 and cast to the default element
+    type.  Returns (label, source id, (1, 48, 48) pixels) triples,
     or raises the loader's `DataError`."""
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -351,15 +351,17 @@ def fer_csv_whole_file(path, split):
             raise DataError(f"{path}: line {ln}: expected 2304 pixels, got {values.size}")
         if ((values < 0) | (values > 255)).any() or (values != np.floor(values)).any():
             raise DataError(f"{path}: line {ln}: pixels must be integers in 0-255")
-        pixels = (values * (1.0 / 255.0)).astype(ad.default_dtype()).reshape(1, 48, 48)
+        pixels = (values / 255.0).astype(ad.default_dtype()).reshape(1, 48, 48)
         rows.append((FER_NATIVE_REMAP[native], f"{path.name}#L{ln}", pixels))
     return rows
 
 
 def fer_eager_fit(pixels, size, channels):
-    """One row's pixels fitted as an eager load did: the plane resized in
-    float64 unless it fits, cast to the default element type, replicated
-    to `channels`."""
+    """One row's pixels fitted by the loaders' rule: its 8-bit values, read
+    back from `fer_csv_whole_file`'s pixels, over 255 in float64, the plane
+    resized in float64 unless it fits, cast once to the default element
+    type, replicated to `channels`."""
+    plane = np.rint(pixels[0].astype(np.float64) * 255) / 255.0
     if size != 48:
-        pixels = bilinear_resize(pixels[0].astype(np.float64), size, size)[None]
-    return np.repeat(pixels.astype(ad.default_dtype()), channels, axis=0)
+        plane = bilinear_resize(plane, size, size)
+    return np.repeat(plane[None].astype(ad.default_dtype()), channels, axis=0)

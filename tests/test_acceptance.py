@@ -282,12 +282,12 @@ def test_c11_loader_fidelity_flip_involution_batch_conservation(tmp_path):
     assert len(train.samples) == 7 and len(test.samples) == 3
 
     # hand-recomputed tensors: row-major 48x48, /255, native labels moved
-    # into the model's class order (atol covers reciprocal-vs-divide ulps)
+    # into the model's class order
     remap = {0: 0, 1: 1, 2: 2, 3: 3, 4: 5, 5: 6, 6: 4}
     train_rows = [i for i, u in enumerate(usages) if u == "Training"]
     for sample, i in zip(train.samples, train_rows):
         want = (pixel_rows[i] / 255.0).reshape(1, 48, 48)
-        npt.assert_allclose(sample.pixels, want, rtol=0.0, atol=1e-15)
+        npt.assert_array_equal(sample.pixels, want)
         assert sample.label == remap[native_labels[i]]
 
     # mirroring is an involution, and the single mirror really moved pixels

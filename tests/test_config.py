@@ -154,6 +154,12 @@ def test_a_key_set_twice_is_refused_naming_both_lines(tmp_path):
         load_run_config(path)
 
 
+def test_a_config_file_with_a_bom_loads(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("epochs = 3\nlr = 0.5\n", encoding="utf-8-sig")
+    assert load_run_config(path) == RunConfig(epochs=3, lr=0.5)
+
+
 def test_config_file_that_is_not_utf8_is_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"data_root = /faces/\xff\n")

@@ -279,7 +279,7 @@ class TestRasterFit:
             split = adapt_manifest(loaded, size, channels)
             fitted = [oracles.fer_eager_fit(pixels, size, channels) for _, _, pixels in rows]
             got = list(make_batches(split, 4, r, shuffle=True, transform=flip))
-        # the eager pipeline: scale, cast, resize, cast, replicate, then flip
+        # the eager pipeline: scale, resize, cast, replicate, then flip
         r = np.random.default_rng(5)
         order = fisher_yates_permutation(len(rows), r)
         want = [fitted[i][:, :, ::-1] if augment and r.random() < 0.5 else fitted[i]
@@ -289,6 +289,42 @@ class TestRasterFit:
         assert pixels.tobytes() == np.stack(want).tobytes()
         labels = np.concatenate([labels for _, labels in got])
         assert labels.tolist() == [rows[i][0] for i in order]
+
+
+class TestOnePixelRule:
+    """Both loaders make pixels by one rule, whatever container held the
+    image and whatever element type was in effect at load."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size, channels", [(48, 1), (64, 3)])
+    def test_a_csv_row_and_a_pixmap_of_one_image_give_the_same_pixels(
+            self, tmp_path, dtype, size, channels):
+        raster = np.random.default_rng(41).integers(0, 256, (48, 48), dtype=np.uint8)
+        csv = write_csv(tmp_path, [f"3,{' '.join(map(str, raster.ravel()))},Training"])
+        (tmp_path / "imgs").mkdir()
+        (tmp_path / "imgs" / "a.pgm").write_bytes(b"P5\n48 48\n255\n" + raster.tobytes())
+        (tmp_path / "imgs" / MANIFEST).write_text("a.pgm\tHappy\n")
+        with using_dtype(dtype):
+            from_csv = adapt_manifest(load_fer_csv(csv, "train"), size, channels)
+            from_pixmap = load_image_dir(tmp_path / "imgs", "train", size, channels)
+        got, want = from_csv.samples[0].pixels, from_pixmap.samples[0].pixels
+        assert got.dtype == want.dtype == dtype and got.shape == (channels, size, size)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fit_type", [np.float32, np.float64])
+    @pytest.mark.parametrize("size, channels", [(48, 1), (64, 3)])
+    def test_a_csv_splits_pixels_do_not_depend_on_the_type_at_load(
+            self, tmp_path, fit_type, size, channels):
+        path = write_csv(tmp_path, _random_rows(6, seed=41, usages=("Training",)))
+        fitted = []
+        for load_type in (np.float32, np.float64):
+            with using_dtype(load_type):
+                loaded = load_fer_csv(path, "train")
+            with using_dtype(fit_type):
+                split = adapt_manifest(loaded, size, channels)
+                fitted.append(np.stack([s.pixels for s in split.samples]))
+        assert fitted[0].dtype == fit_type
+        assert fitted[0].tobytes() == fitted[1].tobytes()
 
 
 def _tie(k, dtype):
@@ -479,6 +515,14 @@ class TestImageDir:
         (tmp_path / MANIFEST).write_bytes(b"a\xff.pgm\tHappy\n")
         with pytest.raises(DataError, match="cannot read manifest.*utf-8"):
             load_image_dir(tmp_path, "train", 64, 3)
+
+    def test_a_manifest_with_a_bom_loads(self, tmp_path):
+        made, index = self._write_fixture(tmp_path)
+        index.write_bytes(codecs.BOM_UTF8 + index.read_bytes())
+        loaded = load_image_dir(tmp_path / "imgs", "train", 10, 3)
+        assert [s.source_id for s in loaded.samples] == \
+            [line.split("\t")[0] for line in index.read_text("utf-8-sig").splitlines()]
+        npt.assert_array_equal(loaded.class_counts, made.class_counts)
 
     def test_missing_tab_names_line(self, tmp_path):
         (tmp_path / MANIFEST).write_text("a.pgm Happy\n")

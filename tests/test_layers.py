@@ -465,3 +465,17 @@ class TestHandOver:
         with Graph() if graph else contextlib.nullcontext():
             out = conv_bn_forward(conv, bn, x, mode)
         assert (out.data is convs[0].data) == (not graph)
+
+    def test_a_recomputing_backward_runs_no_conv_op(self, monkeypatch):
+        """The x-hat rebuild runs `autodiff.conv2d`'s kernel, not the op, so
+        whatever wraps the op sees the forward's one conv and no other."""
+        calls = []
+        conv2d = ad.conv2d
+        monkeypatch.setattr(ad, "conv2d", lambda *args: calls.append(args) or conv2d(*args))
+        (conv, bn), _ = self._units("block", np.float64)
+        x = Tensor(make_rng(27).standard_normal((2, 3, 6, 6)), requires_grad=True)
+        with Graph():
+            out = conv_bn_forward(conv, bn, x, layers.TRAIN, recompute=True)
+            assert len(calls) == 1
+            ad.tensor_sum(ad.mul(out, out)).backward()
+        assert len(calls) == 1 and x.grad is not None and conv.weight.grad is not None
